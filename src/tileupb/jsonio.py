@@ -20,7 +20,3 @@ def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 
 def pairs_to_vector(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def pairs_to_matrix(pairs) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in pairs], dtype=complex)

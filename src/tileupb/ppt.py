@@ -2,9 +2,12 @@
 
 For an orthogonal product set of N states in dimension mn, normalizing
 and projecting gives rho = (I - sum |psi_i><psi_i|) / (mn - N), the
-maximally mixed state on the complement.  When the set is unextendible
-the support of rho contains no product state (range criterion), so rho
-is entangled, yet its partial transpose stays positive semidefinite.
+maximally mixed state on the complement.  For the basis of a tile
+structure that complement is span{tile indicators} minus the stopper,
+so rho = Q Q^T / (s - 1) with Q its closed-form orthonormal basis.
+When the set is unextendible the support of rho contains no product
+state (range criterion), so rho is entangled, yet its partial transpose
+stays positive semidefinite.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import numpy as np
 
 from .jsonio import matrix_to_pairs
 from .states import UPBSet
-from .verify import check_orthogonal_set
+from .verify import certified_complement, check_orthogonal_set
 
 __all__ = ["DensityMatrix", "PPTReport", "build_ppt_state", "partial_transpose", "ppt_report"]
 
 PSD_TOL = -1e-10
 RANK_TOL = 1e-8
+ORTH_TOL = 1e-10  # relative overlap allowed between the states and the complement
+TRACE_EPS_MULTIPLE = 16  # |trace - 1| may reach this many times mn * machine epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,29 +41,24 @@ class DensityMatrix:
 
 
 def build_ppt_state(upb: UPBSet) -> DensityMatrix:
-    """rho = (I - sum over normalized UPB states) / (mn - N).
+    """rho = Q Q^T / (s - 1), the normalized projector onto the
+    complement of the UPB states, as a real matrix.
 
-    The input set must be pairwise orthogonal; rho is then exactly the
-    normalized projector onto the complement, of rank mn - N.
+    The input set must be pairwise orthogonal (relative overlaps) and
+    must not span the whole space; Q is the closed-form tile complement,
+    which ``certified_complement`` proves to be the complement of the
+    states or refuses with ValueError.  rho has rank mn - N = s - 1.
     """
-    orth = check_orthogonal_set(upb.states, tol=1e-10)
+    orth = check_orthogonal_set(upb.states, tol=ORTH_TOL)
     if not orth.ok:
         raise ValueError(
             f"input set is not orthogonal: {len(orth.violations)} violating pairs, "
             f"worst {orth.max_offdiagonal:.3e}"
         )
-    m, n = upb.m, upb.n
-    mn = m * n
-    count = len(upb.states)
-    if count >= mn:
+    if len(upb.states) >= upb.m * upb.n:
         raise ValueError("the set spans the whole space; the complement state is undefined")
-    proj = np.zeros((mn, mn), dtype=complex)
-    for state in upb.states:
-        vec = state.matrix.reshape(mn)
-        vec = vec / np.linalg.norm(vec)
-        proj += np.outer(vec, vec.conj())
-    rho = (np.eye(mn) - proj) / (mn - count)
-    return DensityMatrix(m, n, rho)
+    q = certified_complement(upb, tol=ORTH_TOL)
+    return DensityMatrix(upb.m, upb.n, q @ q.T / q.shape[1])
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -70,6 +70,7 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PPTReport:
+    dim: int
     trace: float
     rank: int
     expected_rank: int
@@ -83,7 +84,7 @@ class PPTReport:
     @property
     def ok(self) -> bool:
         return (
-            abs(self.trace - 1.0) < 1e-12
+            abs(self.trace - 1.0) <= TRACE_EPS_MULTIPLE * self.dim * np.finfo(float).eps
             and self.rank == self.expected_rank
             and self.min_eigenvalue >= PSD_TOL
             and self.ppt
@@ -92,6 +93,7 @@ class PPTReport:
 
     def to_json_dict(self) -> dict:
         return {
+            "dim": self.dim,
             "trace": self.trace,
             "rank": self.rank,
             "expected_rank": self.expected_rank,
@@ -116,6 +118,7 @@ def ppt_report(upb: UPBSet) -> PPTReport:
     count = len(upb.states)
     if count >= mn:
         return PPTReport(
+            dim=mn,
             trace=0.0,
             rank=0,
             expected_rank=0,
@@ -132,6 +135,7 @@ def ppt_report(upb: UPBSet) -> PPTReport:
     rank = int(np.sum(eigs > RANK_TOL))
     defect = float(np.max(np.abs(rho.matrix - rho.matrix.conj().T)))
     return PPTReport(
+        dim=mn,
         trace=float(np.trace(rho.matrix).real),
         rank=rank,
         expected_rank=mn - count,

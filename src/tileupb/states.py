@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Tile, TileStructure
-from .jsonio import matrix_to_pairs, pairs_to_matrix, pairs_to_vector, vector_to_pairs
+from .jsonio import matrix_to_pairs, pairs_to_vector, vector_to_pairs
 
 __all__ = [
     "BipartiteState",

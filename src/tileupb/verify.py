@@ -8,6 +8,11 @@ exact top-eigenvector update, so the objective never decreases.  A value
 near 1 certifies a product state in the subspace; failure to reach 1 is
 only heuristic evidence of absence (the exact decision belongs to the
 U-tile test).
+
+The basis a tile structure induces is made of products |a>|b>, so the
+orthogonality check works from the factor matrices, and its complement
+is span{tile indicators} minus the stopper direction, available in
+closed form and certified against the states it serves.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "UPBCheckReport",
     "check_orthogonal_set",
     "complement_basis",
+    "certified_complement",
     "seesaw_search",
     "check_upb",
 ]
@@ -31,14 +37,16 @@ __all__ = [
 DEFAULT_RESTARTS = 200
 DEFAULT_MAX_ITERS = 500
 DEFAULT_CONV_TOL = 1e-12
-DEFAULT_ORTH_TOL = 1e-12
+DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
+GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
+MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
 PRODUCT_THRESHOLD = 1e-6  # a best overlap above 1 - this certifies a product state
 
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Pairs whose inner product exceeds the tolerance, plus the largest
-    off-diagonal Gram magnitude seen."""
+    """Pairs whose relative overlap |<psi_i|psi_j>| / (|psi_i| |psi_j|)
+    exceeds the tolerance, plus the largest relative overlap seen."""
 
     violations: tuple[tuple[int, int, float], ...]
     max_offdiagonal: float
@@ -55,6 +63,7 @@ class SearchResult:
     best_product: ProductState
     restarts_run: int
     converged_restarts: int
+    monotonicity_violations: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,6 +71,7 @@ class SearchResult:
             "best_product": self.best_product.to_json_dict(),
             "restarts_run": self.restarts_run,
             "converged_restarts": self.converged_restarts,
+            "monotonicity_violations": self.monotonicity_violations,
         }
 
 
@@ -70,16 +80,46 @@ def _stack_matrices(states) -> np.ndarray:
     return np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
 
 
+def _factor_stack(states) -> list[np.ndarray]:
+    """Per-state factors as row-stacked matrices: [A, B] (N x m, N x n)
+    when every state is a product a (x) b, else [M] with each
+    coefficient matrix flattened to a row."""
+    if all(isinstance(s, ProductState) for s in states):
+        return [np.array([s.a_vec for s in states]), np.array([s.b_vec for s in states])]
+    mats = _stack_matrices(states)
+    return [mats.reshape(len(mats), -1)]
+
+
+def _factor_norms(factors: list[np.ndarray]) -> np.ndarray:
+    return np.prod([np.linalg.norm(f, axis=1) for f in factors], axis=0)
+
+
 def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
-    """Report every state pair with |<psi_i|psi_j>| above tol."""
+    """Report every pair i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
+    above tol; a zero state overlaps nothing.
+
+    The Gram is the entrywise product of the factor Grams,
+    (A* A^T) o (B* B^T) for product states and M* M^T otherwise, formed
+    GRAM_BLOCK rows at a time over the columns j >= the block's first
+    row.  Violations come in (i, j) row-major order.
+    """
+    count = len(states)
+    if count < 2:
+        return OrthogonalityReport((), 0.0, tol)
+    factors = _factor_stack(states)
+    norms = _factor_norms(factors)
+    scale = np.where(norms > 0, norms, 1.0)
     violations = []
     worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            mag = abs(inner_product(states[i], states[j]))
-            worst = max(worst, mag)
-            if mag > tol:
-                violations.append((i, j, mag))
+    for start in range(0, count - 1, GRAM_BLOCK):
+        stop = min(start + GRAM_BLOCK, count)
+        gram = 1.0
+        for f in factors:
+            gram = gram * (f[start:stop].conj() @ f[start:].T)
+        rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
+        worst = max(worst, float(rel.max()))
+        for i, j in zip(*np.nonzero(rel > tol)):
+            violations.append((start + int(i), start + int(j), float(rel[i, j])))
     return OrthogonalityReport(tuple(violations), worst, tol)
 
 
@@ -107,6 +147,63 @@ def complement_basis(states, m: int | None = None, n: int | None = None) -> list
     return [BipartiteState(vh[i].conj().reshape(m, n)) for i in range(k, m * n)]
 
 
+def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarray:
+    """Orthonormal basis Q (real, mn x (s-1), rows indexed r * n + c) of
+    span{tile indicators 1_t} orthogonal to the stopper, certified to be
+    the orthogonal complement of upb.states.
+
+    With u_t = 1_t / sqrt|t| the stopper is sum_t sqrt|t| u_t, so a
+    complete QR of the s-vector (sqrt|t|) yields s - 1 orthonormal
+    coefficient vectors orthogonal to it; column k of Q takes the value
+    coef[t, k] on the cells of tile t.  The certificate needs nothing
+    from ``origin`` but the tiles: they must partition the grid, the
+    state count must obey the size law N = mn - s + 1, and every overlap
+    |<psi_i|q_k>| / |psi_i|, computed for products as
+    ((A* R) o (B* C)) coef from the tiles' row and column indicator
+    matrices R and C, must be at most tol.  For a pairwise orthogonal
+    set that proves span(Q) is the complement.  Raises ValueError naming
+    the condition that fails.
+    """
+    ts = upb.origin
+    m, n, s = upb.m, upb.n, ts.tile_count
+    if len(upb.states) != m * n - s + 1:
+        raise ValueError(
+            f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
+        )
+    rows = np.zeros((m, s))
+    cols = np.zeros((n, s))
+    owner = np.zeros((m, n), dtype=int)
+    cover = np.zeros((m, n), dtype=int)
+    for k, tile in enumerate(ts.tiles):
+        rows[list(tile.rows), k] = 1.0
+        cols[list(tile.cols), k] = 1.0
+        owner[np.ix_(tile.rows, tile.cols)] = k
+        cover[np.ix_(tile.rows, tile.cols)] += 1
+    if np.any(cover != 1):
+        raise ValueError("the origin's tiles do not partition the grid")
+    root = np.sqrt([tile.size for tile in ts.tiles])
+    full, _ = np.linalg.qr(root[:, None], mode="complete")
+    coef = full[:, 1:] / root[:, None]
+    q = coef[owner].reshape(m * n, s - 1)
+
+    factors = _factor_stack(upb.states)
+    if len(factors) == 2:
+        a, b = factors
+        overlaps = ((a.conj() @ rows) * (b.conj() @ cols)) @ coef
+    else:
+        overlaps = factors[0].conj() @ q
+    norms = _factor_norms(factors)
+    if not np.all(norms > 0):
+        raise ValueError("a state is zero")
+    worst = float(np.max(np.abs(overlaps) / norms[:, None], initial=0.0))
+    if not worst <= tol:
+        raise ValueError(
+            f"the tile complement overlaps the states: relative overlap {worst:.3e} "
+            f"exceeds {tol:.1e}"
+        )
+    return q
+
+
 def _seesaw_objective(w_stack: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     amps = np.einsum("kij,i,j->k", w_stack.conj(), a, b)
     return float(np.sum(np.abs(amps) ** 2))
@@ -114,11 +211,13 @@ def _seesaw_objective(w_stack: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
 
 def _seesaw_restart(
     w_stack: np.ndarray, a: np.ndarray, b: np.ndarray, max_iters: int, conv_tol: float
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
+) -> tuple[np.ndarray, np.ndarray, float, bool, int]:
     """One alternating run from the given start; returns the final unit
-    factors, the recomputed objective, and whether it converged."""
+    factors, the recomputed objective, whether it converged, and how
+    many steps lowered the objective by more than MONOTONE_SLACK."""
     prev = _seesaw_objective(w_stack, a, b)
     converged = False
+    violations = 0
     for _ in range(max_iters):
         v = np.einsum("kij,j->ki", w_stack, b.conj())
         m_a = np.einsum("ki,kj->ij", v, v.conj())
@@ -130,13 +229,13 @@ def _seesaw_restart(
         b = vecs[:, -1]
         obj = float(vals[-1])
         # Each half-step is an exact maximization, so the objective is
-        # monotone up to rounding.
-        assert obj >= prev - 1e-9, "seesaw objective decreased"
+        # monotone up to rounding; a larger drop means a broken step.
+        violations += int(obj < prev - MONOTONE_SLACK)
         if obj - prev < conv_tol:
             converged = True
             break
         prev = obj
-    return a, b, _seesaw_objective(w_stack, a, b), converged
+    return a, b, _seesaw_objective(w_stack, a, b), converged, violations
 
 
 def seesaw_search(
@@ -154,7 +253,7 @@ def seesaw_search(
     b.  Deterministic for fixed inputs and seed; restarts are ranked by
     recomputed objective, first-best wins.
     """
-    if not complement:
+    if len(complement) == 0:
         raise ValueError("empty complement basis: nothing to search")
     w_stack = _stack_matrices(complement)
     _, m, n = w_stack.shape
@@ -162,13 +261,15 @@ def seesaw_search(
     best_overlap = -1.0
     best_a = best_b = None
     converged_count = 0
+    violations = 0
     for _ in range(restarts):
         a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        a, b, overlap, converged = _seesaw_restart(w_stack, a, b, max_iters, conv_tol)
+        a, b, overlap, converged, dropped = _seesaw_restart(w_stack, a, b, max_iters, conv_tol)
         converged_count += int(converged)
+        violations += dropped
         if overlap > best_overlap:
             best_overlap = overlap
             best_a, best_b = a, b
@@ -177,6 +278,7 @@ def seesaw_search(
         best_product=ProductState(best_a, best_b),
         restarts_run=restarts,
         converged_restarts=converged_count,
+        monotonicity_violations=violations,
     )
 
 
@@ -225,12 +327,15 @@ def check_upb(
 ) -> UPBCheckReport:
     """Full numerical check of a UPBSet.
 
-    Verifies pairwise orthogonality, the size law mn - s + 1, the
-    stopper overlap law (<S|phi_i^(0,0)> equals the tile's cell count,
-    nonzero), the complement dimension s - 1, and runs the seesaw search
-    on the complement.  Passing means no product state was certified in
-    the complement; that negative is heuristic, the positive direction
-    (a certificate) is conclusive.
+    Verifies pairwise orthogonality (relative overlaps), the size law
+    mn - s + 1, the stopper overlap law (<S|phi_i^(0,0)> equals the
+    tile's cell count, nonzero), certifies the closed-form complement of
+    dimension s - 1 (``certified_complement``), and runs the seesaw
+    search on it.  When the complement cannot be certified the check
+    fails with the reason in ``note`` and no search.  Passing means no
+    product state was certified in the complement; that negative is
+    heuristic, the positive direction (a certificate) is conclusive.
+    ``complement_dim`` counts the certified complement vectors.
     """
     ts = upb.origin
     s = ts.tile_count
@@ -254,43 +359,45 @@ def check_upb(
         "product_threshold": PRODUCT_THRESHOLD,
     }
 
+    search = None
+    found = False
+    complement_dim = 0
+    reason = None
     if expected == mn and len(upb.states) == mn:
         # Complete basis: empty complement, nothing to search.
-        return UPBCheckReport(
-            size=len(upb.states),
-            expected_size=expected,
-            size_ok=size_ok,
-            orthogonality=orth,
-            stopper_law_ok=stopper_ok,
-            complement_dim=0,
-            expected_complement_dim=0,
-            search=None,
-            product_found=False,
-            passed=size_ok and orth.ok and stopper_ok,
-            note="complement is empty; unextendibility holds vacuously",
-            settings=settings,
-        )
-
-    comp = complement_basis(upb.states)
-    search = seesaw_search(comp, restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed)
-    found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
-    passed = size_ok and orth.ok and stopper_ok and len(comp) == s - 1 and not found
-    note = (
-        "product state found in the complement (extendibility certificate)"
-        if found
-        else "no product state found in the complement (heuristic negative)"
-    )
+        note = "complement is empty; unextendibility holds vacuously"
+    elif not orth.ok:
+        reason = "the states are not pairwise orthogonal"
+    else:
+        try:
+            comp = certified_complement(upb, tol=orth_tol)
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            complement_dim = comp.shape[1]
+            search = seesaw_search(
+                comp.T.reshape(complement_dim, upb.m, upb.n),
+                restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
+            )
+            found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
+            note = (
+                "product state found in the complement (extendibility certificate)"
+                if found
+                else "no product state found in the complement (heuristic negative)"
+            )
+    if reason is not None:
+        note = f"complement not certified, search skipped: {reason}"
     return UPBCheckReport(
         size=len(upb.states),
         expected_size=expected,
         size_ok=size_ok,
         orthogonality=orth,
         stopper_law_ok=stopper_ok,
-        complement_dim=len(comp),
+        complement_dim=complement_dim,
         expected_complement_dim=s - 1,
         search=search,
         product_found=found,
-        passed=passed,
+        passed=size_ok and orth.ok and stopper_ok and reason is None and not found,
         note=note,
         settings=settings,
     )

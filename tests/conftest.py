@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tileupb import TileStructure
+from tileupb import TileStructure, build_upb, five_tile
 
 
 def structure_from_grid(grid):
@@ -84,6 +84,34 @@ def brute_tile_matrices(tile, m, n):
                     mat[r, c] = np.exp(2j * np.pi * k * e / p) * np.exp(2j * np.pi * l * f / q)
             out.append(mat)
     return out
+
+
+def brute_orthogonality(states, tol):
+    """Every pair i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|) above
+    tol, by an explicit loop over pairs, and the largest such value; a
+    zero state overlaps nothing."""
+    vecs = [kron_vector(s) for s in states]
+    norms = [np.linalg.norm(v) or 1.0 for v in vecs]
+    violations, worst = [], 0.0
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            mag = abs(np.vdot(vecs[i], vecs[j])) / (norms[i] * norms[j])
+            worst = max(worst, mag)
+            if mag > tol:
+                violations.append((i, j, mag))
+    return violations, worst
+
+
+def brute_ppt_state(upb):
+    """rho = (I - sum_i |psi_i><psi_i| / <psi_i|psi_i>) / (mn - N), one
+    rank-1 update per state."""
+    mn = upb.m * upb.n
+    proj = np.zeros((mn, mn), dtype=complex)
+    for state in upb.states:
+        vec = kron_vector(state)
+        vec = vec / np.linalg.norm(vec)
+        proj += np.outer(vec, vec.conj())
+    return (np.eye(mn) - proj) / (mn - len(upb.states))
 
 
 def brute_partial_transpose(rho, da, db):
@@ -194,6 +222,15 @@ def random_structure(rng, m, n, grow=0.5):
                 rows, cols = trial_rows, trial_cols
         _paint(grid, rows, cols, tid)
     return tuple(tuple(row) for row in grid)
+
+
+def foreign_origin_upb():
+    """The states of five_tile(4, 4) under the origin of a row-reversed
+    copy: still orthogonal, still mn - s + 1 of them, but the copy's tile
+    indicators are not orthogonal to them."""
+    upb = build_upb(five_tile(4, 4))
+    flipped = structure_from_grid(upb.origin.cell_map[::-1])
+    return type(upb)(states=upb.states, missing=upb.missing, stopper=upb.stopper, origin=flipped)
 
 
 @pytest.fixture(scope="session")

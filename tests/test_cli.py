@@ -109,6 +109,14 @@ class TestChecks:
         assert code == 0
         assert "verdict: ok" in out
 
+    @pytest.mark.parametrize("command", ["verify-upb", "ppt"])
+    def test_large_interior_tile_is_not_a_false_failure(self, command, capsys):
+        # Unnormalized 22 x 22 interior-tile states overlap by about
+        # 1e-12 in absolute terms; relative overlaps stay near 1e-15.
+        code, out, _ = run(capsys, command, "--family", "five-tile", "--m", "24", "--n", "24")
+        assert code == 0
+        assert "FAILED" not in out
+
     def test_distinguish(self, capsys):
         code, out, _ = run(capsys, "distinguish", "--family", "prop2", "--m", "4", "--n", "5", "--json")
         assert code == 0

@@ -15,7 +15,12 @@ from tileupb import (
     prop3,
 )
 
-from conftest import brute_partial_transpose, structure_from_grid
+from conftest import (
+    brute_partial_transpose,
+    brute_ppt_state,
+    foreign_origin_upb,
+    structure_from_grid,
+)
 
 
 class TestBuildState:
@@ -45,6 +50,19 @@ class TestBuildState:
         )
         with pytest.raises(ValueError, match="orthogonal"):
             build_ppt_state(tampered)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [example1(), five_tile(3, 5), prop2(5, 6), prop3(5, 9)],
+        ids=["example1", "five35", "ring56", "counted59"],
+    )
+    def test_matches_the_rank_one_oracle(self, ts):
+        upb = build_upb(ts)
+        assert np.allclose(build_ppt_state(upb).matrix, brute_ppt_state(upb), rtol=0, atol=1e-12)
+
+    def test_rejects_a_foreign_origin(self):
+        with pytest.raises(ValueError, match="overlap"):
+            build_ppt_state(foreign_origin_upb())
 
     def test_rejects_a_complete_basis(self):
         ts = structure_from_grid([[1, 1], [1, 1]])

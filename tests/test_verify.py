@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tileupb.verify
 from tileupb import (
     BipartiteState,
     ProductState,
@@ -14,12 +15,43 @@ from tileupb import (
     fig2,
     five_tile,
     inner_product,
+    prop2,
     prop3,
     seesaw_search,
     state_matrix,
 )
+from tileupb.verify import GRAM_BLOCK, certified_complement
 
-from conftest import brute_seesaw_objective, structure_from_grid
+from conftest import (
+    brute_orthogonality,
+    brute_seesaw_objective,
+    foreign_origin_upb,
+    kron_vector,
+    structure_from_grid,
+)
+
+# five_tile(4, 5) with the first column of its interior tile split off:
+# the split pair forms a special rectangle, so the basis is extendible.
+SPLIT_FIVE_TILE = [
+    [1, 1, 1, 1, 2],
+    [4, 6, 5, 5, 2],
+    [4, 6, 5, 5, 2],
+    [4, 3, 3, 3, 3],
+]
+
+
+def _random_states(kind, count, seed, m=3, n=4):
+    """Random unnormalized states on sparse supports, so that some pairs
+    are exactly orthogonal, with norms spread over six decades."""
+    rng = np.random.default_rng(seed)
+
+    def sparse(size):
+        vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return vec * (rng.random(size) < 0.6) * 10.0 ** rng.uniform(-3, 3)
+
+    if kind == "product":
+        return [ProductState(sparse(m), sparse(n)) for _ in range(count)]
+    return [BipartiteState(sparse(m * n).reshape(m, n)) for _ in range(count)]
 
 
 class TestOrthogonalityCheck:
@@ -34,6 +66,23 @@ class TestOrthogonalityCheck:
         report = check_orthogonal_set(states)
         assert not report.ok
         assert report.violations[0][:2] == (0, 1)
+
+    @pytest.mark.parametrize("kind", ["product", "bipartite"])
+    @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
+    def test_matches_the_pairwise_oracle(self, kind, count):
+        states = _random_states(kind, count, seed=count)
+        tol = 0.3
+        report = check_orthogonal_set(states, tol=tol)
+        want, worst = brute_orthogonality(states, tol)
+        assert [v[:2] for v in report.violations] == [v[:2] for v in want]
+        assert np.allclose([v[2] for v in report.violations], [v[2] for v in want],
+                           rtol=0, atol=1e-12)
+        assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
+        if count > 2:  # both verdicts occur
+            assert 0 < len(want) < count * (count - 1) // 2
+
+    def test_large_tiles_pass_under_the_relative_rule(self):
+        assert check_orthogonal_set(build_upb(five_tile(32, 32)).states).ok
 
 
 class TestComplementBasis:
@@ -61,6 +110,39 @@ class TestComplementBasis:
         s = ProductState([1, 0], [1, 0])
         with pytest.raises(ValueError):
             complement_basis([s, s])
+
+
+class TestCertifiedComplement:
+    @pytest.mark.parametrize(
+        "ts",
+        [example1(), five_tile(3, 5), prop2(5, 6), prop3(5, 9), fig2(),
+         structure_from_grid(SPLIT_FIVE_TILE)],
+        ids=["example1", "five35", "ring56", "counted59", "fig2", "split45"],
+    )
+    def test_projector_matches_the_svd_complement(self, ts):
+        upb = build_upb(ts)
+        q = certified_complement(upb)
+        assert q.shape == (ts.m * ts.n, ts.tile_count - 1)
+        assert np.allclose(q.T @ q, np.eye(ts.tile_count - 1), atol=1e-12)
+        ref = np.array([kron_vector(w) for w in complement_basis(upb.states)]).T
+        assert np.allclose(q @ q.T, ref @ ref.conj().T, atol=1e-12)
+
+    def test_states_given_as_matrices_get_the_same_basis(self):
+        upb = build_upb(example1())
+        as_matrices = type(upb)(states=tuple(s.to_bipartite() for s in upb.states),
+                                missing=upb.missing, stopper=upb.stopper, origin=upb.origin)
+        assert np.array_equal(certified_complement(as_matrices), certified_complement(upb))
+
+    def test_refuses_a_foreign_origin(self):
+        with pytest.raises(ValueError, match="overlap"):
+            certified_complement(foreign_origin_upb())
+
+    def test_refuses_a_broken_size_law(self):
+        upb = build_upb(example1())
+        short = type(upb)(states=upb.states[1:], missing=upb.missing,
+                          stopper=upb.stopper, origin=upb.origin)
+        with pytest.raises(ValueError, match="size law"):
+            certified_complement(short)
 
 
 class TestSeesawSearch:
@@ -111,6 +193,23 @@ class TestCheckUpb:
         assert not report.passed
         assert report.product_found
         assert report.search.best_overlap > 1 - 1e-9
+
+    @pytest.mark.parametrize("ts", [example1(), fig2()], ids=["example1", "fig2"])
+    def test_the_objective_never_drops(self, ts):
+        report = check_upb(build_upb(ts), restarts=50, seed=0)
+        assert report.search.monotonicity_violations == 0
+        assert report.to_json_dict()["search"]["monotonicity_violations"] == 0
+
+    def test_uncertified_complement_fails_without_a_search(self, monkeypatch):
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("check_upb fell back to the SVD complement")
+
+        monkeypatch.setattr(tileupb.verify, "complement_basis", no_fallback)
+        report = check_upb(foreign_origin_upb(), restarts=10, seed=0)
+        assert report.orthogonality.ok and report.size_ok
+        assert not report.passed
+        assert report.search is None
+        assert "not certified" in report.note and "overlap" in report.note
 
     def test_complete_basis_passes_vacuously(self):
         ts = structure_from_grid([[1, 1], [1, 1]])
