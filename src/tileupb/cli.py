@@ -129,8 +129,8 @@ def _cmd_special_rects(args, parser) -> int:
 
 def _cmd_check_utile(args, parser) -> int:
     ts = _load_structure(args, parser)
-    verdict = is_u_tile(ts, method=args.method, cap=args.cap)
-    payload = {"is_u_tile": verdict.is_u_tile, "method": args.method, "witness": None}
+    verdict = is_u_tile(ts)
+    payload = {"is_u_tile": verdict.is_u_tile, "witness": None}
     if verdict.is_u_tile:
         _emit(args, "U-tile: yes", payload)
         return 0
@@ -273,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("check-utile", help="decide the U-tile property")
     _add_structure_args(sub)
     _add_output_args(sub)
-    sub.add_argument("--method", choices=("graph", "bipartition"), default="graph")
-    sub.add_argument("--cap", type=int, default=DEFAULT_TILE_CAP)
     sub.set_defaults(func=_cmd_check_utile)
 
     sub = subs.add_parser("gen", help="write a built-in family grid")

@@ -12,7 +12,7 @@ the idle party, and orthogonal on the measuring party.
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
 (m/2)-level resource, by peeling the outer ring and recursing on the
-(m-2, n-2) instance.  ``build_lemma1_protocol`` is its m = 4 base case.
+(m-2, n-2) instance; m = 4 is its base case.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "OnePartyFinish",
     "DiscriminationReport",
     "attach_resource",
-    "build_lemma1_protocol",
     "build_theorem3_protocol",
     "verify_protocol",
     "protocol_to_json_dict",
@@ -339,14 +338,6 @@ def _even_prop2_protocol(m: int, n: int) -> Branch:
         u_bob = np.kron(np.eye(n), u)
         outcomes.append((_root_projector(m, i), _conjugate_tree(subtree, u_alice, u_bob)))
     return _branch(ALICE, outcomes)
-
-
-def build_lemma1_protocol(n: int) -> Branch:
-    """Discrimination tree for the 4 (x) n four-tile-ring basis with a
-    two-level resource."""
-    if n < 4:
-        raise ValueError(f"the protocol needs n >= 4, got n={n}")
-    return _even_prop2_protocol(4, n)
 
 
 def build_theorem3_protocol(m: int, n: int) -> Branch:

@@ -3,10 +3,13 @@
 A special rectangle is a union of at least two tiles whose cells form a
 combinatorial rectangle.  A structure is U-tile when no special
 rectangle can be split into two parts whose row index sets (or column
-index sets) are disjoint; equivalently, for every special rectangle both
-the row- and column-intersection graphs on its member tiles are
-connected.  Failing structures come with an explicit two-part witness,
-from which a product state orthogonal to the whole kept set is built.
+index sets) are disjoint.  ``is_u_tile`` decides this by a joint
+closure over per-tile row and column bitmasks, polynomial in the tile
+count and with no tile cap.  ``enumerate_special_rectangles`` lists
+every special rectangle by subset search and keeps a cap, since that
+listing can be exponential.  Failing structures come with an explicit
+two-part witness, from which a product state orthogonal to the whole
+kept set is built.
 """
 
 from __future__ import annotations
@@ -73,6 +76,13 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
+def _tile_masks(ts: TileStructure) -> tuple[list[int], list[int]]:
+    """Per-tile row and column index sets as bitmasks, in tile order."""
+    rows = [sum(1 << r for r in tile.rows) for tile in ts.tiles]
+    cols = [sum(1 << c for c in tile.cols) for tile in ts.tiles]
+    return rows, cols
+
+
 def enumerate_special_rectangles(
     ts: TileStructure, cap: int = DEFAULT_TILE_CAP
 ) -> list[SpecialRectangle]:
@@ -81,27 +91,20 @@ def enumerate_special_rectangles(
     Plain subset enumeration over the tiles: a subset qualifies when its
     total cell count equals |union of rows| * |union of cols| (tiles are
     disjoint exact rectangles, so equality forces exact coverage).
-    Structures with more than ``cap`` tiles are refused.
+    Structures with more than ``cap`` tiles are refused, since the
+    listing itself can be exponential.
     """
     s = ts.tile_count
     if s > cap:
         raise EnumerationCapError(
             f"structure has {s} tiles; subset enumeration is capped at {cap}"
         )
-    row_masks = [0] * s
-    col_masks = [0] * s
-    sizes = [0] * s
-    for i, tile in enumerate(ts.tiles):
-        for r in tile.rows:
-            row_masks[i] |= 1 << r
-        for c in tile.cols:
-            col_masks[i] |= 1 << c
-        sizes[i] = tile.size
+    row_masks, col_masks = _tile_masks(ts)
+    sizes = [tile.size for tile in ts.tiles]
 
-    found: list[tuple[int, ...]] = []
+    rects = []
     for mask in range(1, 1 << s):
-        k = mask.bit_count()
-        if k < 2:
+        if mask.bit_count() < 2:
             continue
         rows = cols = count = 0
         mm = mask
@@ -112,99 +115,76 @@ def enumerate_special_rectangles(
             count += sizes[i]
             mm &= mm - 1
         if count == rows.bit_count() * cols.bit_count():
-            found.append(mask)
-
-    rects = []
-    for mask in found:
-        members = _bit_indices(mask)
-        rows: set[int] = set()
-        cols: set[int] = set()
-        for i in members:
-            rows.update(ts.tiles[i].rows)
-            cols.update(ts.tiles[i].cols)
-        rects.append(
-            SpecialRectangle(
-                tile_ids=tuple(ts.tiles[i].id for i in members),
-                rows=tuple(sorted(rows)),
-                cols=tuple(sorted(cols)),
+            rects.append(
+                SpecialRectangle(
+                    tile_ids=tuple(ts.tiles[i].id for i in _bit_indices(mask)),
+                    rows=tuple(_bit_indices(rows)),
+                    cols=tuple(_bit_indices(cols)),
+                )
             )
-        )
     rects.sort(key=lambda r: (len(r.tile_ids), r.tile_ids))
     return rects
 
 
-def _components(index_sets: list[set[int]]) -> list[list[int]]:
-    """Connected components of the intersection graph: vertices are
-    positions in index_sets, edges join sets that intersect."""
-    k = len(index_sets)
-    seen = [False] * k
-    comps = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in range(k):
-                if not seen[u] and index_sets[v] & index_sets[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    frontier.append(u)
-        comps.append(sorted(comp))
-    return comps
+def _split(shared: list[int], split: list[int]) -> tuple[int, int, int] | None:
+    """Least (S, B1, B2) with B1, B2 disjoint and nonempty and both
+    S x B1 and S x B2 unions of tiles, for the first seed pair that has
+    one; masks are per-tile sets along the shared and split axes.
 
-
-def _graph_split(ts: TileStructure, rect: SpecialRectangle, axis: str) -> UTileWitness | None:
-    tiles = [ts.tile(tid) for tid in rect.tile_ids]
-    sets = [set(t.cols if axis == "column" else t.rows) for t in tiles]
-    comps = _components(sets)
-    if len(comps) == 1:
-        return None
-    part1 = tuple(rect.tile_ids[i] for i in comps[0])
-    part2 = tuple(tid for tid in rect.tile_ids if tid not in part1)
-    return UTileWitness(rect, axis, part1, part2)
-
-
-def _bipartition_split(ts: TileStructure, rect: SpecialRectangle, axis: str) -> UTileWitness | None:
-    """Independent oracle: brute-force search over all bipartitions for
-    one whose two sides have disjoint index sets along ``axis``."""
-    tiles = [ts.tile(tid) for tid in rect.tile_ids]
-    sets = [set(t.cols if axis == "column" else t.rows) for t in tiles]
-    k = len(tiles)
-    for mask in range(1, 1 << (k - 1)):
-        union1: set[int] = set()
-        union2: set[int] = set()
-        for i in range(k):
-            (union1 if (mask >> i) & 1 else union2).update(sets[i])
-        if not union1 & union2:
-            part1 = tuple(rect.tile_ids[i] for i in range(k) if (mask >> i) & 1)
-            part2 = tuple(rect.tile_ids[i] for i in range(k) if not (mask >> i) & 1)
-            return UTileWitness(rect, axis, part1, part2)
+    Every such triple holds a tile t1 in S x B1 and a tile t2 in S x B2
+    with a shared index, so each tile pair with meeting ``shared`` and
+    disjoint ``split`` masks seeds S = shared(t1) | shared(t2),
+    B1 = split(t1), B2 = split(t2).  Any tile that meets S x B1 must lie
+    in it (likewise for B2), so the seed grows to its least fixpoint;
+    once B1 and B2 meet, no triple holds that seed.
+    """
+    s = len(shared)
+    for i in range(s):
+        for j in range(i + 1, s):
+            if not shared[i] & shared[j] or split[i] & split[j]:
+                continue
+            base, one, two = shared[i] | shared[j], split[i], split[j]
+            while not one & two:
+                before = (base, one, two)
+                for k in range(s):
+                    if shared[k] & base:
+                        if split[k] & one:
+                            base |= shared[k]
+                            one |= split[k]
+                        if split[k] & two:
+                            base |= shared[k]
+                            two |= split[k]
+                if (base, one, two) == before:
+                    return base, one, two
     return None
 
 
-def is_u_tile(
-    ts: TileStructure, method: str = "graph", cap: int = DEFAULT_TILE_CAP
-) -> UTileVerdict:
+def is_u_tile(ts: TileStructure) -> UTileVerdict:
     """Decide the U-tile property, with a witness on failure.
 
-    method="graph" tests connectivity of the row- and column-
-    intersection graphs of every special rectangle; method="bipartition"
-    is the brute-force split search kept as an independent oracle.  The
-    witness reports the lexicographically smallest failing rectangle
-    (by tile ids), trying the column axis before the row axis.
+    A column-axis failure is a row set R and disjoint nonempty column
+    sets C1, C2 with R x C1 and R x C2 both unions of tiles; the row
+    axis is the same with rows and columns swapped.  Each is found by
+    joint closure from tile pairs (``_split``), in O(s^4) mask tests
+    whatever the grid size.  The witness is the least rectangle of the
+    first failing tile pair in tile order, column axis first.
     """
-    if method not in ("graph", "bipartition"):
-        raise ValueError(f"unknown method {method!r}")
-    split = _graph_split if method == "graph" else _bipartition_split
-    rects = enumerate_special_rectangles(ts, cap=cap)
-    for rect in sorted(rects, key=lambda r: r.tile_ids):
-        for axis in ("column", "row"):
-            witness = split(ts, rect, axis)
-            if witness is not None:
-                return UTileVerdict(False, witness)
+    rows, cols = _tile_masks(ts)
+    for axis, shared, split in (("column", rows, cols), ("row", cols, rows)):
+        found = _split(shared, split)
+        if found is None:
+            continue
+        base, one, two = found
+        inside = [k for k in range(ts.tile_count) if shared[k] & base and split[k] & (one | two)]
+        part1 = tuple(ts.tiles[k].id for k in inside if split[k] & one)
+        part2 = tuple(ts.tiles[k].id for k in inside if split[k] & two)
+        base_idx, split_idx = tuple(_bit_indices(base)), tuple(_bit_indices(one | two))
+        rect = SpecialRectangle(
+            tile_ids=tuple(ts.tiles[k].id for k in inside),
+            rows=base_idx if axis == "column" else split_idx,
+            cols=split_idx if axis == "column" else base_idx,
+        )
+        return UTileVerdict(False, UTileWitness(rect, axis, part1, part2))
     return UTileVerdict(True, None)
 
 

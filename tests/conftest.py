@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tileupb import TileStructure, build_upb, five_tile
+from tileupb import TileStructure, build_upb, enumerate_special_rectangles, five_tile
 
 
 def structure_from_grid(grid):
@@ -52,6 +52,30 @@ def brute_is_u_tile(ts):
                 two = set().union(*(sets[i] for i in range(k) if not mask >> i & 1))
                 if not one & two:
                     return False
+    return True
+
+
+def _intersection_graph_connected(sets):
+    seen, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for u in range(len(sets)):
+            if u not in seen and sets[u] & sets[v]:
+                seen.add(u)
+                frontier.append(u)
+    return len(seen) == len(sets)
+
+
+def enumeration_is_u_tile(ts):
+    """Enumerate-then-connectivity check: every special rectangle, listed
+    by subset enumeration, must have connected row- and column-
+    intersection graphs on its tiles."""
+    for rect in enumerate_special_rectangles(ts, cap=ts.tile_count):
+        tiles = [ts.tile(i) for i in rect.tile_ids]
+        if not _intersection_graph_connected([set(t.rows) for t in tiles]):
+            return False
+        if not _intersection_graph_connected([set(t.cols) for t in tiles]):
+            return False
     return True
 
 
@@ -236,3 +260,17 @@ def foreign_origin_upb():
 @pytest.fixture(scope="session")
 def all_3x3_structures():
     return enumerate_all_structures(3, 3, max_tiles=6)
+
+
+SMALL_GRID_STRIDE = 12
+
+
+@pytest.fixture(scope="session")
+def small_structures():
+    """Every partition of 3x3 (up to 9 tiles), and every
+    SMALL_GRID_STRIDE-th partition of 3x4 and of 4x3 in enumeration
+    order."""
+    grids = enumerate_all_structures(3, 3, max_tiles=9)
+    for m, n in [(3, 4), (4, 3)]:
+        grids += enumerate_all_structures(m, n, max_tiles=m * n)[::SMALL_GRID_STRIDE]
+    return grids

@@ -11,7 +11,6 @@ import pytest
 
 from tileupb import (
     attach_resource,
-    build_lemma1_protocol,
     build_theorem3_protocol,
     build_upb,
     check_orthogonal_set,
@@ -207,7 +206,7 @@ def test_criterion_7_two_level_resource_protocols(capsys):
     for n in (4, 5, 6):
         upb = build_upb(prop2(4, n))
         states = attach_resource(upb.states, 2)
-        report = verify_protocol(build_lemma1_protocol(n), states)
+        report = verify_protocol(build_theorem3_protocol(4, n), states)
         if abs(report.min_success_probability - 1) > 1e-9 or not report.ok:
             problems.append(
                 f"n={n}: min success {report.min_success_probability}, "

@@ -69,6 +69,26 @@ class TestChecks:
         assert data["witness"]["tiles"] == [1, 2]
         assert data["witness"]["axis"] == "column"
 
+    def test_large_ring_is_decided_without_a_tile_cap(self, capsys):
+        family = ("--family", "prop2", "--m", "13", "--n", "13", "--json")
+        code, out, _ = run(capsys, "check-utile", *family)
+        assert code == 0
+        assert json.loads(out) == {"is_u_tile": True, "witness": None}
+        code, out, _ = run(capsys, "build-upb", *family)
+        assert code == 0
+        assert len(json.loads(out)["states"]) == 13 * 13 - 25 + 1
+
+    @pytest.mark.parametrize("flag", [("--method", "graph"), ("--cap", "30")])
+    def test_check_utile_has_no_method_or_cap(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "check-utile", "--family", "example1", *flag)
+        assert exc.value.code == 2
+
+    def test_special_rects_keeps_its_cap(self, capsys):
+        code, _, err = run(capsys, "special-rects", "--family", "prop2", "--m", "13", "--n", "13")
+        assert code == 2
+        assert "capped at 24" in err
+
     def test_special_rects_json(self, capsys):
         code, out, _ = run(capsys, "special-rects", "--family", "example1", "--json")
         assert code == 0

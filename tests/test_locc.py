@@ -13,7 +13,6 @@ from tileupb import (
     OnePartyFinish,
     ProductState,
     attach_resource,
-    build_lemma1_protocol,
     build_theorem3_protocol,
     build_upb,
     prop2,
@@ -105,7 +104,7 @@ class TestProtocols:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_four_row_base_case_discriminates_perfectly(self, n):
         upb, states = _composite_states(4, n)
-        report = verify_protocol(build_lemma1_protocol(n), states)
+        report = verify_protocol(build_theorem3_protocol(4, n), states)
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
         assert report.max_wrong_probability <= 1e-9
@@ -117,18 +116,11 @@ class TestProtocols:
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
 
-    def test_four_row_builder_matches_the_general_construction(self):
-        assert protocol_to_json_dict(build_lemma1_protocol(5)) == protocol_to_json_dict(
-            build_theorem3_protocol(4, 5)
-        )
-
     def test_odd_row_counts_are_rejected(self):
         with pytest.raises(ValueError, match="even"):
             build_theorem3_protocol(5, 5)
         with pytest.raises(ValueError):
             build_theorem3_protocol(4, 3)
-        with pytest.raises(ValueError):
-            build_lemma1_protocol(3)
 
 
 class TestVerifierCatchesSabotage:

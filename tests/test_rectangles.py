@@ -1,7 +1,11 @@
 """Special rectangle enumeration and the U-tile decision."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tileupb import (
     EnumerationCapError,
@@ -21,6 +25,7 @@ from tileupb import (
 from conftest import (
     brute_is_u_tile,
     brute_special_rectangles,
+    enumeration_is_u_tile,
     random_structure,
     structure_from_grid,
 )
@@ -68,19 +73,36 @@ class TestEnumeration:
         assert enumerate_special_rectangles(ts, cap=4)
 
 
-class TestUTileDecision:
-    def test_agrees_with_definitional_oracle_on_all_3x3(self, all_3x3_structures):
-        for grid in all_3x3_structures:
-            ts = structure_from_grid(grid)
-            assert is_u_tile(ts).is_u_tile == brute_is_u_tile(ts), grid
+def _assert_valid_witness(ts, verdict):
+    """The witness rectangle is exactly rows x cols, its two parts
+    partition its tiles and are disjoint along the axis, and the
+    extension state is orthogonal to the kept states and the stopper."""
+    wit = verdict.witness
+    rect = wit.rectangle
+    cells = {cell for tid in rect.tile_ids for cell in ts.tile(tid).cells}
+    assert cells == set(itertools.product(rect.rows, rect.cols))
+    assert wit.part1 and wit.part2
+    assert sorted(wit.part1 + wit.part2) == sorted(rect.tile_ids)
+    assert wit.axis in ("row", "column")
+    attr = "cols" if wit.axis == "column" else "rows"
+    sides = [{i for tid in part for i in getattr(ts.tile(tid), attr)} for part in (wit.part1, wit.part2)]
+    assert not sides[0] & sides[1]
+    state = extension_witness(ts, verdict)
+    worst = max(abs(inner_product(kept, state)) for kept in build_upb(ts).states)
+    assert worst < 1e-12
+    assert abs(inner_product(stopper(ts.m, ts.n), state)) < 1e-12
 
-    def test_graph_and_bipartition_methods_agree(self, all_3x3_structures):
-        for grid in all_3x3_structures[::7]:
+
+class TestUTileDecision:
+    def test_agrees_with_definitional_oracle_on_all_3x3(self, small_structures):
+        """Every 3x3 partition and a fixed stride of the 3x4 and 4x3 ones,
+        against both the definitional and the enumeration oracle."""
+        for grid in small_structures:
             ts = structure_from_grid(grid)
-            assert (
-                is_u_tile(ts, method="graph").is_u_tile
-                == is_u_tile(ts, method="bipartition").is_u_tile
-            ), grid
+            got = is_u_tile(ts).is_u_tile
+            assert got == enumeration_is_u_tile(ts), grid
+            if ts.m * ts.n <= 9:
+                assert got == brute_is_u_tile(ts), grid
 
     def test_agrees_with_oracle_on_random_4x4(self):
         rng = np.random.default_rng(7)
@@ -88,10 +110,25 @@ class TestUTileDecision:
             ts = structure_from_grid(random_structure(rng, 4, 4))
             assert is_u_tile(ts).is_u_tile == brute_is_u_tile(ts)
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        grow=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_enumeration_oracle_on_random_structures(self, m, n, grow, seed):
+        ts = structure_from_grid(random_structure(np.random.default_rng(seed), m, n, grow))
+        assume(ts.tile_count <= 16)
+        verdict = is_u_tile(ts)
+        assert verdict.is_u_tile == enumeration_is_u_tile(ts)
+        if not verdict.is_u_tile:
+            _assert_valid_witness(ts, verdict)
+
     def test_reference_structures(self):
         assert is_u_tile(example1()).is_u_tile
         assert not is_u_tile(fig2()).is_u_tile
-        for m, n in [(3, 3), (4, 6), (5, 5), (6, 8)]:
+        for m, n in [(3, 3), (4, 6), (5, 5), (6, 8), (32, 32)]:
             assert is_u_tile(prop2(m, n)).is_u_tile
             assert is_u_tile(five_tile(m, n)).is_u_tile
         for m in range(4, 8):
@@ -107,31 +144,15 @@ class TestUTileDecision:
         assert wit.part1 == (1,)
         assert wit.part2 == (2,)
 
-    def test_witness_is_the_lex_smallest_failing_rectangle(self, all_3x3_structures):
-        for grid in all_3x3_structures[::11]:
+    def test_every_witness_is_a_valid_split(self, small_structures):
+        failing = 0
+        for grid in small_structures:
             ts = structure_from_grid(grid)
             verdict = is_u_tile(ts)
-            if verdict.is_u_tile:
-                continue
-            failing = [
-                rect.tile_ids
-                for rect in enumerate_special_rectangles(ts)
-                if not _connected_both_axes(ts, rect)
-            ]
-            assert verdict.witness.rectangle.tile_ids == min(failing), grid
-
-
-def _connected_both_axes(ts, rect):
-    for axis in ("row", "column"):
-        tiles = [ts.tile(i) for i in rect.tile_ids]
-        sets = [set(t.rows if axis == "row" else t.cols) for t in tiles]
-        k = len(sets)
-        for mask in range(1, 2 ** k - 1):
-            one = set().union(*(sets[i] for i in range(k) if mask >> i & 1))
-            two = set().union(*(sets[i] for i in range(k) if not mask >> i & 1))
-            if not one & two:
-                return False
-    return True
+            if not verdict.is_u_tile:
+                failing += 1
+                _assert_valid_witness(ts, verdict)
+        assert failing
 
 
 class TestExtensionWitness:
