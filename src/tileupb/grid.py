@@ -158,12 +158,23 @@ def validate(ts: TileStructure) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def _ascii_int(token: str) -> int | None:
+    """The value of a token of ASCII digits, else None (also for digit
+    runs beyond Python's int-string conversion limit)."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_tile_grid(text: str) -> TileStructure:
     """Parse .tile text into a validated TileStructure.
 
-    Raises TileGridFormatError for token or shape problems and
-    TileGridContentError (carrying the full report) when the grid is
-    well formed but not a valid tile structure.
+    Numbers are runs of ASCII digits.  Raises TileGridFormatError for
+    token or shape problems and TileGridContentError (carrying the full
+    report) when the grid is well formed but not a valid tile structure.
     """
     lines = [
         line
@@ -172,13 +183,10 @@ def parse_tile_grid(text: str) -> TileStructure:
     ]
     if not lines:
         raise TileGridFormatError("empty input: expected an 'm n' header line")
-    header = lines[0].split()
-    if len(header) != 2:
+    header = [_ascii_int(tok) for tok in lines[0].split()]
+    if len(header) != 2 or None in header:
         raise TileGridFormatError(f"header must be two integers 'm n', got {lines[0]!r}")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise TileGridFormatError(f"header must be two integers 'm n', got {lines[0]!r}") from exc
+    m, n = header
     if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
         raise TileGridFormatError(
             f"dimensions must lie in 1..{MAX_DIM}, got m={m}, n={n}"
@@ -191,11 +199,10 @@ def parse_tile_grid(text: str) -> TileStructure:
         tokens = line.split()
         if len(tokens) != n:
             raise TileGridFormatError(f"row {r} has {len(tokens)} entries, expected {n}")
-        row = []
-        for tok in tokens:
-            if not tok.isdigit() or int(tok) < 1:
+        row = [_ascii_int(tok) for tok in tokens]
+        for tok, tid in zip(tokens, row):
+            if tid is None or tid < 1:
                 raise TileGridFormatError(f"row {r}: tile ids must be positive integers, got {tok!r}")
-            row.append(int(tok))
         grid.append(row)
     ts = TileStructure.from_grid(grid)
     report = validate(ts)

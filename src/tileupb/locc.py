@@ -113,7 +113,7 @@ def attach_resource(states, d: int) -> list[CompositeState]:
     for state in states:
         if not isinstance(state, ProductState):
             raise TypeError("attach_resource expects product states")
-        out.append(CompositeState(np.einsum("i,j,kl->ijkl", state.a_vec, state.b_vec, eye)))
+        out.append(CompositeState(np.multiply.outer(np.outer(state.a_vec, state.b_vec), eye)))
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Tile, TileStructure
+from .grid import Tile, TileStructure, validate
 from .jsonio import matrix_to_pairs, pairs_to_vector, vector_to_pairs
 
 __all__ = [
@@ -198,13 +198,26 @@ class UPBSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> UPBSet:
-        origin = TileStructure.from_grid(data["origin"]["grid"])
-        return cls(
+        """Rebuild a set from ``to_json_dict`` output.  Raises ValueError
+        when the origin grid fails ``validate``, when m or n disagree
+        with it, or when a factor a (b) is not of length m (n); the state
+        count is left to the verifier (``check_upb`` reports size_ok)."""
+        upb = cls(
             states=tuple(ProductState.from_json_dict(s) for s in data["states"]),
             missing=tuple(ProductState.from_json_dict(s) for s in data["missing"]),
             stopper=ProductState.from_json_dict(data["stopper"]),
-            origin=origin,
+            origin=TileStructure.from_grid(data["origin"]["grid"]),
         )
+        m, n = upb.m, upb.n
+        problems = list(validate(upb.origin).problems)
+        if {(data["m"], data["n"]), (data["origin"]["m"], data["origin"]["n"])} != {(m, n)}:
+            problems.append(f"m or n disagree with the {m} x {n} origin grid")
+        factors = [(len(s.a_vec), len(s.b_vec)) for s in (*upb.states, *upb.missing, upb.stopper)]
+        if any(lengths != (m, n) for lengths in factors):
+            problems.append(f"a factor's length differs from the {m} x {n} grid")
+        if problems:
+            raise ValueError("invalid UPB set: " + "; ".join(problems))
+        return upb
 
 
 def upb_state_labels(ts: TileStructure) -> list[tuple]:

@@ -1,18 +1,20 @@
-"""Numerical verification: Gram reports, complement bases, and a seesaw
-search for product states inside a subspace.
+"""Numerical verification: Gram reports, the certified complement of a
+tile-structure basis, and a seesaw search for product states inside it.
 
 The seesaw search is the refuting oracle for unextendibility claims: it
-maximizes ||P(a (x) b)||^2 over unit product vectors, where P projects
-onto the span of an orthonormal complement basis.  Each half-step is an
-exact top-eigenvector update, so the objective never decreases.  A value
-near 1 certifies a product state in the subspace; failure to reach 1 is
+maximizes ||Q^T(a (x) b)||^2 over unit product vectors, where Q is an
+orthonormal basis of the complement.  Each half-step is an exact
+top-eigenvector update, so the objective never decreases.  A value near
+1 certifies a product state in the complement; failure to reach 1 is
 only heuristic evidence of absence (the exact decision belongs to the
 U-tile test).
 
 The basis a tile structure induces is made of products |a>|b>, so the
 orthogonality check works from the factor matrices, and its complement
 is span{tile indicators} minus the stopper direction, available in
-closed form and certified against the states it serves.
+closed form and certified against the states it serves.  Every
+complement vector is constant on each tile, so the search works on the
+s per-tile factor sums instead of the mn amplitudes.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BipartiteState, ProductState, UPBSet, inner_product
+from .grid import TileStructure
+from .states import ProductState, UPBSet, inner_product
 
 __all__ = [
     "OrthogonalityReport",
     "SearchResult",
     "UPBCheckReport",
     "check_orthogonal_set",
-    "complement_basis",
     "certified_complement",
     "seesaw_search",
     "check_upb",
@@ -40,7 +42,7 @@ DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
 GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
 MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
-PRODUCT_THRESHOLD = 1e-6  # a best overlap above 1 - this certifies a product state
+PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product state
 
 
 @dataclass(frozen=True)
@@ -75,47 +77,38 @@ class SearchResult:
         }
 
 
-def _stack_matrices(states) -> np.ndarray:
-    mats = [np.asarray(s.matrix if hasattr(s, "matrix") else s, dtype=complex) for s in states]
-    return np.stack(mats) if mats else np.zeros((0, 1, 1), dtype=complex)
-
-
-def _factor_stack(states) -> list[np.ndarray]:
-    """Per-state factors as row-stacked matrices: [A, B] (N x m, N x n)
-    when every state is a product a (x) b, else [M] with each
-    coefficient matrix flattened to a row."""
-    if all(isinstance(s, ProductState) for s in states):
-        return [np.array([s.a_vec for s in states]), np.array([s.b_vec for s in states])]
-    mats = _stack_matrices(states)
-    return [mats.reshape(len(mats), -1)]
-
-
-def _factor_norms(factors: list[np.ndarray]) -> np.ndarray:
-    return np.prod([np.linalg.norm(f, axis=1) for f in factors], axis=0)
+def _factor_stack(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-stacked factors A (N x m) and B (N x n) of product states and
+    the state norms |a_i| |b_i|; raises TypeError on any other state."""
+    for state in states:
+        if not isinstance(state, ProductState):
+            raise TypeError(f"product states are required, got {type(state).__name__}")
+    a = np.array([s.a_vec for s in states])
+    b = np.array([s.b_vec for s in states])
+    return a, b, np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
 
 
 def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
     """Report every pair i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
-    above tol; a zero state overlaps nothing.
+    above tol; a zero state overlaps nothing.  The states must be
+    ``ProductState``s (else TypeError).
 
-    The Gram is the entrywise product of the factor Grams,
-    (A* A^T) o (B* B^T) for product states and M* M^T otherwise, formed
-    GRAM_BLOCK rows at a time over the columns j >= the block's first
-    row.  Violations come in (i, j) row-major order.
+    The Gram is the entrywise product of the factor Grams
+    (A* A^T) o (B* B^T), formed GRAM_BLOCK rows at a time over the
+    columns j >= the block's first row.  Violations come in (i, j)
+    row-major order.
     """
+    a, b, norms = _factor_stack(states)
     count = len(states)
     if count < 2:
         return OrthogonalityReport((), 0.0, tol)
-    factors = _factor_stack(states)
-    norms = _factor_norms(factors)
     scale = np.where(norms > 0, norms, 1.0)
     violations = []
     worst = 0.0
     for start in range(0, count - 1, GRAM_BLOCK):
         stop = min(start + GRAM_BLOCK, count)
-        gram = 1.0
-        for f in factors:
-            gram = gram * (f[start:stop].conj() @ f[start:].T)
+        gram = a[start:stop].conj() @ a[start:].T
+        gram *= b[start:stop].conj() @ b[start:].T
         rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
         worst = max(worst, float(rel.max()))
         for i, j in zip(*np.nonzero(rel > tol)):
@@ -123,28 +116,18 @@ def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> Orthogonality
     return OrthogonalityReport(tuple(violations), worst, tol)
 
 
-def complement_basis(states, m: int | None = None, n: int | None = None) -> list[BipartiteState]:
-    """Orthonormal basis of the orthogonal complement of span(states).
-
-    Solves <psi_w|x> = 0 for all w via an SVD of the conjugated
-    coefficient rows; the input states must be linearly independent.
-    An empty state list yields the standard basis of the whole space,
-    in which case the dimensions must be passed explicitly.
-    """
-    if not states:
-        if m is None or n is None:
-            raise ValueError("dimensions are required for an empty state list")
-        eye = np.eye(m * n, dtype=complex)
-        return [BipartiteState(eye[i].reshape(m, n)) for i in range(m * n)]
-    mats = _stack_matrices(states)
-    k, m, n = mats.shape
-    rows = mats.reshape(k, m * n).conj()
-    u, sv, vh = np.linalg.svd(rows)
-    cutoff = max(m * n, k) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > cutoff))
-    if rank < k:
-        raise ValueError(f"states are linearly dependent: rank {rank} < {k}")
-    return [BipartiteState(vh[i].conj().reshape(m, n)) for i in range(k, m * n)]
+def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tiles' row and column indicator matrices R (m x s) and
+    C (n x s) and their cell counts |t|; raises ValueError unless the
+    tiles partition the grid."""
+    rows = np.zeros((ts.m, ts.tile_count))
+    cols = np.zeros((ts.n, ts.tile_count))
+    for k, tile in enumerate(ts.tiles):
+        rows[list(tile.rows), k] = 1.0
+        cols[list(tile.cols), k] = 1.0
+    if np.any(rows @ cols.T != 1):
+        raise ValueError("the tiles do not partition the grid")
+    return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
 
 
 def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarray:
@@ -158,11 +141,11 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarr
     coef[t, k] on the cells of tile t.  The certificate needs nothing
     from ``origin`` but the tiles: they must partition the grid, the
     state count must obey the size law N = mn - s + 1, and every overlap
-    |<psi_i|q_k>| / |psi_i|, computed for products as
-    ((A* R) o (B* C)) coef from the tiles' row and column indicator
-    matrices R and C, must be at most tol.  For a pairwise orthogonal
-    set that proves span(Q) is the complement.  Raises ValueError naming
-    the condition that fails.
+    |<psi_i|q_k>| / |psi_i|, computed as ((A* R) o (B* C)) coef from the
+    tiles' row and column indicator matrices R and C, must be at most
+    tol.  For a pairwise orthogonal set that proves span(Q) is the
+    complement.  Raises ValueError naming the condition that fails, and
+    TypeError when a state is not a ``ProductState``.
     """
     ts = upb.origin
     m, n, s = upb.m, upb.n, ts.tile_count
@@ -170,31 +153,17 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarr
         raise ValueError(
             f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
         )
-    rows = np.zeros((m, s))
-    cols = np.zeros((n, s))
-    owner = np.zeros((m, n), dtype=int)
-    cover = np.zeros((m, n), dtype=int)
-    for k, tile in enumerate(ts.tiles):
-        rows[list(tile.rows), k] = 1.0
-        cols[list(tile.cols), k] = 1.0
-        owner[np.ix_(tile.rows, tile.cols)] = k
-        cover[np.ix_(tile.rows, tile.cols)] += 1
-    if np.any(cover != 1):
-        raise ValueError("the origin's tiles do not partition the grid")
-    root = np.sqrt([tile.size for tile in ts.tiles])
+    rows, cols, sizes = _tile_incidence(ts)
+    owner = ((rows * np.arange(s)) @ cols.T).astype(int)  # tile index of each cell
+    root = np.sqrt(sizes)
     full, _ = np.linalg.qr(root[:, None], mode="complete")
     coef = full[:, 1:] / root[:, None]
     q = coef[owner].reshape(m * n, s - 1)
 
-    factors = _factor_stack(upb.states)
-    if len(factors) == 2:
-        a, b = factors
-        overlaps = ((a.conj() @ rows) * (b.conj() @ cols)) @ coef
-    else:
-        overlaps = factors[0].conj() @ q
-    norms = _factor_norms(factors)
+    a, b, norms = _factor_stack(upb.states)
     if not np.all(norms > 0):
         raise ValueError("a state is zero")
+    overlaps = ((a.conj() @ rows) * (b.conj() @ cols)) @ coef
     worst = float(np.max(np.abs(overlaps) / norms[:, None], initial=0.0))
     if not worst <= tol:
         raise ValueError(
@@ -204,30 +173,34 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarr
     return q
 
 
-def _seesaw_objective(w_stack: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    amps = np.einsum("kij,i,j->k", w_stack.conj(), a, b)
-    return float(np.sum(np.abs(amps) ** 2))
+def _tile_objective(rows, cols, sizes, a, b) -> float:
+    """||Q^T (a (x) b)||^2 from the per-tile factor sums a^T R, b^T C."""
+    amps = (a @ rows) * (b @ cols)
+    return float(np.sum(np.abs(amps) ** 2 / sizes) - abs(a.sum() * b.sum()) ** 2 / sizes.sum())
+
+
+def _top_factor(ind, other_sums, other_total, sizes) -> tuple[float, np.ndarray]:
+    """Top eigenpair of ind diag(|other_sums|^2 / |t|) ind^T minus
+    |other_total|^2 / mn on every entry: the best unit factor on one
+    side for fixed factor sums on the other."""
+    gain = (ind * (np.abs(other_sums) ** 2 / sizes)) @ ind.T
+    vals, vecs = np.linalg.eigh(gain - abs(other_total) ** 2 / sizes.sum())
+    return float(vals[-1]), vecs[:, -1]
 
 
 def _seesaw_restart(
-    w_stack: np.ndarray, a: np.ndarray, b: np.ndarray, max_iters: int, conv_tol: float
+    rows: np.ndarray, cols: np.ndarray, sizes: np.ndarray, a: np.ndarray, b: np.ndarray,
+    max_iters: int, conv_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float, bool, int]:
     """One alternating run from the given start; returns the final unit
     factors, the recomputed objective, whether it converged, and how
     many steps lowered the objective by more than MONOTONE_SLACK."""
-    prev = _seesaw_objective(w_stack, a, b)
+    prev = _tile_objective(rows, cols, sizes, a, b)
     converged = False
     violations = 0
     for _ in range(max_iters):
-        v = np.einsum("kij,j->ki", w_stack, b.conj())
-        m_a = np.einsum("ki,kj->ij", v, v.conj())
-        vals, vecs = np.linalg.eigh(m_a)
-        a = vecs[:, -1]
-        t = np.einsum("kij,i->kj", w_stack, a.conj())
-        m_b = np.einsum("ki,kj->ij", t, t.conj())
-        vals, vecs = np.linalg.eigh(m_b)
-        b = vecs[:, -1]
-        obj = float(vals[-1])
+        _, a = _top_factor(rows, b @ cols, b.sum(), sizes)
+        obj, b = _top_factor(cols, a @ rows, a.sum(), sizes)
         # Each half-step is an exact maximization, so the objective is
         # monotone up to rounding; a larger drop means a broken step.
         violations += int(obj < prev - MONOTONE_SLACK)
@@ -235,39 +208,46 @@ def _seesaw_restart(
             converged = True
             break
         prev = obj
-    return a, b, _seesaw_objective(w_stack, a, b), converged, violations
+    return a, b, _tile_objective(rows, cols, sizes, a, b), converged, violations
 
 
 def seesaw_search(
-    complement,
+    ts: TileStructure,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = DEFAULT_MAX_ITERS,
     conv_tol: float = DEFAULT_CONV_TOL,
     seed: int = 0,
 ) -> SearchResult:
-    """Best product state found inside span(complement).
+    """Best product state found in span{1_t} minus the stopper of ts, the
+    complement of ``build_upb(ts).states``.
 
+    With the per-tile factor sums alpha = R^T a and beta = C^T b (R, C
+    the tiles' row and column indicator matrices) the objective is
+    ||Q^T (a (x) b)||^2 = sum_t |alpha_t beta_t|^2 / |t| - |sum a sum b|^2 / mn.
     Alternating exact eigen-steps from seeded complex-Gaussian starts:
-    for fixed b the optimal a is the top eigenvector of
-    A(b) = sum_w (W_w conj(b))(W_w conj(b))^dag, and symmetrically for
-    b.  Deterministic for fixed inputs and seed; restarts are ranked by
-    recomputed objective, first-best wins.
+    for fixed b the optimal a is the top eigenvector of the real m x m
+    matrix R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J, and
+    symmetrically for b.  Deterministic for fixed inputs and seed;
+    restarts are ranked by recomputed objective, first-best wins.
+    Raises ValueError for a single tile (nothing to search) or tiles
+    that do not partition the grid.
     """
-    if len(complement) == 0:
-        raise ValueError("empty complement basis: nothing to search")
-    w_stack = _stack_matrices(complement)
-    _, m, n = w_stack.shape
+    if ts.tile_count < 2:
+        raise ValueError("a single tile leaves an empty complement: nothing to search")
+    rows, cols, sizes = _tile_incidence(ts)
     rng = np.random.default_rng(seed)
     best_overlap = -1.0
     best_a = best_b = None
     converged_count = 0
     violations = 0
     for _ in range(restarts):
-        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a = rng.standard_normal(ts.m) + 1j * rng.standard_normal(ts.m)
+        b = rng.standard_normal(ts.n) + 1j * rng.standard_normal(ts.n)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        a, b, overlap, converged, dropped = _seesaw_restart(w_stack, a, b, max_iters, conv_tol)
+        a, b, overlap, converged, dropped = _seesaw_restart(
+            rows, cols, sizes, a, b, max_iters, conv_tol
+        )
         converged_count += int(converged)
         violations += dropped
         if overlap > best_overlap:
@@ -330,9 +310,10 @@ def check_upb(
     Verifies pairwise orthogonality (relative overlaps), the size law
     mn - s + 1, the stopper overlap law (<S|phi_i^(0,0)> equals the
     tile's cell count, nonzero), certifies the closed-form complement of
-    dimension s - 1 (``certified_complement``), and runs the seesaw
-    search on it.  When the complement cannot be certified the check
-    fails with the reason in ``note`` and no search.  Passing means no
+    dimension s - 1 (``certified_complement``), and then runs the
+    seesaw search over the origin's tile sums.  When the complement
+    cannot be certified the check fails with the reason in ``note`` and
+    no search.  Passing means no
     product state was certified in the complement; that negative is
     heuristic, the positive direction (a certificate) is conclusive.
     ``complement_dim`` counts the certified complement vectors.
@@ -376,8 +357,7 @@ def check_upb(
         else:
             complement_dim = comp.shape[1]
             search = seesaw_search(
-                comp.T.reshape(complement_dim, upb.m, upb.n),
-                restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed,
+                ts, restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed
             )
             found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
             note = (

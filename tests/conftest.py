@@ -11,7 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from tileupb import TileStructure, build_upb, enumerate_special_rectangles, five_tile
+from tileupb import (
+    BipartiteState,
+    TileStructure,
+    build_upb,
+    enumerate_special_rectangles,
+    five_tile,
+)
 
 
 def structure_from_grid(grid):
@@ -146,6 +152,26 @@ def brute_partial_transpose(rho, da, db):
                 for l in range(db):
                     out[i * db + j, k * db + l] = rho[i * db + l, k * db + j]
     return out
+
+
+def svd_complement(states, m=None, n=None):
+    """Orthonormal basis of the orthogonal complement of span(states),
+    as BipartiteStates, from an SVD of the conjugated flattened states,
+    which must be linearly independent.  An empty list yields the
+    standard basis of the whole space, for which m and n are required."""
+    if not states:
+        if m is None or n is None:
+            raise ValueError("dimensions are required for an empty state list")
+        eye = np.eye(m * n, dtype=complex)
+        return [BipartiteState(eye[i].reshape(m, n)) for i in range(m * n)]
+    m, n = np.shape(states[0].matrix)
+    rows = np.array([kron_vector(s) for s in states]).conj()
+    k = len(rows)
+    _, sv, vh = np.linalg.svd(rows)
+    rank = int(np.sum(sv > max(m * n, k) * np.finfo(float).eps * sv[0]))
+    if rank < k:
+        raise ValueError(f"states are linearly dependent: rank {rank} < {k}")
+    return [BipartiteState(vh[i].conj().reshape(m, n)) for i in range(k, m * n)]
 
 
 def brute_seesaw_objective(states, a, b):

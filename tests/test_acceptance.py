@@ -13,8 +13,8 @@ from tileupb import (
     attach_resource,
     build_theorem3_protocol,
     build_upb,
+    certified_complement,
     check_orthogonal_set,
-    complement_basis,
     example1,
     extension_witness,
     fig2,
@@ -29,7 +29,13 @@ from tileupb import (
     verify_protocol,
 )
 
-from conftest import enumerate_all_structures, random_structure, structure_from_grid
+from conftest import (
+    enumerate_all_structures,
+    kron_vector,
+    random_structure,
+    structure_from_grid,
+    svd_complement,
+)
 
 
 def _report(capsys, name, problems, t0, budget):
@@ -48,10 +54,10 @@ def test_criterion_1_reference_basis_resists_the_product_search(capsys):
     upb = build_upb(example1())
     if len(upb.states) != 11:
         problems.append(f"expected 11 states, got {len(upb.states)}")
-    comp = complement_basis(upb.states)
+    comp = svd_complement(upb.states)
     if len(comp) != 5:
         problems.append(f"expected complement dimension 5, got {len(comp)}")
-    res = seesaw_search(comp, restarts=200, seed=0)
+    res = seesaw_search(upb.origin, restarts=200, seed=0)
     if not res.best_overlap < 1 - 1e-3:
         problems.append(f"best overlap {res.best_overlap} reached the product regime")
     _report(capsys, "criterion 1: 4x4 six-tile basis is unextendible", problems, t0, 5.0)
@@ -71,14 +77,14 @@ def test_criterion_2_refuted_grid_is_extendible(capsys):
     if not (np.allclose(state.a_vec, [1, 0, 0, 0]) and np.allclose(state.b_vec, [1, 1, -1, -1])):
         problems.append("witness state is not the top-row half-difference")
     upb = build_upb(ts)
-    comp = complement_basis(upb.states)
+    comp = svd_complement(upb.states)
     w = np.kron(state.a_vec, state.b_vec).astype(complex)
     w = w / np.linalg.norm(w)
     basis = np.array([v.matrix.reshape(-1) for v in comp])
     residual = np.linalg.norm(w - basis.T @ (basis.conj() @ w))
     if not residual < 1e-12:
         problems.append(f"witness state leaves the complement by {residual}")
-    res = seesaw_search(comp, restarts=200, seed=0)
+    res = seesaw_search(ts, restarts=200, seed=0)
     if not res.best_overlap > 1 - 1e-9:
         problems.append(f"search missed the product state, best {res.best_overlap}")
     _report(capsys, "criterion 2: refuted 4x4 grid extends", problems, t0, 5.0)
@@ -149,15 +155,20 @@ def test_criterion_5_search_verdicts_match_the_combinatorial_decision(capsys):
             if not combinatorial:
                 problems.append(f"single tile not a U-tile: {grid}")
             continue
-        comp = complement_basis(upb.states)
+        # The search reads the tile structure; the complement it searches
+        # is checked against an SVD of the states, which does not.
+        ref = np.array([kron_vector(w) for w in svd_complement(upb.states)]).T
+        q = certified_complement(upb)
+        if not np.allclose(q @ q.T, ref @ ref.conj().T, rtol=0, atol=1e-10):
+            problems.append(f"tile complement of {grid} is not the SVD complement")
         if combinatorial:
-            res = seesaw_search(comp, restarts=budget, seed=0)
+            res = seesaw_search(ts, restarts=budget, seed=0)
             if not res.best_overlap <= 1 - 1e-3:
                 problems.append(f"U-tile {grid} reached overlap {res.best_overlap}")
         else:
             found = False
             for restarts, seed in ((12, 0), (64, 1), (512, 2)):
-                res = seesaw_search(comp, restarts=restarts, seed=seed)
+                res = seesaw_search(ts, restarts=restarts, seed=seed)
                 if res.best_overlap > 1 - 1e-6:
                     found = True
                     break

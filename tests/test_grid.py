@@ -63,6 +63,17 @@ class TestParse:
         with pytest.raises(TileGridFormatError, match="positive"):
             parse_tile_grid("2 3\n1 2 1\n3 2 0\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1\n\u00b2\n", "1 1\n\u0661\n", "1 1\n" + "1" * 5000 + "\n",
+         "\u0661 1\n1\n", "1" * 5000 + " 1\n1\n", "+1 1\n1\n"],
+        ids=["superscript-id", "arabic-indic-id", "5000-digit-id",
+             "arabic-indic-header", "5000-digit-header", "signed-header"],
+    )
+    def test_only_ascii_digit_runs_are_numbers(self, text):
+        with pytest.raises(TileGridFormatError):
+            parse_tile_grid(text)
+
     def test_oversized_grid_is_rejected(self):
         big = f"{MAX_DIM + 1} 1\n" + "1\n" * (MAX_DIM + 1)
         with pytest.raises(TileGridFormatError, match="dimensions"):
@@ -128,3 +139,21 @@ def test_random_partitions_validate_and_round_trip(m, n, seed):
     ts = structure_from_grid(grid)
     assert validate(ts).ok
     assert parse_tile_grid(serialize(ts)).cell_map == ts.cell_map
+
+
+GRID_TEXT = st.text(alphabet="0123 \t\n#x-+\u00b2\u0661", max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(GRID_TEXT, st.text(max_size=40),
+                 st.builds("{} {}\n{}".format, st.integers(0, 3), st.integers(0, 3), GRID_TEXT)))
+def test_any_text_parses_or_raises_a_grid_error(text):
+    """Fuzz: any text either parses into a structure that round-trips
+    through serialize, or is refused with one of the two grid errors."""
+    try:
+        ts = parse_tile_grid(text)
+    except (TileGridFormatError, TileGridContentError):
+        return
+    again = parse_tile_grid(serialize(ts))
+    assert again.cell_map == ts.cell_map
+    assert again.tiles == ts.tiles

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -15,3 +16,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on line(s) {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    """Each name in a module's ``__all__`` (the package's included) is
+    bound, so a deleted function cannot leave a stale export behind."""
+    module = importlib.import_module(
+        "tileupb" if path.stem == "__init__" else f"tileupb.{path.stem}"
+    )
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name}: __all__ names unbound {missing}"

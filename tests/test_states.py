@@ -12,6 +12,7 @@ from tileupb import (
     UPBSet,
     build_copb,
     build_upb,
+    check_upb,
     example1,
     fig2,
     five_tile,
@@ -158,3 +159,41 @@ class TestBuildUpb:
         for s, t in zip(upb.states, again.states):
             assert np.allclose(state_matrix(s), state_matrix(t))
         assert again.origin.cell_map == upb.origin.cell_map
+
+
+class TestUPBSetJson:
+    def test_round_trip_keeps_every_factor(self):
+        upb = build_upb(prop2(5, 6))
+        data = upb.to_json_dict()
+        again = UPBSet.from_json_dict(data)
+        assert again.to_json_dict() == data
+        assert again.origin == upb.origin
+
+    def test_refuses_an_invalid_origin_grid(self):
+        data = build_upb(example1()).to_json_dict()
+        data["origin"]["grid"][0][0] = 99  # ids no longer 1..s
+        with pytest.raises(ValueError, match="contiguous"):
+            UPBSet.from_json_dict(data)
+
+    @pytest.mark.parametrize("where", ["top", "origin"])
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_refuses_dimensions_that_disagree_with_the_grid(self, key, where):
+        data = build_upb(prop2(5, 6)).to_json_dict()
+        (data if where == "top" else data["origin"])[key] += 1
+        with pytest.raises(ValueError, match="disagree"):
+            UPBSet.from_json_dict(data)
+
+    @pytest.mark.parametrize("factor", ["a", "b"])
+    @pytest.mark.parametrize("group", ["states", "missing", "stopper"])
+    def test_refuses_a_factor_of_the_wrong_length(self, factor, group):
+        data = build_upb(prop2(5, 6)).to_json_dict()
+        state = data["stopper"] if group == "stopper" else data[group][-1]
+        state[factor].append([0.0, 0.0])
+        with pytest.raises(ValueError, match="factor's length"):
+            UPBSet.from_json_dict(data)
+
+    def test_leaves_the_state_count_to_the_verifier(self):
+        data = build_upb(prop2(5, 6)).to_json_dict()
+        data["states"].pop(0)
+        upb = UPBSet.from_json_dict(data)
+        assert not check_upb(upb, restarts=5).size_ok

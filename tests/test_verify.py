@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-import tileupb.verify
 from tileupb import (
     BipartiteState,
     ProductState,
     build_upb,
     check_orthogonal_set,
     check_upb,
-    complement_basis,
     example1,
     fig2,
     five_tile,
@@ -20,7 +18,7 @@ from tileupb import (
     seesaw_search,
     state_matrix,
 )
-from tileupb.verify import GRAM_BLOCK, certified_complement
+from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, certified_complement
 
 from conftest import (
     brute_orthogonality,
@@ -28,6 +26,7 @@ from conftest import (
     foreign_origin_upb,
     kron_vector,
     structure_from_grid,
+    svd_complement,
 )
 
 # five_tile(4, 5) with the first column of its interior tile split off:
@@ -70,8 +69,14 @@ class TestOrthogonalityCheck:
     @pytest.mark.parametrize("kind", ["product", "bipartite"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
     def test_matches_the_pairwise_oracle(self, kind, count):
+        """Product states match the pairwise oracle; states given as
+        matrices are refused, since the Gram is formed from factors."""
         states = _random_states(kind, count, seed=count)
         tol = 0.3
+        if kind == "bipartite":
+            with pytest.raises(TypeError, match="product states"):
+                check_orthogonal_set(states, tol=tol)
+            return
         report = check_orthogonal_set(states, tol=tol)
         want, worst = brute_orthogonality(states, tol)
         assert [v[:2] for v in report.violations] == [v[:2] for v in want]
@@ -86,9 +91,11 @@ class TestOrthogonalityCheck:
 
 
 class TestComplementBasis:
+    """The SVD oracle the closed-form complement is checked against."""
+
     def test_dimension_and_double_orthogonality(self):
         upb = build_upb(example1())
-        comp = complement_basis(upb.states)
+        comp = svd_complement(upb.states)
         assert len(comp) == 5
         for v in comp:
             for kept in upb.states:
@@ -97,19 +104,19 @@ class TestComplementBasis:
         assert np.allclose(gram, np.eye(5), atol=1e-12)
 
     def test_empty_input_with_dims_gives_the_standard_basis(self):
-        comp = complement_basis([], m=2, n=2)
+        comp = svd_complement([], m=2, n=2)
         assert len(comp) == 4
         total = sum(np.abs(state_matrix(v)) ** 2 for v in comp)
         assert np.allclose(total, np.ones((2, 2)))
 
     def test_empty_input_without_dims_raises(self):
         with pytest.raises(ValueError):
-            complement_basis([])
+            svd_complement([])
 
     def test_dependent_input_raises(self):
         s = ProductState([1, 0], [1, 0])
         with pytest.raises(ValueError):
-            complement_basis([s, s])
+            svd_complement([s, s])
 
 
 class TestCertifiedComplement:
@@ -124,14 +131,15 @@ class TestCertifiedComplement:
         q = certified_complement(upb)
         assert q.shape == (ts.m * ts.n, ts.tile_count - 1)
         assert np.allclose(q.T @ q, np.eye(ts.tile_count - 1), atol=1e-12)
-        ref = np.array([kron_vector(w) for w in complement_basis(upb.states)]).T
+        ref = np.array([kron_vector(w) for w in svd_complement(upb.states)]).T
         assert np.allclose(q @ q.T, ref @ ref.conj().T, atol=1e-12)
 
-    def test_states_given_as_matrices_get_the_same_basis(self):
+    def test_refuses_states_given_as_matrices(self):
         upb = build_upb(example1())
         as_matrices = type(upb)(states=tuple(s.to_bipartite() for s in upb.states),
                                 missing=upb.missing, stopper=upb.stopper, origin=upb.origin)
-        assert np.array_equal(certified_complement(as_matrices), certified_complement(upb))
+        with pytest.raises(TypeError, match="product states"):
+            certified_complement(as_matrices)
 
     def test_refuses_a_foreign_origin(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -147,36 +155,57 @@ class TestCertifiedComplement:
 
 class TestSeesawSearch:
     def test_objective_agrees_with_kron_oracle(self):
-        rng = np.random.default_rng(3)
-        comp = complement_basis(build_upb(example1()).states)
-        res = seesaw_search(comp, restarts=20, seed=3)
+        upb = build_upb(example1())
+        res = seesaw_search(upb.origin, restarts=20, seed=3)
         a, b = res.best_product.a_vec, res.best_product.b_vec
         assert res.best_overlap == pytest.approx(
-            brute_seesaw_objective(comp, a, b), abs=1e-9
+            brute_seesaw_objective(svd_complement(upb.states), a, b), abs=1e-9
         )
 
-    def test_full_space_hits_one_immediately(self):
-        comp = complement_basis([], m=2, n=2)
-        res = seesaw_search(comp, restarts=1, max_iters=1, seed=0)
-        assert res.best_overlap == pytest.approx(1.0, abs=1e-12)
+    def test_tile_objective_matches_the_svd_oracle(self, small_structures):
+        """With no iterations the search scores its random start, so the
+        tile-sum objective is compared at random complex a and b."""
+        for k, grid in enumerate(small_structures):
+            ts = structure_from_grid(grid)
+            if ts.tile_count < 2:
+                continue
+            res = seesaw_search(ts, restarts=1, max_iters=0, seed=k)
+            a, b = res.best_product.a_vec, res.best_product.b_vec
+            assert np.iscomplexobj(a) and np.abs(a.imag).max() > 0
+            want = brute_seesaw_objective(svd_complement(build_upb(ts).states), a, b)
+            assert abs(res.best_overlap - want) < 1e-12, grid
+
+    def test_refuses_tiles_that_do_not_partition_the_grid(self):
+        bent = structure_from_grid([[1, 1], [1, 2]])  # tile 1 claims cell (1, 1) too
+        with pytest.raises(ValueError, match="partition"):
+            seesaw_search(bent)
+
+    def test_a_single_tile_has_nothing_to_search(self):
+        with pytest.raises(ValueError, match="nothing to search"):
+            seesaw_search(structure_from_grid([[1, 1], [1, 1]]))
 
     def test_deterministic_under_a_fixed_seed(self):
-        comp = complement_basis(build_upb(five_tile(3, 3)).states)
-        r1 = seesaw_search(comp, restarts=25, seed=11)
-        r2 = seesaw_search(comp, restarts=25, seed=11)
+        ts = five_tile(3, 3)
+        r1 = seesaw_search(ts, restarts=25, seed=11)
+        r2 = seesaw_search(ts, restarts=25, seed=11)
         assert r1.best_overlap == r2.best_overlap
         assert np.array_equal(r1.best_product.a_vec, r2.best_product.a_vec)
 
     def test_finds_the_product_state_in_an_extendible_complement(self):
-        comp = complement_basis(build_upb(fig2()).states)
-        res = seesaw_search(comp, restarts=50, seed=0)
+        res = seesaw_search(fig2(), restarts=50, seed=0)
         assert res.best_overlap > 1 - 1e-9
 
     def test_stays_below_one_on_an_unextendible_complement(self):
-        comp = complement_basis(build_upb(example1()).states)
-        res = seesaw_search(comp, restarts=100, seed=0)
+        res = seesaw_search(example1(), restarts=100, seed=0)
         assert res.best_overlap < 1 - 1e-3
         assert res.converged_restarts == res.restarts_run == 100
+
+    def test_product_threshold_clears_the_largest_five_tile_basis(self):
+        """The best overlap on a genuine UPB creeps towards 1 as the grid
+        grows; at the format's largest grid its gap to 1 must still be a
+        hundred times the threshold that reports a product state."""
+        res = seesaw_search(five_tile(64, 64), restarts=200, seed=0)
+        assert res.best_overlap < 1 - 100 * PRODUCT_THRESHOLD
 
 
 class TestCheckUpb:
@@ -200,11 +229,7 @@ class TestCheckUpb:
         assert report.search.monotonicity_violations == 0
         assert report.to_json_dict()["search"]["monotonicity_violations"] == 0
 
-    def test_uncertified_complement_fails_without_a_search(self, monkeypatch):
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("check_upb fell back to the SVD complement")
-
-        monkeypatch.setattr(tileupb.verify, "complement_basis", no_fallback)
+    def test_uncertified_complement_fails_without_a_search(self):
         report = check_upb(foreign_origin_upb(), restarts=10, seed=0)
         assert report.orthogonality.ok and report.size_ok
         assert not report.passed
