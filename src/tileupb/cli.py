@@ -13,7 +13,14 @@ import json
 import sys
 
 from .families import example1, fig2, five_tile, prop2, prop3
-from .grid import TileGridContentError, TileGridFormatError, parse_tile_grid, serialize, validate
+from .grid import (
+    MAX_DIM,
+    TileGridContentError,
+    TileGridFormatError,
+    parse_tile_grid,
+    serialize,
+    validate,
+)
 from .jsonio import vector_to_pairs
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
@@ -69,6 +76,8 @@ def _load_structure(args, parser: argparse.ArgumentParser):
         value = getattr(args, name)
         if value is None:
             parser.error(f"--family {args.family} requires --{name}")
+        if name in ("m", "n") and not 1 <= value <= MAX_DIM:
+            raise ValueError(f"--{name} {value} lies outside the format's 1..{MAX_DIM}")
         values.append(value)
     return builder(*values)
 

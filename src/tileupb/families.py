@@ -23,7 +23,6 @@ __all__ = [
     "prop2",
     "prop3",
     "five_tile",
-    "extend_columns",
     "FAMILY_NAMES",
 ]
 
@@ -173,19 +172,4 @@ def five_tile(m: int, n: int) -> TileStructure:
     _paint(grid, 3, [m - 1], range(1, n))
     _paint(grid, 4, range(1, m), [0])
     _paint(grid, 5, range(1, m - 1), range(1, n - 1))
-    return TileStructure.from_grid(grid)
-
-
-def extend_columns(ts: TileStructure, n: int) -> TileStructure:
-    """Widen a structure to n columns by duplicating its last column.
-
-    Every appended cell joins the tile of its left neighbor, so tile
-    count and validity are preserved.  Whether the U-tile property
-    survives is checked by callers per instance, not assumed.
-    """
-    if n < ts.n:
-        raise ValueError(f"cannot shrink from {ts.n} to {n} columns")
-    if n == ts.n:
-        return ts
-    grid = [list(row) + [row[-1]] * (n - ts.n) for row in ts.cell_map]
     return TileStructure.from_grid(grid)

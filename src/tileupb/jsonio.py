@@ -14,9 +14,5 @@ def vector_to_pairs(vec: np.ndarray) -> list[list[float]]:
     return [complex_to_pair(z) for z in np.asarray(vec, dtype=complex)]
 
 
-def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [vector_to_pairs(row) for row in np.asarray(mat, dtype=complex)]
-
-
 def pairs_to_vector(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)

@@ -23,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from .families import prop2
-from .jsonio import matrix_to_pairs
 from .states import ProductState, upb_state_labels, STOPPER_LABEL
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "attach_resource",
     "build_theorem3_protocol",
     "verify_protocol",
-    "protocol_to_json_dict",
 ]
 
 ALICE = "alice"
@@ -538,26 +536,3 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
         leaf_violations=tuple(leaf_problems),
         ok=ok,
     )
-
-
-def protocol_to_json_dict(node: ProtocolNode) -> dict:
-    """Tree serialization with operators as nested [re, im] pairs."""
-    if isinstance(node, Branch):
-        return {
-            "type": "branch",
-            "party": node.party,
-            "outcomes": [
-                {
-                    "projector": matrix_to_pairs(proj.operator),
-                    "child": protocol_to_json_dict(child),
-                }
-                for proj, child in node.outcomes
-            ],
-        }
-    if isinstance(node, Identify):
-        return {"type": "identify", "candidate": node.candidate}
-    return {
-        "type": "one_party_finish",
-        "party": node.party,
-        "candidates": list(node.candidates),
-    }

@@ -1,9 +1,9 @@
-"""Bipartite states as coefficient matrices, tile bases, and UPB assembly.
+"""Product states, tile bases, and UPB assembly.
 
-A pure bipartite state sum_ij m_ij |i>|j> is stored as its m x n matrix
-M, so <psi1|psi2> = tr(M1^dag M2) and |psi> is a product state exactly
-when rank(M) = 1.  States are deliberately left unnormalized; modules
-that need probabilities normalize locally.
+Every state a tile structure induces is a product |a>|b>, stored by its
+two factor vectors, so <a b|a' b'> = <a|a'><b|b'> and its m x n
+coefficient matrix is the outer product a b^T.  States are deliberately
+left unnormalized; modules that need probabilities normalize locally.
 """
 
 from __future__ import annotations
@@ -13,44 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Tile, TileStructure, validate
-from .jsonio import matrix_to_pairs, pairs_to_vector, vector_to_pairs
+from .jsonio import pairs_to_vector, vector_to_pairs
 
 __all__ = [
-    "BipartiteState",
     "ProductState",
     "UPBSet",
     "NotUTileError",
     "inner_product",
-    "matrix_rank",
     "tile_basis",
     "stopper",
-    "build_copb",
     "build_upb",
     "upb_state_labels",
 ]
 
 STOPPER_LABEL = ("stopper",)
-
-
-@dataclass(frozen=True, eq=False)
-class BipartiteState:
-    """A bipartite pure state held as its m x n coefficient matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    def to_json_dict(self) -> dict:
-        return {"matrix": matrix_to_pairs(self.matrix)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +44,6 @@ class ProductState:
     def matrix(self) -> np.ndarray:
         return np.outer(self.a_vec, self.b_vec)
 
-    def to_bipartite(self) -> BipartiteState:
-        return BipartiteState(self.matrix)
-
     def to_json_dict(self) -> dict:
         return {"a": vector_to_pairs(self.a_vec), "b": vector_to_pairs(self.b_vec)}
 
@@ -79,32 +52,14 @@ class ProductState:
         return cls(pairs_to_vector(data["a"]), pairs_to_vector(data["b"]))
 
 
-def state_matrix(state) -> np.ndarray:
-    """Coefficient matrix of a BipartiteState, ProductState, or array."""
-    if isinstance(state, ProductState):
-        return state.matrix
-    if isinstance(state, BipartiteState):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
-
-
-def inner_product(s1, s2) -> complex:
-    """<s1|s2> = tr(M1^dag M2), antilinear in the first argument."""
-    m1 = state_matrix(s1)
-    m2 = state_matrix(s2)
-    if m1.shape != m2.shape:
-        raise ValueError(f"dimension mismatch: {m1.shape} vs {m2.shape}")
-    return complex(np.vdot(m1, m2))
-
-
-def matrix_rank(state, tol: float = 1e-10) -> int:
-    """Numerical rank: singular values above tol times the largest."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    sv = np.linalg.svd(state_matrix(state), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+def inner_product(s1: ProductState, s2: ProductState) -> complex:
+    """<s1|s2> = <a1|a2><b1|b2>, antilinear in the first argument."""
+    if (len(s1.a_vec), len(s1.b_vec)) != (len(s2.a_vec), len(s2.b_vec)):
+        raise ValueError(
+            f"dimension mismatch: {len(s1.a_vec)} x {len(s1.b_vec)} "
+            f"vs {len(s2.a_vec)} x {len(s2.b_vec)}"
+        )
+    return complex(np.vdot(s1.a_vec, s2.a_vec) * np.vdot(s1.b_vec, s2.b_vec))
 
 
 def tile_basis(tile: Tile, m: int, n: int) -> list[ProductState]:
@@ -132,14 +87,6 @@ def stopper(m: int, n: int) -> ProductState:
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     return ProductState(np.ones(m, dtype=complex), np.ones(n, dtype=complex))
-
-
-def build_copb(ts: TileStructure) -> list[ProductState]:
-    """Complete orthogonal product basis: all tile bases in id order."""
-    states: list[ProductState] = []
-    for tile in ts.tiles:
-        states.extend(tile_basis(tile, ts.m, ts.n))
-    return states
 
 
 class NotUTileError(ValueError):

@@ -2,8 +2,8 @@
 tile-structure basis, and a seesaw search for product states inside it.
 
 The seesaw search is the refuting oracle for unextendibility claims: it
-maximizes ||Q^T(a (x) b)||^2 over unit product vectors, where Q is an
-orthonormal basis of the complement.  Each half-step is an exact
+maximizes the squared norm of the projection of a (x) b onto the
+complement over unit product vectors.  Each half-step is an exact
 top-eigenvector update, so the objective never decreases.  A value near
 1 certifies a product state in the complement; failure to reach 1 is
 only heuristic evidence of absence (the exact decision belongs to the
@@ -11,10 +11,11 @@ U-tile test).
 
 The basis a tile structure induces is made of products |a>|b>, so the
 orthogonality check works from the factor matrices, and its complement
-is span{tile indicators} minus the stopper direction, available in
-closed form and certified against the states it serves.  Every
-complement vector is constant on each tile, so the search works on the
-s per-tile factor sums instead of the mn amplitudes.
+is span{tile indicators} minus the stopper direction.  That space is
+never materialized as a basis: its certificate reads each state's s
+tile coordinates, and since every complement vector is constant on
+each tile the search works on the s per-tile factor sums instead of
+the mn amplitudes.
 """
 
 from __future__ import annotations
@@ -130,22 +131,22 @@ def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
 
 
-def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarray:
-    """Orthonormal basis Q (real, mn x (s-1), rows indexed r * n + c) of
-    span{tile indicators 1_t} orthogonal to the stopper, certified to be
-    the orthogonal complement of upb.states.
+def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> None:
+    """Certify that span{tile indicators 1_t} orthogonal to the stopper
+    is the orthogonal complement of upb.states; raise otherwise.
 
-    With u_t = 1_t / sqrt|t| the stopper is sum_t sqrt|t| u_t, so a
-    complete QR of the s-vector (sqrt|t|) yields s - 1 orthonormal
-    coefficient vectors orthogonal to it; column k of Q takes the value
-    coef[t, k] on the cells of tile t.  The certificate needs nothing
-    from ``origin`` but the tiles: they must partition the grid, the
-    state count must obey the size law N = mn - s + 1, and every overlap
-    |<psi_i|q_k>| / |psi_i|, computed as ((A* R) o (B* C)) coef from the
-    tiles' row and column indicator matrices R and C, must be at most
-    tol.  For a pairwise orthogonal set that proves span(Q) is the
-    complement.  Raises ValueError naming the condition that fails, and
-    TypeError when a state is not a ``ProductState``.
+    In the orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper
+    is the unit vector u_hat = (sqrt(|t| / mn))_t, and state psi_i has
+    coordinates v_i = ((A* R) o (B* C)) / sqrt|t| from the tiles' row
+    and column indicator matrices R and C.  Its component in the
+    complement has norm ||v_i - (v_i . u_hat) u_hat||, which no choice
+    of basis enters.  The certificate needs nothing from ``origin`` but
+    the tiles: they must partition the grid, the state count must obey
+    the size law N = mn - s + 1, and every component relative to
+    |psi_i| must be at most tol.  For a pairwise orthogonal set that
+    proves the complement is exactly that (s - 1)-dimensional space.
+    Raises ValueError naming the condition that fails, and TypeError
+    when a state is not a ``ProductState``.
     """
     ts = upb.origin
     m, n, s = upb.m, upb.n, ts.tile_count
@@ -154,27 +155,23 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> np.ndarr
             f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
         )
     rows, cols, sizes = _tile_incidence(ts)
-    owner = ((rows * np.arange(s)) @ cols.T).astype(int)  # tile index of each cell
-    root = np.sqrt(sizes)
-    full, _ = np.linalg.qr(root[:, None], mode="complete")
-    coef = full[:, 1:] / root[:, None]
-    q = coef[owner].reshape(m * n, s - 1)
-
     a, b, norms = _factor_stack(upb.states)
     if not np.all(norms > 0):
         raise ValueError("a state is zero")
-    overlaps = ((a.conj() @ rows) * (b.conj() @ cols)) @ coef
-    worst = float(np.max(np.abs(overlaps) / norms[:, None], initial=0.0))
+    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
+    u_hat = np.sqrt(sizes / (m * n))
+    inside = coords - np.outer(coords @ u_hat, u_hat)
+    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
     if not worst <= tol:
         raise ValueError(
-            f"the tile complement overlaps the states: relative overlap {worst:.3e} "
+            f"the tile complement overlaps the states: relative component {worst:.3e} "
             f"exceeds {tol:.1e}"
         )
-    return q
 
 
 def _tile_objective(rows, cols, sizes, a, b) -> float:
-    """||Q^T (a (x) b)||^2 from the per-tile factor sums a^T R, b^T C."""
+    """<a b|P|a b> from the per-tile factor sums a^T R, b^T C, where P
+    projects onto the complement."""
     amps = (a @ rows) * (b @ cols)
     return float(np.sum(np.abs(amps) ** 2 / sizes) - abs(a.sum() * b.sum()) ** 2 / sizes.sum())
 
@@ -222,8 +219,9 @@ def seesaw_search(
     complement of ``build_upb(ts).states``.
 
     With the per-tile factor sums alpha = R^T a and beta = C^T b (R, C
-    the tiles' row and column indicator matrices) the objective is
-    ||Q^T (a (x) b)||^2 = sum_t |alpha_t beta_t|^2 / |t| - |sum a sum b|^2 / mn.
+    the tiles' row and column indicator matrices) the objective, with P
+    the projector onto the complement, is
+    <a b|P|a b> = sum_t |alpha_t beta_t|^2 / |t| - |sum a sum b|^2 / mn.
     Alternating exact eigen-steps from seeded complex-Gaussian starts:
     for fixed b the optimal a is the top eigenvector of the real m x m
     matrix R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J, and
@@ -313,10 +311,10 @@ def check_upb(
     dimension s - 1 (``certified_complement``), and then runs the
     seesaw search over the origin's tile sums.  When the complement
     cannot be certified the check fails with the reason in ``note`` and
-    no search.  Passing means no
-    product state was certified in the complement; that negative is
-    heuristic, the positive direction (a certificate) is conclusive.
-    ``complement_dim`` counts the certified complement vectors.
+    no search.  Passing means no product state was certified in the
+    complement; that negative is heuristic, the positive direction (a
+    certificate) is conclusive.  ``complement_dim`` is s - 1 once the
+    complement is certified, else 0.
     """
     ts = upb.origin
     s = ts.tile_count
@@ -351,11 +349,11 @@ def check_upb(
         reason = "the states are not pairwise orthogonal"
     else:
         try:
-            comp = certified_complement(upb, tol=orth_tol)
+            certified_complement(upb, tol=orth_tol)
         except ValueError as exc:
             reason = str(exc)
         else:
-            complement_dim = comp.shape[1]
+            complement_dim = s - 1
             search = seesaw_search(
                 ts, restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed
             )

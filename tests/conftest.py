@@ -11,13 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tileupb import (
-    BipartiteState,
-    TileStructure,
-    build_upb,
-    enumerate_special_rectangles,
-    five_tile,
-)
+from tileupb import TileStructure, build_upb, enumerate_special_rectangles, five_tile
 
 
 def structure_from_grid(grid):
@@ -90,11 +84,9 @@ def enumeration_is_u_tile(ts):
 
 
 def kron_vector(state):
-    """Flatten a state to the mn-dimensional vector by explicit
-    Kronecker product (product states) or row-major matrix flattening."""
-    if hasattr(state, "a_vec"):
-        return np.kron(state.a_vec, state.b_vec)
-    return np.asarray(state.matrix).reshape(-1)
+    """Flatten a product state to the mn-dimensional vector by explicit
+    Kronecker product."""
+    return np.kron(state.a_vec, state.b_vec)
 
 
 def brute_inner(s1, s2):
@@ -156,27 +148,39 @@ def brute_partial_transpose(rho, da, db):
 
 def svd_complement(states, m=None, n=None):
     """Orthonormal basis of the orthogonal complement of span(states),
-    as BipartiteStates, from an SVD of the conjugated flattened states,
-    which must be linearly independent.  An empty list yields the
-    standard basis of the whole space, for which m and n are required."""
+    as the rows of an array indexed r * n + c, from an SVD of the
+    conjugated flattened states, which must be linearly independent.
+    An empty list yields the standard basis of the whole space, for
+    which m and n are required."""
     if not states:
         if m is None or n is None:
             raise ValueError("dimensions are required for an empty state list")
-        eye = np.eye(m * n, dtype=complex)
-        return [BipartiteState(eye[i].reshape(m, n)) for i in range(m * n)]
-    m, n = np.shape(states[0].matrix)
+        return np.eye(m * n, dtype=complex)
     rows = np.array([kron_vector(s) for s in states]).conj()
-    k = len(rows)
+    k, dim = rows.shape
     _, sv, vh = np.linalg.svd(rows)
-    rank = int(np.sum(sv > max(m * n, k) * np.finfo(float).eps * sv[0]))
+    rank = int(np.sum(sv > max(dim, k) * np.finfo(float).eps * sv[0]))
     if rank < k:
         raise ValueError(f"states are linearly dependent: rank {rank} < {k}")
-    return [BipartiteState(vh[i].conj().reshape(m, n)) for i in range(k, m * n)]
+    return vh[k:].conj()
 
 
-def brute_seesaw_objective(states, a, b):
+def closed_form_projector(ts):
+    """sum_t 1_t 1_t^T / |t| - J / mn, the projector onto the tile
+    indicators minus the stopper, filled cell pair by cell pair."""
+    mn = ts.m * ts.n
+    proj = np.full((mn, mn), -1.0 / mn)
+    for tile in ts.tiles:
+        for r, c in tile.cells:
+            for r2, c2 in tile.cells:
+                proj[r * ts.n + c, r2 * ts.n + c2] += 1.0 / tile.size
+    return proj
+
+
+def brute_seesaw_objective(comp, a, b):
+    """||comp^* (a (x) b)||^2 for complement vectors in the rows of comp."""
     ab = np.kron(a, b)
-    return float(sum(abs(np.vdot(kron_vector(s), ab)) ** 2 for s in states))
+    return float(sum(abs(np.vdot(v, ab)) ** 2 for v in comp))
 
 
 def brute_composite_apply(op, party, amps):

@@ -30,8 +30,8 @@ from tileupb import (
 )
 
 from conftest import (
+    closed_form_projector,
     enumerate_all_structures,
-    kron_vector,
     random_structure,
     structure_from_grid,
     svd_complement,
@@ -80,8 +80,7 @@ def test_criterion_2_refuted_grid_is_extendible(capsys):
     comp = svd_complement(upb.states)
     w = np.kron(state.a_vec, state.b_vec).astype(complex)
     w = w / np.linalg.norm(w)
-    basis = np.array([v.matrix.reshape(-1) for v in comp])
-    residual = np.linalg.norm(w - basis.T @ (basis.conj() @ w))
+    residual = np.linalg.norm(w - comp.T @ (comp.conj() @ w))
     if not residual < 1e-12:
         problems.append(f"witness state leaves the complement by {residual}")
     res = seesaw_search(ts, restarts=200, seed=0)
@@ -155,12 +154,16 @@ def test_criterion_5_search_verdicts_match_the_combinatorial_decision(capsys):
             if not combinatorial:
                 problems.append(f"single tile not a U-tile: {grid}")
             continue
-        # The search reads the tile structure; the complement it searches
-        # is checked against an SVD of the states, which does not.
-        ref = np.array([kron_vector(w) for w in svd_complement(upb.states)]).T
-        q = certified_complement(upb)
-        if not np.allclose(q @ q.T, ref @ ref.conj().T, rtol=0, atol=1e-10):
+        # The search reads the tile structure; the complement it searches,
+        # written in closed form, is checked against an SVD of the states,
+        # which does not, and the certificate must accept it.
+        ref = svd_complement(upb.states)
+        if not np.allclose(closed_form_projector(ts), ref.T @ ref.conj(), rtol=0, atol=1e-10):
             problems.append(f"tile complement of {grid} is not the SVD complement")
+        try:
+            certified_complement(upb)
+        except ValueError as exc:
+            problems.append(f"certificate refused {grid}: {exc}")
         if combinatorial:
             res = seesaw_search(ts, restarts=budget, seed=0)
             if not res.best_overlap <= 1 - 1e-3:

@@ -52,6 +52,22 @@ class TestGenRoundTrip:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("dims", [("--m", "65", "--n", "70"), ("--m", "3", "--n", "65")])
+    def test_gen_refuses_dimensions_beyond_the_format(self, tmp_path, capsys, dims):
+        path = tmp_path / "big.tile"
+        code, _, err = run(capsys, "gen", "--family", "five-tile", *dims, "-o", str(path))
+        assert code == 2
+        assert "1..64" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family", [("five-tile", "--m", "65", "--n", "70"),
+                                        ("prop3", "--m", "0", "--tiles", "5")])
+    def test_check_utile_refuses_dimensions_beyond_the_format(self, capsys, family):
+        code, out, err = run(capsys, "check-utile", "--family", *family)
+        assert code == 2
+        assert out == ""
+        assert "1..64" in err
+
     def test_family_parameters_are_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "gen", "--family", "prop3", "--m", "5")

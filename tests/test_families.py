@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tileupb import (
+    TileStructure,
     build_upb,
     example1,
-    extend_columns,
     fig2,
     five_tile,
     is_u_tile,
@@ -108,25 +108,10 @@ class TestFiveTileFamily:
 
 
 class TestExtendColumns:
-    def test_identity_when_width_matches(self):
-        ts = five_tile(3, 4)
-        assert extend_columns(ts, 4).cell_map == ts.cell_map
-
-    def test_duplicates_the_last_column(self):
-        ts = five_tile(3, 3)
-        wider = extend_columns(ts, 5)
-        assert wider.n == 5
-        assert validate(wider).ok
-        for row, wide_row in zip(ts.cell_map, wider.cell_map):
-            assert wide_row == row + (row[-1],) * 2
-
     def test_preserves_the_u_tile_property_on_the_five_tile_family(self):
-        wider = extend_columns(five_tile(4, 4), 7)
+        """five_tile(4, 4) widened to 7 columns by repeating its last column."""
+        wider = TileStructure.from_grid([row + (row[-1],) * 3 for row in five_tile(4, 4).cell_map])
         assert is_u_tile(wider).is_u_tile
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            extend_columns(five_tile(3, 4), 3)
 
 
 def _four_row_listing(n):

@@ -5,7 +5,6 @@ import pytest
 
 from tileupb import (
     ALICE,
-    BOB,
     Branch,
     CompositeState,
     Identify,
@@ -16,7 +15,6 @@ from tileupb import (
     build_theorem3_protocol,
     build_upb,
     prop2,
-    protocol_to_json_dict,
     verify_protocol,
 )
 from tileupb.locc import _root_projector, _shift_unitary
@@ -184,15 +182,3 @@ class TestVerifierCatchesSabotage:
         protocol = OnePartyFinish(ALICE, (0, 1))
         report = verify_protocol(protocol, [entangled, CompositeState(corner)])
         assert any("not product" in v for v in report.leaf_violations)
-
-
-class TestSerialization:
-    def test_tree_round_trips_through_plain_data(self):
-        tree = build_theorem3_protocol(4, 4)
-        data = protocol_to_json_dict(tree)
-        assert data["type"] == "branch"
-        assert data["party"] == ALICE
-        assert len(data["outcomes"]) == 2
-        leafy = data["outcomes"][0]["child"]
-        assert leafy["type"] == "branch"
-        assert leafy["party"] == BOB

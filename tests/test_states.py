@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tileupb import (
-    BipartiteState,
     NotUTileError,
     ProductState,
     STOPPER_LABEL,
     UPBSet,
-    build_copb,
     build_upb,
     check_upb,
     example1,
     fig2,
     five_tile,
     inner_product,
-    matrix_rank,
     prop2,
-    state_matrix,
     stopper,
     tile_basis,
     upb_state_labels,
@@ -46,44 +42,16 @@ class TestInnerProduct:
         s1, s2 = ProductState(a1, b1), ProductState(a2, b2)
         assert inner_product(s1, s2) == pytest.approx(brute_inner(s1, s2), abs=1e-9)
 
-    @settings(max_examples=40, deadline=None)
-    @given(_complexes(6), _complexes(6))
-    def test_matches_kron_oracle_on_general_states(self, v1, v2):
-        s1 = BipartiteState(v1.reshape(2, 3))
-        s2 = BipartiteState(v2.reshape(2, 3))
-        assert inner_product(s1, s2) == pytest.approx(brute_inner(s1, s2), abs=1e-9)
-
-    def test_mixed_arguments(self):
-        p = ProductState([1, 1], [1, -1, 0])
-        b = BipartiteState(p.matrix)
-        assert inner_product(p, b) == pytest.approx(inner_product(b, b))
-
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             inner_product(ProductState([1, 0], [1, 0]), ProductState([1], [1, 0]))
-
-
-class TestMatrixRank:
-    def test_product_states_have_rank_one(self):
-        assert matrix_rank(ProductState([1, 2], [0, 1, 1])) == 1
-
-    def test_sum_of_two_products_has_rank_two(self):
-        mat = np.outer([1, 0], [1, 0, 0]) + np.outer([0, 1], [0, 0, 1])
-        assert matrix_rank(BipartiteState(mat)) == 2
-
-    def test_zero_matrix_has_rank_zero(self):
-        assert matrix_rank(BipartiteState(np.zeros((2, 2)))) == 0
-
-    def test_bad_tolerance_raises(self):
-        with pytest.raises(ValueError):
-            matrix_rank(ProductState([1], [1]), tol=0.0)
 
 
 class TestTileBasis:
     def test_matches_cellwise_oracle(self):
         ts = example1()
         for tile in ts.tiles:
-            got = [state_matrix(s) for s in tile_basis(tile, ts.m, ts.n)]
+            got = [s.matrix for s in tile_basis(tile, ts.m, ts.n)]
             want = brute_tile_matrices(tile, ts.m, ts.n)
             assert len(got) == tile.size
             for g, w in zip(got, want):
@@ -99,7 +67,7 @@ class TestTileBasis:
     def test_first_element_is_the_tile_indicator(self):
         ts = example1()
         tile = ts.tile(4)
-        first = state_matrix(tile_basis(tile, ts.m, ts.n)[0])
+        first = tile_basis(tile, ts.m, ts.n)[0].matrix
         indicator = np.zeros((ts.m, ts.n))
         for r, c in tile.cells:
             indicator[r, c] = 1
@@ -108,11 +76,12 @@ class TestTileBasis:
 
 class TestBuildCopb:
     def test_is_a_complete_orthogonal_product_family(self, all_3x3_structures):
+        """All tile bases together form a complete orthogonal product basis."""
         for grid in all_3x3_structures[::13]:
             ts = structure_from_grid(grid)
-            states = build_copb(ts)
+            states = [s for tile in ts.tiles for s in tile_basis(tile, ts.m, ts.n)]
             assert len(states) == ts.m * ts.n
-            flat = np.array([state_matrix(s).reshape(-1) for s in states])
+            flat = np.array([s.matrix.reshape(-1) for s in states])
             gram = flat.conj() @ flat.T
             assert np.allclose(gram - np.diag(np.diag(gram)), 0, atol=1e-10), grid
             assert np.linalg.matrix_rank(flat) == ts.m * ts.n
@@ -138,7 +107,7 @@ class TestBuildUpb:
 
     def test_stopper_is_the_all_ones_matrix(self):
         s = stopper(3, 4)
-        assert np.allclose(state_matrix(s), np.ones((3, 4)))
+        assert np.allclose(s.matrix, np.ones((3, 4)))
 
     def test_stopper_overlap_with_missing_states_equals_tile_size(self):
         ts = prop2(5, 6)
@@ -157,7 +126,7 @@ class TestBuildUpb:
         again = UPBSet.from_json_dict(upb.to_json_dict())
         assert len(again.states) == len(upb.states)
         for s, t in zip(upb.states, again.states):
-            assert np.allclose(state_matrix(s), state_matrix(t))
+            assert np.allclose(s.matrix, t.matrix)
         assert again.origin.cell_map == upb.origin.cell_map
 
 

@@ -1,10 +1,11 @@
-"""Orthogonality checks, complement bases, and the product search."""
+"""Orthogonality checks, the complement certificate, and the product search."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tileupb import (
-    BipartiteState,
     ProductState,
     build_upb,
     check_orthogonal_set,
@@ -12,17 +13,16 @@ from tileupb import (
     example1,
     fig2,
     five_tile,
-    inner_product,
     prop2,
     prop3,
     seesaw_search,
-    state_matrix,
 )
 from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, certified_complement
 
 from conftest import (
     brute_orthogonality,
     brute_seesaw_objective,
+    closed_form_projector,
     foreign_origin_upb,
     kron_vector,
     structure_from_grid,
@@ -41,7 +41,8 @@ SPLIT_FIVE_TILE = [
 
 def _random_states(kind, count, seed, m=3, n=4):
     """Random unnormalized states on sparse supports, so that some pairs
-    are exactly orthogonal, with norms spread over six decades."""
+    are exactly orthogonal, with norms spread over six decades; kind
+    "bipartite" gives plain m x n coefficient arrays."""
     rng = np.random.default_rng(seed)
 
     def sparse(size):
@@ -50,7 +51,7 @@ def _random_states(kind, count, seed, m=3, n=4):
 
     if kind == "product":
         return [ProductState(sparse(m), sparse(n)) for _ in range(count)]
-    return [BipartiteState(sparse(m * n).reshape(m, n)) for _ in range(count)]
+    return [sparse(m * n).reshape(m, n) for _ in range(count)]
 
 
 class TestOrthogonalityCheck:
@@ -99,14 +100,13 @@ class TestComplementBasis:
         assert len(comp) == 5
         for v in comp:
             for kept in upb.states:
-                assert abs(inner_product(kept, v)) < 1e-12
-        gram = np.array([[inner_product(x, y) for y in comp] for x in comp])
-        assert np.allclose(gram, np.eye(5), atol=1e-12)
+                assert abs(np.vdot(kron_vector(kept), v)) < 1e-12
+        assert np.allclose(comp.conj() @ comp.T, np.eye(5), atol=1e-12)
 
     def test_empty_input_with_dims_gives_the_standard_basis(self):
         comp = svd_complement([], m=2, n=2)
         assert len(comp) == 4
-        total = sum(np.abs(state_matrix(v)) ** 2 for v in comp)
+        total = sum(np.abs(v.reshape(2, 2)) ** 2 for v in comp)
         assert np.allclose(total, np.ones((2, 2)))
 
     def test_empty_input_without_dims_raises(self):
@@ -127,16 +127,40 @@ class TestCertifiedComplement:
         ids=["example1", "five35", "ring56", "counted59", "fig2", "split45"],
     )
     def test_projector_matches_the_svd_complement(self, ts):
+        """The certificate accepts, and the space it certifies, written in
+        closed form by the oracle, is the complement an SVD of the states
+        finds."""
         upb = build_upb(ts)
-        q = certified_complement(upb)
-        assert q.shape == (ts.m * ts.n, ts.tile_count - 1)
-        assert np.allclose(q.T @ q, np.eye(ts.tile_count - 1), atol=1e-12)
-        ref = np.array([kron_vector(w) for w in svd_complement(upb.states)]).T
-        assert np.allclose(q @ q.T, ref @ ref.conj().T, atol=1e-12)
+        certified_complement(upb)
+        ref = svd_complement(upb.states)
+        assert len(ref) == ts.tile_count - 1
+        assert np.allclose(closed_form_projector(ts), ref.T @ ref.conj(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.5, 1e-6])
+    def test_tolerance_bounds_the_relative_complement_component(self, delta):
+        """The stopper tilted along row 0, (1 + delta e_0) (x) 1, has a
+        complement component of relative size x, read off the oracle's
+        projector; the certificate passes at tol = 2x and refuses at x / 2,
+        and the margin it compares is x itself, a norm and not a largest
+        coordinate."""
+        upb = build_upb(example1())
+        a = np.ones(upb.m)
+        a[0] += delta
+        tilted = ProductState(a, np.ones(upb.n))
+        vec = kron_vector(tilted)
+        x = np.linalg.norm(closed_form_projector(upb.origin) @ vec) / np.linalg.norm(vec)
+        assert x > 1e3 * np.finfo(float).eps
+        states = upb.states[:-1] + (tilted,)
+        swapped = type(upb)(states=states, missing=upb.missing, stopper=upb.stopper,
+                            origin=upb.origin)
+        for above, below in ((2 * x, x / 2), (1.001 * x, 0.999 * x)):
+            certified_complement(swapped, tol=above)
+            with pytest.raises(ValueError, match="overlap"):
+                certified_complement(swapped, tol=below)
 
     def test_refuses_states_given_as_matrices(self):
         upb = build_upb(example1())
-        as_matrices = type(upb)(states=tuple(s.to_bipartite() for s in upb.states),
+        as_matrices = type(upb)(states=tuple(s.matrix for s in upb.states),
                                 missing=upb.missing, stopper=upb.stopper, origin=upb.origin)
         with pytest.raises(TypeError, match="product states"):
             certified_complement(as_matrices)
@@ -151,6 +175,26 @@ class TestCertifiedComplement:
                           stopper=upb.stopper, origin=upb.origin)
         with pytest.raises(ValueError, match="size law"):
             certified_complement(short)
+
+    def test_refuses_a_zero_state(self):
+        upb = build_upb(example1())
+        zeroed = upb.states[:-1] + (ProductState(np.zeros(upb.m), np.ones(upb.n)),)
+        with pytest.raises(ValueError, match="zero"):
+            certified_complement(type(upb)(states=zeroed, missing=upb.missing,
+                                           stopper=upb.stopper, origin=upb.origin))
+
+    def test_single_cell_grid_at_the_format_limit_needs_no_basis(self):
+        """The 64 x 64 grid of single-cell tiles has a 4,095-dimensional
+        complement; certifying it keeps the traced peak under 64 MB."""
+        ts = structure_from_grid([[64 * r + c + 1 for c in range(64)] for r in range(64)])
+        upb = build_upb(ts)
+        tracemalloc.start()
+        try:
+            certified_complement(upb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestSeesawSearch:
