@@ -235,8 +235,6 @@ def _cmd_ppt(args, parser) -> int:
 
 
 def _cmd_distinguish(args, parser) -> int:
-    if args.m is None or args.n is None:
-        parser.error("distinguish requires --m and --n")
     protocol = build_theorem3_protocol(args.m, args.n)
     upb = build_upb(prop2(args.m, args.n), check=False)
     resource_dim = args.m // 2

@@ -17,7 +17,7 @@ discriminates the ring-structure basis of prop2(m, n) for even m with a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -50,9 +50,16 @@ PROB_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """Amplitudes on registers (A, B, a, b), indexed in that order."""
+    """Amplitudes on registers (A, B, a, b), indexed in that order.
+
+    ``factors`` is an exact factor pair (L, R) of the cut matrix,
+    ``cut_matrix() == L @ R.T``.  States made by ``attach_resource``
+    carry L = kron(a, I_d) and R = kron(b, I_d), of rank d; a state
+    built from bare amplitudes carries (cut_matrix(), I).
+    """
 
     amplitudes: np.ndarray
+    _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
@@ -62,6 +69,13 @@ class CompositeState:
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.amplitudes.shape
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._factors is not None:
+            return self._factors
+        cut = self.cut_matrix()
+        return cut, np.eye(cut.shape[1], dtype=complex)
 
     def cut_matrix(self) -> np.ndarray:
         """Matrix across the Alice/Bob cut: row index A*d_a + a, column
@@ -111,7 +125,12 @@ def attach_resource(states, d: int) -> list[CompositeState]:
     for state in states:
         if not isinstance(state, ProductState):
             raise TypeError("attach_resource expects product states")
-        out.append(CompositeState(np.multiply.outer(np.outer(state.a_vec, state.b_vec), eye)))
+        comp = CompositeState(np.multiply.outer(np.outer(state.a_vec, state.b_vec), eye))
+        # kron(a, I_d) and kron(b, I_d), rows indexed A*d + a and B*d + b
+        left = (state.a_vec[:, None, None] * eye).reshape(-1, d)
+        right = (state.b_vec[:, None, None] * eye).reshape(-1, d)
+        object.__setattr__(comp, "_factors", (left, right))
+        out.append(comp)
     return out
 
 
@@ -376,8 +395,12 @@ class DiscriminationReport:
         }
 
 
-def _apply(op: np.ndarray, mat: np.ndarray, party: str) -> np.ndarray:
-    return op @ mat if party == ALICE else mat @ op.T
+def _sq_norms(moved: np.ndarray, idle: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the stacked cut matrices X_k Y_kᵀ, from
+    the r×r Gram of Y: ‖X Yᵀ‖² = Σ conj(X) ∘ (X Yᵀ Ȳ).  The norm is
+    symmetric in the two factors, so either one may be X."""
+    gram = np.swapaxes(idle, 1, 2) @ idle.conj()
+    return np.einsum("kir,kir->k", moved.conj(), moved @ gram).real
 
 
 def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list[str],
@@ -408,43 +431,63 @@ def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list
     return True
 
 
-def _check_finish_leaf(node: OnePartyFinish, alive, path: str, problems: list[str]) -> None:
-    factors = []
-    for state_index, mat in alive:
-        u, sv, vh = np.linalg.svd(mat)
-        if sv.size > 1 and sv[1] > LEAF_TOL * sv[0]:
+def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
+                       rights: np.ndarray, path: str, problems: list[str]) -> None:
+    """Product / parallel / orthogonal geometry of the survivors.
+
+    With L = Q_L T_L and R = Q_R T_R, the cut matrix is
+    Q_L (T_L T_Rᵀ) Q_Rᵀ, so its singular triplets come from the small
+    core T_L T_Rᵀ.
+    """
+    if idx.size == 0:
+        return
+    q_l, t_l = np.linalg.qr(lefts)
+    q_r, t_r = np.linalg.qr(rights)
+    u, sv, vh = np.linalg.svd(t_l @ np.swapaxes(t_r, 1, 2))
+    product = np.ones(idx.size, dtype=bool)
+    if sv.shape[1] > 1:
+        ratio = sv[:, 1] / sv[:, 0]
+        product = ~(sv[:, 1] > LEAF_TOL * sv[:, 0])
+        for k in np.flatnonzero(~product):
             problems.append(
-                f"{path}: state {state_index} is not product across the cut "
-                f"(second singular value ratio {sv[1] / sv[0]:.2e})"
+                f"{path}: state {idx[k]} is not product across the cut "
+                f"(second singular value ratio {ratio[k]:.2e})"
             )
-            continue
-        factors.append((state_index, u[:, 0], vh[0].conj()))
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            si, ai, bi = factors[i]
-            sj, aj, bj = factors[j]
-            measuring = abs(np.vdot(ai, aj)) if node.party == ALICE else abs(np.vdot(bi, bj))
-            idle = abs(np.vdot(bi, bj)) if node.party == ALICE else abs(np.vdot(ai, aj))
-            if measuring > LEAF_TOL:
+    # Unit cut factors a_k = Q_L u_k[:, 0] and b_k = conj(vh_k[0] Q_Rᵀ).
+    alice_vecs = (q_l @ u[:, :, :1])[product, :, 0]
+    bob_vecs = (vh[:, :1, :] @ np.swapaxes(q_r, 1, 2))[product, 0, :].conj()
+    kept = idx[product]
+    overlap_a = np.abs(alice_vecs.conj() @ alice_vecs.T)
+    overlap_b = np.abs(bob_vecs.conj() @ bob_vecs.T)
+    measuring, idle = (overlap_a, overlap_b) if node.party == ALICE else (overlap_b, overlap_a)
+    for i in range(kept.size):
+        for j in range(i + 1, kept.size):
+            if measuring[i, j] > LEAF_TOL:
                 problems.append(
-                    f"{path}: states {si} and {sj} are not orthogonal on the measuring party"
+                    f"{path}: states {kept[i]} and {kept[j]} are not orthogonal "
+                    "on the measuring party"
                 )
-            if idle < 1.0 - LEAF_TOL:
+            if idle[i, j] < 1.0 - LEAF_TOL:
                 problems.append(
-                    f"{path}: states {si} and {sj} differ on the idle party"
+                    f"{path}: states {kept[i]} and {kept[j]} differ on the idle party"
                 )
 
 
 def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> DiscriminationReport:
-    """Simulate every input through the tree and audit all invariants.
+    """Walk every input through the tree and audit all invariants.
 
-    Checks projector completeness and orthogonality at every branch,
-    prunes branches below squared norm 1e-10, demands that Identify
-    leaves are reached only by their labeled candidate, checks the
-    product / parallel / orthogonal geometry at one-party-finish leaves,
-    and accumulates per-state success probability.  The report carries
-    the minimum success probability over states and the largest
-    probability any state lent to a wrong identification.
+    Each state travels as its exact cut factors (L, R), with cut matrix
+    L Rᵀ: Alice's outcome P maps L to P L and Bob's maps R to P R, one
+    batched product per outcome over all states alive at the branch.
+    Every branch that some state reaches is checked for projector
+    completeness, orthogonality and idempotency; branches below squared
+    norm 1e-10 are pruned.  Identify leaves must be reached only by
+    their labeled candidate, one-party-finish leaves must hold product
+    survivors that are parallel on the idle party and orthogonal on the
+    measuring one, and each outcome layer must conserve every state's
+    norm.  The report carries the minimum success probability over
+    states and the largest probability any state lent to a wrong
+    identification.
     """
     if not states:
         raise ValueError("no states to discriminate")
@@ -455,70 +498,69 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
     m, n, da, db = dims
     reg_dims = (m * da, n * db)
 
-    mats = []
-    for i, st in enumerate(states):
-        mat = st.cut_matrix()
-        norm = np.linalg.norm(mat)
-        if norm == 0:
-            raise ValueError(f"state {i} is zero")
-        mats.append(mat / norm)
-
+    # Stack the factors, zero-padded to a common rank: L Rᵀ is unchanged.
     count = len(states)
+    rank = max(st.factors[0].shape[1] for st in states)
+    lefts = np.zeros((count, reg_dims[0], rank), dtype=complex)
+    rights = np.zeros((count, reg_dims[1], rank), dtype=complex)
+    for i, st in enumerate(states):
+        left, right = st.factors
+        lefts[i, :, : left.shape[1]] = left
+        rights[i, :, : right.shape[1]] = right
+    norms2 = _sq_norms(lefts, rights)
+    zero = np.flatnonzero(norms2 == 0)
+    if zero.size:
+        raise ValueError(f"state {zero[0]} is zero")
+    lefts /= np.sqrt(norms2)[:, None, None]
+
     success = np.zeros(count)
     wrong = np.zeros(count)
     branch_problems: list[str] = []
     leaf_problems: list[str] = []
 
-    def walk(node: ProtocolNode, alive, path: str) -> None:
+    def walk(node: ProtocolNode, idx, lefts, rights, norms2, path: str) -> None:
         if isinstance(node, Branch):
             if not _check_branch(node, reg_dims, path, branch_problems, BRANCH_TOL):
                 return
+            alice = node.party == ALICE
+            moved, idle = (lefts, rights) if alice else (rights, lefts)
+            total = np.zeros(idx.size)
             for k, (proj, child) in enumerate(node.outcomes):
-                nxt = []
-                for state_index, mat in alive:
-                    out = _apply(proj.operator, mat, node.party)
-                    if np.linalg.norm(out) ** 2 >= PRUNE_TOL:
-                        nxt.append((state_index, out))
-                if nxt:
-                    walk(child, nxt, f"{path}.{k}")
+                out = proj.operator @ moved
+                p = _sq_norms(out, idle)
+                total += p
+                keep = p >= PRUNE_TOL
+                if keep.any():
+                    pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
+                    walk(child, idx[keep], *pair, p[keep], f"{path}.{k}")
             # Conservation: the outcomes repartition each state's norm.
-            for state_index, mat in alive:
-                total = sum(
-                    np.linalg.norm(_apply(proj.operator, mat, node.party)) ** 2
-                    for proj, _ in node.outcomes
-                )
-                if abs(total - np.linalg.norm(mat) ** 2) > PROB_TOL:
-                    branch_problems.append(
-                        f"{path}: state {state_index} loses norm across outcomes"
-                    )
+            for i in np.flatnonzero(np.abs(total - norms2) > PROB_TOL):
+                branch_problems.append(f"{path}: state {idx[i]} loses norm across outcomes")
         elif isinstance(node, Identify):
-            for state_index, mat in alive:
-                p = np.linalg.norm(mat) ** 2
-                if state_index == node.candidate:
-                    success[state_index] += p
+            for i, p in zip(idx, norms2):
+                if i == node.candidate:
+                    success[i] += p
                 else:
-                    wrong[state_index] += p
+                    wrong[i] += p
                     if p > PROB_TOL:
                         leaf_problems.append(
-                            f"{path}: labeled {node.candidate} but state {state_index} "
+                            f"{path}: labeled {node.candidate} but state {i} "
                             f"arrives with probability {p:.3e}"
                         )
         else:
-            survivors = []
-            for state_index, mat in alive:
-                p = np.linalg.norm(mat) ** 2
-                if state_index in node.candidates:
-                    success[state_index] += p
-                    survivors.append((state_index, mat))
+            named = np.isin(idx, node.candidates)
+            for i, p, is_named in zip(idx, norms2, named):
+                if is_named:
+                    success[i] += p
                 else:
-                    wrong[state_index] += p
+                    wrong[i] += p
                     if p > PROB_TOL:
                         leaf_problems.append(
-                            f"{path}: state {state_index} is not among the leaf candidates"
+                            f"{path}: state {i} is not among the leaf candidates"
                         )
-            _check_finish_leaf(node, survivors, path, leaf_problems)
+            _check_finish_leaf(node, idx[named], lefts[named], rights[named], path, leaf_problems)
 
-    walk(protocol, list(enumerate(mats)), "root")
+    walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, rights), "root")
 
     min_success = float(np.min(success))
     max_wrong = float(np.max(wrong))

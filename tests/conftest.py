@@ -12,6 +12,17 @@ import numpy as np
 import pytest
 
 from tileupb import TileStructure, build_upb, enumerate_special_rectangles, five_tile
+from tileupb.locc import (
+    ALICE,
+    BRANCH_TOL,
+    LEAF_TOL,
+    PROB_TOL,
+    PRUNE_TOL,
+    Branch,
+    DiscriminationReport,
+    Identify,
+    _check_branch,
+)
 
 
 def structure_from_grid(grid):
@@ -194,6 +205,116 @@ def brute_composite_apply(op, party, amps):
         lifted = np.kron(np.eye(m * da), op)
     out = lifted @ vec
     return out.reshape(m, da, n, db).transpose(0, 2, 1, 3)
+
+
+def _dense_finish_leaf(node, alive, path, problems):
+    """One-party-finish geometry from a full SVD of each dense cut matrix."""
+    factors = []
+    for state_index, mat in alive:
+        u, sv, vh = np.linalg.svd(mat)
+        if sv.size > 1 and sv[1] > LEAF_TOL * sv[0]:
+            problems.append(
+                f"{path}: state {state_index} is not product across the cut "
+                f"(second singular value ratio {sv[1] / sv[0]:.2e})"
+            )
+            continue
+        factors.append((state_index, u[:, 0], vh[0].conj()))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            si, ai, bi = factors[i]
+            sj, aj, bj = factors[j]
+            measuring = abs(np.vdot(ai, aj)) if node.party == ALICE else abs(np.vdot(bi, bj))
+            idle = abs(np.vdot(bi, bj)) if node.party == ALICE else abs(np.vdot(ai, aj))
+            if measuring > LEAF_TOL:
+                problems.append(
+                    f"{path}: states {si} and {sj} are not orthogonal "
+                    "on the measuring party"
+                )
+            if idle < 1.0 - LEAF_TOL:
+                problems.append(f"{path}: states {si} and {sj} differ on the idle party")
+
+
+def dense_verify_protocol(protocol, states):
+    """verify_protocol on dense cut matrices: every state is its full
+    (m*d_a) x (n*d_b) matrix M, Alice's outcome P maps M to P M, Bob's
+    maps M to M P^T, each norm is a Frobenius norm, and every outcome is
+    applied a second time for the conservation check.  Tolerances,
+    pruning, branch audit and violation messages are the library's."""
+    if not states:
+        raise ValueError("no states to discriminate")
+    dims = states[0].dims
+    if any(st.dims != dims for st in states):
+        raise ValueError("states have inconsistent register dimensions")
+    m, n, da, db = dims
+    reg_dims = (m * da, n * db)
+    mats = []
+    for i, st in enumerate(states):
+        mat = st.cut_matrix()
+        norm = np.linalg.norm(mat)
+        if norm == 0:
+            raise ValueError(f"state {i} is zero")
+        mats.append(mat / norm)
+
+    def apply(op, mat, party):
+        return op @ mat if party == ALICE else mat @ op.T
+
+    success = np.zeros(len(states))
+    wrong = np.zeros(len(states))
+    branch_problems, leaf_problems = [], []
+
+    def walk(node, alive, path):
+        if isinstance(node, Branch):
+            if not _check_branch(node, reg_dims, path, branch_problems, BRANCH_TOL):
+                return
+            for k, (proj, child) in enumerate(node.outcomes):
+                nxt = []
+                for state_index, mat in alive:
+                    out = apply(proj.operator, mat, node.party)
+                    if np.linalg.norm(out) ** 2 >= PRUNE_TOL:
+                        nxt.append((state_index, out))
+                if nxt:
+                    walk(child, nxt, f"{path}.{k}")
+            for state_index, mat in alive:
+                total = sum(
+                    np.linalg.norm(apply(proj.operator, mat, node.party)) ** 2
+                    for proj, _ in node.outcomes
+                )
+                if abs(total - np.linalg.norm(mat) ** 2) > PROB_TOL:
+                    branch_problems.append(
+                        f"{path}: state {state_index} loses norm across outcomes"
+                    )
+            return
+        named = {node.candidate} if isinstance(node, Identify) else set(node.candidates)
+        survivors = []
+        for state_index, mat in alive:
+            p = np.linalg.norm(mat) ** 2
+            if state_index in named:
+                success[state_index] += p
+                survivors.append((state_index, mat))
+                continue
+            wrong[state_index] += p
+            if p > PROB_TOL:
+                leaf_problems.append(
+                    f"{path}: labeled {node.candidate} but state {state_index} "
+                    f"arrives with probability {p:.3e}"
+                    if isinstance(node, Identify)
+                    else f"{path}: state {state_index} is not among the leaf candidates"
+                )
+        if not isinstance(node, Identify):
+            _dense_finish_leaf(node, survivors, path, leaf_problems)
+
+    walk(protocol, list(enumerate(mats)), "root")
+    min_success = float(np.min(success))
+    max_wrong = float(np.max(wrong))
+    return DiscriminationReport(
+        probabilities=tuple(float(p) for p in success),
+        min_success_probability=min_success,
+        max_wrong_probability=max_wrong,
+        branch_violations=tuple(branch_problems),
+        leaf_violations=tuple(leaf_problems),
+        ok=not branch_problems and not leaf_problems
+        and min_success >= 1.0 - PROB_TOL and max_wrong <= PROB_TOL,
+    )
 
 
 # ---------------------------------------------------------------------------

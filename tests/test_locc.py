@@ -5,6 +5,7 @@ import pytest
 
 from tileupb import (
     ALICE,
+    BOB,
     Branch,
     CompositeState,
     Identify,
@@ -19,7 +20,7 @@ from tileupb import (
 )
 from tileupb.locc import _root_projector, _shift_unitary
 
-from conftest import brute_composite_apply
+from conftest import brute_composite_apply, dense_verify_protocol
 
 
 def _composite_states(m, n):
@@ -121,64 +122,208 @@ class TestProtocols:
             build_theorem3_protocol(4, 3)
 
 
+def _subtree(node, path):
+    for k in path:
+        node = node.outcomes[k][1]
+    return node
+
+
+def _replace_at(node, path, fn):
+    """The tree with the node reached by the outcome indices in ``path``
+    replaced by fn(that node)."""
+    if not path:
+        return fn(node)
+    head, rest = path[0], path[1:]
+    return Branch(
+        node.party,
+        tuple(
+            (proj, _replace_at(child, rest, fn) if k == head else child)
+            for k, (proj, child) in enumerate(node.outcomes)
+        ),
+    )
+
+
+def _swap_labels(node, first, second):
+    if isinstance(node, Branch):
+        return Branch(
+            node.party, tuple((p, _swap_labels(c, first, second)) for p, c in node.outcomes)
+        )
+    if isinstance(node, Identify):
+        mapping = {first: second, second: first}
+        return Identify(mapping.get(node.candidate, node.candidate))
+    return node
+
+
+# In the 6x6 tree, root.0.6 is Bob's rest outcome after the bottom row;
+# its Alice corner layer leads (outcome 1) to Bob's column layer, whose
+# outcome 0 is the nested DFT layer for tile 4 and whose outcome 1 is
+# the embedded 4x4 protocol on the interior.
+NESTED_BOB_6X6 = (0, 6, 1, 0)
+EMBEDDED_4X4_IN_6X6 = (0, 6, 1, 1)
+
+
+def _swapped_identify_labels():
+    upb, states = _composite_states(4, 4)
+    labels = upb.state_labels()
+    # cross the two identified bottom-row labels
+    first, second = labels.index((3, 0, 1)), labels.index((3, 0, 2))
+    return _swap_labels(build_theorem3_protocol(4, 4), first, second), states
+
+
+def _incomplete_root():
+    upb, states = _composite_states(4, 4)
+    protocol = build_theorem3_protocol(4, 4)
+    return Branch(protocol.party, protocol.outcomes[:-1]), states
+
+
+def _wrong_resource_dimension():
+    upb = build_upb(prop2(6, 6))
+    return build_theorem3_protocol(6, 6), attach_resource(upb.states, 2)
+
+
+def _non_projector_outcomes():
+    upb, states = _composite_states(4, 4)
+    bad = Branch(
+        ALICE,
+        (
+            (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(0)),
+            (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(1)),
+        ),
+    )
+    return bad, states
+
+
+def _entangled_finish_leaf():
+    # a state that stays entangled across the cut must be flagged
+    amps = np.zeros((2, 2, 2, 2), dtype=complex)
+    amps[0, 0, 0, 0] = 1.0
+    amps[1, 1, 1, 1] = 1.0
+    corner = np.zeros((2, 2, 2, 2), dtype=complex)
+    corner[0, 1, 0, 0] = 1.0
+    return OnePartyFinish(ALICE, (0, 1)), [CompositeState(amps), CompositeState(corner)]
+
+
+def _nested_bob_outcome_dropped():
+    upb, states = _composite_states(6, 6)
+    protocol = _replace_at(
+        build_theorem3_protocol(6, 6),
+        NESTED_BOB_6X6,
+        lambda node: Branch(node.party, node.outcomes[:-1]),
+    )
+    return protocol, states
+
+
+def _embedded_identify_labels_swapped():
+    upb, states = _composite_states(6, 6)
+    protocol = build_theorem3_protocol(6, 6)
+    # the inner protocol's Bob layer under its first root outcome
+    bob_layer = EMBEDDED_4X4_IN_6X6 + (0,)
+    first, second = (_subtree(protocol, bob_layer + (k,)).candidate for k in (0, 1))
+    swapped = _replace_at(protocol, bob_layer, lambda node: _swap_labels(node, first, second))
+    return swapped, states
+
+
+SABOTAGE = {
+    "swapped_identify_labels": _swapped_identify_labels,
+    "incomplete_root": _incomplete_root,
+    "wrong_resource_dimension": _wrong_resource_dimension,
+    "non_projector_outcomes": _non_projector_outcomes,
+    "entangled_finish_leaf": _entangled_finish_leaf,
+    "nested_bob_outcome_dropped": _nested_bob_outcome_dropped,
+    "embedded_identify_labels_swapped": _embedded_identify_labels_swapped,
+}
+
+
+def _prop2_case(m, n):
+    return lambda: (build_theorem3_protocol(m, n), _composite_states(m, n)[1])
+
+
+def _mixed_factor_ranks():
+    # every other state rebuilt from bare amplitudes: its factors have
+    # rank n*d, not d, so the walk zero-pads the others to a common rank
+    protocol, states = _prop2_case(4, 5)()
+    return protocol, [CompositeState(st.amplitudes) if i % 2 else st for i, st in enumerate(states)]
+
+
+DIFFERENTIAL = {
+    **{f"prop2-{m}x{n}": _prop2_case(m, n) for m, n in [(4, 4), (4, 7), (6, 6), (6, 9), (8, 8)]},
+    "mixed_factor_ranks": _mixed_factor_ranks,
+    **SABOTAGE,
+}
+
+
 class TestVerifierCatchesSabotage:
     def test_swapped_identify_labels_are_flagged(self):
-        upb, states = _composite_states(4, 4)
-        protocol = build_theorem3_protocol(4, 4)
-        labels = upb.state_labels()
-        first, second = labels.index((3, 0, 1)), labels.index((3, 0, 2))
-
-        def swap(node):
-            if isinstance(node, Branch):
-                return Branch(
-                    node.party,
-                    tuple((p, swap(c)) for p, c in node.outcomes),
-                )
-            if isinstance(node, Identify):
-                # cross the two identified bottom-row labels
-                mapping = {first: second, second: first}
-                return Identify(mapping.get(node.candidate, node.candidate))
-            return node
-
-        report = verify_protocol(swap(protocol), states)
+        report = verify_protocol(*_swapped_identify_labels())
         assert not report.ok
         assert report.max_wrong_probability > 1e-3
         assert report.leaf_violations
 
     def test_incomplete_branches_are_flagged(self):
-        upb, states = _composite_states(4, 4)
-        protocol = build_theorem3_protocol(4, 4)
-        truncated = Branch(protocol.party, protocol.outcomes[:-1])
-        report = verify_protocol(truncated, states)
+        report = verify_protocol(*_incomplete_root())
         assert not report.ok
         assert any("identity" in v for v in report.branch_violations)
 
     def test_wrong_resource_dimension_is_rejected(self):
-        upb = build_upb(prop2(6, 6))
-        protocol = build_theorem3_protocol(6, 6)
-        report = verify_protocol(protocol, attach_resource(upb.states, 2))
+        report = verify_protocol(*_wrong_resource_dimension())
         assert not report.ok
 
     def test_non_projector_outcomes_are_flagged(self):
-        upb, states = _composite_states(4, 4)
-        bad = Branch(
-            ALICE,
-            (
-                (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(0)),
-                (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(1)),
-            ),
-        )
-        report = verify_protocol(bad, states)
+        report = verify_protocol(*_non_projector_outcomes())
         assert any("idempotent" in v for v in report.branch_violations)
 
     def test_finish_leaf_geometry_is_checked(self):
-        # a state that stays entangled across the cut must be flagged
-        amps = np.zeros((2, 2, 2, 2), dtype=complex)
-        amps[0, 0, 0, 0] = 1.0
-        amps[1, 1, 1, 1] = 1.0
-        entangled = CompositeState(amps)
-        corner = np.zeros((2, 2, 2, 2), dtype=complex)
-        corner[0, 1, 0, 0] = 1.0
-        protocol = OnePartyFinish(ALICE, (0, 1))
-        report = verify_protocol(protocol, [entangled, CompositeState(corner)])
+        report = verify_protocol(*_entangled_finish_leaf())
         assert any("not product" in v for v in report.leaf_violations)
+
+    def test_dropped_outcome_of_a_nested_bob_layer_is_flagged(self):
+        protocol, states = _nested_bob_outcome_dropped()
+        assert _subtree(protocol, NESTED_BOB_6X6).party == BOB
+        report = verify_protocol(protocol, states)
+        assert not report.ok
+        path = "root." + ".".join(map(str, NESTED_BOB_6X6))
+        assert f"{path}: outcomes do not sum to the identity" in report.branch_violations
+        assert any(v.startswith(path) and "loses norm" in v for v in report.branch_violations)
+        assert report.min_success_probability < 1.0 - 1e-3
+
+    def test_swapped_labels_inside_the_embedded_protocol_are_flagged(self):
+        protocol, states = _embedded_identify_labels_swapped()
+        report = verify_protocol(protocol, states)
+        assert not report.ok
+        assert not report.branch_violations
+        assert report.max_wrong_probability > 1e-3
+        inner = "root." + ".".join(map(str, EMBEDDED_4X4_IN_6X6)) + "."
+        assert report.leaf_violations
+        assert all(v.startswith(inner) for v in report.leaf_violations)
+
+
+class TestFactoredWalk:
+    def test_resource_states_carry_rank_d_factors(self):
+        upb, states = _composite_states(6, 6)
+        for st in states:
+            left, right = st.factors
+            assert left.shape == (6 * 3, 3) and right.shape == (6 * 3, 3)
+            assert np.allclose(left @ right.T, st.cut_matrix())
+
+    def test_bare_amplitudes_carry_the_cut_matrix_and_identity(self):
+        rng = np.random.default_rng(1)
+        state = CompositeState(rng.normal(size=(2, 3, 2, 2)))
+        left, right = state.factors
+        assert np.array_equal(left, state.cut_matrix())
+        assert np.array_equal(right, np.eye(6))
+
+    def test_zero_states_are_refused(self):
+        zero = CompositeState(np.zeros((2, 2, 1, 1)))
+        with pytest.raises(ValueError, match="state 0 is zero"):
+            verify_protocol(Identify(0), [zero])
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+    def test_agrees_with_the_dense_walk(self, case):
+        protocol, states = DIFFERENTIAL[case]()
+        fast = verify_protocol(protocol, states)
+        dense = dense_verify_protocol(protocol, states)
+        assert fast.ok == dense.ok
+        assert fast.branch_violations == dense.branch_violations
+        assert fast.leaf_violations == dense.leaf_violations
+        assert np.allclose(fast.probabilities, dense.probabilities, rtol=0, atol=1e-12)
+        assert fast.max_wrong_probability == pytest.approx(dense.max_wrong_probability, abs=1e-12)
