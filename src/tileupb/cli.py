@@ -21,23 +21,11 @@ from .grid import (
     serialize,
     validate,
 )
-from .jsonio import vector_to_pairs
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
-from .rectangles import (
-    DEFAULT_TILE_CAP,
-    EnumerationCapError,
-    enumerate_special_rectangles,
-    extension_witness,
-    is_u_tile,
-)
+from .rectangles import extension_witness, is_u_tile
 from .states import NotUTileError, build_upb
-from .verify import (
-    DEFAULT_CONV_TOL,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_RESTARTS,
-    check_upb,
-)
+from .verify import DEFAULT_RESTARTS, check_upb
 
 FAMILIES = {
     "example1": (example1, ()),
@@ -113,29 +101,6 @@ def _cmd_validate(args, parser) -> int:
     return 0
 
 
-def _cmd_special_rects(args, parser) -> int:
-    ts = _load_structure(args, parser)
-    rects = enumerate_special_rectangles(ts, cap=args.cap)
-    lines = [f"{len(rects)} special rectangle(s)"]
-    payload = {
-        "m": ts.m,
-        "n": ts.n,
-        "cap": args.cap,
-        "count": len(rects),
-        "rectangles": [],
-    }
-    for rect in rects:
-        lines.append(
-            f"  tiles {{{', '.join(map(str, rect.tile_ids))}}}: "
-            f"rows {list(rect.rows)} x cols {list(rect.cols)}"
-        )
-        payload["rectangles"].append(
-            {"tiles": list(rect.tile_ids), "rows": list(rect.rows), "cols": list(rect.cols)}
-        )
-    _emit(args, "\n".join(lines), payload)
-    return 0
-
-
 def _cmd_check_utile(args, parser) -> int:
     ts = _load_structure(args, parser)
     verdict = is_u_tile(ts)
@@ -144,16 +109,7 @@ def _cmd_check_utile(args, parser) -> int:
         _emit(args, "U-tile: yes", payload)
         return 0
     wit = verdict.witness
-    state = extension_witness(ts, verdict)
-    payload["witness"] = {
-        "tiles": list(wit.rectangle.tile_ids),
-        "rows": list(wit.rectangle.rows),
-        "cols": list(wit.rectangle.cols),
-        "axis": wit.axis,
-        "part1": list(wit.part1),
-        "part2": list(wit.part2),
-        "state": {"a": vector_to_pairs(state.a_vec), "b": vector_to_pairs(state.b_vec)},
-    }
+    payload["witness"] = wit.to_json_dict(extension_witness(ts, verdict))
     text = (
         "U-tile: no\n"
         f"witness rectangle: tiles {{{', '.join(map(str, wit.rectangle.tile_ids))}}} "
@@ -190,13 +146,7 @@ def _cmd_build_upb(args, parser) -> int:
 def _cmd_verify_upb(args, parser) -> int:
     ts = _load_structure(args, parser)
     upb = build_upb(ts, check=False)
-    report = check_upb(
-        upb,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        conv_tol=args.tol,
-        seed=args.seed,
-    )
+    report = check_upb(upb, restarts=args.restarts, seed=args.seed)
     lines = [
         f"size: {report.size} (expected {report.expected_size})",
         f"orthogonal: {report.orthogonality.ok} "
@@ -270,13 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_validate)
 
-    sub = subs.add_parser("special-rects", help="list rectangles formed by unions of tiles")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.add_argument("--cap", type=int, default=DEFAULT_TILE_CAP,
-                     help="refuse enumeration above this many tiles")
-    sub.set_defaults(func=_cmd_special_rects)
-
     sub = subs.add_parser("check-utile", help="decide the U-tile property")
     _add_structure_args(sub)
     _add_output_args(sub)
@@ -296,10 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_structure_args(sub)
     _add_output_args(sub)
     sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    sub.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=DEFAULT_CONV_TOL,
-                     help="seesaw convergence tolerance")
     sub.set_defaults(func=_cmd_verify_upb)
 
     sub = subs.add_parser("ppt", help="build and check the complement-projector state")
@@ -307,9 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_args(sub)
     sub.set_defaults(func=_cmd_ppt)
 
-    sub = subs.add_parser("distinguish", help="build and verify a discrimination protocol")
-    sub.add_argument("--family", choices=("prop2",), default="prop2",
-                     help="basis family to distinguish (only the ring family has a protocol)")
+    sub = subs.add_parser("distinguish",
+                          help="build and verify a discrimination protocol for the ring family")
     sub.add_argument("--m", type=int, required=True, help="row count (even)")
     sub.add_argument("--n", type=int, required=True, help="column count")
     _add_output_args(sub)
@@ -332,9 +271,6 @@ def main(argv=None) -> int:
     except NotUTileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -174,12 +174,11 @@ def _root_projector(m: int, i: int) -> np.ndarray:
     return p
 
 
-def _shift_unitary(iota: int, i: int) -> np.ndarray:
-    """Cyclic ancilla relabeling |j> -> |(j+i-1) mod iota>."""
-    u = np.zeros((iota, iota), dtype=complex)
-    for j in range(iota):
-        u[(j + i - 1) % iota, j] = 1.0
-    return u
+def _shift_index(levels: int, iota: int, i: int) -> np.ndarray:
+    """Inverse of the cyclic ancilla relabeling |r, j> -> |r, (j+i-1) mod
+    iota> on a levels x iota register: entry r*iota + a is
+    r*iota + (a-i+1) mod iota."""
+    return (np.arange(levels)[:, None] * iota + (np.arange(iota) - i + 1) % iota).ravel()
 
 
 def _branch(party: str, outcomes) -> Branch:
@@ -188,15 +187,16 @@ def _branch(party: str, outcomes) -> Branch:
     )
 
 
-def _conjugate_tree(node: ProtocolNode, u_alice: np.ndarray, u_bob: np.ndarray) -> ProtocolNode:
-    """Conjugate every operator by the party-matching unitary; leaves
-    are unchanged."""
+def _conjugate_tree(node: ProtocolNode, inv_alice: np.ndarray, inv_bob: np.ndarray) -> ProtocolNode:
+    """Conjugate every operator by the party-matching permutation U,
+    given as the inverse index map inv: U op U^dagger is
+    op[inv][:, inv].  Leaves are unchanged."""
     if isinstance(node, Branch):
-        u = u_alice if node.party == ALICE else u_bob
+        inv = inv_alice if node.party == ALICE else inv_bob
         outcomes = tuple(
             (
-                LocalProjector(node.party, u @ proj.operator @ u.conj().T),
-                _conjugate_tree(child, u_alice, u_bob),
+                LocalProjector(node.party, proj.operator[np.ix_(inv, inv)]),
+                _conjugate_tree(child, inv_alice, inv_bob),
             )
             for proj, child in node.outcomes
         )
@@ -350,10 +350,8 @@ def _even_prop2_protocol(m: int, n: int) -> Branch:
     subtree = _a1_subtree(m, n, idx)
     outcomes: list[tuple[np.ndarray, ProtocolNode]] = [(_root_projector(m, 1), subtree)]
     for i in range(2, iota + 1):
-        u = _shift_unitary(iota, i)
-        u_alice = np.kron(np.eye(m), u)
-        u_bob = np.kron(np.eye(n), u)
-        outcomes.append((_root_projector(m, i), _conjugate_tree(subtree, u_alice, u_bob)))
+        inv_alice, inv_bob = _shift_index(m, iota, i), _shift_index(n, iota, i)
+        outcomes.append((_root_projector(m, i), _conjugate_tree(subtree, inv_alice, inv_bob)))
     return _branch(ALICE, outcomes)
 
 

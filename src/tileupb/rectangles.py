@@ -3,13 +3,13 @@
 A special rectangle is a union of at least two tiles whose cells form a
 combinatorial rectangle.  A structure is U-tile when no special
 rectangle can be split into two parts whose row index sets (or column
-index sets) are disjoint.  ``is_u_tile`` decides this by a joint
-closure over per-tile row and column bitmasks, polynomial in the tile
-count and with no tile cap.  ``enumerate_special_rectangles`` lists
-every special rectangle by subset search and keeps a cap, since that
-listing can be exponential.  Failing structures come with an explicit
-two-part witness, from which a product state orthogonal to the whole
-kept set is built.
+index sets) are disjoint; by the paper's main theorem that is exactly
+when the product basis the structure induces is unextendible.
+``is_u_tile`` decides it by a joint closure over per-tile row and
+column bitmasks, polynomial in the tile count, without listing special
+rectangles.  A failing structure comes with an explicit two-part
+witness, from which ``extension_witness`` builds a product state
+orthogonal to the whole kept set.
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ __all__ = [
     "SpecialRectangle",
     "UTileWitness",
     "UTileVerdict",
-    "EnumerationCapError",
-    "enumerate_special_rectangles",
     "is_u_tile",
     "extension_witness",
 ]
-
-DEFAULT_TILE_CAP = 24
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when a structure has too many tiles for subset enumeration."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +49,18 @@ class UTileWitness:
     axis: str
     part1: tuple[int, ...]
     part2: tuple[int, ...]
+
+    def to_json_dict(self, state: ProductState) -> dict:
+        """The split with its extension state (``extension_witness``)."""
+        return {
+            "tiles": list(self.rectangle.tile_ids),
+            "rows": list(self.rectangle.rows),
+            "cols": list(self.rectangle.cols),
+            "axis": self.axis,
+            "part1": list(self.part1),
+            "part2": list(self.part2),
+            "state": state.to_json_dict(),
+        }
 
 
 @dataclass(frozen=True)
@@ -81,49 +85,6 @@ def _tile_masks(ts: TileStructure) -> tuple[list[int], list[int]]:
     rows = [sum(1 << r for r in tile.rows) for tile in ts.tiles]
     cols = [sum(1 << c for c in tile.cols) for tile in ts.tiles]
     return rows, cols
-
-
-def enumerate_special_rectangles(
-    ts: TileStructure, cap: int = DEFAULT_TILE_CAP
-) -> list[SpecialRectangle]:
-    """All special rectangles, sorted by (tile count, lexicographic ids).
-
-    Plain subset enumeration over the tiles: a subset qualifies when its
-    total cell count equals |union of rows| * |union of cols| (tiles are
-    disjoint exact rectangles, so equality forces exact coverage).
-    Structures with more than ``cap`` tiles are refused, since the
-    listing itself can be exponential.
-    """
-    s = ts.tile_count
-    if s > cap:
-        raise EnumerationCapError(
-            f"structure has {s} tiles; subset enumeration is capped at {cap}"
-        )
-    row_masks, col_masks = _tile_masks(ts)
-    sizes = [tile.size for tile in ts.tiles]
-
-    rects = []
-    for mask in range(1, 1 << s):
-        if mask.bit_count() < 2:
-            continue
-        rows = cols = count = 0
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            rows |= row_masks[i]
-            cols |= col_masks[i]
-            count += sizes[i]
-            mm &= mm - 1
-        if count == rows.bit_count() * cols.bit_count():
-            rects.append(
-                SpecialRectangle(
-                    tile_ids=tuple(ts.tiles[i].id for i in _bit_indices(mask)),
-                    rows=tuple(_bit_indices(rows)),
-                    cols=tuple(_bit_indices(cols)),
-                )
-            )
-    rects.sort(key=lambda r: (len(r.tile_ids), r.tile_ids))
-    return rects
 
 
 def _split(shared: list[int], split: list[int]) -> tuple[int, int, int] | None:

@@ -1,21 +1,22 @@
 """Numerical verification: Gram reports, the certified complement of a
-tile-structure basis, and a seesaw search for product states inside it.
-
-The seesaw search is the refuting oracle for unextendibility claims: it
-maximizes the squared norm of the projection of a (x) b onto the
-complement over unit product vectors.  Each half-step is an exact
-top-eigenvector update, so the objective never decreases.  A value near
-1 certifies a product state in the complement; failure to reach 1 is
-only heuristic evidence of absence (the exact decision belongs to the
-U-tile test).
+tile-structure basis, the exact unextendibility verdict, and a seesaw
+search for product states inside the complement.
 
 The basis a tile structure induces is made of products |a>|b>, so the
 orthogonality check works from the factor matrices, and its complement
 is span{tile indicators} minus the stopper direction.  That space is
 never materialized as a basis: its certificate reads each state's s
-tile coordinates, and since every complement vector is constant on
-each tile the search works on the s per-tile factor sums instead of
-the mn amplitudes.
+tile coordinates.  Once it holds, the paper's main theorem makes the
+U-tile decision of the origin exact: the complement holds a product
+state iff the origin is not U-tile, and then ``extension_witness``
+names one, which ``check_upb`` checks against every state.
+
+The seesaw search is a numerical cross-check of that verdict: it
+maximizes the squared norm of the projection of a (x) b onto the
+complement over unit product vectors.  Every complement vector is
+constant on each tile, so it works on the s per-tile factor sums
+instead of the mn amplitudes, and each half-step is an exact
+top-eigenvector update, so the objective never decreases.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import TileStructure
+from .rectangles import UTileVerdict, extension_witness, is_u_tile
 from .states import ProductState, UPBSet, inner_product
 
 __all__ = [
     "OrthogonalityReport",
     "SearchResult",
+    "UPBCertificate",
     "UPBCheckReport",
     "check_orthogonal_set",
     "certified_complement",
@@ -227,9 +230,11 @@ def seesaw_search(
     matrix R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J, and
     symmetrically for b.  Deterministic for fixed inputs and seed;
     restarts are ranked by recomputed objective, first-best wins.
-    Raises ValueError for a single tile (nothing to search) or tiles
-    that do not partition the grid.
+    Raises ValueError for fewer than one restart, a single tile (nothing
+    to search) or tiles that do not partition the grid.
     """
+    if restarts < 1:
+        raise ValueError(f"the search needs at least one restart, got {restarts}")
     if ts.tile_count < 2:
         raise ValueError("a single tile leaves an empty complement: nothing to search")
     rows, cols, sizes = _tile_incidence(ts)
@@ -260,6 +265,39 @@ def seesaw_search(
     )
 
 
+def _witness_overlap(states, state: ProductState) -> float:
+    """Largest relative overlap |<psi_i|w>| / (|psi_i| |w|) of a product
+    state w with the states, from the factor stack."""
+    a, b, norms = _factor_stack(states)
+    scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
+    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec)
+    return float(np.max(overlaps / scale, initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class UPBCertificate:
+    """The exact verdict on a certified complement: the origin's U-tile
+    decision and, when it fails, the extension state with its largest
+    relative overlap with the states."""
+
+    verdict: UTileVerdict
+    state: ProductState | None = None
+    max_overlap: float | None = None
+
+    @property
+    def u_tile(self) -> bool:
+        return self.verdict.is_u_tile
+
+    def to_json_dict(self) -> dict:
+        if self.u_tile:
+            return {"u_tile": True, "witness": None}
+        return {
+            "u_tile": False,
+            "witness": self.verdict.witness.to_json_dict(self.state),
+            "max_overlap": self.max_overlap,
+        }
+
+
 @dataclass(frozen=True, eq=False)
 class UPBCheckReport:
     """Aggregate verdict on an assembled product-state set."""
@@ -271,6 +309,7 @@ class UPBCheckReport:
     stopper_law_ok: bool
     complement_dim: int
     expected_complement_dim: int
+    certificate: UPBCertificate | None
     search: SearchResult | None
     product_found: bool
     passed: bool
@@ -287,6 +326,7 @@ class UPBCheckReport:
             "stopper_law_ok": self.stopper_law_ok,
             "complement_dim": self.complement_dim,
             "expected_complement_dim": self.expected_complement_dim,
+            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
             "search": None if self.search is None else self.search.to_json_dict(),
             "product_found": self.product_found,
             "passed": self.passed,
@@ -298,23 +338,30 @@ class UPBCheckReport:
 def check_upb(
     upb: UPBSet,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    conv_tol: float = DEFAULT_CONV_TOL,
     seed: int = 0,
     orth_tol: float = DEFAULT_ORTH_TOL,
 ) -> UPBCheckReport:
-    """Full numerical check of a UPBSet.
+    """Full check of a UPBSet, with an exact unextendibility verdict.
 
     Verifies pairwise orthogonality (relative overlaps), the size law
     mn - s + 1, the stopper overlap law (<S|phi_i^(0,0)> equals the
-    tile's cell count, nonzero), certifies the closed-form complement of
-    dimension s - 1 (``certified_complement``), and then runs the
-    seesaw search over the origin's tile sums.  When the complement
-    cannot be certified the check fails with the reason in ``note`` and
-    no search.  Passing means no product state was certified in the
-    complement; that negative is heuristic, the positive direction (a
-    certificate) is conclusive.  ``complement_dim`` is s - 1 once the
-    complement is certified, else 0.
+    tile's cell count, nonzero), and certifies the closed-form
+    complement of dimension s - 1 (``certified_complement``).  With the
+    complement certified the paper's theorem makes the origin's U-tile
+    decision the verdict: a U-tile origin gives a UPB, and otherwise
+    ``extension_witness`` is a product state in the complement, whose
+    relative overlap with every state must be at most orth_tol
+    (``certificate``).  The seesaw search then runs over the origin's
+    tile sums as a numerical cross-check; a product state it finds for
+    a U-tile origin contradicts the theorem and fails the check.
+
+    Passing means size, orthogonality, stopper law and certificate hold,
+    the origin is U-tile and the seesaw found nothing.  When the
+    complement cannot be certified the check fails with the reason in
+    ``note``, and neither certificate nor search is made.  An empty
+    complement (one tile) passes vacuously, with no certificate.
+    ``complement_dim`` is s - 1 once the complement is certified,
+    else 0.  Raises ValueError when restarts < 1 and a search runs.
     """
     ts = upb.origin
     s = ts.tile_count
@@ -331,13 +378,14 @@ def check_upb(
 
     settings = {
         "restarts": restarts,
-        "max_iters": max_iters,
-        "conv_tol": conv_tol,
+        "max_iters": DEFAULT_MAX_ITERS,
+        "conv_tol": DEFAULT_CONV_TOL,
         "seed": seed,
         "orth_tol": orth_tol,
         "product_threshold": PRODUCT_THRESHOLD,
     }
 
+    certificate = None
     search = None
     found = False
     complement_dim = 0
@@ -354,17 +402,34 @@ def check_upb(
             reason = str(exc)
         else:
             complement_dim = s - 1
-            search = seesaw_search(
-                ts, restarts=restarts, max_iters=max_iters, conv_tol=conv_tol, seed=seed
-            )
+            verdict = is_u_tile(ts)
+            certificate = UPBCertificate(verdict)
+            if not verdict.is_u_tile:
+                state = extension_witness(ts, verdict)
+                certificate = UPBCertificate(verdict, state, _witness_overlap(upb.states, state))
+            search = seesaw_search(ts, restarts=restarts, seed=seed)
             found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
-            note = (
-                "product state found in the complement (extendibility certificate)"
-                if found
-                else "no product state found in the complement (heuristic negative)"
-            )
+            if verdict.is_u_tile:
+                note = (
+                    "the seesaw found a product state in the complement of a U-tile "
+                    "origin, which contradicts the U-tile theorem"
+                    if found
+                    else "U-tile: no product state in the complement; the seesaw found none"
+                )
+            elif certificate.max_overlap <= orth_tol:
+                note = (
+                    "not a U-tile: the witness is a product state in the complement "
+                    "(extendibility certificate); the seesaw "
+                    + ("found one too" if found else "missed it")
+                )
+            else:
+                note = (
+                    "not a U-tile, but the witness state overlaps the states: relative "
+                    f"{certificate.max_overlap:.3e} exceeds {orth_tol:.1e}"
+                )
     if reason is not None:
         note = f"complement not certified, search skipped: {reason}"
+    exact = certificate is None or certificate.u_tile
     return UPBCheckReport(
         size=len(upb.states),
         expected_size=expected,
@@ -373,9 +438,10 @@ def check_upb(
         stopper_law_ok=stopper_ok,
         complement_dim=complement_dim,
         expected_complement_dim=s - 1,
+        certificate=certificate,
         search=search,
         product_found=found,
-        passed=size_ok and orth.ok and stopper_ok and reason is None and not found,
+        passed=size_ok and orth.ok and stopper_ok and reason is None and exact and not found,
         note=note,
         settings=settings,
     )

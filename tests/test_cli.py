@@ -1,10 +1,16 @@
 """Command line behavior: outputs, round trips, and exit codes."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tileupb.cli import main
+from tileupb.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -100,17 +106,16 @@ class TestChecks:
             run(capsys, "check-utile", "--family", "example1", *flag)
         assert exc.value.code == 2
 
-    def test_special_rects_keeps_its_cap(self, capsys):
-        code, _, err = run(capsys, "special-rects", "--family", "prop2", "--m", "13", "--n", "13")
-        assert code == 2
-        assert "capped at 24" in err
-
-    def test_special_rects_json(self, capsys):
-        code, out, _ = run(capsys, "special-rects", "--family", "example1", "--json")
-        assert code == 0
-        data = json.loads(out)
-        assert data["count"] == 1
-        assert data["rectangles"][0]["tiles"] == [1, 2, 3, 4, 5, 6]
+    @pytest.mark.parametrize("argv", [
+        ("special-rects", "--family", "example1"),
+        ("verify-upb", "--family", "example1", "--max-iters", "0"),
+        ("verify-upb", "--family", "example1", "--tol", "1e-6"),
+        ("distinguish", "--family", "prop2", "--m", "4", "--n", "4"),
+    ], ids=["special-rects", "max-iters", "tol", "distinguish-family"])
+    def test_removed_commands_and_flags_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
 
     def test_build_upb_refuses_extendible_structures(self, capsys):
         code, _, err = run(capsys, "build-upb", "--family", "fig2")
@@ -134,11 +139,30 @@ class TestChecks:
         data = json.loads(out1)
         assert data["passed"] is True
         assert data["settings"]["restarts"] == 40
+        assert data["certificate"] == {"u_tile": True, "witness": None}
 
     def test_verify_upb_fails_on_extendible_input(self, capsys):
         code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--restarts", "40")
         assert code == 1
         assert "FAILED" in out
+
+    def test_verify_upb_certifies_the_check_utile_witness(self, capsys):
+        """The extendibility certificate carries the witness check-utile
+        prints, checked against every state."""
+        code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--json")
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert cert["u_tile"] is False
+        assert cert["max_overlap"] <= 1e-12
+        _, utile, _ = run(capsys, "check-utile", "--family", "fig2", "--json")
+        assert cert["witness"] == json.loads(utile)["witness"]
+
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_verify_upb_refuses_fewer_than_one_restart(self, capsys, restarts):
+        code, out, err = run(capsys, "verify-upb", "--family", "fig2", "--restarts", restarts)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "restart" in err
 
     def test_ppt_json(self, capsys):
         code, out, _ = run(capsys, "ppt", "--family", "five-tile", "--m", "3", "--n", "4")
@@ -154,7 +178,7 @@ class TestChecks:
         assert "FAILED" not in out
 
     def test_distinguish(self, capsys):
-        code, out, _ = run(capsys, "distinguish", "--family", "prop2", "--m", "4", "--n", "5", "--json")
+        code, out, _ = run(capsys, "distinguish", "--m", "4", "--n", "5", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["resource_dim"] == 2
@@ -176,3 +200,32 @@ class TestOutputFile:
         assert out == ""
         data = json.loads(path.read_text())
         assert data["ok"] is True
+
+
+def _subcommands():
+    parser = _build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def _readme_command_lines():
+    """Every ``tileupb ...`` line of the README's ``sh`` blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("tileupb ")]
+
+
+class TestReadme:
+    def test_commands_and_flags_exist(self):
+        """Each README command names a subcommand the parser has, with
+        flags that subcommand accepts, and the README lists every one."""
+        subs = _subcommands()
+        listed = set()
+        for line in _readme_command_lines():
+            words = shlex.split(line)
+            assert words[1] in subs, line
+            listed.add(words[1])
+            accepted = subs[words[1]]._option_string_actions
+            for word in words[2:]:
+                assert not word.startswith("-") or word in accepted, (line, word)
+        assert listed == set(subs)

@@ -18,9 +18,18 @@ from tileupb import (
     prop2,
     verify_protocol,
 )
-from tileupb.locc import _root_projector, _shift_unitary
+from tileupb.locc import _root_projector, _shift_index
 
 from conftest import brute_composite_apply, dense_verify_protocol
+
+
+def _shift_unitary(iota, i):
+    """Cyclic ancilla relabeling |j> -> |(j+i-1) mod iota> as a dense
+    permutation matrix."""
+    u = np.zeros((iota, iota), dtype=complex)
+    for j in range(iota):
+        u[(j + i - 1) % iota, j] = 1.0
+    return u
 
 
 def _composite_states(m, n):
@@ -83,6 +92,17 @@ class TestRootLayer:
                 assert np.allclose(
                     u @ _root_projector(m, 1) @ u.conj().T, _root_projector(m, i)
                 )
+
+    def test_index_conjugation_equals_the_dense_unitary(self):
+        """Indexing by the inverse shift gives exactly U op U^dagger."""
+        rng = np.random.default_rng(5)
+        for levels, iota in ((4, 2), (6, 3), (9, 4)):
+            size = levels * iota
+            op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            for i in range(1, iota + 1):
+                u = np.kron(np.eye(levels), _shift_unitary(iota, i))
+                inv = _shift_index(levels, iota, i)
+                assert np.array_equal(op[np.ix_(inv, inv)], u @ op @ u.conj().T)
 
     def test_resource_states_are_invariant_under_matched_shifts(self):
         m, n = 6, 6

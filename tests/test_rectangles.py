@@ -1,4 +1,4 @@
-"""Special rectangle enumeration and the U-tile decision."""
+"""The U-tile decision, and the enumeration oracle it is checked against."""
 
 import itertools
 
@@ -8,8 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tileupb import (
-    EnumerationCapError,
-    enumerate_special_rectangles,
     example1,
     extension_witness,
     fig2,
@@ -25,6 +23,7 @@ from tileupb import (
 from conftest import (
     brute_is_u_tile,
     brute_special_rectangles,
+    enumerate_special_rectangles,
     enumeration_is_u_tile,
     random_structure,
     structure_from_grid,
@@ -64,13 +63,6 @@ class TestEnumeration:
     def test_full_grid_union_counts_when_tiles_cooperate(self):
         rects = enumerate_special_rectangles(example1())
         assert [r.tile_ids for r in rects] == [(1, 2, 3, 4, 5, 6)]
-
-    def test_cap_refuses_large_tile_counts(self):
-        grid = [[1, 2, 3, 4]]
-        ts = structure_from_grid(grid)
-        with pytest.raises(EnumerationCapError):
-            enumerate_special_rectangles(ts, cap=3)
-        assert enumerate_special_rectangles(ts, cap=4)
 
 
 def _assert_valid_witness(ts, verdict):

@@ -4,15 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tileupb.verify
 from tileupb import (
     ProductState,
+    SearchResult,
     build_upb,
     check_orthogonal_set,
     check_upb,
     example1,
     fig2,
     five_tile,
+    is_u_tile,
     prop2,
     prop3,
     seesaw_search,
@@ -25,6 +30,7 @@ from conftest import (
     closed_form_projector,
     foreign_origin_upb,
     kron_vector,
+    random_structure,
     structure_from_grid,
     svd_complement,
 )
@@ -224,6 +230,11 @@ class TestSeesawSearch:
         with pytest.raises(ValueError, match="partition"):
             seesaw_search(bent)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_refuses_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match="at least one restart"):
+            seesaw_search(fig2(), restarts=restarts)
+
     def test_a_single_tile_has_nothing_to_search(self):
         with pytest.raises(ValueError, match="nothing to search"):
             seesaw_search(structure_from_grid([[1, 1], [1, 1]]))
@@ -252,6 +263,35 @@ class TestSeesawSearch:
         assert res.best_overlap < 1 - 100 * PRODUCT_THRESHOLD
 
 
+def _forced_search(overlap):
+    """A stand-in for seesaw_search that reports the given best overlap."""
+
+    def search(ts, restarts, seed):
+        best = ProductState(np.ones(ts.m), np.ones(ts.n))
+        return SearchResult(overlap, best, restarts, restarts, 0)
+
+    return search
+
+
+@st.composite
+def limit_structures(draw):
+    """Structures up to the format's 64 x 64: a random partition, or a
+    family member (U-tile by the paper's propositions) with its rows and
+    columns permuted."""
+    kind = draw(st.sampled_from(["random", "prop2", "five-tile", "prop3"]))
+    m = draw(st.integers(4, 64))
+    n = draw(st.integers(m, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return structure_from_grid(random_structure(rng, m, n, draw(st.floats(0.6, 0.95))))
+    if kind == "prop3":
+        ts = prop3(m, draw(st.integers(5, 2 * m)))
+    else:
+        ts = (prop2 if kind == "prop2" else five_tile)(m, n)
+    grid = np.array(ts.cell_map)[rng.permutation(ts.m)][:, rng.permutation(ts.n)]
+    return structure_from_grid(grid.tolist())
+
+
 class TestCheckUpb:
     def test_reference_basis_passes(self):
         report = check_upb(build_upb(example1()), restarts=100, seed=0)
@@ -260,12 +300,36 @@ class TestCheckUpb:
         assert report.complement_dim == report.expected_complement_dim == 5
         assert report.stopper_law_ok
         assert not report.product_found
+        assert report.certificate.u_tile
+        assert report.certificate.to_json_dict() == {"u_tile": True, "witness": None}
 
     def test_extendible_basis_fails_with_a_certificate(self):
         report = check_upb(build_upb(fig2()), restarts=50, seed=0)
         assert not report.passed
         assert report.product_found
         assert report.search.best_overlap > 1 - 1e-9
+        assert not report.certificate.u_tile
+        assert report.certificate.max_overlap <= 1e-12
+        assert "found one too" in report.note
+
+    def test_a_seesaw_miss_leaves_the_verdict_exact(self, monkeypatch):
+        """The verdict comes from the U-tile decision: with the search
+        forced to miss, fig2 still fails, on a checked witness."""
+        monkeypatch.setattr(tileupb.verify, "seesaw_search", _forced_search(0.5))
+        report = check_upb(build_upb(fig2()))
+        assert report.passed is False
+        assert not report.product_found
+        assert report.certificate.u_tile is False
+        assert report.certificate.max_overlap <= 1e-12
+        assert "missed it" in report.note
+
+    def test_a_seesaw_hit_on_a_u_tile_is_a_contradiction(self, monkeypatch):
+        monkeypatch.setattr(tileupb.verify, "seesaw_search", _forced_search(1.0))
+        report = check_upb(build_upb(example1()))
+        assert report.certificate.u_tile
+        assert report.product_found
+        assert report.passed is False
+        assert "contradicts" in report.note
 
     @pytest.mark.parametrize("ts", [example1(), fig2()], ids=["example1", "fig2"])
     def test_the_objective_never_drops(self, ts):
@@ -278,6 +342,7 @@ class TestCheckUpb:
         assert report.orthogonality.ok and report.size_ok
         assert not report.passed
         assert report.search is None
+        assert report.certificate is None
         assert "not certified" in report.note and "overlap" in report.note
 
     def test_complete_basis_passes_vacuously(self):
@@ -286,6 +351,7 @@ class TestCheckUpb:
         assert report.passed
         assert report.complement_dim == 0
         assert report.search is None
+        assert report.to_json_dict()["certificate"] is None
         assert "vacuous" in report.note
 
     def test_report_serializes(self):
@@ -294,3 +360,12 @@ class TestCheckUpb:
         assert data["passed"] is True
         assert data["settings"]["restarts"] == 30
         assert data["search"]["restarts_run"] == 30
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(ts=limit_structures())
+    def test_verdict_is_the_u_tile_decision_up_to_64x64(self, ts):
+        report = check_upb(build_upb(ts, check=False), restarts=3, seed=0)
+        assert report.passed == is_u_tile(ts).is_u_tile
+        assert report.certificate.u_tile == report.passed
+        if not report.passed:
+            assert report.certificate.max_overlap <= 1e-12
