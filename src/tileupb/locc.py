@@ -11,8 +11,12 @@ the idle party, and orthogonal on the measuring party.
 
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
-(m/2)-level resource, by peeling the outer ring and recursing on the
-(m-2, n-2) instance; m = 4 is its base case.
+(m/2)-level resource.  Alice's root layer picks one of m/2 cyclic
+shifts of the ancilla levels; below it the tree peels the outer ring
+and recurses on the ring peel alone, placing the next ring's subtree
+into the outer registers by an index map, down to the 4-row center.
+The inner rings need no root layer of their own, because the outer
+root outcome already fixes their answer.
 """
 
 from __future__ import annotations
@@ -175,10 +179,16 @@ def _root_projector(m: int, i: int) -> np.ndarray:
 
 
 def _shift_index(levels: int, iota: int, i: int) -> np.ndarray:
-    """Inverse of the cyclic ancilla relabeling |r, j> -> |r, (j+i-1) mod
-    iota> on a levels x iota register: entry r*iota + a is
-    r*iota + (a-i+1) mod iota."""
-    return (np.arange(levels)[:, None] * iota + (np.arange(iota) - i + 1) % iota).ravel()
+    """The cyclic ancilla relabeling |r, a> -> |r, (a+i-1) mod iota> on a
+    levels x iota register as an index map: entry r*iota + a is
+    r*iota + (a+i-1) mod iota."""
+    return (np.arange(levels)[:, None] * iota + (np.arange(iota) + i - 1) % iota).ravel()
+
+
+def _ring_index(levels: int, iota: int) -> np.ndarray:
+    """Where the next ring's (levels-2) x (iota-1) register sits in a
+    levels x iota one: row r and level a go to row r+1, level a."""
+    return (np.arange(1, levels - 1)[:, None] * iota + np.arange(iota - 1)).ravel()
 
 
 def _branch(party: str, outcomes) -> Branch:
@@ -187,77 +197,49 @@ def _branch(party: str, outcomes) -> Branch:
     )
 
 
-def _conjugate_tree(node: ProtocolNode, inv_alice: np.ndarray, inv_bob: np.ndarray) -> ProtocolNode:
-    """Conjugate every operator by the party-matching permutation U,
-    given as the inverse index map inv: U op U^dagger is
-    op[inv][:, inv].  Leaves are unchanged."""
-    if isinstance(node, Branch):
-        inv = inv_alice if node.party == ALICE else inv_bob
-        outcomes = tuple(
-            (
-                LocalProjector(node.party, proj.operator[np.ix_(inv, inv)]),
-                _conjugate_tree(child, inv_alice, inv_bob),
-            )
-            for proj, child in node.outcomes
-        )
-        return Branch(node.party, outcomes)
-    return node
+def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
+           dims: tuple[int, int]) -> ProtocolNode:
+    """Carry a tree into registers of sizes dims = (Alice, Bob).
 
-
-def _embed_tree(
-    node: ProtocolNode,
-    alice_map: np.ndarray,
-    bob_map: np.ndarray,
-    dim_alice: int,
-    dim_bob: int,
-    translate: dict[int, int],
-) -> ProtocolNode:
-    """Transplant an inner protocol into larger registers.
-
-    Operators are carried over by the pure index maps; each branch's
-    first outcome absorbs the orthocomplement of the embedded subspace
-    so that completeness holds on the full register.  Surviving states
-    never overlap that padding.  Leaf candidate indices are translated
-    to the outer basis ordering.
+    Each operator entry (u, v) moves to (index[u], index[v]) by the
+    acting party's index map, and each branch's first outcome absorbs
+    the identity off the image, so completeness holds on the full
+    register.  A permutation index conjugates the tree by that
+    permutation; a partial one embeds it.  Leaves are unchanged.
     """
-    if isinstance(node, Identify):
-        return Identify(translate[node.candidate])
-    if isinstance(node, OnePartyFinish):
-        return OnePartyFinish(node.party, tuple(translate[c] for c in node.candidates))
-    index = alice_map if node.party == ALICE else bob_map
-    dim = dim_alice if node.party == ALICE else dim_bob
-    ops = []
-    for proj, _ in node.outcomes:
+    if not isinstance(node, Branch):
+        return node
+    index, dim = (alice_index, dims[0]) if node.party == ALICE else (bob_index, dims[1])
+    off = np.setdiff1d(np.arange(dim), index)
+    outcomes = []
+    for k, (proj, child) in enumerate(node.outcomes):
         op = np.zeros((dim, dim), dtype=complex)
         op[np.ix_(index, index)] = proj.operator
-        ops.append(op)
-    pad = np.eye(dim, dtype=complex)
-    pad[np.ix_(index, index)] -= np.eye(len(index))
-    ops[0] = ops[0] + pad
-    outcomes = tuple(
-        (op, _embed_tree(child, alice_map, bob_map, dim_alice, dim_bob, translate))
-        for op, (_, child) in zip(ops, node.outcomes)
-    )
+        if k == 0:
+            op[off, off] = 1.0
+        outcomes.append((op, _place(child, alice_index, bob_index, dims)))
     return _branch(node.party, outcomes)
 
 
-def _label_index(ts) -> dict[tuple, int]:
-    return {label: i for i, label in enumerate(upb_state_labels(ts))}
-
-
-def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
-    """The tree below Alice's first root outcome.
+def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
+    """The tree below Alice's first root outcome for ring ``ring`` of the
+    full basis, on that ring's own m x n registers (iota = m/2 levels).
 
     Bob's (n+1)-outcome layer: outcomes 1..n-1 identify one bottom-row
     state each (or the stopper), outcome n isolates the right-column
     tile for Alice to finish after a resource-level rotation, and
-    outcome n+1 leads to the top-row / left-column / interior stages,
-    recursing on the interior for m >= 6.
+    outcome n+1 leads to the top-row / left-column / interior stages.
+    For m >= 6 the interior is the next ring's subtree, placed on rows
+    1..m-2 and levels 0..iota-2.  Leaves name states of the full basis:
+    ring tile t is tile t + 4*ring there, as ``idx`` labels them.
     """
     iota = m // 2
     dim_a = m * iota
     dim_b = n * iota
     stop = idx[STOPPER_LABEL]
+
+    def state(tid: int, k: int, l: int) -> int:
+        return idx[(tid + 4 * ring, k, l)]
 
     outcomes: list[tuple[np.ndarray, ProtocolNode]] = []
     w = np.exp(2j * np.pi / (n - 1))
@@ -265,10 +247,10 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
         u = np.zeros(n, dtype=complex)
         u[1:] = w ** (i * np.arange(1, n))
         op = np.kron(np.outer(u, u.conj()) / (n - 1), _basis_proj(iota, iota - 1))
-        target = idx[(3, 0, i)] if i <= n - 2 else stop
+        target = state(3, 0, i) if i <= n - 2 else stop
         outcomes.append((op, Identify(target)))
 
-    tile2 = tuple(idx[(2, k, 0)] for k in range(1, m - 1)) + (stop,)
+    tile2 = tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,)
     b_n = np.kron(_basis_proj(n, n - 1), _levels_proj(iota, range(iota - 1)))
     if iota == 2:
         child_n: ProtocolNode = OnePartyFinish(ALICE, tile2)
@@ -283,8 +265,8 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
 
     b_rest = np.eye(dim_b, dtype=complex) - sum(op for op, _ in outcomes)
 
-    tile1 = tuple(idx[(1, 0, l)] for l in range(1, n - 1)) + (stop,)
-    tile4 = tuple(idx[(4, k, 0)] for k in range(1, m - 1)) + (stop,)
+    tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
+    tile4 = tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,)
     a_corner = np.kron(_basis_proj(m, 0), _basis_proj(iota, 0))
 
     b_col = np.kron(_basis_proj(n, 0), np.eye(iota))
@@ -298,8 +280,8 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
         half = np.zeros(m, dtype=complex)
         half[1] = half[2] = 1.0 / np.sqrt(2.0)
         a_mid = np.kron(np.outer(half, half.conj()), np.eye(iota))
-        center_sym = tuple(idx[(5, 0, l)] for l in range(1, n - 3 + 1)) + (stop,)
-        center_anti = tuple(idx[(5, 1, l)] for l in range(0, n - 3 + 1))
+        center_sym = tuple(state(5, 0, l) for l in range(1, n - 3 + 1)) + (stop,)
+        center_anti = tuple(state(5, 1, l) for l in range(0, n - 3 + 1))
         interior: ProtocolNode = _branch(
             ALICE,
             [
@@ -308,23 +290,12 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
             ],
         )
     else:
-        inner = _even_prop2_protocol(m - 2, n - 2)
-        inner_labels = upb_state_labels(prop2(m - 2, n - 2))
-        translate = {}
-        for i, label in enumerate(inner_labels):
-            if label == STOPPER_LABEL:
-                translate[i] = stop
-            else:
-                tid, k, l = label
-                translate[i] = idx[(tid + 4, k, l)]
-        d_in = iota - 1
-        alice_map = np.array(
-            [(ai + 1) * iota + aa for ai in range(m - 2) for aa in range(d_in)]
+        interior = _place(
+            _a1_subtree(m - 2, n - 2, idx, ring + 1),
+            _ring_index(m, iota),
+            _ring_index(n, iota),
+            (dim_a, dim_b),
         )
-        bob_map = np.array(
-            [(bi + 1) * iota + bb for bi in range(n - 2) for bb in range(d_in)]
-        )
-        interior = _embed_tree(inner, alice_map, bob_map, dim_a, dim_b, translate)
 
     after_corner = _branch(
         BOB,
@@ -344,20 +315,20 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int]) -> Branch:
     return _branch(BOB, outcomes)
 
 
-def _even_prop2_protocol(m: int, n: int) -> Branch:
-    iota = m // 2
-    idx = _label_index(prop2(m, n))
-    subtree = _a1_subtree(m, n, idx)
-    outcomes: list[tuple[np.ndarray, ProtocolNode]] = [(_root_projector(m, 1), subtree)]
-    for i in range(2, iota + 1):
-        inv_alice, inv_bob = _shift_index(m, iota, i), _shift_index(n, iota, i)
-        outcomes.append((_root_projector(m, i), _conjugate_tree(subtree, inv_alice, inv_bob)))
-    return _branch(ALICE, outcomes)
-
-
 def build_theorem3_protocol(m: int, n: int) -> Branch:
     """Discrimination tree for the prop2(m, n) basis, even m, with an
     (m/2)-level resource.
+
+    Alice's root layer has iota = m/2 outcomes; outcome i carries the
+    first one's subtree conjugated by the matching cyclic shift of both
+    ancillas, which fixes every resource state.  Below the outer ring
+    the subtree goes straight on to the next ring's subtree, without
+    that ring's own root layer: Alice's first root outcome already pairs
+    each inner row with the level the inner first root outcome would
+    pick, and her operators in between are diagonal, so the inner root
+    would give its first outcome with certainty and its other outcomes
+    would be reached by no state.  The tree has 5k(k-1) + 1 branches
+    for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
     and no odd base case is built here.
@@ -366,7 +337,15 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
         raise ValueError(f"only even m is supported, got m={m}")
     if not (4 <= m <= n):
         raise ValueError(f"the protocol needs 4 <= m <= n, got m={m}, n={n}")
-    return _even_prop2_protocol(m, n)
+    iota = m // 2
+    idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
+    subtree = _a1_subtree(m, n, idx, 0)
+    dims = (m * iota, n * iota)
+    return _branch(ALICE, [
+        (_root_projector(m, i),
+         _place(subtree, _shift_index(m, iota, i), _shift_index(n, iota, i), dims))
+        for i in range(1, iota + 1)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,6 @@ def check_upb(
     upb: UPBSet,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    orth_tol: float = DEFAULT_ORTH_TOL,
 ) -> UPBCheckReport:
     """Full check of a UPBSet, with an exact unextendibility verdict.
 
@@ -350,7 +349,7 @@ def check_upb(
     complement certified the paper's theorem makes the origin's U-tile
     decision the verdict: a U-tile origin gives a UPB, and otherwise
     ``extension_witness`` is a product state in the complement, whose
-    relative overlap with every state must be at most orth_tol
+    relative overlap with every state must be at most DEFAULT_ORTH_TOL
     (``certificate``).  The seesaw search then runs over the origin's
     tile sums as a numerical cross-check; a product state it finds for
     a U-tile origin contradicts the theorem and fails the check.
@@ -361,19 +360,22 @@ def check_upb(
     ``note``, and neither certificate nor search is made.  An empty
     complement (one tile) passes vacuously, with no certificate.
     ``complement_dim`` is s - 1 once the complement is certified,
-    else 0.  Raises ValueError when restarts < 1 and a search runs.
+    else 0.  Raises ValueError when restarts < 1, whether or not a
+    search runs.
     """
+    if restarts < 1:
+        raise ValueError(f"the search needs at least one restart, got {restarts}")
     ts = upb.origin
     s = ts.tile_count
     mn = upb.m * upb.n
     expected = mn - s + 1
-    orth = check_orthogonal_set(upb.states, tol=orth_tol)
+    orth = check_orthogonal_set(upb.states)
     size_ok = len(upb.states) == expected
 
     stopper_ok = True
     for tile, miss in zip(ts.tiles, upb.missing):
         overlap = inner_product(upb.stopper, miss)
-        if abs(overlap - tile.size) > orth_tol * mn or abs(overlap) < 0.5:
+        if abs(overlap - tile.size) > DEFAULT_ORTH_TOL * mn or abs(overlap) < 0.5:
             stopper_ok = False
 
     settings = {
@@ -381,7 +383,7 @@ def check_upb(
         "max_iters": DEFAULT_MAX_ITERS,
         "conv_tol": DEFAULT_CONV_TOL,
         "seed": seed,
-        "orth_tol": orth_tol,
+        "orth_tol": DEFAULT_ORTH_TOL,
         "product_threshold": PRODUCT_THRESHOLD,
     }
 
@@ -397,7 +399,7 @@ def check_upb(
         reason = "the states are not pairwise orthogonal"
     else:
         try:
-            certified_complement(upb, tol=orth_tol)
+            certified_complement(upb)
         except ValueError as exc:
             reason = str(exc)
         else:
@@ -416,7 +418,7 @@ def check_upb(
                     if found
                     else "U-tile: no product state in the complement; the seesaw found none"
                 )
-            elif certificate.max_overlap <= orth_tol:
+            elif certificate.max_overlap <= DEFAULT_ORTH_TOL:
                 note = (
                     "not a U-tile: the witness is a product state in the complement "
                     "(extendibility certificate); the seesaw "
@@ -425,7 +427,7 @@ def check_upb(
             else:
                 note = (
                     "not a U-tile, but the witness state overlaps the states: relative "
-                    f"{certificate.max_overlap:.3e} exceeds {orth_tol:.1e}"
+                    f"{certificate.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}"
                 )
     if reason is not None:
         note = f"complement not certified, search skipped: {reason}"

@@ -121,6 +121,22 @@ def enumeration_is_u_tile(ts):
     return True
 
 
+def assert_witness_split(ts, verdict):
+    """By set arithmetic: the witness rectangle is exactly rows x cols,
+    its two parts partition its tiles, and they are disjoint along the
+    axis."""
+    wit = verdict.witness
+    rect = wit.rectangle
+    cells = {cell for tid in rect.tile_ids for cell in ts.tile(tid).cells}
+    assert cells == set(itertools.product(rect.rows, rect.cols))
+    assert wit.part1 and wit.part2
+    assert sorted(wit.part1 + wit.part2) == sorted(rect.tile_ids)
+    assert wit.axis in ("row", "column")
+    attr = "cols" if wit.axis == "column" else "rows"
+    sides = [{i for tid in part for i in getattr(ts.tile(tid), attr)} for part in (wit.part1, wit.part2)]
+    assert not sides[0] & sides[1]
+
+
 # ---------------------------------------------------------------------------
 # Linear-algebra oracles
 

@@ -233,8 +233,8 @@ def test_criterion_7_two_level_resource_protocols(capsys):
 def test_criterion_8_half_m_resource_protocols(capsys):
     t0 = time.monotonic()
     problems = []
-    # (8, 8) and (10, 10) recurse through two or more levels of ring peeling.
-    for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10)):
+    # (8, 8) and larger recurse through two or more levels of ring peeling.
+    for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10), (12, 12)):
         upb = build_upb(prop2(m, n))
         states = attach_resource(upb.states, m // 2)
         if states[0].dims[2] != m // 2 or states[0].dims[3] != m // 2:

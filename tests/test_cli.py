@@ -157,9 +157,22 @@ class TestChecks:
         _, utile, _ = run(capsys, "check-utile", "--family", "fig2", "--json")
         assert cert["witness"] == json.loads(utile)["witness"]
 
-    @pytest.mark.parametrize("restarts", ["0", "-3"])
-    def test_verify_upb_refuses_fewer_than_one_restart(self, capsys, restarts):
-        code, out, err = run(capsys, "verify-upb", "--family", "fig2", "--restarts", restarts)
+    @pytest.mark.parametrize(
+        "one_tile,restarts",
+        [
+            pytest.param(False, "0", id="0"),
+            pytest.param(False, "-3", id="-3"),
+            # one tile leaves an empty complement and nothing to search
+            pytest.param(True, "0", id="one-tile-0"),
+        ],
+    )
+    def test_verify_upb_refuses_fewer_than_one_restart(self, capsys, tmp_path, one_tile, restarts):
+        source = ("--family", "fig2")
+        if one_tile:
+            path = tmp_path / "one.tile"
+            path.write_text("2 2\n1 1\n1 1\n")
+            source = (str(path),)
+        code, out, err = run(capsys, "verify-upb", *source, "--restarts", restarts)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "restart" in err

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import tileupb.locc
+
 from tileupb import (
     ALICE,
     BOB,
@@ -18,7 +20,7 @@ from tileupb import (
     prop2,
     verify_protocol,
 )
-from tileupb.locc import _root_projector, _shift_index
+from tileupb.locc import _branch, _place, _ring_index, _root_projector, _shift_index
 
 from conftest import brute_composite_apply, dense_verify_protocol
 
@@ -94,15 +96,57 @@ class TestRootLayer:
                 )
 
     def test_index_conjugation_equals_the_dense_unitary(self):
-        """Indexing by the inverse shift gives exactly U op U^dagger."""
+        """Placing by the shift index gives exactly U op U^dagger, each
+        party by its own index."""
         rng = np.random.default_rng(5)
-        for levels, iota in ((4, 2), (6, 3), (9, 4)):
-            size = levels * iota
-            op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        for levels_a, levels_b, iota in ((4, 5, 2), (6, 6, 3), (9, 8, 4)):
+            dims = (levels_a * iota, levels_b * iota)
+            op_a, op_b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims)
+            tree = _branch(ALICE, [(op_a, _branch(BOB, [(op_b, Identify(0))]))])
             for i in range(1, iota + 1):
-                u = np.kron(np.eye(levels), _shift_unitary(iota, i))
-                inv = _shift_index(levels, iota, i)
-                assert np.array_equal(op[np.ix_(inv, inv)], u @ op @ u.conj().T)
+                placed = _place(
+                    tree, _shift_index(levels_a, iota, i), _shift_index(levels_b, iota, i), dims
+                )
+                (got_a, bob_layer), = placed.outcomes
+                (got_b, leaf), = bob_layer.outcomes
+                u_a = np.kron(np.eye(levels_a), _shift_unitary(iota, i))
+                u_b = np.kron(np.eye(levels_b), _shift_unitary(iota, i))
+                assert np.array_equal(got_a.operator, u_a @ op_a @ u_a.conj().T)
+                assert np.array_equal(got_b.operator, u_b @ op_b @ u_b.conj().T)
+                assert leaf == Identify(0)
+
+    def test_embedding_pads_the_first_outcome_with_the_identity_off_the_ring(self):
+        """A partial index embeds: V op V^dagger on the ring's rows and
+        levels, and the first outcome also takes I - V V^dagger."""
+        m, iota = 6, 3
+        index = _ring_index(m, iota)
+        v = np.eye(m * iota)[:, index]
+        inner = [_root_projector(m - 2, i) for i in (1, 2)]
+        placed = _place(_branch(ALICE, [(q, Identify(i)) for i, q in enumerate(inner)]),
+                        index, index, (m * iota, m * iota))
+        ops = [proj.operator for proj, _ in placed.outcomes]
+        assert np.array_equal(ops[0], v @ inner[0] @ v.T + np.eye(m * iota) - v @ v.T)
+        assert np.array_equal(ops[1], v @ inner[1] @ v.T)
+        assert np.array_equal(sum(ops), np.eye(m * iota))
+
+    @pytest.mark.parametrize("m", [6, 8, 10, 12])
+    def test_inner_first_root_outcomes_contain_every_outer_root_outcome(self, m):
+        """Every inner ring's first root outcome, placed in the full
+        register and shifted with the outer outcome i, contains P_i: the
+        inner root layer the tree omits would answer 1 with certainty."""
+        iota = m // 2
+        for ring in range(1, iota - 1):
+            inner_m = m - 2 * ring
+            node = _branch(ALICE, [(_root_projector(inner_m, 1), Identify(0))])
+            for outer in range(ring - 1, -1, -1):
+                size, levels = m - 2 * outer, iota - outer
+                index = _ring_index(size, levels)
+                node = _place(node, index, index, (size * levels, size * levels))
+            for i in range(1, iota + 1):
+                shift = _shift_index(m, iota, i)
+                q = _place(node, shift, shift, (m * iota, m * iota)).outcomes[0][0].operator
+                p_i = _root_projector(m, i)
+                assert np.array_equal(q @ p_i, p_i), (ring, i)
 
     def test_resource_states_are_invariant_under_matched_shifts(self):
         m, n = 6, 6
@@ -135,11 +179,40 @@ class TestProtocols:
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_the_tree_grows_quadratically_in_the_rings(self, m):
+        """Recursing on the ring peel gives 5k(k-1) + 1 branches for
+        m = 2k, whatever n: the inner rings carry no root layer."""
+        k = m // 2
+        for n in (m, m + 1, m + 3):
+            assert _count_branches(build_theorem3_protocol(m, n)) == 5 * k * (k - 1) + 1
+
+    @pytest.mark.parametrize("m,n", [(8, 8), (10, 10)])
+    def test_every_branch_is_audited(self, m, n, monkeypatch):
+        audited = []
+        check = tileupb.locc._check_branch
+
+        def record(node, dims, path, problems, tol):
+            audited.append(path)
+            return check(node, dims, path, problems, tol)
+
+        monkeypatch.setattr(tileupb.locc, "_check_branch", record)
+        protocol = build_theorem3_protocol(m, n)
+        report = verify_protocol(protocol, _composite_states(m, n)[1])
+        assert report.ok
+        assert len(set(audited)) == len(audited) == _count_branches(protocol)
+
     def test_odd_row_counts_are_rejected(self):
         with pytest.raises(ValueError, match="even"):
             build_theorem3_protocol(5, 5)
         with pytest.raises(ValueError):
             build_theorem3_protocol(4, 3)
+
+
+def _count_branches(node):
+    if not isinstance(node, Branch):
+        return 0
+    return 1 + sum(_count_branches(child) for _, child in node.outcomes)
 
 
 def _subtree(node, path):
@@ -177,7 +250,8 @@ def _swap_labels(node, first, second):
 # In the 6x6 tree, root.0.6 is Bob's rest outcome after the bottom row;
 # its Alice corner layer leads (outcome 1) to Bob's column layer, whose
 # outcome 0 is the nested DFT layer for tile 4 and whose outcome 1 is
-# the embedded 4x4 protocol on the interior.
+# the 4x4 ring's subtree placed on the interior, starting with its Bob
+# layer.
 NESTED_BOB_6X6 = (0, 6, 1, 0)
 EMBEDDED_4X4_IN_6X6 = (0, 6, 1, 1)
 
@@ -236,10 +310,11 @@ def _nested_bob_outcome_dropped():
 def _embedded_identify_labels_swapped():
     upb, states = _composite_states(6, 6)
     protocol = build_theorem3_protocol(6, 6)
-    # the inner protocol's Bob layer under its first root outcome
-    bob_layer = EMBEDDED_4X4_IN_6X6 + (0,)
-    first, second = (_subtree(protocol, bob_layer + (k,)).candidate for k in (0, 1))
-    swapped = _replace_at(protocol, bob_layer, lambda node: _swap_labels(node, first, second))
+    # cross the first two labels of the inner ring's Bob layer
+    first, second = (_subtree(protocol, EMBEDDED_4X4_IN_6X6 + (k,)).candidate for k in (0, 1))
+    swapped = _replace_at(
+        protocol, EMBEDDED_4X4_IN_6X6, lambda node: _swap_labels(node, first, second)
+    )
     return swapped, states
 
 

@@ -1,7 +1,5 @@
 """The U-tile decision, and the enumeration oracle it is checked against."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,6 +19,7 @@ from tileupb import (
 )
 
 from conftest import (
+    assert_witness_split,
     brute_is_u_tile,
     brute_special_rectangles,
     enumerate_special_rectangles,
@@ -66,19 +65,9 @@ class TestEnumeration:
 
 
 def _assert_valid_witness(ts, verdict):
-    """The witness rectangle is exactly rows x cols, its two parts
-    partition its tiles and are disjoint along the axis, and the
+    """The witness is a valid split (``assert_witness_split``) and its
     extension state is orthogonal to the kept states and the stopper."""
-    wit = verdict.witness
-    rect = wit.rectangle
-    cells = {cell for tid in rect.tile_ids for cell in ts.tile(tid).cells}
-    assert cells == set(itertools.product(rect.rows, rect.cols))
-    assert wit.part1 and wit.part2
-    assert sorted(wit.part1 + wit.part2) == sorted(rect.tile_ids)
-    assert wit.axis in ("row", "column")
-    attr = "cols" if wit.axis == "column" else "rows"
-    sides = [{i for tid in part for i in getattr(ts.tile(tid), attr)} for part in (wit.part1, wit.part2)]
-    assert not sides[0] & sides[1]
+    assert_witness_split(ts, verdict)
     state = extension_witness(ts, verdict)
     worst = max(abs(inner_product(kept, state)) for kept in build_upb(ts).states)
     assert worst < 1e-12

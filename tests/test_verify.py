@@ -25,6 +25,7 @@ from tileupb import (
 from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, certified_complement
 
 from conftest import (
+    assert_witness_split,
     brute_orthogonality,
     brute_seesaw_objective,
     closed_form_projector,
@@ -368,4 +369,5 @@ class TestCheckUpb:
         assert report.passed == is_u_tile(ts).is_u_tile
         assert report.certificate.u_tile == report.passed
         if not report.passed:
+            assert_witness_split(ts, report.certificate.verdict)
             assert report.certificate.max_overlap <= 1e-12
