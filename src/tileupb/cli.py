@@ -13,14 +13,7 @@ import json
 import sys
 
 from .families import example1, fig2, five_tile, prop2, prop3
-from .grid import (
-    MAX_DIM,
-    TileGridContentError,
-    TileGridFormatError,
-    parse_tile_grid,
-    serialize,
-    validate,
-)
+from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize, validate
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import extension_witness, is_u_tile
@@ -87,12 +80,9 @@ def _cmd_validate(args, parser) -> int:
         ts = _load_structure(args, parser)
     except TileGridContentError as exc:
         problems = list(exc.report.problems) if exc.report is not None else [str(exc)]
-        _emit(args, "\n".join(["invalid tile structure:"] + [f"  {p}" for p in problems]),
-              {"ok": False, "problems": problems})
-        return 1
-    report = validate(ts)
-    if not report.ok:
-        problems = list(report.problems)
+    else:
+        problems = list(validate(ts).problems)
+    if problems:
         _emit(args, "\n".join(["invalid tile structure:"] + [f"  {p}" for p in problems]),
               {"ok": False, "problems": problems})
         return 1
@@ -262,19 +252,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except TileGridFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TileGridContentError as exc:
+    except (TileGridContentError, NotUTileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NotUTileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # TileGridFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

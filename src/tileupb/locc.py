@@ -372,11 +372,15 @@ class DiscriminationReport:
         }
 
 
-def _sq_norms(moved: np.ndarray, idle: np.ndarray) -> np.ndarray:
+def _gram(idle: np.ndarray) -> np.ndarray:
+    """The stacked r×r Grams Yᵀ Ȳ of the factors Y_k."""
+    return np.swapaxes(idle, 1, 2) @ idle.conj()
+
+
+def _sq_norms(moved: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the stacked cut matrices X_k Y_kᵀ, from
-    the r×r Gram of Y: ‖X Yᵀ‖² = Σ conj(X) ∘ (X Yᵀ Ȳ).  The norm is
-    symmetric in the two factors, so either one may be X."""
-    gram = np.swapaxes(idle, 1, 2) @ idle.conj()
+    the r×r Grams of Y (``_gram``): ‖X Yᵀ‖² = Σ conj(X) ∘ (X Yᵀ Ȳ).  The
+    norm is symmetric in the two factors, so either one may be X."""
     return np.einsum("kir,kir->k", moved.conj(), moved @ gram).real
 
 
@@ -484,7 +488,8 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
         left, right = st.factors
         lefts[i, :, : left.shape[1]] = left
         rights[i, :, : right.shape[1]] = right
-    norms2 = _sq_norms(lefts, rights)
+    right_gram = _gram(rights)
+    norms2 = _sq_norms(lefts, right_gram)
     zero = np.flatnonzero(norms2 == 0)
     if zero.size:
         raise ValueError(f"state {zero[0]} is zero")
@@ -501,10 +506,11 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
                 return
             alice = node.party == ALICE
             moved, idle = (lefts, rights) if alice else (rights, lefts)
+            gram = _gram(idle)  # the idle factors are the same for every outcome
             total = np.zeros(idx.size)
             for k, (proj, child) in enumerate(node.outcomes):
                 out = proj.operator @ moved
-                p = _sq_norms(out, idle)
+                p = _sq_norms(out, gram)
                 total += p
                 keep = p >= PRUNE_TOL
                 if keep.any():
@@ -537,7 +543,7 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
                         )
             _check_finish_leaf(node, idx[named], lefts[named], rights[named], path, leaf_problems)
 
-    walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, rights), "root")
+    walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, right_gram), "root")
 
     min_success = float(np.min(success))
     max_wrong = float(np.max(wrong))

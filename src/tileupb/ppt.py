@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import TileStructure
 from .states import UPBSet
-from .verify import _tile_incidence, certified_complement, check_orthogonal_set
+from .verify import _classes, _tile_incidence, certified_complement, check_orthogonal_set
 
 __all__ = ["PPTReport", "class_state", "partial_transpose", "ppt_report"]
 
@@ -55,12 +55,8 @@ def class_state(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if s < 2:
         raise ValueError("a single tile leaves an empty complement: no state to build")
     rows, cols, sizes = _tile_incidence(ts)
-    row_keys, row_class, row_counts = np.unique(
-        rows, axis=0, return_inverse=True, return_counts=True
-    )
-    col_keys, col_class, col_counts = np.unique(
-        cols, axis=0, return_inverse=True, return_counts=True
-    )
+    row_keys, row_class, row_counts = _classes(rows)
+    col_keys, col_class, col_counts = _classes(cols)
     # Each block lies in exactly one tile, so the product picks out its index.
     owner = ((row_keys * np.arange(s)) @ col_keys.T).astype(int).ravel()
     weight = np.sqrt(np.outer(row_counts, col_counts)).ravel()
@@ -68,7 +64,7 @@ def class_state(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rho -= 1.0 / (ts.m * ts.n)
     rho *= np.outer(weight, weight)  # one product per entry keeps rho exactly symmetric
     rho /= s - 1
-    return rho, row_class.ravel(), col_class.ravel()
+    return rho, row_class, col_class
 
 
 def partial_transpose(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

@@ -14,14 +14,17 @@ names one, which ``check_upb`` checks against every state.
 The seesaw search is a numerical cross-check of that verdict: it
 maximizes the squared norm of the projection of a (x) b onto the
 complement over unit product vectors.  Every complement vector is
-constant on each tile, so it works on the s per-tile factor sums
-instead of the mn amplitudes, and each half-step is an exact
-top-eigenvector update, so the objective never decreases.
+constant on each tile, and rows (columns) lying in the same set of
+tiles form one class, so it works in the p row-class and q column-class
+coordinates instead of the mn amplitudes.  Each half-step is an exact
+top-eigenvector update, so the objective never decreases, and all
+restarts take it together as one stacked p x p (or q x q) eigh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ DEFAULT_MAX_ITERS = 500
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
 GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
+SEESAW_BLOCK = 256  # restarts advanced together, so memory stays O(SEESAW_BLOCK * p^2)
 MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
 PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product state
 
@@ -102,8 +106,13 @@ def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> Orthogonality
     columns j >= the block's first row.  Violations come in (i, j)
     row-major order.
     """
-    a, b, norms = _factor_stack(states)
-    count = len(states)
+    return _orthogonality(_factor_stack(states), tol)
+
+
+def _orthogonality(stack, tol: float) -> OrthogonalityReport:
+    """``check_orthogonal_set`` on a factor stack from ``_factor_stack``."""
+    a, b, norms = stack
+    count = len(a)
     if count < 2:
         return OrthogonalityReport((), 0.0, tol)
     scale = np.where(norms > 0, norms, 1.0)
@@ -151,6 +160,11 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> None:
     Raises ValueError naming the condition that fails, and TypeError
     when a state is not a ``ProductState``.
     """
+    _certify(upb, _factor_stack(upb.states), tol)
+
+
+def _certify(upb: UPBSet, stack, tol: float) -> None:
+    """``certified_complement`` on the factor stack of upb.states."""
     ts = upb.origin
     m, n, s = upb.m, upb.n, ts.tile_count
     if len(upb.states) != m * n - s + 1:
@@ -158,7 +172,7 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> None:
             f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
         )
     rows, cols, sizes = _tile_incidence(ts)
-    a, b, norms = _factor_stack(upb.states)
+    a, b, norms = stack
     if not np.all(norms > 0):
         raise ValueError("a state is zero")
     coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
@@ -172,43 +186,52 @@ def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> None:
         )
 
 
-def _tile_objective(rows, cols, sizes, a, b) -> float:
-    """<a b|P|a b> from the per-tile factor sums a^T R, b^T C, where P
-    projects onto the complement."""
-    amps = (a @ rows) * (b @ cols)
-    return float(np.sum(np.abs(amps) ** 2 / sizes) - abs(a.sum() * b.sum()) ** 2 / sizes.sum())
+def _classes(ind: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of a tile indicator matrix (m x s) into classes of
+    equal rows: the p distinct rows (p x s), each row's class index, and
+    the class sizes."""
+    keys, index, counts = np.unique(ind, axis=0, return_inverse=True, return_counts=True)
+    return keys, index.ravel(), counts
 
 
-def _top_factor(ind, other_sums, other_total, sizes) -> tuple[float, np.ndarray]:
-    """Top eigenpair of ind diag(|other_sums|^2 / |t|) ind^T minus
-    |other_total|^2 / mn on every entry: the best unit factor on one
-    side for fixed factor sums on the other."""
-    gain = (ind * (np.abs(other_sums) ** 2 / sizes)) @ ind.T
-    vals, vecs = np.linalg.eigh(gain - abs(other_total) ** 2 / sizes.sum())
-    return float(vals[-1]), vecs[:, -1]
+class _Side(NamedTuple):
+    """One party's tile-class coordinates: ind = lift @ basis, with the
+    orthonormal class indicators ``lift`` (m x p), root = lift^T 1 and
+    its outer product ``ones``, the class form of J."""
+
+    lift: np.ndarray
+    basis: np.ndarray
+    root: np.ndarray
+    ones: np.ndarray
 
 
-def _seesaw_restart(
-    rows: np.ndarray, cols: np.ndarray, sizes: np.ndarray, a: np.ndarray, b: np.ndarray,
-    max_iters: int, conv_tol: float,
-) -> tuple[np.ndarray, np.ndarray, float, bool, int]:
-    """One alternating run from the given start; returns the final unit
-    factors, the recomputed objective, whether it converged, and how
-    many steps lowered the objective by more than MONOTONE_SLACK."""
-    prev = _tile_objective(rows, cols, sizes, a, b)
-    converged = False
-    violations = 0
-    for _ in range(max_iters):
-        _, a = _top_factor(rows, b @ cols, b.sum(), sizes)
-        obj, b = _top_factor(cols, a @ rows, a.sum(), sizes)
-        # Each half-step is an exact maximization, so the objective is
-        # monotone up to rounding; a larger drop means a broken step.
-        violations += int(obj < prev - MONOTONE_SLACK)
-        if obj - prev < conv_tol:
-            converged = True
-            break
-        prev = obj
-    return a, b, _tile_objective(rows, cols, sizes, a, b), converged, violations
+def _class_side(ind: np.ndarray) -> _Side:
+    keys, index, counts = _classes(ind)
+    root = np.sqrt(counts)
+    lift = np.zeros((ind.shape[0], counts.size))
+    lift[np.arange(ind.shape[0]), index] = 1.0 / root[index]
+    return _Side(lift, keys * root[:, None], root, np.outer(root, root))
+
+
+def _class_objective(side_a, side_b, sizes, x, y) -> np.ndarray:
+    """<a b|P|a b> for each row pair of class coordinates x = E_R^T a,
+    y = E_C^T b, from the per-tile factor sums alpha = W_R^T x and
+    beta = W_C^T y; P projects onto the complement."""
+    amps = (x @ side_a.basis) * (y @ side_b.basis)
+    totals = (x @ side_a.root) * (y @ side_b.root)
+    return np.sum(np.abs(amps) ** 2 / sizes, axis=1) - np.abs(totals) ** 2 / sizes.sum()
+
+
+def _top_factors(side, other, other_coords, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenpairs of the stacked p x p class gains
+    W diag(|beta_t|^2 / |t|) W^T - (|sum b|^2 / mn) root root^T, one per
+    row of the other party's class coordinates: the best unit factor on
+    this side for each fixed factor on the other."""
+    weights = np.abs(other_coords @ other.basis) ** 2 / sizes
+    totals = np.abs(other_coords @ other.root) ** 2 / sizes.sum()
+    gain = (side.basis * weights[:, None, :]) @ side.basis.T - totals[:, None, None] * side.ones
+    vals, vecs = np.linalg.eigh(gain)
+    return vals[:, -1], vecs[:, :, -1]
 
 
 def seesaw_search(
@@ -221,54 +244,74 @@ def seesaw_search(
     """Best product state found in span{1_t} minus the stopper of ts, the
     complement of ``build_upb(ts).states``.
 
-    With the per-tile factor sums alpha = R^T a and beta = C^T b (R, C
-    the tiles' row and column indicator matrices) the objective, with P
-    the projector onto the complement, is
+    With the per-tile factor sums alpha = R^T a, beta = C^T b (R, C the
+    tiles' row and column indicators) and P the complement's projector,
     <a b|P|a b> = sum_t |alpha_t beta_t|^2 / |t| - |sum a sum b|^2 / mn.
-    Alternating exact eigen-steps from seeded complex-Gaussian starts:
-    for fixed b the optimal a is the top eigenvector of the real m x m
-    matrix R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J, and
-    symmetrically for b.  Deterministic for fixed inputs and seed;
-    restarts are ranked by recomputed objective, first-best wins.
-    Raises ValueError for fewer than one restart, a single tile (nothing
-    to search) or tiles that do not partition the grid.
+    For fixed b the best unit a is the top eigenvector of
+    R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J = E_R G E_R^T, with
+    E_R the orthonormal indicators of the p row classes (``_classes``),
+    so each half-step is a p x p eigenproblem, and q x q for b.  Seeded
+    complex-Gaussian starts are projected onto the classes, which keeps
+    the objective, and advance SEESAW_BLOCK at a time: one stacked eigh
+    per half-step over the restarts not yet converged, each with its own
+    iteration cap, stopping rule and count of drops beyond
+    MONOTONE_SLACK.  Restarts are ranked by recomputed objective, first
+    best wins, and the winner is lifted back to C^m and C^n.
+    Deterministic for fixed inputs and seed.  Raises ValueError for
+    fewer than one restart, a single tile (nothing to search) or tiles
+    that do not partition the grid.
     """
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
     if ts.tile_count < 2:
         raise ValueError("a single tile leaves an empty complement: nothing to search")
     rows, cols, sizes = _tile_incidence(ts)
+    side_a, side_b = _class_side(rows), _class_side(cols)
+    m, n = ts.m, ts.n
     rng = np.random.default_rng(seed)
     best_overlap = -1.0
-    best_a = best_b = None
+    best_x = best_y = None
     converged_count = 0
     violations = 0
-    for _ in range(restarts):
-        a = rng.standard_normal(ts.m) + 1j * rng.standard_normal(ts.m)
-        b = rng.standard_normal(ts.n) + 1j * rng.standard_normal(ts.n)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        a, b, overlap, converged, dropped = _seesaw_restart(
-            rows, cols, sizes, a, b, max_iters, conv_tol
-        )
-        converged_count += int(converged)
-        violations += dropped
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_a, best_b = a, b
+    for first in range(0, restarts, SEESAW_BLOCK):
+        # The same normals, in the same order, as one start at a time.
+        draws = rng.standard_normal((min(SEESAW_BLOCK, restarts - first), 2 * (m + n)))
+        a = draws[:, :m] + 1j * draws[:, m : 2 * m]
+        b = draws[:, 2 * m : 2 * m + n] + 1j * draws[:, 2 * m + n :]
+        x = (a / np.linalg.norm(a, axis=1, keepdims=True)) @ side_a.lift
+        y = (b / np.linalg.norm(b, axis=1, keepdims=True)) @ side_b.lift
+        prev = _class_objective(side_a, side_b, sizes, x, y)
+        active = np.arange(len(x))
+        for _ in range(max_iters):
+            if not active.size:
+                break
+            _, x[active] = _top_factors(side_a, side_b, y[active], sizes)
+            obj, y[active] = _top_factors(side_b, side_a, x[active], sizes)
+            # Each half-step is an exact maximization, so the objective is
+            # monotone up to rounding; a larger drop means a broken step.
+            violations += int(np.sum(obj < prev[active] - MONOTONE_SLACK))
+            done = obj - prev[active] < conv_tol
+            converged_count += int(np.sum(done))
+            prev[active] = obj
+            active = active[~done]
+        overlaps = _class_objective(side_a, side_b, sizes, x, y)
+        k = int(np.argmax(overlaps))
+        if overlaps[k] > best_overlap:
+            best_overlap = float(overlaps[k])
+            best_x, best_y = x[k], y[k]
     return SearchResult(
         best_overlap=best_overlap,
-        best_product=ProductState(best_a, best_b),
+        best_product=ProductState(side_a.lift @ best_x, side_b.lift @ best_y),
         restarts_run=restarts,
         converged_restarts=converged_count,
         monotonicity_violations=violations,
     )
 
 
-def _witness_overlap(states, state: ProductState) -> float:
+def _witness_overlap(stack, state: ProductState) -> float:
     """Largest relative overlap |<psi_i|w>| / (|psi_i| |w|) of a product
-    state w with the states, from the factor stack."""
-    a, b, norms = _factor_stack(states)
+    state w with the states of a factor stack."""
+    a, b, norms = stack
     scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
     overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec)
     return float(np.max(overlaps / scale, initial=0.0))
@@ -369,7 +412,8 @@ def check_upb(
     s = ts.tile_count
     mn = upb.m * upb.n
     expected = mn - s + 1
-    orth = check_orthogonal_set(upb.states)
+    stack = _factor_stack(upb.states)
+    orth = _orthogonality(stack, DEFAULT_ORTH_TOL)
     size_ok = len(upb.states) == expected
 
     stopper_ok = True
@@ -399,7 +443,7 @@ def check_upb(
         reason = "the states are not pairwise orthogonal"
     else:
         try:
-            certified_complement(upb)
+            _certify(upb, stack, DEFAULT_ORTH_TOL)
         except ValueError as exc:
             reason = str(exc)
         else:
@@ -408,7 +452,7 @@ def check_upb(
             certificate = UPBCertificate(verdict)
             if not verdict.is_u_tile:
                 state = extension_witness(ts, verdict)
-                certificate = UPBCertificate(verdict, state, _witness_overlap(upb.states, state))
+                certificate = UPBCertificate(verdict, state, _witness_overlap(stack, state))
             search = seesaw_search(ts, restarts=restarts, seed=seed)
             found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
             if verdict.is_u_tile:

@@ -11,7 +11,14 @@ import itertools
 import numpy as np
 import pytest
 
-from tileupb import SpecialRectangle, TileStructure, build_upb, five_tile
+from tileupb import (
+    ProductState,
+    SearchResult,
+    SpecialRectangle,
+    TileStructure,
+    build_upb,
+    five_tile,
+)
 from tileupb.locc import (
     ALICE,
     BRANCH_TOL,
@@ -23,6 +30,7 @@ from tileupb.locc import (
     Identify,
     _check_branch,
 )
+from tileupb.verify import DEFAULT_CONV_TOL, DEFAULT_MAX_ITERS, MONOTONE_SLACK
 
 
 def structure_from_grid(grid):
@@ -239,6 +247,72 @@ def brute_seesaw_objective(comp, a, b):
     """||comp^* (a (x) b)||^2 for complement vectors in the rows of comp."""
     ab = np.kron(a, b)
     return float(sum(abs(np.vdot(v, ab)) ** 2 for v in comp))
+
+
+def _oracle_incidence(ts):
+    """Row and column tile indicators R (m x s), C (n x s) and the tile
+    cell counts, filled tile by tile."""
+    rows = np.zeros((ts.m, ts.tile_count))
+    cols = np.zeros((ts.n, ts.tile_count))
+    for k, tile in enumerate(ts.tiles):
+        rows[list(tile.rows), k] = 1.0
+        cols[list(tile.cols), k] = 1.0
+    return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
+
+
+def _tile_objective(rows, cols, sizes, a, b):
+    """<a b|P|a b> from the per-tile factor sums a^T R, b^T C."""
+    amps = (a @ rows) * (b @ cols)
+    return float(np.sum(np.abs(amps) ** 2 / sizes) - abs(a.sum() * b.sum()) ** 2 / sizes.sum())
+
+
+def _top_factor(ind, other_sums, other_total, sizes):
+    """Top eigenpair of the full m x m gain
+    ind diag(|other_sums|^2 / |t|) ind^T - |other_total|^2 / mn."""
+    gain = (ind * (np.abs(other_sums) ** 2 / sizes)) @ ind.T
+    vals, vecs = np.linalg.eigh(gain - abs(other_total) ** 2 / sizes.sum())
+    return float(vals[-1]), vecs[:, -1]
+
+
+def _seesaw_restart(rows, cols, sizes, a, b, max_iters, conv_tol, slack):
+    """One alternating run in m- and n-space from the given start: final
+    unit factors, recomputed objective, convergence, objective drops."""
+    prev = _tile_objective(rows, cols, sizes, a, b)
+    converged = False
+    violations = 0
+    for _ in range(max_iters):
+        _, a = _top_factor(rows, b @ cols, b.sum(), sizes)
+        obj, b = _top_factor(cols, a @ rows, a.sum(), sizes)
+        violations += int(obj < prev - slack)
+        if obj - prev < conv_tol:
+            converged = True
+            break
+        prev = obj
+    return a, b, _tile_objective(rows, cols, sizes, a, b), converged, violations
+
+
+def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS,
+                      conv_tol=DEFAULT_CONV_TOL):
+    """The seesaw one restart at a time, with one m x m (or n x n) eigh
+    per half-step: the same seeded starts, stopping rule and first-best
+    ranking as ``seesaw_search``, as a SearchResult."""
+    rows, cols, sizes = _oracle_incidence(ts)
+    rng = np.random.default_rng(seed)
+    best = (-1.0, None, None)
+    converged_count = violations = 0
+    for _ in range(restarts):
+        a = rng.standard_normal(ts.m) + 1j * rng.standard_normal(ts.m)
+        b = rng.standard_normal(ts.n) + 1j * rng.standard_normal(ts.n)
+        a, b, overlap, converged, dropped = _seesaw_restart(
+            rows, cols, sizes, a / np.linalg.norm(a), b / np.linalg.norm(b),
+            max_iters, conv_tol, MONOTONE_SLACK,
+        )
+        converged_count += int(converged)
+        violations += dropped
+        if overlap > best[0]:
+            best = (overlap, a, b)
+    return SearchResult(best[0], ProductState(best[1], best[2]), restarts,
+                        converged_count, violations)
 
 
 def brute_composite_apply(op, party, amps):

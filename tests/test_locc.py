@@ -287,6 +287,17 @@ def _non_projector_outcomes():
     return bad, states
 
 
+def _overlapping_projector_outcomes():
+    """Three Hermitian idempotent outcomes on Alice's 8-dim register:
+    diag(0, 0, 1, ..., 1), |0><0| and |+><+| on levels {0, 1}.  Only the
+    last two overlap."""
+    upb, states = _composite_states(4, 4)
+    plus = np.zeros(8)
+    plus[:2] = 1.0 / np.sqrt(2.0)
+    ops = [np.diag([0.0, 0.0] + [1.0] * 6), np.diag([1.0] + [0.0] * 7), np.outer(plus, plus)]
+    return _branch(ALICE, [(op, Identify(k)) for k, op in enumerate(ops)]), states
+
+
 def _entangled_finish_leaf():
     # a state that stays entangled across the cut must be flagged
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -323,6 +334,7 @@ SABOTAGE = {
     "incomplete_root": _incomplete_root,
     "wrong_resource_dimension": _wrong_resource_dimension,
     "non_projector_outcomes": _non_projector_outcomes,
+    "overlapping_projector_outcomes": _overlapping_projector_outcomes,
     "entangled_finish_leaf": _entangled_finish_leaf,
     "nested_bob_outcome_dropped": _nested_bob_outcome_dropped,
     "embedded_identify_labels_swapped": _embedded_identify_labels_swapped,
@@ -366,6 +378,13 @@ class TestVerifierCatchesSabotage:
     def test_non_projector_outcomes_are_flagged(self):
         report = verify_protocol(*_non_projector_outcomes())
         assert any("idempotent" in v for v in report.branch_violations)
+
+    def test_overlapping_projector_outcomes_are_flagged(self):
+        report = verify_protocol(*_overlapping_projector_outcomes())
+        assert not report.ok
+        assert not any("Hermitian" in v or "idempotent" in v for v in report.branch_violations)
+        orthogonality = [v for v in report.branch_violations if "orthogonal" in v]
+        assert orthogonality == ["root: outcomes 1 and 2 are not orthogonal"]
 
     def test_finish_leaf_geometry_is_checked(self):
         report = verify_protocol(*_entangled_finish_leaf())

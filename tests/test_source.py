@@ -27,3 +27,14 @@ def test_every_export_resolves(path):
     )
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{path.name}: __all__ names unbound {missing}"
+
+
+# src/tileupb/*.py held 2,427 lines when the line count started to be
+# tracked; it may only fall, so speed work cannot grow the library
+# unnoticed.
+SOURCE_LINE_CAP = 2427
+
+
+def test_library_source_stays_under_the_line_cap():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SOURCES)
+    assert lines <= SOURCE_LINE_CAP, f"src/tileupb has {lines} lines, over {SOURCE_LINE_CAP}"

@@ -22,7 +22,7 @@ from tileupb import (
     prop3,
     seesaw_search,
 )
-from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, certified_complement
+from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK, certified_complement
 
 from conftest import (
     assert_witness_split,
@@ -32,6 +32,7 @@ from conftest import (
     foreign_origin_upb,
     kron_vector,
     random_structure,
+    sequential_seesaw,
     structure_from_grid,
     svd_complement,
 )
@@ -262,6 +263,93 @@ class TestSeesawSearch:
         hundred times the threshold that reports a product state."""
         res = seesaw_search(five_tile(64, 64), restarts=200, seed=0)
         assert res.best_overlap < 1 - 100 * PRODUCT_THRESHOLD
+
+
+def _split_columns(ts, tid, k):
+    """ts with the first k columns of tile tid moved to a new tile: the
+    two halves form a special rectangle, so the result is not U-tile."""
+    cols = sorted(ts.tile(tid).cols)[:k]
+    new = ts.tile_count + 1
+    return structure_from_grid(
+        [[new if v == tid and c in cols else v for c, v in enumerate(row)] for row in ts.cell_map]
+    )
+
+
+# The structures verify-upb checks in the benchmark's upb-verify workload.
+UPB_VERIFY_STRUCTURES = {
+    "five-tile 24x24": lambda: five_tile(24, 24),
+    "five-tile 12x12": lambda: five_tile(12, 12),
+    "five-tile 12x18": lambda: five_tile(12, 18),
+    "prop3 12/6": lambda: prop3(12, 6),
+    "prop3 14/8": lambda: prop3(14, 8),
+    "prop2 8x12": lambda: prop2(8, 12),
+    "prop2 6x18": lambda: prop2(6, 18),
+    "five_tile(16,16)/5c7": lambda: _split_columns(five_tile(16, 16), 5, 7),
+    "five_tile(12,20)/5c9": lambda: _split_columns(five_tile(12, 20), 5, 9),
+}
+
+
+def _assert_matches_oracle(res, oracle):
+    assert abs(res.best_overlap - oracle.best_overlap) < 1e-10
+    found = res.best_overlap > 1 - PRODUCT_THRESHOLD
+    assert found == (oracle.best_overlap > 1 - PRODUCT_THRESHOLD)
+    assert res.restarts_run == oracle.restarts_run
+    assert res.converged_restarts == oracle.converged_restarts
+    assert res.monotonicity_violations == oracle.monotonicity_violations
+
+
+class TestBatchedSeesaw:
+    """The class-coordinate search, batched over restarts, against the
+    sequential m-space oracle."""
+
+    def test_matches_the_sequential_oracle_on_small_structures(self, small_structures):
+        """Every third small structure, each with its own seed."""
+        for k, grid in enumerate(small_structures[::3]):
+            ts = structure_from_grid(grid)
+            if ts.tile_count < 2:
+                continue
+            _assert_matches_oracle(
+                seesaw_search(ts, restarts=2, seed=k), sequential_seesaw(ts, 2, seed=k)
+            )
+
+    @pytest.mark.parametrize("label", sorted(UPB_VERIFY_STRUCTURES))
+    def test_matches_the_sequential_oracle_on_the_benchmark_structures(self, label):
+        ts = UPB_VERIFY_STRUCTURES[label]()
+        for seed in (0, 1, 2):
+            res = seesaw_search(ts, restarts=20, seed=seed)
+            _assert_matches_oracle(res, sequential_seesaw(ts, 20, seed=seed))
+            assert (res.best_overlap > 1 - PRODUCT_THRESHOLD) != is_u_tile(ts).is_u_tile
+
+    def test_the_lifted_winner_scores_its_overlap(self):
+        ts = prop2(8, 12)
+        res = seesaw_search(ts, restarts=10, seed=4)
+        a, b = res.best_product.a_vec, res.best_product.b_vec
+        assert a.shape == (8,) and b.shape == (12,)
+        assert np.linalg.norm(a) == pytest.approx(1.0) and np.linalg.norm(b) == pytest.approx(1.0)
+        proj = closed_form_projector(ts)
+        assert res.best_overlap == pytest.approx(np.vdot(np.kron(a, b), proj @ np.kron(a, b)).real)
+
+    def test_restarts_do_not_couple_across_blocks(self, monkeypatch):
+        """With blocks of 4, every k-restart run equals the oracle's first
+        k restarts, and the 11-restart result equals the unblocked one."""
+        ts = prop3(9, 12)
+        whole = seesaw_search(ts, restarts=11, seed=7)
+        monkeypatch.setattr(tileupb.verify, "SEESAW_BLOCK", 4)
+        for k in range(1, 12):
+            _assert_matches_oracle(seesaw_search(ts, restarts=k, seed=7), sequential_seesaw(ts, k, seed=7))
+        _assert_matches_oracle(seesaw_search(ts, restarts=11, seed=7), whole)
+
+    def test_memory_does_not_grow_with_restarts(self):
+        ts = five_tile(64, 64)
+        peaks = []
+        for restarts in (SEESAW_BLOCK, 20_000):
+            tracemalloc.start()
+            try:
+                seesaw_search(ts, restarts=restarts, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
 
 def _forced_search(overlap):
