@@ -166,6 +166,7 @@ def _cmd_ppt(args, parser) -> int:
         f"min eigenvalue: {report.min_eigenvalue:.3e}",
         f"min eigenvalue after partial transpose: {report.min_eigenvalue_pt:.3e}",
         f"ppt: {report.ppt}",
+        f"spectrum: {report.spectrum_certificate}",
     ]
     if report.warning:
         lines.append(f"warning: {report.warning}")

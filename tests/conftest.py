@@ -202,6 +202,41 @@ def brute_ppt_state(upb):
     return (np.eye(mn) - proj) / (mn - len(upb.states))
 
 
+def class_state(ts):
+    """rho_c, the complement state of ts in tile-class coordinates, with
+    the class index of every row and of every column.
+
+    Row class i gathers the rows R_i that lie in the same set of tiles,
+    column class j likewise the columns C_j; block (i, j) lies in one
+    tile t_ij and has weight w_ij = sqrt(|R_i| |C_j|).  Then
+    rho_c[(i,j),(k,l)] = w_ij w_kl ([t_ij = t_kl] / |t_ij| - 1/mn) / (s - 1),
+    indexed i * q + j, and rho = (E_R (x) E_C) rho_c (E_R (x) E_C)^T where
+    column i of E_R is the indicator of R_i over sqrt|R_i|.
+    """
+    s = ts.tile_count
+    if s < 2:
+        raise ValueError("a single tile leaves an empty complement: no state to build")
+    rows, cols, sizes = _oracle_incidence(ts)
+    row_keys, row_class, row_counts = np.unique(
+        rows, axis=0, return_inverse=True, return_counts=True)
+    col_keys, col_class, col_counts = np.unique(
+        cols, axis=0, return_inverse=True, return_counts=True)
+    # Each block lies in exactly one tile, so the product picks out its index.
+    owner = ((row_keys * np.arange(s)) @ col_keys.T).astype(int).ravel()
+    weight = np.sqrt(np.outer(row_counts, col_counts)).ravel()
+    rho = np.equal.outer(owner, owner) / sizes[owner]
+    rho -= 1.0 / (ts.m * ts.n)
+    rho *= np.outer(weight, weight)  # one product per entry keeps rho exactly symmetric
+    rho /= s - 1
+    return rho, row_class.ravel(), col_class.ravel()
+
+
+def partial_transpose(rho, da, db):
+    """Transpose on the second factor of an operator on C^da (x) C^db,
+    by one reshape: (rho^Tb)_(i,j),(k,l) = rho_(i,l),(k,j)."""
+    return rho.reshape(da, db, da, db).swapaxes(1, 3).reshape(rho.shape)
+
+
 def brute_partial_transpose(rho, da, db):
     out = np.zeros_like(rho)
     for i in range(da):

@@ -1,6 +1,7 @@
 """The normalized complement projector and its positivity properties."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,19 +9,21 @@ import pytest
 from tileupb import (
     ProductState,
     build_upb,
+    check_upb,
     example1,
+    fig2,
     five_tile,
-    partial_transpose,
     ppt_report,
     prop2,
     prop3,
 )
-from tileupb.ppt import class_state
 
 from conftest import (
     brute_partial_transpose,
     brute_ppt_state,
+    class_state,
     foreign_origin_upb,
+    partial_transpose,
     structure_from_grid,
 )
 
@@ -36,6 +39,25 @@ def lifted_state(ts):
 
     lift = np.kron(embedding(row_class), embedding(col_class))
     return lift @ rho_c @ lift.T
+
+
+def assert_closed_form_matches_dense(ts):
+    """The report agrees with the eigvalsh spectra of the dense rho and
+    rho^Gamma in rank, trace and both minimum eigenvalues, and both
+    spectra are 1/(s - 1), s - 1 times, padded with zeros."""
+    upb = build_upb(ts)
+    m, n, s = ts.m, ts.n, ts.tile_count
+    dense = brute_ppt_state(upb)
+    eigs = np.linalg.eigvalsh(dense)
+    eigs_pt = np.linalg.eigvalsh(partial_transpose(dense, m, n))
+    report = ppt_report(upb)
+    assert report.rank == int(np.sum(eigs > 1e-8)) == s - 1
+    assert abs(report.trace - np.trace(dense).real) < 1e-12
+    assert abs(report.min_eigenvalue - eigs[0]) < 1e-12
+    assert abs(report.min_eigenvalue_pt - eigs_pt[0]) < 1e-12
+    closed = np.concatenate([np.zeros(m * n - s + 1), np.full(s - 1, 1 / (s - 1))])
+    assert np.allclose(eigs, closed, rtol=0, atol=1e-12)
+    assert np.allclose(eigs_pt, closed, rtol=0, atol=1e-12)
 
 
 class TestBuildState:
@@ -81,15 +103,28 @@ class TestBuildState:
         with pytest.raises(ValueError, match="overlap"):
             ppt_report(foreign_origin_upb())
 
-    def test_rejects_a_complete_basis(self):
-        ts = structure_from_grid([[1, 1], [1, 1]])
-        with pytest.raises(ValueError, match="empty complement"):
-            class_state(ts)
+    def test_rejects_a_broken_size_law(self):
+        upb = build_upb(example1())
+        with pytest.raises(ValueError, match="size law"):
+            ppt_report(replace(upb, states=upb.states[:-1]))
 
-    def test_five_tile_classes_stay_three_by_three(self):
-        rho, row_class, col_class = class_state(five_tile(64, 64))
-        assert rho.shape == (9, 9)
-        assert sorted(np.bincount(row_class)) == sorted(np.bincount(col_class)) == [1, 1, 62]
+    @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
+    def test_accepts_the_same_sets_as_check_upb(self, shift):
+        """A set whose worst relative overlap lies between 1e-12 and
+        1e-10 is refused by both checks; one within rounding passes both."""
+        upb = build_upb(example1())
+        rng = np.random.default_rng(3)
+        first = upb.states[0]
+        nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
+        tampered = replace(upb, states=(nudged,) + upb.states[1:])
+        verdict = check_upb(tampered, restarts=1)
+        if shift > 1e-12:
+            assert 1e-12 < verdict.orthogonality.max_offdiagonal < 1e-10
+        try:
+            report = ppt_report(tampered)
+        except ValueError:
+            report = None
+        assert (report is not None and report.ok) == verdict.passed == (shift < 1e-12)
 
 
 class TestPartialTranspose:
@@ -131,42 +166,42 @@ class TestReport:
         assert report.warning
 
     def test_class_spectra_match_the_dense_oracle(self, small_structures):
-        """On every small structure the class-block report agrees with the
-        dense rho and rho^Gamma in rank, trace and both minimum
-        eigenvalues, and rho_c^Gamma's spectrum padded with mn - pq zeros
-        is rho^Gamma's."""
         for grid in small_structures:
             ts = structure_from_grid(grid)
-            if ts.tile_count < 2:
-                continue
-            upb = build_upb(ts)
-            m, n = ts.m, ts.n
-            dense = brute_ppt_state(upb)
-            eigs = np.linalg.eigvalsh(dense)
-            eigs_pt = np.linalg.eigvalsh(brute_partial_transpose(dense, m, n))
-            report = ppt_report(upb)
-            assert report.rank == int(np.sum(eigs > 1e-8)) == ts.tile_count - 1, grid
-            assert abs(report.trace - np.trace(dense).real) < 1e-12, grid
-            assert abs(report.min_eigenvalue - eigs[0]) < 1e-12, grid
-            assert abs(report.min_eigenvalue_pt - eigs_pt[0]) < 1e-12, grid
-            rho_c, row_class, col_class = class_state(ts)
-            p, q = row_class.max() + 1, col_class.max() + 1
-            if p * q < m * n:  # the lift's zeros bound both minima, whatever rounding gives
-                assert report.min_eigenvalue <= 0.0 and report.min_eigenvalue_pt <= 0.0, grid
-            padded = np.sort(np.concatenate([
-                np.linalg.eigvalsh(partial_transpose(rho_c, p, q)), np.zeros(m * n - p * q)
-            ]))
-            assert np.allclose(padded, eigs_pt, rtol=0, atol=1e-12), grid
+            if ts.tile_count >= 2:
+                assert_closed_form_matches_dense(ts)
 
-    def test_five_tile_at_the_format_limit_stays_small(self):
-        """ppt_report on five_tile(64, 64) works on a 9 x 9 class state:
+    @pytest.mark.parametrize(
+        "ts",
+        [fig2(), prop2(7, 7), prop3(7, 14), five_tile(7, 7)],
+        ids=["fig2", "ring77", "counted714", "five77"],
+    )
+    def test_closed_form_matches_the_dense_spectra(self, ts):
+        assert_closed_form_matches_dense(ts)
+
+    def test_runs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ppt_report called an eigensolver")
+
+        upb = build_upb(prop2(6, 8))
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        report = ppt_report(upb)
+        assert report.ok and report.rank == upb.origin.tile_count - 1
+        assert "rho^Gamma = rho" in report.spectrum_certificate
+
+    @pytest.mark.parametrize(
+        "ts, rank", [(five_tile(64, 64), 4), (prop2(64, 64), 124)], ids=["five64", "ring64"]
+    )
+    def test_format_limit_stays_small(self, ts, rank):
+        """ppt_report at 64 x 64 needs only the Gram and the certificate:
         its traced peak stays under 64 MB."""
-        upb = build_upb(five_tile(64, 64))
+        upb = build_upb(ts)
         tracemalloc.start()
         try:
             report = ppt_report(upb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.ok and report.rank == 4
+        assert report.ok and report.rank == rank
         assert peak < 64e6

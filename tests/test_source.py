@@ -30,9 +30,9 @@ def test_every_export_resolves(path):
 
 
 # src/tileupb/*.py held 2,427 lines when the line count started to be
-# tracked; it may only fall, so speed work cannot grow the library
-# unnoticed.
-SOURCE_LINE_CAP = 2427
+# tracked, and 2,355 once the PPT report became closed-form; it may only
+# fall, so speed work cannot grow the library unnoticed.
+SOURCE_LINE_CAP = 2355
 
 
 def test_library_source_stays_under_the_line_cap():
