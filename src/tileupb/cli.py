@@ -3,7 +3,9 @@
 Exit codes: 0 when the requested property holds or the artifact was
 produced, 1 when a checked property fails (invalid structure content,
 not a U-tile, failed basis or state or protocol verification), 2 for
-usage, format, or I/O errors.
+usage, format, or I/O errors.  ``build-upb`` refuses a structure that is
+not U-tile; ``ppt`` prints its report for one and exits 1, since the
+state is then PPT without an entanglement certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize, val
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import extension_witness, is_u_tile
-from .states import NotUTileError, build_upb
+from .states import build_upb
 from .verify import DEFAULT_RESTARTS, check_upb
 
 FAMILIES = {
@@ -125,7 +127,13 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_build_upb(args, parser) -> int:
     ts = _load_structure(args, parser)
-    upb = build_upb(ts, check=True)
+    verdict = is_u_tile(ts)
+    if not verdict.is_u_tile:
+        w = verdict.witness
+        print(f"error: not a U-tile structure: special rectangle {w.rectangle.tile_ids} "
+              f"splits into {w.part1} | {w.part2} on the {w.axis} axis", file=sys.stderr)
+        return 1
+    upb = build_upb(ts)
     labels = upb.state_labels()
     lines = [f"{len(upb.states)} states on a {upb.m} x {upb.n} grid"]
     lines += [f"  {i}: {label}" for i, label in enumerate(labels)]
@@ -135,14 +143,14 @@ def _cmd_build_upb(args, parser) -> int:
 
 def _cmd_verify_upb(args, parser) -> int:
     ts = _load_structure(args, parser)
-    upb = build_upb(ts, check=False)
-    report = check_upb(upb, restarts=args.restarts, seed=args.seed)
+    report = check_upb(build_upb(ts), restarts=args.restarts, seed=args.seed)
+    cert = report.certificate
     lines = [
-        f"size: {report.size} (expected {report.expected_size})",
-        f"orthogonal: {report.orthogonality.ok} "
-        f"(max off-diagonal {report.orthogonality.max_offdiagonal:.3e})",
-        f"complement dimension: {report.complement_dim} "
-        f"(expected {report.expected_complement_dim})",
+        f"size: {cert.size} (expected {cert.expected_size})",
+        f"orthogonal: {cert.orthogonality.ok} "
+        f"(max off-diagonal {cert.orthogonality.max_offdiagonal:.3e})",
+        f"complement dimension: {cert.complement_dim} "
+        f"(expected {cert.expected_complement_dim})",
     ]
     if report.search is not None:
         lines.append(
@@ -157,9 +165,7 @@ def _cmd_verify_upb(args, parser) -> int:
 
 
 def _cmd_ppt(args, parser) -> int:
-    ts = _load_structure(args, parser)
-    upb = build_upb(ts, check=True)
-    report = ppt_report(upb)
+    report = ppt_report(build_upb(_load_structure(args, parser)))
     lines = [
         f"trace: {report.trace:.12f}",
         f"rank: {report.rank} (expected {report.expected_rank})",
@@ -170,14 +176,15 @@ def _cmd_ppt(args, parser) -> int:
     ]
     if report.warning:
         lines.append(f"warning: {report.warning}")
-    lines.append("verdict: " + ("ok" if report.ok else "FAILED"))
+    certified = report.ok and report.entangled_certificate is not None
+    lines.append("verdict: " + ("ok" if certified else "FAILED"))
     _emit(args, "\n".join(lines), report.to_json_dict())
-    return 0 if report.ok else 1
+    return 0 if certified else 1
 
 
 def _cmd_distinguish(args, parser) -> int:
     protocol = build_theorem3_protocol(args.m, args.n)
-    upb = build_upb(prop2(args.m, args.n), check=False)
+    upb = build_upb(prop2(args.m, args.n))
     resource_dim = args.m // 2
     states = attach_resource(upb.states, resource_dim)
     report = verify_protocol(protocol, states)
@@ -253,7 +260,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (TileGridContentError, NotUTileError) as exc:
+    except TileGridContentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # TileGridFormatError included

@@ -7,7 +7,9 @@ tree of local projective measurements; every branch is complete on the
 acting party's joint register (A (x) a or B (x) b).  Leaves either name
 the single surviving candidate or assert that one party can finish
 alone: the survivors are product across the Alice/Bob cut, parallel on
-the idle party, and orthogonal on the measuring party.
+the idle party, and orthogonal on the measuring party.  A state is held
+only as an exact factor pair (L, R) of its matrix across that cut
+(``CompositeState``), and each local outcome acts on one factor.
 
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
@@ -21,7 +23,7 @@ root outcome already fixes their answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -54,38 +56,27 @@ PROB_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """Amplitudes on registers (A, B, a, b), indexed in that order.
+    """A state on registers (A, B, a, b) as an exact factor pair (L, R)
+    of its matrix across the Alice/Bob cut, L @ R.T: row A*d_a + a of L
+    and row B*d_b + b of R.  ``attach_resource`` gives L = kron(a, I_d)
+    and R = kron(b, I_d), of rank d."""
 
-    ``factors`` is an exact factor pair (L, R) of the cut matrix,
-    ``cut_matrix() == L @ R.T``.  States made by ``attach_resource``
-    carry L = kron(a, I_d) and R = kron(b, I_d), of rank d; a state
-    built from bare amplitudes carries (cut_matrix(), I).
-    """
-
-    amplitudes: np.ndarray
-    _factors: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-        if self.amplitudes.ndim != 4:
-            raise ValueError("composite amplitudes must be a 4-index array")
+        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
+        object.__setattr__(self, "right", np.asarray(self.right, dtype=complex))
+        if self.left.ndim != 2 or self.right.ndim != 2 or self.left.shape[1] != self.right.shape[1]:
+            raise ValueError("cut factors must be two matrices with equal column counts")
 
     @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.amplitudes.shape
-
-    @property
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._factors is not None:
-            return self._factors
-        cut = self.cut_matrix()
-        return cut, np.eye(cut.shape[1], dtype=complex)
+    def dims(self) -> tuple[int, int]:
+        """Register sizes (m d_a, n d_b) of Alice and Bob."""
+        return self.left.shape[0], self.right.shape[0]
 
     def cut_matrix(self) -> np.ndarray:
-        """Matrix across the Alice/Bob cut: row index A*d_a + a, column
-        index B*d_b + b."""
-        m, n, da, db = self.amplitudes.shape
-        return self.amplitudes.transpose(0, 2, 1, 3).reshape(m * da, n * db)
+        return self.left @ self.right.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +120,9 @@ def attach_resource(states, d: int) -> list[CompositeState]:
     for state in states:
         if not isinstance(state, ProductState):
             raise TypeError("attach_resource expects product states")
-        comp = CompositeState(np.multiply.outer(np.outer(state.a_vec, state.b_vec), eye))
         # kron(a, I_d) and kron(b, I_d), rows indexed A*d + a and B*d + b
-        left = (state.a_vec[:, None, None] * eye).reshape(-1, d)
-        right = (state.b_vec[:, None, None] * eye).reshape(-1, d)
-        object.__setattr__(comp, "_factors", (left, right))
-        out.append(comp)
+        out.append(CompositeState((state.a_vec[:, None, None] * eye).reshape(-1, d),
+                                  (state.b_vec[:, None, None] * eye).reshape(-1, d)))
     return out
 
 
@@ -472,22 +460,18 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
     """
     if not states:
         raise ValueError("no states to discriminate")
-    dims = states[0].dims
-    for st in states:
-        if st.dims != dims:
-            raise ValueError("states have inconsistent register dimensions")
-    m, n, da, db = dims
-    reg_dims = (m * da, n * db)
+    reg_dims = states[0].dims
+    if any(st.dims != reg_dims for st in states):
+        raise ValueError("states have inconsistent register dimensions")
 
     # Stack the factors, zero-padded to a common rank: L Rᵀ is unchanged.
     count = len(states)
-    rank = max(st.factors[0].shape[1] for st in states)
+    rank = max(st.left.shape[1] for st in states)
     lefts = np.zeros((count, reg_dims[0], rank), dtype=complex)
     rights = np.zeros((count, reg_dims[1], rank), dtype=complex)
     for i, st in enumerate(states):
-        left, right = st.factors
-        lefts[i, :, : left.shape[1]] = left
-        rights[i, :, : right.shape[1]] = right
+        lefts[i, :, : st.left.shape[1]] = st.left
+        rights[i, :, : st.right.shape[1]] = st.right
     right_gram = _gram(rights)
     norms2 = _sq_norms(lefts, right_gram)
     zero = np.flatnonzero(norms2 == 0)

@@ -6,9 +6,9 @@ maximally mixed state on the complement.  When the set is unextendible
 the support of rho contains no product state (range criterion), so rho
 is entangled, yet its partial transpose stays positive semidefinite.
 
-For the basis of a tile structure both spectra are known once the
-complement is certified (``certified_complement``): it is span{tile
-indicators} minus the stopper, of dimension s - 1, so
+For the basis of a tile structure both spectra are known once
+``certify_upb`` certifies the complement: it is span{tile indicators}
+minus the stopper, of dimension s - 1, so
 rho = (sum_t 1_t 1_t^T / |t| - J / mn) / (s - 1) is that projector over
 s - 1.  Its eigenvalues are 1/(s - 1), s - 1 times, and 0 (s - 1 < mn),
 and its trace is 1.  Each tile is a rectangle, so
@@ -16,7 +16,10 @@ and its trace is 1.  Each tile is a rectangle, so
 J = (1 1^T) (x) (1 1^T) likewise; transposing the second factor leaves
 every term unchanged, so rho^Gamma = rho.  This is the tile case of the
 argument of Bennett et al. (PRL 82, 5385, 1999) and DiVincenzo et al.
-(CMP 238, 379, 2003).  No state is formed and no eigensolver runs.
+(CMP 238, 379, 2003).  No state is formed and no eigensolver runs.  The
+range criterion holds only for a U-tile origin: otherwise the support
+contains the origin's extension state, and rho is PPT with no
+entanglement certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .states import UPBSet
-from .verify import DEFAULT_ORTH_TOL, _certify, _factor_stack, _orthogonality
+from .verify import certify_upb
 
 __all__ = ["PPTReport", "ppt_report"]
 
@@ -39,7 +42,7 @@ class PPTReport:
     min_eigenvalue_pt: float
     ppt: bool
     spectrum_certificate: str
-    entangled_certificate: str
+    entangled_certificate: str | None
     warning: str | None
 
     @property
@@ -53,15 +56,15 @@ class PPTReport:
 def ppt_report(upb: UPBSet) -> PPTReport:
     """Spectral report on the complement state of a tile-structure basis.
 
-    The set must be pairwise orthogonal and its tile complement certified
-    (``certified_complement``), both by relative overlap at
-    DEFAULT_ORTH_TOL as in ``check_upb``, else ValueError (TypeError for
-    a state that is not a ``ProductState``).  Trace, rank and both
-    minimum eigenvalues are then the values the certificate proves (see
-    the module docstring), named in ``spectrum_certificate``.
-    Entanglement is certified by the range criterion inherited from the
-    originating set: when the set is a UPB, no product state fits in the
-    support of rho.  A complete basis yields a degenerate rank-0 report.
+    ``certify_upb`` must certify the complement, else ValueError with
+    its refusal (TypeError for a state that is not a ``ProductState``).
+    Trace, rank and both minimum eigenvalues are then the values the
+    certificate proves (see the module docstring), named in
+    ``spectrum_certificate``.  ``entangled_certificate`` names the range
+    criterion when the origin is U-tile, so that the set is a UPB and no
+    product state fits in the support of rho; it is None, with a
+    ``warning``, when the origin is not.  A complete basis yields a
+    degenerate rank-0 report.
     """
     mn = upb.m * upb.n
     count = len(upb.states)
@@ -75,17 +78,12 @@ def ppt_report(upb: UPBSet) -> PPTReport:
             min_eigenvalue_pt=0.0,
             ppt=True,
             spectrum_certificate="none: empty complement",
-            entangled_certificate="none: empty complement",
+            entangled_certificate=None,
             warning="degenerate input: the set spans the whole space",
         )
-    stack = _factor_stack(upb.states)
-    orth = _orthogonality(stack, DEFAULT_ORTH_TOL)
-    if not orth.ok:
-        raise ValueError(
-            f"input set is not orthogonal: {len(orth.violations)} violating pairs, "
-            f"worst {orth.max_offdiagonal:.3e}"
-        )
-    _certify(upb, stack, DEFAULT_ORTH_TOL)
+    cert = certify_upb(upb)
+    if cert.refusal:
+        raise ValueError(cert.refusal)
     return PPTReport(
         dim=mn,
         trace=1.0,
@@ -102,6 +100,10 @@ def ppt_report(upb: UPBSet) -> PPTReport:
         entangled_certificate=(
             "range criterion: the support is the orthogonal complement of an "
             "unextendible product set, so it contains no product state"
+            if cert.u_tile else None
         ),
-        warning=None,
+        warning=None if cert.u_tile else (
+            "the origin is not U-tile: the support contains its extension state, "
+            "so the range criterion certifies no entanglement"
+        ),
     )

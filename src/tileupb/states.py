@@ -4,6 +4,8 @@ Every state a tile structure induces is a product |a>|b>, stored by its
 two factor vectors, so <a b|a' b'> = <a|a'><b|b'> and its m x n
 coefficient matrix is the outer product a b^T.  States are deliberately
 left unnormalized; modules that need probabilities normalize locally.
+``build_upb`` assembles the candidate set of any tile structure; whether
+it is unextendible is decided by ``verify.certify_upb``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .jsonio import pairs_to_vector, vector_to_pairs
 __all__ = [
     "ProductState",
     "UPBSet",
-    "NotUTileError",
     "inner_product",
     "tile_basis",
     "stopper",
@@ -87,19 +88,6 @@ def stopper(m: int, n: int) -> ProductState:
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     return ProductState(np.ones(m, dtype=complex), np.ones(n, dtype=complex))
-
-
-class NotUTileError(ValueError):
-    """Raised by build_upb(check=True) on a structure that fails the
-    U-tile test; carries the verdict with its witness."""
-
-    def __init__(self, verdict):
-        w = verdict.witness
-        super().__init__(
-            f"not a U-tile structure: special rectangle {w.rectangle.tile_ids} splits "
-            f"into {w.part1} | {w.part2} on the {w.axis} axis"
-        )
-        self.verdict = verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,21 +169,13 @@ def upb_state_labels(ts: TileStructure) -> list[tuple]:
     return labels
 
 
-def build_upb(ts: TileStructure, check: bool = False) -> UPBSet:
+def build_upb(ts: TileStructure) -> UPBSet:
     """Assemble the UPB candidate of a tile structure.
 
     Keeps every tile-basis state except each tile's (0,0) state, then
-    appends the stopper, for mn - s + 1 states in total.  With
-    check=True the structure must pass the U-tile test first; a failing
-    structure raises NotUTileError (the assembled set would then be
-    extendible).
+    appends the stopper, for mn - s + 1 states in total.  The set is
+    unextendible exactly when ts is U-tile (``verify.certify_upb``).
     """
-    if check:
-        from .rectangles import is_u_tile
-
-        verdict = is_u_tile(ts)
-        if not verdict.is_u_tile:
-            raise NotUTileError(verdict)
     kept: list[ProductState] = []
     missing: list[ProductState] = []
     for tile in ts.tiles:

@@ -1,6 +1,6 @@
-"""Numerical verification: Gram reports, the certified complement of a
-tile-structure basis, the exact unextendibility verdict, and a seesaw
-search for product states inside the complement.
+"""Numerical verification: Gram reports, the one verdict on a tile
+basis (``certify_upb``), and a seesaw search for product states inside
+the complement.
 
 The basis a tile structure induces is made of products |a>|b>, so the
 orthogonality check works from the factor matrices, and its complement
@@ -9,7 +9,9 @@ never materialized as a basis: its certificate reads each state's s
 tile coordinates.  Once it holds, the paper's main theorem makes the
 U-tile decision of the origin exact: the complement holds a product
 state iff the origin is not U-tile, and then ``extension_witness``
-names one, which ``check_upb`` checks against every state.
+names one, checked against every state.  ``certify_upb`` makes all of
+these decisions on one factor stack; ``check_upb`` and ``ppt_report``
+read its ``UPBCertificate``.
 
 The seesaw search is a numerical cross-check of that verdict: it
 maximizes the squared norm of the projection of a (x) b onto the
@@ -23,7 +25,8 @@ restarts take it together as one stacked p x p (or q x q) eigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +41,7 @@ __all__ = [
     "UPBCertificate",
     "UPBCheckReport",
     "check_orthogonal_set",
-    "certified_complement",
+    "certify_upb",
     "seesaw_search",
     "check_upb",
 ]
@@ -141,49 +144,6 @@ def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if np.any(rows @ cols.T != 1):
         raise ValueError("the tiles do not partition the grid")
     return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
-
-
-def certified_complement(upb: UPBSet, tol: float = DEFAULT_ORTH_TOL) -> None:
-    """Certify that span{tile indicators 1_t} orthogonal to the stopper
-    is the orthogonal complement of upb.states; raise otherwise.
-
-    In the orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper
-    is the unit vector u_hat = (sqrt(|t| / mn))_t, and state psi_i has
-    coordinates v_i = ((A* R) o (B* C)) / sqrt|t| from the tiles' row
-    and column indicator matrices R and C.  Its component in the
-    complement has norm ||v_i - (v_i . u_hat) u_hat||, which no choice
-    of basis enters.  The certificate needs nothing from ``origin`` but
-    the tiles: they must partition the grid, the state count must obey
-    the size law N = mn - s + 1, and every component relative to
-    |psi_i| must be at most tol.  For a pairwise orthogonal set that
-    proves the complement is exactly that (s - 1)-dimensional space.
-    Raises ValueError naming the condition that fails, and TypeError
-    when a state is not a ``ProductState``.
-    """
-    _certify(upb, _factor_stack(upb.states), tol)
-
-
-def _certify(upb: UPBSet, stack, tol: float) -> None:
-    """``certified_complement`` on the factor stack of upb.states."""
-    ts = upb.origin
-    m, n, s = upb.m, upb.n, ts.tile_count
-    if len(upb.states) != m * n - s + 1:
-        raise ValueError(
-            f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
-        )
-    rows, cols, sizes = _tile_incidence(ts)
-    a, b, norms = stack
-    if not np.all(norms > 0):
-        raise ValueError("a state is zero")
-    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
-    u_hat = np.sqrt(sizes / (m * n))
-    inside = coords - np.outer(coords @ u_hat, u_hat)
-    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
-    if not worst <= tol:
-        raise ValueError(
-            f"the tile complement overlaps the states: relative component {worst:.3e} "
-            f"exceeds {tol:.1e}"
-        )
 
 
 def _classes(ind: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,58 +268,53 @@ def seesaw_search(
     )
 
 
-def _witness_overlap(stack, state: ProductState) -> float:
-    """Largest relative overlap |<psi_i|w>| / (|psi_i| |w|) of a product
-    state w with the states of a factor stack."""
-    a, b, norms = stack
-    scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
-    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec)
-    return float(np.max(overlaps / scale, initial=0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class UPBCertificate:
-    """The exact verdict on a certified complement: the origin's U-tile
-    decision and, when it fails, the extension state with its largest
-    relative overlap with the states."""
+    """What ``certify_upb`` decides.  ``refusal`` says why the complement
+    is not certified (None when it is, or is empty); on a certified
+    nonempty complement ``verdict`` is the origin's U-tile decision, and
+    a non-U-tile origin adds its extension ``state`` with ``max_overlap``,
+    its largest relative overlap with the states."""
 
-    verdict: UTileVerdict
+    size: int
+    expected_size: int
+    orthogonality: OrthogonalityReport
+    stopper_law_ok: bool
+    expected_complement_dim: int
+    refusal: str | None = None
+    verdict: UTileVerdict | None = None
     state: ProductState | None = None
     max_overlap: float | None = None
 
     @property
+    def size_ok(self) -> bool:
+        return self.size == self.expected_size
+
+    @property
+    def complement_dim(self) -> int:
+        """s - 1 once the complement is certified (or empty), else 0."""
+        return 0 if self.refusal else self.expected_complement_dim
+
+    @property
     def u_tile(self) -> bool:
-        return self.verdict.is_u_tile
+        return self.verdict is not None and self.verdict.is_u_tile
+
+    @property
+    def ok(self) -> bool:
+        """The set is a UPB by the paper's theorem: every law holds, the
+        complement is certified or empty, and the origin is U-tile."""
+        return (self.size_ok and self.orthogonality.ok and self.stopper_law_ok
+                and self.refusal is None and (self.verdict is None or self.verdict.is_u_tile))
 
     def to_json_dict(self) -> dict:
-        if self.u_tile:
-            return {"u_tile": True, "witness": None}
-        return {
-            "u_tile": False,
-            "witness": self.verdict.witness.to_json_dict(self.state),
-            "max_overlap": self.max_overlap,
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class UPBCheckReport:
-    """Aggregate verdict on an assembled product-state set."""
-
-    size: int
-    expected_size: int
-    size_ok: bool
-    orthogonality: OrthogonalityReport
-    stopper_law_ok: bool
-    complement_dim: int
-    expected_complement_dim: int
-    certificate: UPBCertificate | None
-    search: SearchResult | None
-    product_found: bool
-    passed: bool
-    note: str
-    settings: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
+        """The ``verify-upb`` report keys it decides; ``certificate`` holds
+        the U-tile verdict, None when none was made."""
+        origin = None
+        if self.verdict is not None:
+            origin = {"u_tile": self.u_tile, "witness": None}
+            if not self.u_tile:
+                origin.update(witness=self.verdict.witness.to_json_dict(self.state),
+                              max_overlap=self.max_overlap)
         return {
             "size": self.size,
             "expected_size": self.expected_size,
@@ -369,7 +324,106 @@ class UPBCheckReport:
             "stopper_law_ok": self.stopper_law_ok,
             "complement_dim": self.complement_dim,
             "expected_complement_dim": self.expected_complement_dim,
-            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
+            "certificate": origin,
+        }
+
+
+def _certify(upb: UPBSet, stack, orth: OrthogonalityReport) -> None:
+    """Raise ValueError naming the first condition of the complement
+    certificate that fails.
+
+    In the orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper
+    is the unit vector u_hat = (sqrt(|t| / mn))_t, and state psi_i has
+    coordinates v_i = ((A* R) o (B* C)) / sqrt|t| from the tiles' row
+    and column indicator matrices R and C.  Its component in span{1_t}
+    minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||, which no
+    choice of basis enters.  Pairwise orthogonal states, tiles that
+    partition the grid, the size law and every component at most
+    DEFAULT_ORTH_TOL relative to |psi_i| prove that (s - 1)-dimensional
+    space is exactly the complement, whatever ``origin`` claims.
+    """
+    if not orth.ok:
+        raise ValueError(
+            f"the states are not pairwise orthogonal: {len(orth.violations)} violating "
+            f"pairs, worst {orth.max_offdiagonal:.3e}"
+        )
+    ts = upb.origin
+    m, n, s = upb.m, upb.n, ts.tile_count
+    if len(upb.states) != m * n - s + 1:
+        raise ValueError(
+            f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
+        )
+    rows, cols, sizes = _tile_incidence(ts)
+    a, b, norms = stack
+    if not np.all(norms > 0):
+        raise ValueError("a state is zero")
+    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
+    u_hat = np.sqrt(sizes / (m * n))
+    inside = coords - np.outer(coords @ u_hat, u_hat)
+    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
+    if not worst <= DEFAULT_ORTH_TOL:
+        raise ValueError(
+            f"the tile complement overlaps the states: relative component {worst:.3e} "
+            f"exceeds {DEFAULT_ORTH_TOL:.1e}"
+        )
+
+
+def certify_upb(upb: UPBSet) -> UPBCertificate:
+    """The verdict on a UPBSet that needs no search, from one factor
+    stack of its states.
+
+    Reports pairwise orthogonality (``check_orthogonal_set``), the size
+    law N = mn - s + 1 and the stopper law (<S|phi_t^(0,0)> equals the
+    tile's cell count, nonzero), and certifies the complement span{1_t}
+    minus the stopper (``_certify``) or names why not in ``refusal``; a
+    complete basis (one tile) has an empty complement and needs none.
+    On a certified complement the paper's theorem makes the origin's
+    U-tile decision exact: a U-tile origin gives a UPB, and otherwise
+    ``extension_witness`` is a product state in the complement, checked
+    against every state.  Raises TypeError when a state is not a
+    ``ProductState``.
+    """
+    ts = upb.origin
+    mn, s = upb.m * upb.n, ts.tile_count
+    stack = _factor_stack(upb.states)
+    orth = _orthogonality(stack, DEFAULT_ORTH_TOL)
+    overlaps = [inner_product(upb.stopper, miss) for miss in upb.missing]
+    stopper_ok = not any(abs(overlap - tile.size) > DEFAULT_ORTH_TOL * mn or abs(overlap) < 0.5
+                         for tile, overlap in zip(ts.tiles, overlaps))
+    certificate = partial(UPBCertificate, len(upb.states), mn - s + 1, orth, stopper_ok, s - 1)
+    if s == 1 and len(upb.states) == mn:
+        return certificate()
+    try:
+        _certify(upb, stack, orth)
+    except ValueError as exc:
+        return certificate(str(exc))
+    verdict = is_u_tile(ts)
+    if verdict.is_u_tile:
+        return certificate(verdict=verdict)
+    state = extension_witness(ts, verdict)
+    a, b, norms = stack
+    scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
+    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
+    return certificate(verdict=verdict, state=state, max_overlap=float(np.max(overlaps)))
+
+
+@dataclass(frozen=True, eq=False)
+class UPBCheckReport:
+    """``certify_upb``'s verdict with the seesaw cross-check."""
+
+    certificate: UPBCertificate
+    search: SearchResult | None
+    product_found: bool
+    note: str
+    settings: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.certificate.ok and not self.product_found
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self.certificate.to_json_dict(),
             "search": None if self.search is None else self.search.to_json_dict(),
             "product_found": self.product_found,
             "passed": self.passed,
@@ -383,45 +437,46 @@ def check_upb(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> UPBCheckReport:
-    """Full check of a UPBSet, with an exact unextendibility verdict.
+    """Full check of a UPBSet: ``certify_upb`` and a seesaw cross-check.
 
-    Verifies pairwise orthogonality (relative overlaps), the size law
-    mn - s + 1, the stopper overlap law (<S|phi_i^(0,0)> equals the
-    tile's cell count, nonzero), and certifies the closed-form
-    complement of dimension s - 1 (``certified_complement``).  With the
-    complement certified the paper's theorem makes the origin's U-tile
-    decision the verdict: a U-tile origin gives a UPB, and otherwise
-    ``extension_witness`` is a product state in the complement, whose
-    relative overlap with every state must be at most DEFAULT_ORTH_TOL
-    (``certificate``).  The seesaw search then runs over the origin's
-    tile sums as a numerical cross-check; a product state it finds for
-    a U-tile origin contradicts the theorem and fails the check.
-
-    Passing means size, orthogonality, stopper law and certificate hold,
-    the origin is U-tile and the seesaw found nothing.  When the
-    complement cannot be certified the check fails with the reason in
-    ``note``, and neither certificate nor search is made.  An empty
-    complement (one tile) passes vacuously, with no certificate.
-    ``complement_dim`` is s - 1 once the complement is certified,
-    else 0.  Raises ValueError when restarts < 1, whether or not a
-    search runs.
+    The seesaw search runs over the origin's tile sums once a nonempty
+    complement is certified; a product state it finds for a U-tile
+    origin contradicts the theorem and fails the check.  Passing means
+    the certificate holds (``UPBCertificate.ok``) and the seesaw found
+    nothing.  When the complement cannot be certified the check fails
+    with the reason in ``note`` and no search runs; an empty complement
+    (one tile) passes vacuously.  Raises ValueError when restarts < 1,
+    whether or not a search runs.
     """
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
-    ts = upb.origin
-    s = ts.tile_count
-    mn = upb.m * upb.n
-    expected = mn - s + 1
-    stack = _factor_stack(upb.states)
-    orth = _orthogonality(stack, DEFAULT_ORTH_TOL)
-    size_ok = len(upb.states) == expected
-
-    stopper_ok = True
-    for tile, miss in zip(ts.tiles, upb.missing):
-        overlap = inner_product(upb.stopper, miss)
-        if abs(overlap - tile.size) > DEFAULT_ORTH_TOL * mn or abs(overlap) < 0.5:
-            stopper_ok = False
-
+    cert = certify_upb(upb)
+    search = None
+    if cert.verdict is not None:
+        search = seesaw_search(upb.origin, restarts=restarts, seed=seed)
+    found = search is not None and search.best_overlap > 1.0 - PRODUCT_THRESHOLD
+    if cert.refusal:
+        note = f"complement not certified, search skipped: {cert.refusal}"
+    elif cert.verdict is None:
+        note = "complement is empty; unextendibility holds vacuously"
+    elif cert.u_tile:
+        note = (
+            "the seesaw found a product state in the complement of a U-tile "
+            "origin, which contradicts the U-tile theorem"
+            if found
+            else "U-tile: no product state in the complement; the seesaw found none"
+        )
+    elif cert.max_overlap <= DEFAULT_ORTH_TOL:
+        note = (
+            "not a U-tile: the witness is a product state in the complement "
+            "(extendibility certificate); the seesaw "
+            + ("found one too" if found else "missed it")
+        )
+    else:
+        note = (
+            "not a U-tile, but the witness state overlaps the states: relative "
+            f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}"
+        )
     settings = {
         "restarts": restarts,
         "max_iters": DEFAULT_MAX_ITERS,
@@ -430,64 +485,4 @@ def check_upb(
         "orth_tol": DEFAULT_ORTH_TOL,
         "product_threshold": PRODUCT_THRESHOLD,
     }
-
-    certificate = None
-    search = None
-    found = False
-    complement_dim = 0
-    reason = None
-    if expected == mn and len(upb.states) == mn:
-        # Complete basis: empty complement, nothing to search.
-        note = "complement is empty; unextendibility holds vacuously"
-    elif not orth.ok:
-        reason = "the states are not pairwise orthogonal"
-    else:
-        try:
-            _certify(upb, stack, DEFAULT_ORTH_TOL)
-        except ValueError as exc:
-            reason = str(exc)
-        else:
-            complement_dim = s - 1
-            verdict = is_u_tile(ts)
-            certificate = UPBCertificate(verdict)
-            if not verdict.is_u_tile:
-                state = extension_witness(ts, verdict)
-                certificate = UPBCertificate(verdict, state, _witness_overlap(stack, state))
-            search = seesaw_search(ts, restarts=restarts, seed=seed)
-            found = search.best_overlap > 1.0 - PRODUCT_THRESHOLD
-            if verdict.is_u_tile:
-                note = (
-                    "the seesaw found a product state in the complement of a U-tile "
-                    "origin, which contradicts the U-tile theorem"
-                    if found
-                    else "U-tile: no product state in the complement; the seesaw found none"
-                )
-            elif certificate.max_overlap <= DEFAULT_ORTH_TOL:
-                note = (
-                    "not a U-tile: the witness is a product state in the complement "
-                    "(extendibility certificate); the seesaw "
-                    + ("found one too" if found else "missed it")
-                )
-            else:
-                note = (
-                    "not a U-tile, but the witness state overlaps the states: relative "
-                    f"{certificate.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}"
-                )
-    if reason is not None:
-        note = f"complement not certified, search skipped: {reason}"
-    exact = certificate is None or certificate.u_tile
-    return UPBCheckReport(
-        size=len(upb.states),
-        expected_size=expected,
-        size_ok=size_ok,
-        orthogonality=orth,
-        stopper_law_ok=stopper_ok,
-        complement_dim=complement_dim,
-        expected_complement_dim=s - 1,
-        certificate=certificate,
-        search=search,
-        product_found=found,
-        passed=size_ok and orth.ok and stopper_ok and reason is None and exact and not found,
-        note=note,
-        settings=settings,
-    )
+    return UPBCheckReport(cert, search, found, note, settings)

@@ -398,11 +398,9 @@ def dense_verify_protocol(protocol, states):
     pruning, branch audit and violation messages are the library's."""
     if not states:
         raise ValueError("no states to discriminate")
-    dims = states[0].dims
-    if any(st.dims != dims for st in states):
+    reg_dims = states[0].dims
+    if any(st.dims != reg_dims for st in states):
         raise ValueError("states have inconsistent register dimensions")
-    m, n, da, db = dims
-    reg_dims = (m * da, n * db)
     mats = []
     for i, st in enumerate(states):
         mat = st.cut_matrix()

@@ -13,7 +13,7 @@ from tileupb import (
     attach_resource,
     build_theorem3_protocol,
     build_upb,
-    certified_complement,
+    certify_upb,
     check_orthogonal_set,
     example1,
     extension_witness,
@@ -160,10 +160,9 @@ def test_criterion_5_search_verdicts_match_the_combinatorial_decision(capsys):
         ref = svd_complement(upb.states)
         if not np.allclose(closed_form_projector(ts), ref.T @ ref.conj(), rtol=0, atol=1e-10):
             problems.append(f"tile complement of {grid} is not the SVD complement")
-        try:
-            certified_complement(upb)
-        except ValueError as exc:
-            problems.append(f"certificate refused {grid}: {exc}")
+        refusal = certify_upb(upb).refusal
+        if refusal:
+            problems.append(f"certificate refused {grid}: {refusal}")
         if combinatorial:
             res = seesaw_search(ts, restarts=budget, seed=0)
             if not res.best_overlap <= 1 - 1e-3:
@@ -237,7 +236,7 @@ def test_criterion_8_half_m_resource_protocols(capsys):
     for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10), (12, 12)):
         upb = build_upb(prop2(m, n))
         states = attach_resource(upb.states, m // 2)
-        if states[0].dims[2] != m // 2 or states[0].dims[3] != m // 2:
+        if states[0].left.shape[1] != m // 2 or states[0].right.shape[1] != m // 2:
             problems.append(f"({m},{n}): resource dimension is not m/2")
         report = verify_protocol(build_theorem3_protocol(m, n), states)
         if abs(report.min_success_probability - 1) > 1e-9 or not report.ok:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import tileupb.cli
+import tileupb.verify
 from tileupb.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -181,6 +183,34 @@ class TestChecks:
         code, out, _ = run(capsys, "ppt", "--family", "five-tile", "--m", "3", "--n", "4")
         assert code == 0
         assert "verdict: ok" in out
+
+    def test_ppt_on_a_non_u_tile_origin_prints_the_report_and_exits_one(self, capsys):
+        code, out, err = run(capsys, "ppt", "--family", "fig2", "--json")
+        assert code == 1
+        assert err == ""
+        assert '"entangled_certificate": null' in out
+        assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("ppt", "--family", "example1"),
+        ("ppt", "--family", "fig2"),
+        ("build-upb", "--family", "example1"),
+        ("build-upb", "--family", "fig2"),
+        ("verify-upb", "--family", "example1", "--restarts", "5"),
+        ("verify-upb", "--family", "fig2", "--restarts", "5"),
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_each_call_decides_u_tile_once(self, capsys, monkeypatch, argv):
+        calls = []
+        decide = tileupb.verify.is_u_tile
+
+        def counted(ts):
+            calls.append(ts)
+            return decide(ts)
+
+        for module in (tileupb.cli, tileupb.verify):
+            monkeypatch.setattr(module, "is_u_tile", counted)
+        run(capsys, *argv)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["verify-upb", "ppt"])
     def test_large_interior_tile_is_not_a_false_failure(self, command, capsys):

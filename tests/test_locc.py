@@ -39,32 +39,45 @@ def _composite_states(m, n):
     return upb, attach_resource(upb.states, m // 2)
 
 
+def _bare(amps):
+    """The state with amplitudes amps[A, B, a, b] as the factor pair
+    (M, I) of its cut matrix M, row A*d_a + a and column B*d_b + b."""
+    m, n, da, db = amps.shape
+    return CompositeState(amps.transpose(0, 2, 1, 3).reshape(m * da, n * db), np.eye(n * db))
+
+
 class TestCompositeStates:
     def test_attach_resource_builds_the_diagonal_ancilla_sum(self):
         s = ProductState([1, 2], [3, 4])
         (comp,) = attach_resource([s], 2)
-        assert comp.dims == (2, 2, 2, 2)
-        assert comp.amplitudes[1, 0, 0, 0] == 2 * 3
-        assert comp.amplitudes[1, 0, 1, 1] == 2 * 3
-        assert comp.amplitudes[1, 0, 0, 1] == 0
+        assert comp.dims == (4, 4)
+        assert comp.left.shape == comp.right.shape == (4, 2)
+        cut = comp.cut_matrix()
+        assert cut[2, 0] == 2 * 3  # A=1, a=0; B=0, b=0
+        assert cut[3, 1] == 2 * 3  # A=1, a=1; B=0, b=1
+        assert cut[2, 1] == 0  # A=1, a=0; B=0, b=1
 
     def test_trivial_resource_keeps_the_state(self):
         s = ProductState([1, 2], [3, 4])
         (comp,) = attach_resource([s], 1)
-        assert np.allclose(comp.amplitudes[:, :, 0, 0], s.matrix)
+        assert np.allclose(comp.cut_matrix(), s.matrix)
 
     def test_cut_matrix_agrees_with_kron_application(self):
         rng = np.random.default_rng(0)
         amps = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
-        state = CompositeState(amps)
+        state = _bare(amps)
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         direct = op @ state.cut_matrix()
         lifted = brute_composite_apply(op, "alice", amps)
-        assert np.allclose(direct, CompositeState(lifted).cut_matrix())
+        assert np.allclose(direct, _bare(lifted).cut_matrix())
         op_b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         direct_b = state.cut_matrix() @ op_b.T
         lifted_b = brute_composite_apply(op_b, "bob", amps)
-        assert np.allclose(direct_b, CompositeState(lifted_b).cut_matrix())
+        assert np.allclose(direct_b, _bare(lifted_b).cut_matrix())
+
+    def test_factors_of_unequal_rank_are_refused(self):
+        with pytest.raises(ValueError, match="equal column counts"):
+            CompositeState(np.ones((4, 2)), np.ones((4, 3)))
 
 
 class TestRootLayer:
@@ -305,7 +318,7 @@ def _entangled_finish_leaf():
     amps[1, 1, 1, 1] = 1.0
     corner = np.zeros((2, 2, 2, 2), dtype=complex)
     corner[0, 1, 0, 0] = 1.0
-    return OnePartyFinish(ALICE, (0, 1)), [CompositeState(amps), CompositeState(corner)]
+    return OnePartyFinish(ALICE, (0, 1)), [_bare(amps), _bare(corner)]
 
 
 def _nested_bob_outcome_dropped():
@@ -346,10 +359,11 @@ def _prop2_case(m, n):
 
 
 def _mixed_factor_ranks():
-    # every other state rebuilt from bare amplitudes: its factors have
-    # rank n*d, not d, so the walk zero-pads the others to a common rank
+    # every other state rebuilt as (M, I): its factors have rank n*d,
+    # not d, so the walk zero-pads the others to a common rank
     protocol, states = _prop2_case(4, 5)()
-    return protocol, [CompositeState(st.amplitudes) if i % 2 else st for i, st in enumerate(states)]
+    return protocol, [CompositeState(st.cut_matrix(), np.eye(st.dims[1])) if i % 2 else st
+                      for i, st in enumerate(states)]
 
 
 DIFFERENTIAL = {
@@ -414,20 +428,13 @@ class TestVerifierCatchesSabotage:
 class TestFactoredWalk:
     def test_resource_states_carry_rank_d_factors(self):
         upb, states = _composite_states(6, 6)
-        for st in states:
-            left, right = st.factors
-            assert left.shape == (6 * 3, 3) and right.shape == (6 * 3, 3)
-            assert np.allclose(left @ right.T, st.cut_matrix())
-
-    def test_bare_amplitudes_carry_the_cut_matrix_and_identity(self):
-        rng = np.random.default_rng(1)
-        state = CompositeState(rng.normal(size=(2, 3, 2, 2)))
-        left, right = state.factors
-        assert np.array_equal(left, state.cut_matrix())
-        assert np.array_equal(right, np.eye(6))
+        for state, st in zip(upb.states, states):
+            assert st.left.shape == (6 * 3, 3) and st.right.shape == (6 * 3, 3)
+            assert np.array_equal(st.left, np.kron(state.a_vec[:, None], np.eye(3)))
+            assert np.array_equal(st.right, np.kron(state.b_vec[:, None], np.eye(3)))
 
     def test_zero_states_are_refused(self):
-        zero = CompositeState(np.zeros((2, 2, 1, 1)))
+        zero = CompositeState(np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="state 0 is zero"):
             verify_protocol(Identify(0), [zero])
 

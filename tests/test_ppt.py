@@ -119,7 +119,7 @@ class TestBuildState:
         tampered = replace(upb, states=(nudged,) + upb.states[1:])
         verdict = check_upb(tampered, restarts=1)
         if shift > 1e-12:
-            assert 1e-12 < verdict.orthogonality.max_offdiagonal < 1e-10
+            assert 1e-12 < verdict.certificate.orthogonality.max_offdiagonal < 1e-10
         try:
             report = ppt_report(tampered)
         except ValueError:
@@ -164,6 +164,15 @@ class TestReport:
         report = ppt_report(build_upb(ts))
         assert not report.ok
         assert report.warning
+        assert report.entangled_certificate is None
+
+    def test_a_non_u_tile_origin_gets_no_range_criterion(self):
+        """fig2's complement holds its extension state: the state is PPT
+        with rank s - 1, but nothing certifies entanglement."""
+        report = ppt_report(build_upb(fig2()))
+        assert report.ok and report.rank == 5
+        assert report.entangled_certificate is None
+        assert "not U-tile" in report.warning
 
     def test_class_spectra_match_the_dense_oracle(self, small_structures):
         for grid in small_structures:

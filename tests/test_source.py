@@ -30,9 +30,10 @@ def test_every_export_resolves(path):
 
 
 # src/tileupb/*.py held 2,427 lines when the line count started to be
-# tracked, and 2,355 once the PPT report became closed-form; it may only
-# fall, so speed work cannot grow the library unnoticed.
-SOURCE_LINE_CAP = 2355
+# tracked, 2,355 once the PPT report became closed-form, and 2,321 once
+# one certificate decided a tile basis; it may only fall, so speed work
+# cannot grow the library unnoticed.
+SOURCE_LINE_CAP = 2321
 
 
 def test_library_source_stays_under_the_line_cap():

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tileupb import (
-    NotUTileError,
     ProductState,
     STOPPER_LABEL,
     UPBSet,
     build_upb,
     check_upb,
     example1,
-    fig2,
     five_tile,
     inner_product,
     prop2,
@@ -115,12 +113,6 @@ class TestBuildUpb:
         for tile, miss in zip(ts.tiles, upb.missing):
             assert inner_product(upb.stopper, miss) == pytest.approx(tile.size)
 
-    def test_checked_build_rejects_non_u_tile(self):
-        with pytest.raises(NotUTileError, match="column"):
-            build_upb(fig2(), check=True)
-        # unchecked build still produces the orthogonal family
-        assert len(build_upb(fig2()).states) == 11
-
     def test_json_round_trip(self):
         upb = build_upb(example1())
         again = UPBSet.from_json_dict(upb.to_json_dict())
@@ -165,4 +157,4 @@ class TestUPBSetJson:
         data = build_upb(prop2(5, 6)).to_json_dict()
         data["states"].pop(0)
         upb = UPBSet.from_json_dict(data)
-        assert not check_upb(upb, restarts=5).size_ok
+        assert not check_upb(upb, restarts=5).certificate.size_ok

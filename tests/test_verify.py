@@ -12,9 +12,11 @@ from tileupb import (
     ProductState,
     SearchResult,
     build_upb,
+    certify_upb,
     check_orthogonal_set,
     check_upb,
     example1,
+    extension_witness,
     fig2,
     five_tile,
     is_u_tile,
@@ -22,7 +24,7 @@ from tileupb import (
     prop3,
     seesaw_search,
 )
-from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK, certified_complement
+from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
 
 from conftest import (
     assert_witness_split,
@@ -127,7 +129,7 @@ class TestComplementBasis:
             svd_complement([s, s])
 
 
-class TestCertifiedComplement:
+class TestCertifyUpb:
     @pytest.mark.parametrize(
         "ts",
         [example1(), five_tile(3, 5), prop2(5, 6), prop3(5, 9), fig2(),
@@ -137,59 +139,72 @@ class TestCertifiedComplement:
     def test_projector_matches_the_svd_complement(self, ts):
         """The certificate accepts, and the space it certifies, written in
         closed form by the oracle, is the complement an SVD of the states
-        finds."""
+        finds; the verdict on it is the U-tile decision."""
         upb = build_upb(ts)
-        certified_complement(upb)
+        cert = certify_upb(upb)
+        assert cert.refusal is None
+        assert cert.complement_dim == ts.tile_count - 1
+        assert cert.u_tile == cert.ok == is_u_tile(ts).is_u_tile
         ref = svd_complement(upb.states)
         assert len(ref) == ts.tile_count - 1
         assert np.allclose(closed_form_projector(ts), ref.T @ ref.conj(), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("delta", [0.5, 1e-6])
-    def test_tolerance_bounds_the_relative_complement_component(self, delta):
-        """The stopper tilted along row 0, (1 + delta e_0) (x) 1, has a
-        complement component of relative size x, read off the oracle's
-        projector; the certificate passes at tol = 2x and refuses at x / 2,
-        and the margin it compares is x itself, a norm and not a largest
-        coordinate."""
+    @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
+    def test_a_nudged_factor_is_refused_beyond_rounding(self, shift):
+        """A nudge of 1e-11 is refused and one of 1e-15 accepted."""
         upb = build_upb(example1())
-        a = np.ones(upb.m)
-        a[0] += delta
-        tilted = ProductState(a, np.ones(upb.n))
-        vec = kron_vector(tilted)
-        x = np.linalg.norm(closed_form_projector(upb.origin) @ vec) / np.linalg.norm(vec)
-        assert x > 1e3 * np.finfo(float).eps
-        states = upb.states[:-1] + (tilted,)
-        swapped = type(upb)(states=states, missing=upb.missing, stopper=upb.stopper,
-                            origin=upb.origin)
-        for above, below in ((2 * x, x / 2), (1.001 * x, 0.999 * x)):
-            certified_complement(swapped, tol=above)
-            with pytest.raises(ValueError, match="overlap"):
-                certified_complement(swapped, tol=below)
+        rng = np.random.default_rng(3)
+        first = upb.states[0]
+        nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
+        cert = certify_upb(type(upb)(states=(nudged,) + upb.states[1:], missing=upb.missing,
+                                     stopper=upb.stopper, origin=upb.origin))
+        assert (cert.refusal is None) == cert.ok == (shift < 1e-12)
+
+    @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
+    def test_the_complement_component_is_a_relative_norm(self, shift):
+        """fig2's first state e_0 (x) (1, -1, 0, 0) tilted along its
+        extension state e_0 (x) (1, 1, -1, -1) stays a product orthogonal
+        to every other state, with a complement component of relative
+        size sqrt(2) * shift: the certificate refuses it beyond rounding,
+        on that component and not on orthogonality."""
+        upb = build_upb(fig2())
+        witness = extension_witness(upb.origin, is_u_tile(upb.origin))
+        first = upb.states[0]
+        assert np.array_equal(first.a_vec, witness.a_vec)
+        tilted = ProductState(first.a_vec, first.b_vec + shift * witness.b_vec)
+        cert = certify_upb(type(upb)(states=(tilted,) + upb.states[1:], missing=upb.missing,
+                                     stopper=upb.stopper, origin=upb.origin))
+        assert cert.orthogonality.ok
+        if shift > 1e-12:
+            assert "overlap" in cert.refusal and f"{np.sqrt(2) * shift:.3e}" in cert.refusal
+            assert cert.verdict is None
+        else:
+            assert cert.refusal is None and not cert.u_tile
 
     def test_refuses_states_given_as_matrices(self):
         upb = build_upb(example1())
         as_matrices = type(upb)(states=tuple(s.matrix for s in upb.states),
                                 missing=upb.missing, stopper=upb.stopper, origin=upb.origin)
         with pytest.raises(TypeError, match="product states"):
-            certified_complement(as_matrices)
+            certify_upb(as_matrices)
 
     def test_refuses_a_foreign_origin(self):
-        with pytest.raises(ValueError, match="overlap"):
-            certified_complement(foreign_origin_upb())
+        cert = certify_upb(foreign_origin_upb())
+        assert "overlap" in cert.refusal
+        assert cert.complement_dim == 0 and cert.verdict is None
 
     def test_refuses_a_broken_size_law(self):
         upb = build_upb(example1())
         short = type(upb)(states=upb.states[1:], missing=upb.missing,
                           stopper=upb.stopper, origin=upb.origin)
-        with pytest.raises(ValueError, match="size law"):
-            certified_complement(short)
+        assert "size law" in certify_upb(short).refusal
 
     def test_refuses_a_zero_state(self):
         upb = build_upb(example1())
         zeroed = upb.states[:-1] + (ProductState(np.zeros(upb.m), np.ones(upb.n)),)
-        with pytest.raises(ValueError, match="zero"):
-            certified_complement(type(upb)(states=zeroed, missing=upb.missing,
-                                           stopper=upb.stopper, origin=upb.origin))
+        cert = certify_upb(type(upb)(states=zeroed, missing=upb.missing,
+                                     stopper=upb.stopper, origin=upb.origin))
+        assert "zero" in cert.refusal
 
     def test_single_cell_grid_at_the_format_limit_needs_no_basis(self):
         """The 64 x 64 grid of single-cell tiles has a 4,095-dimensional
@@ -198,10 +213,11 @@ class TestCertifiedComplement:
         upb = build_upb(ts)
         tracemalloc.start()
         try:
-            certified_complement(upb)
+            cert = certify_upb(upb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert cert.refusal is None and cert.complement_dim == 4095
         assert peak < 64e6
 
 
@@ -385,12 +401,13 @@ class TestCheckUpb:
     def test_reference_basis_passes(self):
         report = check_upb(build_upb(example1()), restarts=100, seed=0)
         assert report.passed
-        assert report.size == report.expected_size == 11
-        assert report.complement_dim == report.expected_complement_dim == 5
-        assert report.stopper_law_ok
+        cert = report.certificate
+        assert cert.size == cert.expected_size == 11
+        assert cert.complement_dim == cert.expected_complement_dim == 5
+        assert cert.stopper_law_ok
         assert not report.product_found
-        assert report.certificate.u_tile
-        assert report.certificate.to_json_dict() == {"u_tile": True, "witness": None}
+        assert cert.u_tile
+        assert report.to_json_dict()["certificate"] == {"u_tile": True, "witness": None}
 
     def test_extendible_basis_fails_with_a_certificate(self):
         report = check_upb(build_upb(fig2()), restarts=50, seed=0)
@@ -428,17 +445,17 @@ class TestCheckUpb:
 
     def test_uncertified_complement_fails_without_a_search(self):
         report = check_upb(foreign_origin_upb(), restarts=10, seed=0)
-        assert report.orthogonality.ok and report.size_ok
+        assert report.certificate.orthogonality.ok and report.certificate.size_ok
         assert not report.passed
         assert report.search is None
-        assert report.certificate is None
+        assert report.certificate.verdict is None
         assert "not certified" in report.note and "overlap" in report.note
 
     def test_complete_basis_passes_vacuously(self):
         ts = structure_from_grid([[1, 1], [1, 1]])
         report = check_upb(build_upb(ts))
         assert report.passed
-        assert report.complement_dim == 0
+        assert report.certificate.complement_dim == 0
         assert report.search is None
         assert report.to_json_dict()["certificate"] is None
         assert "vacuous" in report.note
@@ -453,9 +470,12 @@ class TestCheckUpb:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(ts=limit_structures())
     def test_verdict_is_the_u_tile_decision_up_to_64x64(self, ts):
-        report = check_upb(build_upb(ts, check=False), restarts=3, seed=0)
+        report = check_upb(build_upb(ts), restarts=3, seed=0)
         assert report.passed == is_u_tile(ts).is_u_tile
-        assert report.certificate.u_tile == report.passed
+        if ts.tile_count == 1:  # an empty complement leaves nothing to decide
+            assert report.certificate.verdict is None
+        else:
+            assert report.certificate.u_tile == report.passed
         if not report.passed:
             assert_witness_split(ts, report.certificate.verdict)
             assert report.certificate.max_overlap <= 1e-12
