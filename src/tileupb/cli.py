@@ -18,7 +18,7 @@ from .families import example1, fig2, five_tile, prop2, prop3
 from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize, validate
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
-from .rectangles import extension_witness, is_u_tile
+from .rectangles import is_u_tile
 from .states import build_upb
 from .verify import DEFAULT_RESTARTS, check_upb
 
@@ -101,7 +101,7 @@ def _cmd_check_utile(args, parser) -> int:
         _emit(args, "U-tile: yes", payload)
         return 0
     wit = verdict.witness
-    payload["witness"] = wit.to_json_dict(extension_witness(ts, verdict))
+    payload["witness"] = wit.to_json_dict()
     text = (
         "U-tile: no\n"
         f"witness rectangle: tiles {{{', '.join(map(str, wit.rectangle.tile_ids))}}} "

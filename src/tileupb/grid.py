@@ -2,7 +2,9 @@
 
 A tile is a (possibly separated) combinatorial rectangle: a set of row
 indices R and column indices C whose cell set is exactly R x C.  A tile
-structure partitions the whole grid into such tiles, numbered 1..s.
+structure partitions the whole grid into such tiles, numbered 1..s,
+and is stored as its grid of tile ids alone: every tile's index sets
+are read off that grid, so the two forms cannot disagree.
 
 The text format is line based: optional comment lines starting with '#',
 then a header line "m n", then exactly m lines of n whitespace-separated
@@ -12,6 +14,7 @@ tile ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 MAX_DIM = 64
@@ -48,36 +51,42 @@ class Tile:
 
 @dataclass(frozen=True)
 class TileStructure:
-    """An m x n grid partitioned into tiles, kept in both representations.
+    """An m x n grid partitioned into tiles, stored as its grid of ids.
 
-    ``tiles`` lists the index-set form sorted by id; ``cell_map`` is the
-    grid of ids, row major.  The two must agree; ``validate`` checks.
+    ``cell_map`` is the row-major id grid and the only stored field;
+    ``m``, ``n`` and the index-set form ``tiles`` (sorted by id) are read
+    off it.  ``validate`` checks that it is a tile structure.
     """
 
-    m: int
-    n: int
-    tiles: tuple[Tile, ...]
     cell_map: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_grid(cls, grid: list[list[int]] | tuple[tuple[int, ...], ...]) -> TileStructure:
-        """Build a structure from an id grid, reconstructing each tile's
-        row and column index sets.  No invariants are enforced here; run
-        ``validate`` (or use ``parse_tile_grid``) to check them."""
-        cell_map = tuple(tuple(int(v) for v in row) for row in grid)
-        m = len(cell_map)
-        n = len(cell_map[0]) if m else 0
+        """Build a structure from an id grid.  No invariants are enforced
+        here; run ``validate`` (or use ``parse_tile_grid``) to check them."""
+        return cls(tuple(tuple(int(v) for v in row) for row in grid))
+
+    @property
+    def m(self) -> int:
+        return len(self.cell_map)
+
+    @property
+    def n(self) -> int:
+        return len(self.cell_map[0]) if self.cell_map else 0
+
+    @cached_property
+    def tiles(self) -> tuple[Tile, ...]:
+        """Each id's sorted row and column index sets, in id order."""
         by_id: dict[int, tuple[set[int], set[int]]] = {}
-        for r, row in enumerate(cell_map):
+        for r, row in enumerate(self.cell_map):
             for c, tid in enumerate(row):
                 rows, cols = by_id.setdefault(tid, (set(), set()))
                 rows.add(r)
                 cols.add(c)
-        tiles = tuple(
+        return tuple(
             Tile(tid, tuple(sorted(rows)), tuple(sorted(cols)))
             for tid, (rows, cols) in sorted(by_id.items())
         )
-        return cls(m, n, tiles, cell_map)
 
     @property
     def tile_count(self) -> int:
@@ -105,56 +114,31 @@ def validate(ts: TileStructure) -> ValidationReport:
     """Check every tile-structure invariant and report all violations.
 
     Checks grid shape and bounds, id contiguity (ids must be exactly
-    1..s), agreement between tiles and cell_map, and that every tile's
-    cell set is exactly rows x cols (each violation names the offending
-    id and a counterexample cell).
+    1..s), and that every tile's cell set is exactly rows x cols (each
+    violation names the offending id, the first cell of rows x cols
+    that another tile owns, and that tile).
     """
-    problems: list[str] = []
     if ts.m < 1 or ts.n < 1:
-        problems.append(f"grid dimensions must be positive, got {ts.m}x{ts.n}")
-        return ValidationReport(tuple(problems))
+        return ValidationReport((f"grid dimensions must be positive, got {ts.m}x{ts.n}",))
+    problems: list[str] = []
     if ts.m > MAX_DIM or ts.n > MAX_DIM:
         problems.append(f"grid dimensions exceed the supported maximum {MAX_DIM}")
-    if len(ts.cell_map) != ts.m or any(len(row) != ts.n for row in ts.cell_map):
-        problems.append("cell_map shape does not match declared dimensions")
+    if any(len(row) != ts.n for row in ts.cell_map):
+        problems.append("cell_map rows differ in length")
         return ValidationReport(tuple(problems))
 
-    s = len(ts.tiles)
+    s = ts.tile_count
     ids = [t.id for t in ts.tiles]
     if ids != list(range(1, s + 1)):
-        problems.append(f"tile ids are not contiguous 1..{s}: {sorted(set(ids))}")
-    grid_ids = {tid for row in ts.cell_map for tid in row}
-    if grid_ids != set(ids):
-        problems.append(
-            f"cell_map ids {sorted(grid_ids)} differ from tile list ids {sorted(set(ids))}"
-        )
-
-    cells_by_id: dict[int, set[tuple[int, int]]] = {}
-    for r, row in enumerate(ts.cell_map):
-        for c, tid in enumerate(row):
-            cells_by_id.setdefault(tid, set()).add((r, c))
-
+        problems.append(f"tile ids are not contiguous 1..{s}: {ids}")
     for t in ts.tiles:
-        if not t.rows or not t.cols:
-            problems.append(f"tile {t.id} has an empty row or column set")
-            continue
-        if min(t.rows) < 0 or max(t.rows) >= ts.m or min(t.cols) < 0 or max(t.cols) >= ts.n:
-            problems.append(f"tile {t.id} index sets fall outside the {ts.m}x{ts.n} grid")
-            continue
-        claimed = set(product(t.rows, t.cols))
-        actual = cells_by_id.get(t.id, set())
-        for cell in sorted(claimed - actual):
-            problems.append(
-                f"tile {t.id} is not a separated rectangle: cell {cell} of "
-                f"rows x cols belongs to tile {ts.cell_map[cell[0]][cell[1]]}"
-            )
-            break
-        extra = sorted(actual - claimed)
-        if extra:
-            problems.append(
-                f"tile {t.id} is not a separated rectangle: cell {extra[0]} carries its id "
-                f"but lies outside rows x cols"
-            )
+        for r, c in product(t.rows, t.cols):
+            if ts.cell_map[r][c] != t.id:
+                problems.append(
+                    f"tile {t.id} is not a separated rectangle: cell {(r, c)} of "
+                    f"rows x cols belongs to tile {ts.cell_map[r][c]}"
+                )
+                break
     return ValidationReport(tuple(problems))
 
 

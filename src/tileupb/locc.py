@@ -81,9 +81,9 @@ class CompositeState:
 
 @dataclass(frozen=True, eq=False)
 class LocalProjector:
-    """A projector on one party's joint register (A (x) a or B (x) b)."""
+    """A projector on the joint register (A (x) a or B (x) b) of the
+    party its ``Branch`` names."""
 
-    party: str
     operator: np.ndarray
 
     def __post_init__(self):
@@ -180,9 +180,7 @@ def _ring_index(levels: int, iota: int) -> np.ndarray:
 
 
 def _branch(party: str, outcomes) -> Branch:
-    return Branch(
-        party, tuple((LocalProjector(party, op), child) for op, child in outcomes)
-    )
+    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes))
 
 
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
@@ -379,8 +377,6 @@ def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list
     dim = dims[0] if node.party == ALICE else dims[1]
     ops = []
     for proj, _ in node.outcomes:
-        if proj.party != node.party:
-            problems.append(f"{path}: projector party {proj.party} differs from branch party")
         op = proj.operator
         if op.shape != (dim, dim):
             problems.append(f"{path}: operator shape {op.shape} does not match register {dim}")

@@ -8,13 +8,13 @@ when the product basis the structure induces is unextendible.
 ``is_u_tile`` decides it by a joint closure over per-tile row and
 column bitmasks, polynomial in the tile count, without listing special
 rectangles.  A failing structure comes with an explicit two-part
-witness, from which ``extension_witness`` builds a product state
-orthogonal to the whole kept set.
+witness that carries its extension state: a product state orthogonal
+to the whole kept set, read off the same fixpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "UTileWitness",
     "UTileVerdict",
     "is_u_tile",
-    "extension_witness",
 ]
 
 
@@ -43,15 +42,23 @@ class SpecialRectangle:
 class UTileWitness:
     """A failing split: two nonempty tile groups of a special rectangle
     whose unions of row sets (axis="row") or column sets
-    (axis="column") are disjoint."""
+    (axis="column") are disjoint, and its extension ``state``.
+
+    For a column split whose parts cover column sets C1 and C2 of the
+    rectangle's rows R, the state is sum_i c_i |phi_i^(0,0)> with
+    c_i = 1 on the first part and -|C1|/|C2| on the second; as the parts
+    tile R x (C1 + C2) column-disjointly it is the product of the
+    indicator of R and the columnwise coefficients, orthogonal to every
+    kept state of ``build_upb``.  Row splits are the transpose.
+    """
 
     rectangle: SpecialRectangle
     axis: str
     part1: tuple[int, ...]
     part2: tuple[int, ...]
+    state: ProductState = field(compare=False)
 
-    def to_json_dict(self, state: ProductState) -> dict:
-        """The split with its extension state (``extension_witness``)."""
+    def to_json_dict(self) -> dict:
         return {
             "tiles": list(self.rectangle.tile_ids),
             "rows": list(self.rectangle.rows),
@@ -59,7 +66,7 @@ class UTileWitness:
             "axis": self.axis,
             "part1": list(self.part1),
             "part2": list(self.part2),
-            "state": state.to_json_dict(),
+            "state": self.state.to_json_dict(),
         }
 
 
@@ -78,13 +85,6 @@ def _bit_indices(mask: int) -> list[int]:
         mask >>= 1
         i += 1
     return out
-
-
-def _tile_masks(ts: TileStructure) -> tuple[list[int], list[int]]:
-    """Per-tile row and column index sets as bitmasks, in tile order."""
-    rows = [sum(1 << r for r in tile.rows) for tile in ts.tiles]
-    cols = [sum(1 << c for c in tile.cols) for tile in ts.tiles]
-    return rows, cols
 
 
 def _split(shared: list[int], split: list[int]) -> tuple[int, int, int] | None:
@@ -128,10 +128,14 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
     axis is the same with rows and columns swapped.  Each is found by
     joint closure from tile pairs (``_split``), in O(s^4) mask tests
     whatever the grid size.  The witness is the least rectangle of the
-    first failing tile pair in tile order, column axis first.
+    first failing tile pair in tile order, column axis first, and its
+    extension state is built from the fixpoint's masks: the indicator of
+    the shared set, and 1 on B1, -|B1|/|B2| on B2 along the split axis.
     """
-    rows, cols = _tile_masks(ts)
-    for axis, shared, split in (("column", rows, cols), ("row", cols, rows)):
+    rows = [sum(1 << r for r in tile.rows) for tile in ts.tiles]
+    cols = [sum(1 << c for c in tile.cols) for tile in ts.tiles]
+    for axis, shared, split, dims in (("column", rows, cols, (ts.m, ts.n)),
+                                      ("row", cols, rows, (ts.n, ts.m))):
         found = _split(shared, split)
         if found is None:
             continue
@@ -145,39 +149,11 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
             rows=base_idx if axis == "column" else split_idx,
             cols=split_idx if axis == "column" else base_idx,
         )
-        return UTileVerdict(False, UTileWitness(rect, axis, part1, part2))
+        shared_vec = np.zeros(dims[0], dtype=complex)
+        shared_vec[list(base_idx)] = 1.0
+        split_vec = np.zeros(dims[1], dtype=complex)
+        split_vec[_bit_indices(one)] = 1.0
+        split_vec[_bit_indices(two)] = -one.bit_count() / two.bit_count()
+        pair = (shared_vec, split_vec) if axis == "column" else (split_vec, shared_vec)
+        return UTileVerdict(False, UTileWitness(rect, axis, part1, part2, ProductState(*pair)))
     return UTileVerdict(True, None)
-
-
-def extension_witness(ts: TileStructure, verdict: UTileVerdict) -> ProductState:
-    """Product state orthogonal to every kept state of build_upb(ts).
-
-    For a column split with part column counts l and h - l, the state is
-    sum_i a_i |phi_i^(0,0)> with a_i = 1 on the first part and
-    a_i = -l/(h-l) on the second; since the parts tile the rectangle
-    column-disjointly this collapses to the rank-1 matrix
-    (indicator of the rectangle's rows) x (columnwise coefficients).
-    Row splits use the transposed construction.
-    """
-    if verdict.is_u_tile or verdict.witness is None:
-        raise ValueError("verdict carries no witness: the structure is U-tile")
-    w = verdict.witness
-    part1_tiles = [ts.tile(tid) for tid in w.part1]
-    part2_tiles = [ts.tile(tid) for tid in w.part2]
-    a = np.zeros(ts.m, dtype=complex)
-    b = np.zeros(ts.n, dtype=complex)
-    if w.axis == "column":
-        cols1 = sorted({c for t in part1_tiles for c in t.cols})
-        cols2 = sorted({c for t in part2_tiles for c in t.cols})
-        ell, h = len(cols1), len(cols1) + len(cols2)
-        a[list(w.rectangle.rows)] = 1.0
-        b[cols1] = 1.0
-        b[cols2] = -ell / (h - ell)
-    else:
-        rows1 = sorted({r for t in part1_tiles for r in t.rows})
-        rows2 = sorted({r for t in part2_tiles for r in t.rows})
-        ell, h = len(rows1), len(rows1) + len(rows2)
-        a[rows1] = 1.0
-        a[rows2] = -ell / (h - ell)
-        b[list(w.rectangle.cols)] = 1.0
-    return ProductState(a, b)

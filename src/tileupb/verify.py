@@ -8,8 +8,8 @@ is span{tile indicators} minus the stopper direction.  That space is
 never materialized as a basis: its certificate reads each state's s
 tile coordinates.  Once it holds, the paper's main theorem makes the
 U-tile decision of the origin exact: the complement holds a product
-state iff the origin is not U-tile, and then ``extension_witness``
-names one, checked against every state.  ``certify_upb`` makes all of
+state iff the origin is not U-tile, and then the verdict's witness
+carries one, checked against every state.  ``certify_upb`` makes all of
 these decisions on one factor stack; ``check_upb`` and ``ppt_report``
 read its ``UPBCertificate``.
 
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import TileStructure
-from .rectangles import UTileVerdict, extension_witness, is_u_tile
+from .rectangles import UTileVerdict, is_u_tile
 from .states import ProductState, UPBSet, inner_product
 
 __all__ = [
@@ -52,6 +52,7 @@ DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
 GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
 SEESAW_BLOCK = 256  # restarts advanced together, so memory stays O(SEESAW_BLOCK * p^2)
+SEESAW_ELEMENTS = 2**22  # cap on a block's (restarts, p, s) gain temporary, 32 MiB
 MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
 PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product state
 
@@ -212,7 +213,8 @@ def seesaw_search(
     E_R the orthonormal indicators of the p row classes (``_classes``),
     so each half-step is a p x p eigenproblem, and q x q for b.  Seeded
     complex-Gaussian starts are projected onto the classes, which keeps
-    the objective, and advance SEESAW_BLOCK at a time: one stacked eigh
+    the objective, and advance SEESAW_BLOCK at a time (fewer when a
+    block's gain temporary would pass SEESAW_ELEMENTS): one stacked eigh
     per half-step over the restarts not yet converged, each with its own
     iteration cap, stopping rule and count of drops beyond
     MONOTONE_SLACK.  Restarts are ranked by recomputed objective, first
@@ -228,14 +230,16 @@ def seesaw_search(
     rows, cols, sizes = _tile_incidence(ts)
     side_a, side_b = _class_side(rows), _class_side(cols)
     m, n = ts.m, ts.n
+    width = max(len(side_a.root), len(side_b.root)) * len(sizes)
+    block = max(1, min(SEESAW_BLOCK, SEESAW_ELEMENTS // width))
     rng = np.random.default_rng(seed)
     best_overlap = -1.0
     best_x = best_y = None
     converged_count = 0
     violations = 0
-    for first in range(0, restarts, SEESAW_BLOCK):
+    for first in range(0, restarts, block):
         # The same normals, in the same order, as one start at a time.
-        draws = rng.standard_normal((min(SEESAW_BLOCK, restarts - first), 2 * (m + n)))
+        draws = rng.standard_normal((min(block, restarts - first), 2 * (m + n)))
         a = draws[:, :m] + 1j * draws[:, m : 2 * m]
         b = draws[:, 2 * m : 2 * m + n] + 1j * draws[:, 2 * m + n :]
         x = (a / np.linalg.norm(a, axis=1, keepdims=True)) @ side_a.lift
@@ -273,8 +277,8 @@ class UPBCertificate:
     """What ``certify_upb`` decides.  ``refusal`` says why the complement
     is not certified (None when it is, or is empty); on a certified
     nonempty complement ``verdict`` is the origin's U-tile decision, and
-    a non-U-tile origin adds its extension ``state`` with ``max_overlap``,
-    its largest relative overlap with the states."""
+    a non-U-tile origin adds ``max_overlap``, the largest relative
+    overlap of its witness's extension state with the states."""
 
     size: int
     expected_size: int
@@ -283,7 +287,6 @@ class UPBCertificate:
     expected_complement_dim: int
     refusal: str | None = None
     verdict: UTileVerdict | None = None
-    state: ProductState | None = None
     max_overlap: float | None = None
 
     @property
@@ -313,7 +316,7 @@ class UPBCertificate:
         if self.verdict is not None:
             origin = {"u_tile": self.u_tile, "witness": None}
             if not self.u_tile:
-                origin.update(witness=self.verdict.witness.to_json_dict(self.state),
+                origin.update(witness=self.verdict.witness.to_json_dict(),
                               max_overlap=self.max_overlap)
         return {
             "size": self.size,
@@ -379,8 +382,8 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     complete basis (one tile) has an empty complement and needs none.
     On a certified complement the paper's theorem makes the origin's
     U-tile decision exact: a U-tile origin gives a UPB, and otherwise
-    ``extension_witness`` is a product state in the complement, checked
-    against every state.  Raises TypeError when a state is not a
+    the witness's extension state is a product state in the complement,
+    checked against every state.  Raises TypeError when a state is not a
     ``ProductState``.
     """
     ts = upb.origin
@@ -400,11 +403,11 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
-    state = extension_witness(ts, verdict)
+    state = verdict.witness.state
     a, b, norms = stack
     scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
     overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
-    return certificate(verdict=verdict, state=state, max_overlap=float(np.max(overlaps)))
+    return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))
 
 
 @dataclass(frozen=True, eq=False)

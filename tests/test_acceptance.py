@@ -16,7 +16,6 @@ from tileupb import (
     certify_upb,
     check_orthogonal_set,
     example1,
-    extension_witness,
     fig2,
     five_tile,
     inner_product,
@@ -73,7 +72,7 @@ def test_criterion_2_refuted_grid_is_extendible(capsys):
         problems.append("structure was wrongly accepted as a U-tile")
     elif not (wit.rectangle.tile_ids == (1, 2) and wit.axis == "column"):
         problems.append(f"unexpected witness {wit}")
-    state = extension_witness(ts, verdict)
+    state = verdict.witness.state
     if not (np.allclose(state.a_vec, [1, 0, 0, 0]) and np.allclose(state.b_vec, [1, 1, -1, -1])):
         problems.append("witness state is not the top-row half-difference")
     upb = build_upb(ts)

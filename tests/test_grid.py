@@ -90,23 +90,12 @@ class TestParse:
 
 
 class TestValidate:
-    def test_reports_claimed_cells_outside_the_tile(self):
-        good = structure_from_grid([[1, 1], [2, 2]])
-        bad = TileStructure(
-            good.m, good.n, (Tile(1, (0, 1), (0,)), Tile(2, (1,), (1,))), good.cell_map
+    def test_bent_tile_names_its_first_foreign_cell_and_owner(self):
+        # rows x cols of tile 1 is {0, 1} x {0, 1}, and tile 3 owns (1, 1)
+        report = validate(TileStructure.from_grid([[1, 1, 2], [1, 3, 3], [4, 4, 4]]))
+        assert report.problems == (
+            "tile 1 is not a separated rectangle: cell (1, 1) of rows x cols belongs to tile 3",
         )
-        report = validate(bad)
-        assert not report.ok
-        assert any("tile 1" in p for p in report.problems)
-
-    def test_reports_tile_out_of_bounds(self):
-        bad = TileStructure(2, 2, (Tile(1, (0, 1, 2), (0, 1)),), ((1, 1), (1, 1)))
-        assert not validate(bad).ok
-
-    def test_reports_empty_tile(self):
-        bad = TileStructure(2, 2, (Tile(1, (0, 1), (0, 1)), Tile(2, (), ())), ((1, 1), (1, 1)))
-        report = validate(bad)
-        assert any("empty" in p for p in report.problems)
 
     def test_accepts_single_tile_cover(self):
         ts = structure_from_grid([[1, 1], [1, 1]])

@@ -293,8 +293,8 @@ def _non_projector_outcomes():
     bad = Branch(
         ALICE,
         (
-            (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(0)),
-            (LocalProjector(ALICE, 0.5 * np.eye(8)), Identify(1)),
+            (LocalProjector(0.5 * np.eye(8)), Identify(0)),
+            (LocalProjector(0.5 * np.eye(8)), Identify(1)),
         ),
     )
     return bad, states

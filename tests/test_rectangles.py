@@ -1,13 +1,11 @@
 """The U-tile decision, and the enumeration oracle it is checked against."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tileupb import (
     example1,
-    extension_witness,
     fig2,
     five_tile,
     inner_product,
@@ -68,7 +66,7 @@ def _assert_valid_witness(ts, verdict):
     """The witness is a valid split (``assert_witness_split``) and its
     extension state is orthogonal to the kept states and the stopper."""
     assert_witness_split(ts, verdict)
-    state = extension_witness(ts, verdict)
+    state = verdict.witness.state
     worst = max(abs(inner_product(kept, state)) for kept in build_upb(ts).states)
     assert worst < 1e-12
     assert abs(inner_product(stopper(ts.m, ts.n), state)) < 1e-12
@@ -139,7 +137,7 @@ class TestUTileDecision:
 class TestExtensionWitness:
     def test_fig2_state_is_the_top_row_split(self):
         verdict = is_u_tile(fig2())
-        state = extension_witness(fig2(), verdict)
+        state = verdict.witness.state
         assert np.allclose(state.a_vec, [1, 0, 0, 0])
         assert np.allclose(state.b_vec, [1, 1, -1, -1])
 
@@ -149,7 +147,7 @@ class TestExtensionWitness:
             verdict = is_u_tile(ts)
             if verdict.is_u_tile:
                 continue
-            state = extension_witness(ts, verdict)
+            state = verdict.witness.state
             upb = build_upb(ts)
             worst = max(abs(inner_product(kept, state)) for kept in upb.states)
             assert worst < 1e-12, grid
@@ -158,5 +156,3 @@ class TestExtensionWitness:
     def test_u_tile_verdict_has_no_witness(self):
         verdict = is_u_tile(example1())
         assert verdict.witness is None
-        with pytest.raises(ValueError):
-            extension_witness(example1(), verdict)

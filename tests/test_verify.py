@@ -16,7 +16,6 @@ from tileupb import (
     check_orthogonal_set,
     check_upb,
     example1,
-    extension_witness,
     fig2,
     five_tile,
     is_u_tile,
@@ -168,7 +167,7 @@ class TestCertifyUpb:
         size sqrt(2) * shift: the certificate refuses it beyond rounding,
         on that component and not on orthogonality."""
         upb = build_upb(fig2())
-        witness = extension_witness(upb.origin, is_u_tile(upb.origin))
+        witness = is_u_tile(upb.origin).witness.state
         first = upb.states[0]
         assert np.array_equal(first.a_vec, witness.a_vec)
         tilted = ProductState(first.a_vec, first.b_vec + shift * witness.b_vec)
@@ -366,6 +365,19 @@ class TestBatchedSeesaw:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
+
+    def test_memory_stays_bounded_on_the_single_cell_grid(self):
+        """The 64 x 64 grid of single-cell tiles has s = 4,096 and
+        p = q = 64, so a full block's (restarts, p, s) gain temporary
+        alone would pass 64 MB; the block shrinks to keep it bounded."""
+        ts = structure_from_grid([[64 * r + c + 1 for c in range(64)] for r in range(64)])
+        tracemalloc.start()
+        try:
+            seesaw_search(ts, restarts=64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 def _forced_search(overlap):
