@@ -97,6 +97,16 @@ class TestValidate:
             "tile 1 is not a separated rectangle: cell (1, 1) of rows x cols belongs to tile 3",
         )
 
+    def test_reports_tile_out_of_bounds(self):
+        # the long second row puts tile 1's cell (1, 2) outside the 2 x 2 grid
+        report = validate(TileStructure.from_grid([[1, 1], [1, 1, 1]]))
+        assert report.problems == ("cell_map rows differ in length",)
+
+    def test_reports_empty_tile(self):
+        # tile 2 owns no cell, so the ids skip from 1 to 3
+        report = validate(TileStructure.from_grid([[1, 1], [3, 3]]))
+        assert report.problems == ("tile ids are not contiguous 1..2: [1, 3]",)
+
     def test_accepts_single_tile_cover(self):
         ts = structure_from_grid([[1, 1], [1, 1]])
         assert validate(ts).ok
