@@ -19,7 +19,7 @@ from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize, val
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import is_u_tile
-from .states import build_upb
+from .states import build_upb, upb_state_labels
 from .verify import DEFAULT_RESTARTS, check_upb
 
 FAMILIES = {
@@ -81,7 +81,7 @@ def _cmd_validate(args, parser) -> int:
     try:
         ts = _load_structure(args, parser)
     except TileGridContentError as exc:
-        problems = list(exc.report.problems) if exc.report is not None else [str(exc)]
+        problems = list(exc.report.problems)
     else:
         problems = list(validate(ts).problems)
     if problems:
@@ -134,9 +134,8 @@ def _cmd_build_upb(args, parser) -> int:
               f"splits into {w.part1} | {w.part2} on the {w.axis} axis", file=sys.stderr)
         return 1
     upb = build_upb(ts)
-    labels = upb.state_labels()
-    lines = [f"{len(upb.states)} states on a {upb.m} x {upb.n} grid"]
-    lines += [f"  {i}: {label}" for i, label in enumerate(labels)]
+    lines = [f"{len(upb.a)} states on a {upb.m} x {upb.n} grid"]
+    lines += [f"  {i}: {label}" for i, label in enumerate(upb_state_labels(ts))]
     _emit(args, "\n".join(lines), upb.to_json_dict())
     return 0
 

@@ -23,10 +23,7 @@ __all__ = [
     "prop2",
     "prop3",
     "five_tile",
-    "FAMILY_NAMES",
 ]
-
-FAMILY_NAMES = ("example1", "fig2", "prop2", "prop3", "five_tile")
 
 
 def example1() -> TileStructure:

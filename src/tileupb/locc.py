@@ -130,13 +130,8 @@ def attach_resource(states, d: int) -> list[CompositeState]:
 # Tree construction helpers
 
 
-def _basis_proj(dim: int, i: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=complex)
-    p[i, i] = 1.0
-    return p
-
-
 def _levels_proj(dim: int, levels) -> np.ndarray:
+    """Diagonal projector onto the given levels of a dim-level register."""
     p = np.zeros((dim, dim), dtype=complex)
     for j in levels:
         p[j, j] = 1.0
@@ -232,17 +227,17 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     for i in range(1, n):
         u = np.zeros(n, dtype=complex)
         u[1:] = w ** (i * np.arange(1, n))
-        op = np.kron(np.outer(u, u.conj()) / (n - 1), _basis_proj(iota, iota - 1))
+        op = np.kron(np.outer(u, u.conj()) / (n - 1), _levels_proj(iota, [iota - 1]))
         target = state(3, 0, i) if i <= n - 2 else stop
         outcomes.append((op, Identify(target)))
 
     tile2 = tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,)
-    b_n = np.kron(_basis_proj(n, n - 1), _levels_proj(iota, range(iota - 1)))
+    b_n = np.kron(_levels_proj(n, [n - 1]), _levels_proj(iota, range(iota - 1)))
     if iota == 2:
         child_n: ProtocolNode = OnePartyFinish(ALICE, tile2)
     else:
         sub = [
-            (np.kron(_basis_proj(n, n - 1), _dft_proj(iota, t, iota - 1)), OnePartyFinish(ALICE, tile2))
+            (np.kron(_levels_proj(n, [n - 1]), _dft_proj(iota, t, iota - 1)), OnePartyFinish(ALICE, tile2))
             for t in range(iota - 1)
         ]
         sub[0] = (sub[0][0] + np.eye(dim_b) - b_n, sub[0][1])
@@ -253,11 +248,11 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
     tile4 = tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,)
-    a_corner = np.kron(_basis_proj(m, 0), _basis_proj(iota, 0))
+    a_corner = np.kron(_levels_proj(m, [0]), _levels_proj(iota, [0]))
 
-    b_col = np.kron(_basis_proj(n, 0), np.eye(iota))
+    b_col = np.kron(_levels_proj(n, [0]), np.eye(iota))
     dft4 = [
-        (np.kron(_basis_proj(n, 0), _dft_proj(iota, t, iota)), OnePartyFinish(ALICE, tile4))
+        (np.kron(_levels_proj(n, [0]), _dft_proj(iota, t, iota)), OnePartyFinish(ALICE, tile4))
         for t in range(iota)
     ]
     dft4[0] = (dft4[0][0] + np.eye(dim_b) - b_col, dft4[0][1])

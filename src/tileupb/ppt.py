@@ -56,10 +56,10 @@ class PPTReport:
 def ppt_report(upb: UPBSet) -> PPTReport:
     """Spectral report on the complement state of a tile-structure basis.
 
-    ``certify_upb`` must certify the complement, else ValueError with
-    its refusal (TypeError for a state that is not a ``ProductState``).
-    Trace, rank and both minimum eigenvalues are then the values the
-    certificate proves (see the module docstring), named in
+    ``certify_upb`` must certify the complement of the factor stack
+    ``upb.a``, ``upb.b``, else ValueError with its refusal.  Trace, rank
+    and both minimum eigenvalues are then the values the certificate
+    proves (see the module docstring), named in
     ``spectrum_certificate``.  ``entangled_certificate`` names the range
     criterion when the origin is U-tile, so that the set is a UPB and no
     product state fits in the support of rho; it is None, with a
@@ -67,7 +67,7 @@ def ppt_report(upb: UPBSet) -> PPTReport:
     degenerate rank-0 report.
     """
     mn = upb.m * upb.n
-    count = len(upb.states)
+    count = len(upb.a)
     if count >= mn:
         return PPTReport(
             dim=mn,

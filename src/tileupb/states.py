@@ -4,18 +4,19 @@ Every state a tile structure induces is a product |a>|b>, stored by its
 two factor vectors, so <a b|a' b'> = <a|a'><b|b'> and its m x n
 coefficient matrix is the outer product a b^T.  States are deliberately
 left unnormalized; modules that need probabilities normalize locally.
-``build_upb`` assembles the candidate set of any tile structure; whether
-it is unextendible is decided by ``verify.certify_upb``.
+``build_upb`` stacks the factors of the candidate set of any tile
+structure (``UPBSet``); ``verify.certify_upb`` decides whether it is
+unextendible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import Tile, TileStructure, validate
-from .jsonio import pairs_to_vector, vector_to_pairs
 
 __all__ = [
     "ProductState",
@@ -46,11 +47,13 @@ class ProductState:
         return np.outer(self.a_vec, self.b_vec)
 
     def to_json_dict(self) -> dict:
-        return {"a": vector_to_pairs(self.a_vec), "b": vector_to_pairs(self.b_vec)}
+        """Each factor as a list of [re, im] pairs."""
+        return {"a": [[z.real, z.imag] for z in map(complex, self.a_vec)],
+                "b": [[z.real, z.imag] for z in map(complex, self.b_vec)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ProductState:
-        return cls(pairs_to_vector(data["a"]), pairs_to_vector(data["b"]))
+        return cls(*(np.array([complex(*z) for z in data[k]], dtype=complex) for k in "ab"))
 
 
 def inner_product(s1: ProductState, s2: ProductState) -> complex:
@@ -63,6 +66,22 @@ def inner_product(s1: ProductState, s2: ProductState) -> complex:
     return complex(np.vdot(s1.a_vec, s2.a_vec) * np.vdot(s1.b_vec, s2.b_vec))
 
 
+def _dft(size: int) -> np.ndarray:
+    """The DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
+    return np.exp(2j * np.pi * np.arange(size)[:, None] * np.arange(size) / size)
+
+
+def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factor stacks (pq x m, pq x n) of a tile's basis in row-major
+    (k, l) order, from one DFT table per tile axis."""
+    p, q = len(tile.rows), len(tile.cols)
+    a = np.zeros((p * q, m), dtype=complex)
+    b = np.zeros((p * q, n), dtype=complex)
+    a[:, list(tile.rows)] = np.repeat(_dft(p), q, axis=0)
+    b[:, list(tile.cols)] = np.tile(_dft(q), (p, 1))
+    return a, b
+
+
 def tile_basis(tile: Tile, m: int, n: int) -> list[ProductState]:
     """The p*q orthogonal product states of one tile.
 
@@ -71,16 +90,7 @@ def tile_basis(tile: Tile, m: int, n: int) -> list[ProductState]:
     where w_k = exp(2 pi i / k).  States come in row-major (k, l) order;
     (0, 0) is the all-ones state on the tile.
     """
-    p, q = len(tile.rows), len(tile.cols)
-    states = []
-    for k in range(p):
-        a = np.zeros(m, dtype=complex)
-        a[list(tile.rows)] = np.exp(2j * np.pi * k * np.arange(p) / p)
-        for l in range(q):
-            b = np.zeros(n, dtype=complex)
-            b[list(tile.cols)] = np.exp(2j * np.pi * l * np.arange(q) / q)
-            states.append(ProductState(a, b))
-    return states
+    return [ProductState(a, b) for a, b in zip(*_tile_factors(tile, m, n))]
 
 
 def stopper(m: int, n: int) -> ProductState:
@@ -92,17 +102,26 @@ def stopper(m: int, n: int) -> ProductState:
 
 @dataclass(frozen=True, eq=False)
 class UPBSet:
-    """An ordered product-state set built from a tile structure.
-
-    ``states`` holds, tile by tile in id order, every tile-basis state
-    except the tile's (0,0) all-ones state, followed by the stopper;
-    ``missing`` records the s omitted (0,0) states.
+    """An ordered product-state set on the grid of a tile structure,
+    stored as its factor stack: row i of ``a`` (N x m) and ``b`` (N x n)
+    holds the two factors of state i.  ``missing`` and ``stopper``
+    follow from ``origin``.  Raises ValueError when the stacks do not
+    fit the origin's m x n grid.
     """
 
-    states: tuple[ProductState, ...]
-    missing: tuple[ProductState, ...]
-    stopper: ProductState
+    a: np.ndarray
+    b: np.ndarray
     origin: TileStructure
+
+    def __post_init__(self):
+        a = np.asarray(self.a, dtype=complex)
+        b = np.asarray(self.b, dtype=complex)
+        m, n = self.m, self.n
+        if a.ndim != 2 or b.ndim != 2 or len(a) != len(b) or (a.shape[1], b.shape[1]) != (m, n):
+            raise ValueError(
+                f"stacks of shapes {a.shape}, {b.shape} do not fit the {m} x {n} origin")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def m(self) -> int:
@@ -112,10 +131,22 @@ class UPBSet:
     def n(self) -> int:
         return self.origin.n
 
-    def state_labels(self) -> list[tuple]:
-        """Per-state labels aligned with ``states``: (tile_id, k, l)
-        triples for kept tile-basis states, then the stopper label."""
-        return upb_state_labels(self.origin)
+    @cached_property
+    def states(self) -> tuple[ProductState, ...]:
+        """The rows of the stack as product states, labelled in order by
+        ``upb_state_labels`` for a set from ``build_upb``."""
+        return tuple(ProductState(a, b) for a, b in zip(self.a, self.b))
+
+    @property
+    def missing(self) -> tuple[ProductState, ...]:
+        """Each tile's omitted (0,0) state: its row and column indicators."""
+        m, n = self.m, self.n
+        return tuple(ProductState(np.isin(np.arange(m), t.rows), np.isin(np.arange(n), t.cols))
+                     for t in self.origin.tiles)
+
+    @property
+    def stopper(self) -> ProductState:
+        return stopper(self.m, self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,22 +165,24 @@ class UPBSet:
     @classmethod
     def from_json_dict(cls, data: dict) -> UPBSet:
         """Rebuild a set from ``to_json_dict`` output.  Raises ValueError
-        when the origin grid fails ``validate``, when m or n disagree
-        with it, or when a factor a (b) is not of length m (n); the state
-        count is left to the verifier (``check_upb`` reports size_ok)."""
-        upb = cls(
-            states=tuple(ProductState.from_json_dict(s) for s in data["states"]),
-            missing=tuple(ProductState.from_json_dict(s) for s in data["missing"]),
-            stopper=ProductState.from_json_dict(data["stopper"]),
-            origin=TileStructure.from_grid(data["origin"]["grid"]),
-        )
-        m, n = upb.m, upb.n
-        problems = list(validate(upb.origin).problems)
+        when the origin grid fails ``validate``, m or n disagree with it,
+        a state's factor a (b) is not of length m (n), or ``missing`` and
+        ``stopper`` are not the states the origin fixes; the state count
+        is left to the verifier (``check_upb`` reports size_ok)."""
+        origin = TileStructure.from_grid(data["origin"]["grid"])
+        m, n = origin.m, origin.n
+        states = [ProductState.from_json_dict(s) for s in data["states"]]
+        problems = list(validate(origin).problems)
         if {(data["m"], data["n"]), (data["origin"]["m"], data["origin"]["n"])} != {(m, n)}:
             problems.append(f"m or n disagree with the {m} x {n} origin grid")
-        factors = [(len(s.a_vec), len(s.b_vec)) for s in (*upb.states, *upb.missing, upb.stopper)]
-        if any(lengths != (m, n) for lengths in factors):
+        if any((len(s.a_vec), len(s.b_vec)) != (m, n) for s in states):
             problems.append(f"a factor's length differs from the {m} x {n} grid")
+        else:
+            upb = cls(np.reshape([s.a_vec for s in states], (len(states), m)),
+                      np.reshape([s.b_vec for s in states], (len(states), n)), origin)
+            fixed = [s.to_json_dict() for s in upb.missing], upb.stopper.to_json_dict()
+            if (data["missing"], data["stopper"]) != fixed:
+                problems.append("the missing or stopper states differ from those the origin fixes")
         if problems:
             raise ValueError("invalid UPB set: " + "; ".join(problems))
         return upb
@@ -172,16 +205,11 @@ def upb_state_labels(ts: TileStructure) -> list[tuple]:
 def build_upb(ts: TileStructure) -> UPBSet:
     """Assemble the UPB candidate of a tile structure.
 
-    Keeps every tile-basis state except each tile's (0,0) state, then
-    appends the stopper, for mn - s + 1 states in total.  The set is
-    unextendible exactly when ts is U-tile (``verify.certify_upb``).
+    Stacks every tile-basis state except each tile's (0,0) state, tile
+    by tile, then the stopper, for mn - s + 1 states in total.  The set
+    is unextendible exactly when ts is U-tile (``verify.certify_upb``).
     """
-    kept: list[ProductState] = []
-    missing: list[ProductState] = []
-    for tile in ts.tiles:
-        basis = tile_basis(tile, ts.m, ts.n)
-        missing.append(basis[0])
-        kept.extend(basis[1:])
-    stop = stopper(ts.m, ts.n)
-    kept.append(stop)
-    return UPBSet(states=tuple(kept), missing=tuple(missing), stopper=stop, origin=ts)
+    stacks = [_tile_factors(tile, ts.m, ts.n) for tile in ts.tiles]
+    a = np.concatenate([tile_a[1:] for tile_a, _ in stacks] + [np.ones((1, ts.m))])
+    b = np.concatenate([tile_b[1:] for _, tile_b in stacks] + [np.ones((1, ts.n))])
+    return UPBSet(a, b, ts)

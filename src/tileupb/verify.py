@@ -2,16 +2,16 @@
 basis (``certify_upb``), and a seesaw search for product states inside
 the complement.
 
-The basis a tile structure induces is made of products |a>|b>, so the
-orthogonality check works from the factor matrices, and its complement
-is span{tile indicators} minus the stopper direction.  That space is
-never materialized as a basis: its certificate reads each state's s
-tile coordinates.  Once it holds, the paper's main theorem makes the
-U-tile decision of the origin exact: the complement holds a product
-state iff the origin is not U-tile, and then the verdict's witness
-carries one, checked against every state.  ``certify_upb`` makes all of
-these decisions on one factor stack; ``check_upb`` and ``ppt_report``
-read its ``UPBCertificate``.
+The basis a tile structure induces is made of products |a>|b>, stored
+as the factor stacks A and B of a ``UPBSet``; the orthogonality check
+works from them, and the complement of the basis is span{tile
+indicators} minus the stopper direction, never materialized as a basis:
+its certificate reads each state's s tile coordinates.  Once it holds,
+the paper's main theorem makes the U-tile decision of the origin exact:
+the complement holds a product state iff the origin is not U-tile, and
+then the verdict's witness carries one, checked against every state.
+``certify_upb`` makes all of these decisions on the set's stack;
+``check_upb`` and ``ppt_report`` read its ``UPBCertificate``.
 
 The seesaw search is a numerical cross-check of that verdict: it
 maximizes the squared norm of the projection of a (x) b onto the
@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import TileStructure
 from .rectangles import UTileVerdict, is_u_tile
-from .states import ProductState, UPBSet, inner_product
+from .states import ProductState, UPBSet
 
 __all__ = [
     "OrthogonalityReport",
@@ -89,15 +89,13 @@ class SearchResult:
         }
 
 
-def _factor_stack(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-stacked factors A (N x m) and B (N x n) of product states and
-    the state norms |a_i| |b_i|; raises TypeError on any other state."""
+def _factor_stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stacked factors A (N x m) and B (N x n) of a list of product
+    states; raises TypeError on any other state."""
     for state in states:
         if not isinstance(state, ProductState):
             raise TypeError(f"product states are required, got {type(state).__name__}")
-    a = np.array([s.a_vec for s in states])
-    b = np.array([s.b_vec for s in states])
-    return a, b, np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    return np.array([s.a_vec for s in states]), np.array([s.b_vec for s in states])
 
 
 def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
@@ -110,15 +108,15 @@ def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> Orthogonality
     columns j >= the block's first row.  Violations come in (i, j)
     row-major order.
     """
-    return _orthogonality(_factor_stack(states), tol)
+    return _orthogonality(*_factor_stack(states), tol)
 
 
-def _orthogonality(stack, tol: float) -> OrthogonalityReport:
-    """``check_orthogonal_set`` on a factor stack from ``_factor_stack``."""
-    a, b, norms = stack
+def _orthogonality(a: np.ndarray, b: np.ndarray, tol: float) -> OrthogonalityReport:
+    """``check_orthogonal_set`` on the factor stacks A and B."""
     count = len(a)
     if count < 2:
         return OrthogonalityReport((), 0.0, tol)
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
     violations = []
     worst = 0.0
@@ -331,7 +329,7 @@ class UPBCertificate:
         }
 
 
-def _certify(upb: UPBSet, stack, orth: OrthogonalityReport) -> None:
+def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> None:
     """Raise ValueError naming the first condition of the complement
     certificate that fails.
 
@@ -342,8 +340,9 @@ def _certify(upb: UPBSet, stack, orth: OrthogonalityReport) -> None:
     minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||, which no
     choice of basis enters.  Pairwise orthogonal states, tiles that
     partition the grid, the size law and every component at most
-    DEFAULT_ORTH_TOL relative to |psi_i| prove that (s - 1)-dimensional
-    space is exactly the complement, whatever ``origin`` claims.
+    DEFAULT_ORTH_TOL relative to |psi_i| (``norms``) prove that
+    (s - 1)-dimensional space is exactly the complement, whatever
+    ``origin`` claims.
     """
     if not orth.ok:
         raise ValueError(
@@ -352,15 +351,12 @@ def _certify(upb: UPBSet, stack, orth: OrthogonalityReport) -> None:
         )
     ts = upb.origin
     m, n, s = upb.m, upb.n, ts.tile_count
-    if len(upb.states) != m * n - s + 1:
-        raise ValueError(
-            f"{len(upb.states)} states where the size law gives {m * n - s + 1}"
-        )
+    if len(upb.a) != m * n - s + 1:
+        raise ValueError(f"{len(upb.a)} states where the size law gives {m * n - s + 1}")
     rows, cols, sizes = _tile_incidence(ts)
-    a, b, norms = stack
     if not np.all(norms > 0):
         raise ValueError("a state is zero")
-    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
+    coords = (upb.a.conj() @ rows) * (upb.b.conj() @ cols) / np.sqrt(sizes)
     u_hat = np.sqrt(sizes / (m * n))
     inside = coords - np.outer(coords @ u_hat, u_hat)
     worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
@@ -371,42 +367,46 @@ def _certify(upb: UPBSet, stack, orth: OrthogonalityReport) -> None:
         )
 
 
+def _all_ones(factor: np.ndarray) -> bool:
+    """A nonzero factor whose component off the all-ones vector is at most
+    DEFAULT_ORTH_TOL of its norm."""
+    norm = np.linalg.norm(factor)
+    return bool(norm > 0 and np.linalg.norm(factor - factor.mean()) <= DEFAULT_ORTH_TOL * norm)
+
+
 def certify_upb(upb: UPBSet) -> UPBCertificate:
-    """The verdict on a UPBSet that needs no search, from one factor
-    stack of its states.
+    """The verdict on a UPBSet that needs no search, read off its factor
+    stack ``upb.a``, ``upb.b``.
 
     Reports pairwise orthogonality (``check_orthogonal_set``), the size
-    law N = mn - s + 1 and the stopper law (<S|phi_t^(0,0)> equals the
-    tile's cell count, nonzero), and certifies the complement span{1_t}
-    minus the stopper (``_certify``) or names why not in ``refusal``; a
-    complete basis (one tile) has an empty complement and needs none.
-    On a certified complement the paper's theorem makes the origin's
-    U-tile decision exact: a U-tile origin gives a UPB, and otherwise
-    the witness's extension state is a product state in the complement,
-    checked against every state.  Raises TypeError when a state is not a
-    ``ProductState``.
+    law N = mn - s + 1 and the stopper law (the last state is the
+    stopper up to scale, by ``_all_ones`` on both factors, so its
+    overlap with each tile's omitted state is proportional to |t| and
+    nonzero), and certifies the complement span{1_t} minus the stopper
+    (``_certify``) or names why not in ``refusal``; one tile leaves an
+    empty complement that needs none.  On a certified complement the
+    paper's theorem makes the origin's U-tile decision exact: a U-tile
+    origin gives a UPB, and otherwise the witness's extension state is a
+    product state in the complement, checked against every state.
     """
     ts = upb.origin
-    mn, s = upb.m * upb.n, ts.tile_count
-    stack = _factor_stack(upb.states)
-    orth = _orthogonality(stack, DEFAULT_ORTH_TOL)
-    overlaps = [inner_product(upb.stopper, miss) for miss in upb.missing]
-    stopper_ok = not any(abs(overlap - tile.size) > DEFAULT_ORTH_TOL * mn or abs(overlap) < 0.5
-                         for tile, overlap in zip(ts.tiles, overlaps))
-    certificate = partial(UPBCertificate, len(upb.states), mn - s + 1, orth, stopper_ok, s - 1)
-    if s == 1 and len(upb.states) == mn:
+    mn, s, count = upb.m * upb.n, ts.tile_count, len(upb.a)
+    norms = np.linalg.norm(upb.a, axis=1) * np.linalg.norm(upb.b, axis=1)
+    orth = _orthogonality(upb.a, upb.b, DEFAULT_ORTH_TOL)
+    stopper_ok = count > 0 and _all_ones(upb.a[-1]) and _all_ones(upb.b[-1])
+    certificate = partial(UPBCertificate, count, mn - s + 1, orth, stopper_ok, s - 1)
+    if s == 1 and count == mn:
         return certificate()
     try:
-        _certify(upb, stack, orth)
+        _certify(upb, norms, orth)
     except ValueError as exc:
         return certificate(str(exc))
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
     state = verdict.witness.state
-    a, b, norms = stack
     scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
-    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
+    overlaps = np.abs(upb.a.conj() @ state.a_vec) * np.abs(upb.b.conj() @ state.b_vec) / scale
     return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))
 
 

@@ -16,6 +16,7 @@ from tileupb import (
     SearchResult,
     SpecialRectangle,
     TileStructure,
+    UPBSet,
     build_upb,
     five_tile,
 )
@@ -553,13 +554,22 @@ def random_structure(rng, m, n, grow=0.5):
     return tuple(tuple(row) for row in grid)
 
 
+def tampered_upb(upb, states=None, origin=None):
+    """A UPBSet stacking the given product states (default: upb's own)
+    under the given origin (default: upb's), for tests that hand the
+    verifier a set build_upb would not make."""
+    states = upb.states if states is None else tuple(states)
+    origin = upb.origin if origin is None else origin
+    return UPBSet(np.reshape([s.a_vec for s in states], (len(states), origin.m)),
+                  np.reshape([s.b_vec for s in states], (len(states), origin.n)), origin)
+
+
 def foreign_origin_upb():
     """The states of five_tile(4, 4) under the origin of a row-reversed
     copy: still orthogonal, still mn - s + 1 of them, but the copy's tile
     indicators are not orthogonal to them."""
     upb = build_upb(five_tile(4, 4))
-    flipped = structure_from_grid(upb.origin.cell_map[::-1])
-    return type(upb)(states=upb.states, missing=upb.missing, stopper=upb.stopper, origin=flipped)
+    return tampered_upb(upb, origin=structure_from_grid(upb.origin.cell_map[::-1]))
 
 
 @pytest.fixture(scope="session")

@@ -245,6 +245,66 @@ class TestOutputFile:
         assert data["ok"] is True
 
 
+WITNESS_KEYS = {"axis", "cols", "part1", "part2", "rows", "state", "tiles"}
+CHECK_KEYS = {"certificate", "complement_dim", "expected_complement_dim", "expected_size",
+              "max_offdiagonal", "note", "orthogonal", "passed", "product_found", "search",
+              "settings", "size", "size_ok", "stopper_law_ok"}
+SEARCH_KEYS = {"best_overlap", "best_product", "converged_restarts",
+               "monotonicity_violations", "restarts_run"}
+
+
+class TestJsonKeys:
+    """The ``--json`` key sets are a contract: the benchmark's checks
+    (perfbench/checks.py) read them, so a refactor that drops a key
+    fails here first."""
+
+    def _json(self, capsys, *argv):
+        _, out, _ = run(capsys, *argv, "--json")
+        return json.loads(out)
+
+    def test_check_utile(self, capsys):
+        assert self._json(capsys, "check-utile", "--family", "example1") == {
+            "is_u_tile": True, "witness": None}
+        data = self._json(capsys, "check-utile", "--family", "fig2")
+        assert set(data) == {"is_u_tile", "witness"}
+        assert set(data["witness"]) == WITNESS_KEYS
+        assert set(data["witness"]["state"]) == {"a", "b"}
+
+    def test_build_upb(self, capsys):
+        data = self._json(capsys, "build-upb", "--family", "example1")
+        assert set(data) == {"m", "n", "states", "missing", "stopper", "origin"}
+        assert set(data["origin"]) == {"m", "n", "grid"}
+        for state in data["states"] + data["missing"] + [data["stopper"]]:
+            assert set(state) == {"a", "b"}
+
+    @pytest.mark.parametrize("family,certificate", [
+        ("example1", {"u_tile", "witness"}),
+        ("fig2", {"u_tile", "witness", "max_overlap"}),
+    ], ids=["u-tile", "not-u-tile"])
+    def test_verify_upb(self, capsys, family, certificate):
+        data = self._json(capsys, "verify-upb", "--family", family, "--restarts", "5")
+        assert set(data) == CHECK_KEYS
+        assert set(data["certificate"]) == certificate
+        assert set(data["search"]) == SEARCH_KEYS
+        assert set(data["search"]["best_product"]) == {"a", "b"}
+        assert set(data["settings"]) == {"conv_tol", "max_iters", "orth_tol",
+                                         "product_threshold", "restarts", "seed"}
+        if family == "fig2":
+            assert set(data["certificate"]["witness"]) == WITNESS_KEYS
+
+    def test_ppt(self, capsys):
+        assert set(self._json(capsys, "ppt", "--family", "example1")) == {
+            "dim", "entangled_certificate", "expected_rank", "min_eigenvalue",
+            "min_eigenvalue_pt", "ok", "ppt", "rank", "spectrum_certificate", "trace", "warning"}
+
+    def test_distinguish(self, capsys):
+        data = self._json(capsys, "distinguish", "--m", "4", "--n", "4")
+        assert set(data) == {"m", "n", "report", "resource_dim"}
+        assert set(data["report"]) == {"branch_violations", "leaf_violations",
+                                       "max_wrong_probability", "min_success_probability",
+                                       "ok", "probabilities"}
+
+
 def _subcommands():
     parser = _build_parser()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -12,6 +12,7 @@ from tileupb import (
     is_u_tile,
     prop2,
     prop3,
+    upb_state_labels,
     validate,
 )
 
@@ -173,7 +174,7 @@ class TestFourRowListing:
         ts = prop2(4, n)
         upb = build_upb(ts)
         kept = {}
-        for state, label in zip(upb.states, upb.state_labels()):
+        for state, label in zip(upb.states, upb_state_labels(ts)):
             if label == ("stopper",):
                 continue
             kept.setdefault(label[0], []).append(state.matrix.reshape(-1))

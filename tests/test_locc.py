@@ -18,6 +18,7 @@ from tileupb import (
     build_theorem3_protocol,
     build_upb,
     prop2,
+    upb_state_labels,
     verify_protocol,
 )
 from tileupb.locc import _branch, _place, _ring_index, _root_projector, _shift_index
@@ -271,7 +272,7 @@ EMBEDDED_4X4_IN_6X6 = (0, 6, 1, 1)
 
 def _swapped_identify_labels():
     upb, states = _composite_states(4, 4)
-    labels = upb.state_labels()
+    labels = upb_state_labels(upb.origin)
     # cross the two identified bottom-row labels
     first, second = labels.index((3, 0, 1)), labels.index((3, 0, 2))
     return _swap_labels(build_theorem3_protocol(4, 4), first, second), states

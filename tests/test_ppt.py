@@ -1,7 +1,6 @@
 """The normalized complement projector and its positivity properties."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from conftest import (
     foreign_origin_upb,
     partial_transpose,
     structure_from_grid,
+    tampered_upb,
 )
 
 
@@ -81,12 +81,7 @@ class TestBuildState:
         upb = build_upb(example1())
         corner = np.zeros(4)
         corner[0] = 1.0
-        tampered = type(upb)(
-            states=upb.states[:-1] + (ProductState(corner, corner),),
-            missing=upb.missing,
-            stopper=upb.stopper,
-            origin=upb.origin,
-        )
+        tampered = tampered_upb(upb, upb.states[:-1] + (ProductState(corner, corner),))
         with pytest.raises(ValueError, match="orthogonal"):
             ppt_report(tampered)
 
@@ -106,7 +101,7 @@ class TestBuildState:
     def test_rejects_a_broken_size_law(self):
         upb = build_upb(example1())
         with pytest.raises(ValueError, match="size law"):
-            ppt_report(replace(upb, states=upb.states[:-1]))
+            ppt_report(tampered_upb(upb, upb.states[:-1]))
 
     @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
     def test_accepts_the_same_sets_as_check_upb(self, shift):
@@ -116,7 +111,7 @@ class TestBuildState:
         rng = np.random.default_rng(3)
         first = upb.states[0]
         nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
-        tampered = replace(upb, states=(nudged,) + upb.states[1:])
+        tampered = tampered_upb(upb, (nudged,) + upb.states[1:])
         verdict = check_upb(tampered, restarts=1)
         if shift > 1e-12:
             assert 1e-12 < verdict.certificate.orthogonality.max_offdiagonal < 1e-10

@@ -1,5 +1,7 @@
 """Product states, tile bases, and basis assembly."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,11 @@ from tileupb import (
     build_upb,
     check_upb,
     example1,
+    fig2,
     five_tile,
     inner_product,
     prop2,
+    prop3,
     stopper,
     tile_basis,
     upb_state_labels,
@@ -90,7 +94,7 @@ class TestBuildUpb:
         upb = build_upb(example1())
         assert len(upb.states) == 11
         assert len(upb.missing) == 6
-        labels = upb.state_labels()
+        labels = upb_state_labels(upb.origin)
         assert labels[-1] == STOPPER_LABEL
         assert labels.count(STOPPER_LABEL) == 1
 
@@ -122,6 +126,72 @@ class TestBuildUpb:
         assert again.origin.cell_map == upb.origin.cell_map
 
 
+# Structures the benchmark builds bases of (upb-verify, locc-distinguish).
+BENCHMARK_FAMILIES = {
+    "five-tile 24x24": lambda: five_tile(24, 24),
+    "five-tile 12x18": lambda: five_tile(12, 18),
+    "prop3 14/8": lambda: prop3(14, 8),
+    "prop2 8x12": lambda: prop2(8, 12),
+    "prop2 6x18": lambda: prop2(6, 18),
+    "prop2 10x10": lambda: prop2(10, 10),
+    "fig2": fig2,
+}
+
+
+def assert_stack_is_the_tile_bases(ts):
+    """Row i of build_upb(ts).a and .b is, bit for bit, the tile-basis
+    state upb_state_labels(ts)[i] names, and the last row the stopper."""
+    upb = build_upb(ts)
+    bases = {tile.id: tile_basis(tile, ts.m, ts.n) for tile in ts.tiles}
+    want = [
+        stopper(ts.m, ts.n) if label == STOPPER_LABEL
+        else bases[label[0]][label[1] * len(ts.tile(label[0]).cols) + label[2]]
+        for label in upb_state_labels(ts)
+    ]
+    assert np.array_equal(upb.a, [s.a_vec for s in want])
+    assert np.array_equal(upb.b, [s.b_vec for s in want])
+
+
+class TestUPBSetStack:
+    def test_fields_are_the_stack_and_its_origin(self):
+        assert [f.name for f in fields(UPBSet)] == ["a", "b", "origin"]
+
+    def test_stack_is_the_tile_bases_on_small_structures(self, small_structures):
+        for grid in small_structures:
+            assert_stack_is_the_tile_bases(structure_from_grid(grid))
+
+    @pytest.mark.parametrize("label", sorted(BENCHMARK_FAMILIES))
+    def test_stack_is_the_tile_bases_on_the_benchmark_families(self, label):
+        assert_stack_is_the_tile_bases(BENCHMARK_FAMILIES[label]())
+
+    def test_states_are_the_read_only_rows(self):
+        upb = build_upb(example1())
+        assert len(upb.states) == len(upb.a)
+        for i, s in enumerate(upb.states):
+            assert np.array_equal(s.a_vec, upb.a[i]) and np.array_equal(s.b_vec, upb.b[i])
+        with pytest.raises(FrozenInstanceError):
+            upb.states = ()
+
+    def test_json_missing_and_stopper_are_fixed_by_the_origin(self):
+        ts = prop2(5, 6)
+        data = build_upb(ts).to_json_dict()
+        assert data["missing"] == [tile_basis(t, ts.m, ts.n)[0].to_json_dict() for t in ts.tiles]
+        assert data["stopper"] == stopper(ts.m, ts.n).to_json_dict()
+
+    @pytest.mark.parametrize("case", ["matrices", "short-b", "wide-a"])
+    def test_refuses_stacks_that_do_not_fit_the_origin(self, case):
+        upb = build_upb(example1())
+        a, b = upb.a, upb.b
+        if case == "matrices":
+            a = np.array([s.matrix for s in upb.states])
+        elif case == "short-b":
+            b = b[1:]
+        else:
+            a = np.hstack([a, a[:, :1]])
+        with pytest.raises(ValueError, match="do not fit the 4 x 4 origin"):
+            UPBSet(a, b, upb.origin)
+
+
 class TestUPBSetJson:
     def test_round_trip_keeps_every_factor(self):
         upb = build_upb(prop2(5, 6))
@@ -147,10 +217,13 @@ class TestUPBSetJson:
     @pytest.mark.parametrize("factor", ["a", "b"])
     @pytest.mark.parametrize("group", ["states", "missing", "stopper"])
     def test_refuses_a_factor_of_the_wrong_length(self, factor, group):
+        """A state's factor is checked against the grid; the missing and
+        stopper entries against the states the origin fixes."""
         data = build_upb(prop2(5, 6)).to_json_dict()
         state = data["stopper"] if group == "stopper" else data[group][-1]
         state[factor].append([0.0, 0.0])
-        with pytest.raises(ValueError, match="factor's length"):
+        match = "factor's length" if group == "states" else "the origin fixes"
+        with pytest.raises(ValueError, match=match):
             UPBSet.from_json_dict(data)
 
     def test_leaves_the_state_count_to_the_verifier(self):

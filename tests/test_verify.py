@@ -36,6 +36,7 @@ from conftest import (
     sequential_seesaw,
     structure_from_grid,
     svd_complement,
+    tampered_upb,
 )
 
 # five_tile(4, 5) with the first column of its interior tile split off:
@@ -155,8 +156,7 @@ class TestCertifyUpb:
         rng = np.random.default_rng(3)
         first = upb.states[0]
         nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
-        cert = certify_upb(type(upb)(states=(nudged,) + upb.states[1:], missing=upb.missing,
-                                     stopper=upb.stopper, origin=upb.origin))
+        cert = certify_upb(tampered_upb(upb, (nudged,) + upb.states[1:]))
         assert (cert.refusal is None) == cert.ok == (shift < 1e-12)
 
     @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
@@ -171,21 +171,13 @@ class TestCertifyUpb:
         first = upb.states[0]
         assert np.array_equal(first.a_vec, witness.a_vec)
         tilted = ProductState(first.a_vec, first.b_vec + shift * witness.b_vec)
-        cert = certify_upb(type(upb)(states=(tilted,) + upb.states[1:], missing=upb.missing,
-                                     stopper=upb.stopper, origin=upb.origin))
+        cert = certify_upb(tampered_upb(upb, (tilted,) + upb.states[1:]))
         assert cert.orthogonality.ok
         if shift > 1e-12:
             assert "overlap" in cert.refusal and f"{np.sqrt(2) * shift:.3e}" in cert.refusal
             assert cert.verdict is None
         else:
             assert cert.refusal is None and not cert.u_tile
-
-    def test_refuses_states_given_as_matrices(self):
-        upb = build_upb(example1())
-        as_matrices = type(upb)(states=tuple(s.matrix for s in upb.states),
-                                missing=upb.missing, stopper=upb.stopper, origin=upb.origin)
-        with pytest.raises(TypeError, match="product states"):
-            certify_upb(as_matrices)
 
     def test_refuses_a_foreign_origin(self):
         cert = certify_upb(foreign_origin_upb())
@@ -194,16 +186,38 @@ class TestCertifyUpb:
 
     def test_refuses_a_broken_size_law(self):
         upb = build_upb(example1())
-        short = type(upb)(states=upb.states[1:], missing=upb.missing,
-                          stopper=upb.stopper, origin=upb.origin)
-        assert "size law" in certify_upb(short).refusal
+        assert "size law" in certify_upb(tampered_upb(upb, upb.states[1:])).refusal
 
     def test_refuses_a_zero_state(self):
         upb = build_upb(example1())
         zeroed = upb.states[:-1] + (ProductState(np.zeros(upb.m), np.ones(upb.n)),)
-        cert = certify_upb(type(upb)(states=zeroed, missing=upb.missing,
-                                     stopper=upb.stopper, origin=upb.origin))
+        cert = certify_upb(tampered_upb(upb, zeroed))
         assert "zero" in cert.refusal
+        assert not cert.stopper_law_ok
+
+    def test_a_rescaled_stopper_keeps_the_stopper_law(self):
+        upb = build_upb(example1())
+        last = upb.states[-1]
+        cert = certify_upb(tampered_upb(upb, upb.states[:-1] + (ProductState(2 * last.a_vec, last.b_vec),)))
+        assert cert.stopper_law_ok and cert.ok
+
+    def test_the_stopper_law_reads_the_last_state(self):
+        """The same set with the stopper moved to the front is still
+        orthogonal and certified, but breaks the stopper law."""
+        upb = build_upb(example1())
+        cert = certify_upb(tampered_upb(upb, upb.states[-1:] + upb.states[:-1]))
+        assert cert.orthogonality.ok and cert.refusal is None and cert.u_tile
+        assert not cert.stopper_law_ok and not cert.ok
+
+    @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
+    def test_the_stopper_law_is_relative(self, shift):
+        """A last factor nudged off all-ones on one entry has a relative
+        component sqrt(3)/4 * shift off it: refused beyond rounding."""
+        upb = build_upb(example1())
+        last = upb.states[-1]
+        nudged = ProductState(last.a_vec + shift * np.eye(upb.m)[0], last.b_vec)
+        cert = certify_upb(tampered_upb(upb, upb.states[:-1] + (nudged,)))
+        assert cert.stopper_law_ok == (shift < 1e-12)
 
     def test_single_cell_grid_at_the_format_limit_needs_no_basis(self):
         """The 64 x 64 grid of single-cell tiles has a 4,095-dimensional
