@@ -14,7 +14,6 @@ from .grid import (
     validate,
 )
 from .rectangles import (
-    SpecialRectangle,
     UTileVerdict,
     UTileWitness,
     is_u_tile,
@@ -24,9 +23,6 @@ from .states import (
     ProductState,
     UPBSet,
     build_upb,
-    inner_product,
-    stopper,
-    tile_basis,
     upb_state_labels,
 )
 from .families import (
@@ -73,7 +69,6 @@ __all__ = [
     "parse_tile_grid",
     "serialize",
     "validate",
-    "SpecialRectangle",
     "UTileVerdict",
     "UTileWitness",
     "is_u_tile",
@@ -81,9 +76,6 @@ __all__ = [
     "ProductState",
     "UPBSet",
     "build_upb",
-    "inner_product",
-    "stopper",
-    "tile_basis",
     "upb_state_labels",
     "example1",
     "fig2",

@@ -41,9 +41,15 @@ def _add_structure_args(sub: argparse.ArgumentParser, with_file: bool = True) ->
     sub.add_argument("--tiles", type=int, help="family tile count (prop3)")
 
 
-def _add_output_args(sub: argparse.ArgumentParser) -> None:
+def _add_output_args(sub: argparse.ArgumentParser, with_json: bool = True) -> None:
     sub.add_argument("-o", "--output", metavar="PATH", help="write the result to a file")
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    if with_json:
+        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _check_dim(name: str, value: int) -> None:
+    if not 1 <= value <= MAX_DIM:
+        raise ValueError(f"--{name} {value} lies outside the format's 1..{MAX_DIM}")
 
 
 def _load_structure(args, parser: argparse.ArgumentParser):
@@ -59,8 +65,8 @@ def _load_structure(args, parser: argparse.ArgumentParser):
         value = getattr(args, name)
         if value is None:
             parser.error(f"--family {args.family} requires --{name}")
-        if name in ("m", "n") and not 1 <= value <= MAX_DIM:
-            raise ValueError(f"--{name} {value} lies outside the format's 1..{MAX_DIM}")
+        if name in ("m", "n"):
+            _check_dim(name, value)
         values.append(value)
     return builder(*values)
 
@@ -104,8 +110,8 @@ def _cmd_check_utile(args, parser) -> int:
     payload["witness"] = wit.to_json_dict()
     text = (
         "U-tile: no\n"
-        f"witness rectangle: tiles {{{', '.join(map(str, wit.rectangle.tile_ids))}}} "
-        f"(rows {list(wit.rectangle.rows)} x cols {list(wit.rectangle.cols)})\n"
+        f"witness rectangle: tiles {{{', '.join(map(str, wit.tile_ids))}}} "
+        f"(rows {list(wit.rows)} x cols {list(wit.cols)})\n"
         f"disconnected {wit.axis} split: {list(wit.part1)} vs {list(wit.part2)}"
     )
     _emit(args, text, payload)
@@ -115,13 +121,7 @@ def _cmd_check_utile(args, parser) -> int:
 def _cmd_gen(args, parser) -> int:
     if args.family is None:
         parser.error("gen requires --family")
-    ts = _load_structure(args, parser)
-    text = serialize(ts)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, serialize(_load_structure(args, parser)), None)
     return 0
 
 
@@ -130,7 +130,7 @@ def _cmd_build_upb(args, parser) -> int:
     verdict = is_u_tile(ts)
     if not verdict.is_u_tile:
         w = verdict.witness
-        print(f"error: not a U-tile structure: special rectangle {w.rectangle.tile_ids} "
+        print(f"error: not a U-tile structure: special rectangle {w.tile_ids} "
               f"splits into {w.part1} | {w.part2} on the {w.axis} axis", file=sys.stderr)
         return 1
     upb = build_upb(ts)
@@ -182,6 +182,8 @@ def _cmd_ppt(args, parser) -> int:
 
 
 def _cmd_distinguish(args, parser) -> int:
+    _check_dim("m", args.m)
+    _check_dim("n", args.n)
     protocol = build_theorem3_protocol(args.m, args.n)
     upb = build_upb(prop2(args.m, args.n))
     resource_dim = args.m // 2
@@ -224,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("gen", help="write a built-in family grid")
     _add_structure_args(sub, with_file=False)
-    _add_output_args(sub)
+    _add_output_args(sub, with_json=False)
     sub.set_defaults(func=_cmd_gen)
 
     sub = subs.add_parser("build-upb", help="construct the product basis of a tile structure")

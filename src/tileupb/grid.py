@@ -40,14 +40,6 @@ class Tile:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    @property
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(product(self.rows, self.cols))
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) * len(self.cols)
-
 
 @dataclass(frozen=True)
 class TileStructure:
@@ -91,12 +83,6 @@ class TileStructure:
     @property
     def tile_count(self) -> int:
         return len(self.tiles)
-
-    def tile(self, tid: int) -> Tile:
-        for t in self.tiles:
-            if t.id == tid:
-                return t
-        raise KeyError(f"no tile with id {tid}")
 
 
 @dataclass(frozen=True)

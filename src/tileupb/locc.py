@@ -23,7 +23,7 @@ root outcome already fixes their answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -343,14 +343,7 @@ class DiscriminationReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "probabilities": list(self.probabilities),
-            "min_success_probability": self.min_success_probability,
-            "max_wrong_probability": self.max_wrong_probability,
-            "branch_violations": list(self.branch_violations),
-            "leaf_violations": list(self.leaf_violations),
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def _gram(idle: np.ndarray) -> np.ndarray:
@@ -365,8 +358,7 @@ def _sq_norms(moved: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("kir,kir->k", moved.conj(), moved @ gram).real
 
 
-def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list[str],
-                  tol: float) -> bool:
+def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list[str]) -> bool:
     """Audit one measurement layer; False means the operators cannot
     even be applied (wrong register shape)."""
     dim = dims[0] if node.party == ALICE else dims[1]
@@ -376,17 +368,17 @@ def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list
         if op.shape != (dim, dim):
             problems.append(f"{path}: operator shape {op.shape} does not match register {dim}")
             return False
-        if np.max(np.abs(op - op.conj().T)) > tol:
+        if np.max(np.abs(op - op.conj().T)) > BRANCH_TOL:
             problems.append(f"{path}: operator is not Hermitian")
-        if np.max(np.abs(op @ op - op)) > tol:
+        if np.max(np.abs(op @ op - op)) > BRANCH_TOL:
             problems.append(f"{path}: operator is not idempotent")
         ops.append(op)
     total = sum(ops)
-    if np.max(np.abs(total - np.eye(dim))) > tol:
+    if np.max(np.abs(total - np.eye(dim))) > BRANCH_TOL:
         problems.append(f"{path}: outcomes do not sum to the identity")
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if np.max(np.abs(ops[i] @ ops[j])) > tol:
+            if np.max(np.abs(ops[i] @ ops[j])) > BRANCH_TOL:
                 problems.append(f"{path}: outcomes {i} and {j} are not orthogonal")
     return True
 
@@ -477,7 +469,7 @@ def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> Dis
 
     def walk(node: ProtocolNode, idx, lefts, rights, norms2, path: str) -> None:
         if isinstance(node, Branch):
-            if not _check_branch(node, reg_dims, path, branch_problems, BRANCH_TOL):
+            if not _check_branch(node, reg_dims, path, branch_problems):
                 return
             alice = node.party == ALICE
             moved, idle = (lefts, rights) if alice else (rights, lefts)

@@ -63,12 +63,14 @@ def ppt_report(upb: UPBSet) -> PPTReport:
     ``spectrum_certificate``.  ``entangled_certificate`` names the range
     criterion when the origin is U-tile, so that the set is a UPB and no
     product state fits in the support of rho; it is None, with a
-    ``warning``, when the origin is not.  A complete basis yields a
-    degenerate rank-0 report.
+    ``warning``, when the origin is not.  A certified empty complement
+    (one tile) yields a degenerate rank-0 report.
     """
+    cert = certify_upb(upb)
+    if cert.refusal:
+        raise ValueError(cert.refusal)
     mn = upb.m * upb.n
-    count = len(upb.a)
-    if count >= mn:
+    if cert.verdict is None:
         return PPTReport(
             dim=mn,
             trace=0.0,
@@ -81,14 +83,11 @@ def ppt_report(upb: UPBSet) -> PPTReport:
             entangled_certificate=None,
             warning="degenerate input: the set spans the whole space",
         )
-    cert = certify_upb(upb)
-    if cert.refusal:
-        raise ValueError(cert.refusal)
     return PPTReport(
         dim=mn,
         trace=1.0,
         rank=upb.origin.tile_count - 1,
-        expected_rank=mn - count,
+        expected_rank=mn - len(upb.a),
         min_eigenvalue=0.0,
         min_eigenvalue_pt=0.0,
         ppt=True,

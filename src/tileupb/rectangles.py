@@ -22,7 +22,6 @@ from .grid import TileStructure
 from .states import ProductState
 
 __all__ = [
-    "SpecialRectangle",
     "UTileWitness",
     "UTileVerdict",
     "is_u_tile",
@@ -30,17 +29,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpecialRectangle:
-    """A set of >= 2 tile ids whose cell union is exactly rows x cols."""
-
-    tile_ids: tuple[int, ...]
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class UTileWitness:
-    """A failing split: two nonempty tile groups of a special rectangle
+    """A failing split: a special rectangle, the tiles ``tile_ids``
+    whose cell union is exactly rows x cols, in two nonempty groups
     whose unions of row sets (axis="row") or column sets
     (axis="column") are disjoint, and its extension ``state``.
 
@@ -52,7 +43,9 @@ class UTileWitness:
     kept state of ``build_upb``.  Row splits are the transpose.
     """
 
-    rectangle: SpecialRectangle
+    tile_ids: tuple[int, ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
     axis: str
     part1: tuple[int, ...]
     part2: tuple[int, ...]
@@ -60,9 +53,9 @@ class UTileWitness:
 
     def to_json_dict(self) -> dict:
         return {
-            "tiles": list(self.rectangle.tile_ids),
-            "rows": list(self.rectangle.rows),
-            "cols": list(self.rectangle.cols),
+            "tiles": list(self.tile_ids),
+            "rows": list(self.rows),
+            "cols": list(self.cols),
             "axis": self.axis,
             "part1": list(self.part1),
             "part2": list(self.part2),
@@ -144,16 +137,13 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
         part1 = tuple(ts.tiles[k].id for k in inside if split[k] & one)
         part2 = tuple(ts.tiles[k].id for k in inside if split[k] & two)
         base_idx, split_idx = tuple(_bit_indices(base)), tuple(_bit_indices(one | two))
-        rect = SpecialRectangle(
-            tile_ids=tuple(ts.tiles[k].id for k in inside),
-            rows=base_idx if axis == "column" else split_idx,
-            cols=split_idx if axis == "column" else base_idx,
-        )
         shared_vec = np.zeros(dims[0], dtype=complex)
         shared_vec[list(base_idx)] = 1.0
         split_vec = np.zeros(dims[1], dtype=complex)
         split_vec[_bit_indices(one)] = 1.0
         split_vec[_bit_indices(two)] = -one.bit_count() / two.bit_count()
         pair = (shared_vec, split_vec) if axis == "column" else (split_vec, shared_vec)
-        return UTileVerdict(False, UTileWitness(rect, axis, part1, part2, ProductState(*pair)))
+        rect = (base_idx, split_idx) if axis == "column" else (split_idx, base_idx)
+        return UTileVerdict(False, UTileWitness(tuple(ts.tiles[k].id for k in inside), *rect,
+                                                axis, part1, part2, ProductState(*pair)))
     return UTileVerdict(True, None)

@@ -21,9 +21,6 @@ from .grid import Tile, TileStructure, validate
 __all__ = [
     "ProductState",
     "UPBSet",
-    "inner_product",
-    "tile_basis",
-    "stopper",
     "build_upb",
     "upb_state_labels",
 ]
@@ -56,48 +53,26 @@ class ProductState:
         return cls(*(np.array([complex(*z) for z in data[k]], dtype=complex) for k in "ab"))
 
 
-def inner_product(s1: ProductState, s2: ProductState) -> complex:
-    """<s1|s2> = <a1|a2><b1|b2>, antilinear in the first argument."""
-    if (len(s1.a_vec), len(s1.b_vec)) != (len(s2.a_vec), len(s2.b_vec)):
-        raise ValueError(
-            f"dimension mismatch: {len(s1.a_vec)} x {len(s1.b_vec)} "
-            f"vs {len(s2.a_vec)} x {len(s2.b_vec)}"
-        )
-    return complex(np.vdot(s1.a_vec, s2.a_vec) * np.vdot(s1.b_vec, s2.b_vec))
-
-
 def _dft(size: int) -> np.ndarray:
     """The DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
     return np.exp(2j * np.pi * np.arange(size)[:, None] * np.arange(size) / size)
 
 
 def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factor stacks (pq x m, pq x n) of a tile's basis in row-major
-    (k, l) order, from one DFT table per tile axis."""
-    p, q = len(tile.rows), len(tile.cols)
-    a = np.zeros((p * q, m), dtype=complex)
-    b = np.zeros((p * q, n), dtype=complex)
-    a[:, list(tile.rows)] = np.repeat(_dft(p), q, axis=0)
-    b[:, list(tile.cols)] = np.tile(_dft(q), (p, 1))
-    return a, b
-
-
-def tile_basis(tile: Tile, m: int, n: int) -> list[ProductState]:
-    """The p*q orthogonal product states of one tile.
+    """Factor stacks (pq x m, pq x n) of a tile's p*q orthogonal product
+    states, from one DFT table per tile axis.
 
     With rows r_0 < ... < r_{p-1} and cols c_0 < ... < c_{q-1}, state
     (k, l) has factors sum_e w_p^{ke} |r_e> and sum_e w_q^{le} |c_e>
     where w_k = exp(2 pi i / k).  States come in row-major (k, l) order;
     (0, 0) is the all-ones state on the tile.
     """
-    return [ProductState(a, b) for a, b in zip(*_tile_factors(tile, m, n))]
-
-
-def stopper(m: int, n: int) -> ProductState:
-    """The all-ones product state (sum_e |e>)(sum_j |j>)."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    return ProductState(np.ones(m, dtype=complex), np.ones(n, dtype=complex))
+    p, q = len(tile.rows), len(tile.cols)
+    a = np.zeros((p * q, m), dtype=complex)
+    b = np.zeros((p * q, n), dtype=complex)
+    a[:, list(tile.rows)] = np.repeat(_dft(p), q, axis=0)
+    b[:, list(tile.cols)] = np.tile(_dft(q), (p, 1))
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +121,8 @@ class UPBSet:
 
     @property
     def stopper(self) -> ProductState:
-        return stopper(self.m, self.n)
+        """The all-ones product state (sum_e |e>)(sum_j |j>)."""
+        return ProductState(np.ones(self.m), np.ones(self.n))
 
     def to_json_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ restarts take it together as one stacked p x p (or q x q) eigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -64,7 +64,6 @@ class OrthogonalityReport:
 
     violations: tuple[tuple[int, int, float], ...]
     max_offdiagonal: float
-    tol: float
 
     @property
     def ok(self) -> bool:
@@ -80,42 +79,23 @@ class SearchResult:
     monotonicity_violations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "best_overlap": self.best_overlap,
-            "best_product": self.best_product.to_json_dict(),
-            "restarts_run": self.restarts_run,
-            "converged_restarts": self.converged_restarts,
-            "monotonicity_violations": self.monotonicity_violations,
-        }
+        return {**asdict(self), "best_product": self.best_product.to_json_dict()}
 
 
-def _factor_stack(states) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stacked factors A (N x m) and B (N x n) of a list of product
-    states; raises TypeError on any other state."""
-    for state in states:
-        if not isinstance(state, ProductState):
-            raise TypeError(f"product states are required, got {type(state).__name__}")
-    return np.array([s.a_vec for s in states]), np.array([s.b_vec for s in states])
-
-
-def check_orthogonal_set(states, tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
+def check_orthogonal_set(a: np.ndarray, b: np.ndarray,
+                         tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
     """Report every pair i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
-    above tol; a zero state overlaps nothing.  The states must be
-    ``ProductState``s (else TypeError).
+    above tol for the product states psi_i whose factors are row i of
+    the stacks A (N x m) and B (N x n); a zero state overlaps nothing.
 
     The Gram is the entrywise product of the factor Grams
     (A* A^T) o (B* B^T), formed GRAM_BLOCK rows at a time over the
     columns j >= the block's first row.  Violations come in (i, j)
     row-major order.
     """
-    return _orthogonality(*_factor_stack(states), tol)
-
-
-def _orthogonality(a: np.ndarray, b: np.ndarray, tol: float) -> OrthogonalityReport:
-    """``check_orthogonal_set`` on the factor stacks A and B."""
     count = len(a)
     if count < 2:
-        return OrthogonalityReport((), 0.0, tol)
+        return OrthogonalityReport((), 0.0)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
     violations = []
@@ -128,7 +108,7 @@ def _orthogonality(a: np.ndarray, b: np.ndarray, tol: float) -> OrthogonalityRep
         worst = max(worst, float(rel.max()))
         for i, j in zip(*np.nonzero(rel > tol)):
             violations.append((start + int(i), start + int(j), float(rel[i, j])))
-    return OrthogonalityReport(tuple(violations), worst, tol)
+    return OrthogonalityReport(tuple(violations), worst)
 
 
 def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -197,7 +177,6 @@ def seesaw_search(
     ts: TileStructure,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = DEFAULT_MAX_ITERS,
-    conv_tol: float = DEFAULT_CONV_TOL,
     seed: int = 0,
 ) -> SearchResult:
     """Best product state found in span{1_t} minus the stopper of ts, the
@@ -214,10 +193,10 @@ def seesaw_search(
     the objective, and advance SEESAW_BLOCK at a time (fewer when a
     block's gain temporary would pass SEESAW_ELEMENTS): one stacked eigh
     per half-step over the restarts not yet converged, each with its own
-    iteration cap, stopping rule and count of drops beyond
-    MONOTONE_SLACK.  Restarts are ranked by recomputed objective, first
-    best wins, and the winner is lifted back to C^m and C^n.
-    Deterministic for fixed inputs and seed.  Raises ValueError for
+    iteration cap, stopping rule (a gain below DEFAULT_CONV_TOL) and
+    count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
+    recomputed objective, first best wins, and the winner is lifted back
+    to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises ValueError for
     fewer than one restart, a single tile (nothing to search) or tiles
     that do not partition the grid.
     """
@@ -252,7 +231,7 @@ def seesaw_search(
             # Each half-step is an exact maximization, so the objective is
             # monotone up to rounding; a larger drop means a broken step.
             violations += int(np.sum(obj < prev[active] - MONOTONE_SLACK))
-            done = obj - prev[active] < conv_tol
+            done = obj - prev[active] < DEFAULT_CONV_TOL
             converged_count += int(np.sum(done))
             prev[active] = obj
             active = active[~done]
@@ -273,10 +252,10 @@ def seesaw_search(
 @dataclass(frozen=True, eq=False)
 class UPBCertificate:
     """What ``certify_upb`` decides.  ``refusal`` says why the complement
-    is not certified (None when it is, or is empty); on a certified
-    nonempty complement ``verdict`` is the origin's U-tile decision, and
-    a non-U-tile origin adds ``max_overlap``, the largest relative
-    overlap of its witness's extension state with the states."""
+    is not certified (None when it is; one tile leaves it empty); on a
+    certified nonempty complement ``verdict`` is the origin's U-tile
+    decision, and a non-U-tile origin adds ``max_overlap``, the largest
+    relative overlap of its witness's extension state with the states."""
 
     size: int
     expected_size: int
@@ -302,10 +281,11 @@ class UPBCertificate:
 
     @property
     def ok(self) -> bool:
-        """The set is a UPB by the paper's theorem: every law holds, the
-        complement is certified or empty, and the origin is U-tile."""
-        return (self.size_ok and self.orthogonality.ok and self.stopper_law_ok
-                and self.refusal is None and (self.verdict is None or self.verdict.is_u_tile))
+        """The set is a UPB by the paper's theorem: the complement is
+        certified (which takes orthogonality and the size law), the
+        stopper law holds, and the origin is U-tile or the only tile."""
+        return (self.stopper_law_ok and self.refusal is None
+                and (self.verdict is None or self.verdict.is_u_tile))
 
     def to_json_dict(self) -> dict:
         """The ``verify-upb`` report keys it decides; ``certificate`` holds
@@ -383,24 +363,25 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     stopper up to scale, by ``_all_ones`` on both factors, so its
     overlap with each tile's omitted state is proportional to |t| and
     nonzero), and certifies the complement span{1_t} minus the stopper
-    (``_certify``) or names why not in ``refusal``; one tile leaves an
-    empty complement that needs none.  On a certified complement the
-    paper's theorem makes the origin's U-tile decision exact: a U-tile
-    origin gives a UPB, and otherwise the witness's extension state is a
-    product state in the complement, checked against every state.
+    (``_certify``) or names why not in ``refusal``; for one tile the
+    certified complement is empty and no U-tile decision is made.  On a
+    certified nonempty complement the paper's theorem makes the origin's
+    U-tile decision exact: a U-tile origin gives a UPB, and otherwise the
+    witness's extension state is a product state in the complement,
+    checked against every state.
     """
     ts = upb.origin
     mn, s, count = upb.m * upb.n, ts.tile_count, len(upb.a)
     norms = np.linalg.norm(upb.a, axis=1) * np.linalg.norm(upb.b, axis=1)
-    orth = _orthogonality(upb.a, upb.b, DEFAULT_ORTH_TOL)
+    orth = check_orthogonal_set(upb.a, upb.b)
     stopper_ok = count > 0 and _all_ones(upb.a[-1]) and _all_ones(upb.b[-1])
     certificate = partial(UPBCertificate, count, mn - s + 1, orth, stopper_ok, s - 1)
-    if s == 1 and count == mn:
-        return certificate()
     try:
         _certify(upb, norms, orth)
     except ValueError as exc:
         return certificate(str(exc))
+    if s == 1:
+        return certificate()
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)

@@ -14,7 +14,6 @@ import pytest
 from tileupb import (
     ProductState,
     SearchResult,
-    SpecialRectangle,
     TileStructure,
     UPBSet,
     build_upb,
@@ -22,7 +21,6 @@ from tileupb import (
 )
 from tileupb.locc import (
     ALICE,
-    BRANCH_TOL,
     LEAF_TOL,
     PROB_TOL,
     PRUNE_TOL,
@@ -50,7 +48,7 @@ def brute_special_rectangles(ts):
         for combo in itertools.combinations(ts.tiles, k):
             cells = set()
             for tile in combo:
-                cells |= set(tile.cells)
+                cells |= set(itertools.product(tile.rows, tile.cols))
             rows = tuple(sorted({r for r, _ in cells}))
             cols = tuple(sorted({c for _, c in cells}))
             if cells == {(r, c) for r in rows for c in cols}:
@@ -59,14 +57,15 @@ def brute_special_rectangles(ts):
 
 
 def enumerate_special_rectangles(ts):
-    """All special rectangles, sorted by (tile count, lexicographic ids),
-    by subset enumeration over tile bitmasks: a subset qualifies when its
-    total cell count equals |union of rows| * |union of cols| (tiles are
-    disjoint exact rectangles, so equality forces exact coverage).
-    Exponential in the tile count, so only for small structures."""
+    """All special rectangles as (ids, rows, cols) triples, sorted by
+    (tile count, lexicographic ids), by subset enumeration over tile
+    bitmasks: a subset qualifies when its total cell count equals
+    |union of rows| * |union of cols| (tiles are disjoint exact
+    rectangles, so equality forces exact coverage).  Exponential in the
+    tile count, so only for small structures."""
     row_masks = [sum(1 << r for r in tile.rows) for tile in ts.tiles]
     col_masks = [sum(1 << c for c in tile.cols) for tile in ts.tiles]
-    sizes = [tile.size for tile in ts.tiles]
+    sizes = [len(tile.rows) * len(tile.cols) for tile in ts.tiles]
     rects = []
     for mask in range(1, 1 << ts.tile_count):
         if mask.bit_count() < 2:
@@ -80,12 +79,12 @@ def enumerate_special_rectangles(ts):
             count += sizes[i]
             rest &= rest - 1
         if count == rows.bit_count() * cols.bit_count():
-            rects.append(SpecialRectangle(
-                tile_ids=tuple(t.id for i, t in enumerate(ts.tiles) if mask >> i & 1),
-                rows=tuple(r for r in range(ts.m) if rows >> r & 1),
-                cols=tuple(c for c in range(ts.n) if cols >> c & 1),
+            rects.append((
+                tuple(t.id for i, t in enumerate(ts.tiles) if mask >> i & 1),
+                tuple(r for r in range(ts.m) if rows >> r & 1),
+                tuple(c for c in range(ts.n) if cols >> c & 1),
             ))
-    rects.sort(key=lambda r: (len(r.tile_ids), r.tile_ids))
+    rects.sort(key=lambda r: (len(r[0]), r[0]))
     return rects
 
 
@@ -94,7 +93,7 @@ def brute_is_u_tile(ts):
     groups of tiles with disjoint row unions or disjoint column
     unions."""
     for ids, _rows, _cols in brute_special_rectangles(ts):
-        tiles = [ts.tile(i) for i in ids]
+        tiles = [ts.tiles[i - 1] for i in ids]
         for axis in ("row", "column"):
             sets = [set(t.rows if axis == "row" else t.cols) for t in tiles]
             k = len(tiles)
@@ -121,8 +120,8 @@ def enumeration_is_u_tile(ts):
     """Enumerate-then-connectivity check: every special rectangle, listed
     by subset enumeration, must have connected row- and column-
     intersection graphs on its tiles."""
-    for rect in enumerate_special_rectangles(ts):
-        tiles = [ts.tile(i) for i in rect.tile_ids]
+    for ids, _rows, _cols in enumerate_special_rectangles(ts):
+        tiles = [ts.tiles[i - 1] for i in ids]
         if not _intersection_graph_connected([set(t.rows) for t in tiles]):
             return False
         if not _intersection_graph_connected([set(t.cols) for t in tiles]):
@@ -135,14 +134,15 @@ def assert_witness_split(ts, verdict):
     its two parts partition its tiles, and they are disjoint along the
     axis."""
     wit = verdict.witness
-    rect = wit.rectangle
-    cells = {cell for tid in rect.tile_ids for cell in ts.tile(tid).cells}
-    assert cells == set(itertools.product(rect.rows, rect.cols))
+    tiles = [ts.tiles[tid - 1] for tid in wit.tile_ids]
+    cells = {cell for t in tiles for cell in itertools.product(t.rows, t.cols)}
+    assert cells == set(itertools.product(wit.rows, wit.cols))
     assert wit.part1 and wit.part2
-    assert sorted(wit.part1 + wit.part2) == sorted(rect.tile_ids)
+    assert sorted(wit.part1 + wit.part2) == sorted(wit.tile_ids)
     assert wit.axis in ("row", "column")
     attr = "cols" if wit.axis == "column" else "rows"
-    sides = [{i for tid in part for i in getattr(ts.tile(tid), attr)} for part in (wit.part1, wit.part2)]
+    sides = [{i for tid in part for i in getattr(ts.tiles[tid - 1], attr)}
+             for part in (wit.part1, wit.part2)]
     assert not sides[0] & sides[1]
 
 
@@ -273,9 +273,10 @@ def closed_form_projector(ts):
     mn = ts.m * ts.n
     proj = np.full((mn, mn), -1.0 / mn)
     for tile in ts.tiles:
-        for r, c in tile.cells:
-            for r2, c2 in tile.cells:
-                proj[r * ts.n + c, r2 * ts.n + c2] += 1.0 / tile.size
+        cells = list(itertools.product(tile.rows, tile.cols))
+        for r, c in cells:
+            for r2, c2 in cells:
+                proj[r * ts.n + c, r2 * ts.n + c2] += 1.0 / len(cells)
     return proj
 
 
@@ -327,8 +328,7 @@ def _seesaw_restart(rows, cols, sizes, a, b, max_iters, conv_tol, slack):
     return a, b, _tile_objective(rows, cols, sizes, a, b), converged, violations
 
 
-def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS,
-                      conv_tol=DEFAULT_CONV_TOL):
+def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS):
     """The seesaw one restart at a time, with one m x m (or n x n) eigh
     per half-step: the same seeded starts, stopping rule and first-best
     ranking as ``seesaw_search``, as a SearchResult."""
@@ -341,7 +341,7 @@ def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS,
         b = rng.standard_normal(ts.n) + 1j * rng.standard_normal(ts.n)
         a, b, overlap, converged, dropped = _seesaw_restart(
             rows, cols, sizes, a / np.linalg.norm(a), b / np.linalg.norm(b),
-            max_iters, conv_tol, MONOTONE_SLACK,
+            max_iters, DEFAULT_CONV_TOL, MONOTONE_SLACK,
         )
         converged_count += int(converged)
         violations += dropped
@@ -419,7 +419,7 @@ def dense_verify_protocol(protocol, states):
 
     def walk(node, alive, path):
         if isinstance(node, Branch):
-            if not _check_branch(node, reg_dims, path, branch_problems, BRANCH_TOL):
+            if not _check_branch(node, reg_dims, path, branch_problems):
                 return
             for k, (proj, child) in enumerate(node.outcomes):
                 nxt = []

@@ -18,7 +18,6 @@ from tileupb import (
     example1,
     fig2,
     five_tile,
-    inner_product,
     is_u_tile,
     ppt_report,
     prop2,
@@ -70,7 +69,7 @@ def test_criterion_2_refuted_grid_is_extendible(capsys):
     wit = verdict.witness
     if verdict.is_u_tile:
         problems.append("structure was wrongly accepted as a U-tile")
-    elif not (wit.rectangle.tile_ids == (1, 2) and wit.axis == "column"):
+    elif not (wit.tile_ids == (1, 2) and wit.axis == "column"):
         problems.append(f"unexpected witness {wit}")
     state = verdict.witness.state
     if not (np.allclose(state.a_vec, [1, 0, 0, 0]) and np.allclose(state.b_vec, [1, 1, -1, -1])):
@@ -102,7 +101,7 @@ def test_criterion_3_ring_family_table(capsys):
                 problems.append(f"prop2({m},{n}) is not a U-tile")
             if len(upb.states) != expected:
                 problems.append(f"prop2({m},{n}) has {len(upb.states)} states, want {expected}")
-            if not check_orthogonal_set(upb.states).ok:
+            if not check_orthogonal_set(upb.a, upb.b).ok:
                 problems.append(f"prop2({m},{n}) basis is not orthogonal")
     _report(capsys, "criterion 3: ring family sizes mn-4*floor((m-1)/2)", problems, t0, 30.0)
 
@@ -117,7 +116,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if ts.tile_count != t or len(upb.states) != m * m - t + 1:
                 problems.append(f"prop3({m},{t}) size law broken")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and check_orthogonal_set(upb.states).ok):
+                    and check_orthogonal_set(upb.a, upb.b).ok):
                 problems.append(f"prop3({m},{t}) failed a structural check")
     for m in range(3, 9):
         for n in range(m, 9):
@@ -126,7 +125,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if len(upb.states) != m * n - 4:
                 problems.append(f"five_tile({m},{n}) has {len(upb.states)} states")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and check_orthogonal_set(upb.states).ok):
+                    and check_orthogonal_set(upb.a, upb.b).ok):
                 problems.append(f"five_tile({m},{n}) failed a structural check")
     _report(capsys, "criterion 4: tile-count family m*m-t+1 and five-tile mn-4",
             problems, t0, 60.0)

@@ -113,7 +113,8 @@ class TestChecks:
         ("verify-upb", "--family", "example1", "--max-iters", "0"),
         ("verify-upb", "--family", "example1", "--tol", "1e-6"),
         ("distinguish", "--family", "prop2", "--m", "4", "--n", "4"),
-    ], ids=["special-rects", "max-iters", "tol", "distinguish-family"])
+        ("gen", "--family", "five-tile", "--m", "3", "--n", "3", "--json"),
+    ], ids=["special-rects", "max-iters", "tol", "distinguish-family", "gen-json"])
     def test_removed_commands_and_flags_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(capsys, *argv)
@@ -232,6 +233,12 @@ class TestChecks:
         code, _, err = run(capsys, "distinguish", "--m", "5", "--n", "5")
         assert code == 2
         assert "even" in err
+
+    def test_distinguish_refuses_dimensions_beyond_the_format(self, capsys):
+        code, out, err = run(capsys, "distinguish", "--m", "4", "--n", "65")
+        assert code == 2
+        assert out == ""
+        assert "--n 65 lies outside the format's 1..64" in err
 
 
 class TestOutputFile:

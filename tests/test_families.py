@@ -181,7 +181,7 @@ class TestFourRowListing:
         listing = _four_row_listing(n)
         assert len(kept) == len(listing) == 5
         for tid, vectors in kept.items():
-            tile = ts.tile(tid)
+            tile = ts.tiles[tid - 1]
             reference = listing[tile.rows, tile.cols]
             assert len(reference) == len(vectors)
             ours = np.array(vectors)

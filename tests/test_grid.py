@@ -40,8 +40,7 @@ class TestParse:
     def test_tiles_are_sorted_by_id(self):
         ts = parse_tile_grid(SAMPLE)
         assert [t.id for t in ts.tiles] == [1, 2, 3]
-        assert ts.tile(1) == Tile(1, (0,), (0, 2))
-        assert ts.tile(2) == Tile(2, (0, 1), (1,))
+        assert ts.tiles[:2] == (Tile(1, (0,), (0, 2)), Tile(2, (0, 1), (1,)))
 
     def test_missing_header_is_a_format_error(self):
         with pytest.raises(TileGridFormatError, match="header"):

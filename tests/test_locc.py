@@ -206,9 +206,9 @@ class TestProtocols:
         audited = []
         check = tileupb.locc._check_branch
 
-        def record(node, dims, path, problems, tol):
+        def record(node, dims, path, problems):
             audited.append(path)
-            return check(node, dims, path, problems, tol)
+            return check(node, dims, path, problems)
 
         monkeypatch.setattr(tileupb.locc, "_check_branch", record)
         protocol = build_theorem3_protocol(m, n)

@@ -103,6 +103,18 @@ class TestBuildState:
         with pytest.raises(ValueError, match="size law"):
             ppt_report(tampered_upb(upb, upb.states[:-1]))
 
+    @pytest.mark.parametrize("grid,keep", [(example1().cell_map, 11), ([[1, 1], [1, 1]], 3)],
+                             ids=["example1", "one-tile"])
+    def test_a_full_size_set_with_repeats_is_refused(self, grid, keep):
+        """mn states get no empty-complement report unless the certificate
+        holds: example1's 11 states plus 5 repeats, and the one-tile basis
+        with its first state in place of its last, overlap in pairs."""
+        upb = build_upb(structure_from_grid(grid))
+        states = upb.states[:keep]
+        states += states[: upb.m * upb.n - keep]
+        with pytest.raises(ValueError, match="not pairwise orthogonal"):
+            ppt_report(tampered_upb(upb, states))
+
     @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
     def test_accepts_the_same_sets_as_check_upb(self, shift):
         """A set whose worst relative overlap lies between 1e-12 and

@@ -8,16 +8,15 @@ from tileupb import (
     example1,
     fig2,
     five_tile,
-    inner_product,
     is_u_tile,
     prop2,
     prop3,
     build_upb,
-    stopper,
 )
 
 from conftest import (
     assert_witness_split,
+    brute_inner,
     brute_is_u_tile,
     brute_special_rectangles,
     enumerate_special_rectangles,
@@ -31,19 +30,19 @@ class TestEnumeration:
     def test_matches_set_arithmetic_oracle_on_all_3x3(self, all_3x3_structures):
         for grid in all_3x3_structures:
             ts = structure_from_grid(grid)
-            got = {(r.tile_ids, r.rows, r.cols) for r in enumerate_special_rectangles(ts)}
+            got = set(enumerate_special_rectangles(ts))
             want = set(brute_special_rectangles(ts))
             assert got == want, grid
 
     def test_results_are_sorted_by_tile_count_then_ids(self):
         ts = prop3(6, 5)
         rects = enumerate_special_rectangles(ts)
-        keys = [(len(r.tile_ids), r.tile_ids) for r in rects]
+        keys = [(len(ids), ids) for ids, _, _ in rects]
         assert keys == sorted(keys)
 
     def test_split_column_reference_listing(self):
         rects = enumerate_special_rectangles(fig2())
-        assert [r.tile_ids for r in rects] == [
+        assert [ids for ids, _, _ in rects] == [
             (1, 2),
             (3, 5),
             (1, 2, 6),
@@ -59,7 +58,7 @@ class TestEnumeration:
 
     def test_full_grid_union_counts_when_tiles_cooperate(self):
         rects = enumerate_special_rectangles(example1())
-        assert [r.tile_ids for r in rects] == [(1, 2, 3, 4, 5, 6)]
+        assert [ids for ids, _, _ in rects] == [(1, 2, 3, 4, 5, 6)]
 
 
 def _assert_valid_witness(ts, verdict):
@@ -67,9 +66,10 @@ def _assert_valid_witness(ts, verdict):
     extension state is orthogonal to the kept states and the stopper."""
     assert_witness_split(ts, verdict)
     state = verdict.witness.state
-    worst = max(abs(inner_product(kept, state)) for kept in build_upb(ts).states)
+    upb = build_upb(ts)
+    worst = max(abs(brute_inner(kept, state)) for kept in upb.states)
     assert worst < 1e-12
-    assert abs(inner_product(stopper(ts.m, ts.n), state)) < 1e-12
+    assert abs(brute_inner(upb.stopper, state)) < 1e-12
 
 
 class TestUTileDecision:
@@ -117,8 +117,8 @@ class TestUTileDecision:
     def test_top_row_counterexample_witness(self):
         verdict = is_u_tile(fig2())
         wit = verdict.witness
-        assert wit.rectangle.tile_ids == (1, 2)
-        assert wit.rectangle.rows == (0,)
+        assert wit.tile_ids == (1, 2)
+        assert wit.rows == (0,)
         assert wit.axis == "column"
         assert wit.part1 == (1,)
         assert wit.part2 == (2,)
@@ -149,9 +149,9 @@ class TestExtensionWitness:
                 continue
             state = verdict.witness.state
             upb = build_upb(ts)
-            worst = max(abs(inner_product(kept, state)) for kept in upb.states)
+            worst = max(abs(brute_inner(kept, state)) for kept in upb.states)
             assert worst < 1e-12, grid
-            assert abs(inner_product(stopper(ts.m, ts.n), state)) < 1e-12
+            assert abs(brute_inner(upb.stopper, state)) < 1e-12
 
     def test_u_tile_verdict_has_no_witness(self):
         verdict = is_u_tile(example1())

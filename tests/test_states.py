@@ -1,5 +1,6 @@
 """Product states, tile bases, and basis assembly."""
 
+import itertools
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -11,19 +12,17 @@ from tileupb import (
     STOPPER_LABEL,
     UPBSet,
     build_upb,
+    check_orthogonal_set,
     check_upb,
     example1,
     fig2,
     five_tile,
-    inner_product,
     prop2,
     prop3,
-    stopper,
-    tile_basis,
     upb_state_labels,
 )
 
-from conftest import brute_inner, brute_tile_matrices, structure_from_grid
+from conftest import brute_inner, brute_tile_matrices, kron_vector, structure_from_grid
 
 
 def _complexes(size):
@@ -41,47 +40,50 @@ class TestInnerProduct:
     @settings(max_examples=40, deadline=None)
     @given(_complexes(2), _complexes(3), _complexes(2), _complexes(3))
     def test_matches_kron_oracle_on_product_states(self, a1, b1, a2, b2):
+        """The factor Gram <a1|a2><b1|b2> gives the relative overlap the
+        explicit Kronecker product does."""
         s1, s2 = ProductState(a1, b1), ProductState(a2, b2)
-        assert inner_product(s1, s2) == pytest.approx(brute_inner(s1, s2), abs=1e-9)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            inner_product(ProductState([1, 0], [1, 0]), ProductState([1], [1, 0]))
+        norms = np.linalg.norm(kron_vector(s1)) * np.linalg.norm(kron_vector(s2))
+        report = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]), tol=np.inf)
+        want = abs(brute_inner(s1, s2)) / norms if norms else 0.0
+        assert report.max_offdiagonal == pytest.approx(want, abs=1e-9)
 
 
 class TestTileBasis:
+    """Each tile's basis is its omitted (0, 0) state in ``missing`` and
+    its kept rows of the stack."""
+
     def test_matches_cellwise_oracle(self):
-        ts = example1()
-        for tile in ts.tiles:
-            got = [s.matrix for s in tile_basis(tile, ts.m, ts.n)]
-            want = brute_tile_matrices(tile, ts.m, ts.n)
-            assert len(got) == tile.size
-            for g, w in zip(got, want):
-                assert np.allclose(g, w), tile
+        assert_stack_is_the_tile_bases(example1())
 
     def test_family_is_orthogonal_with_squared_norm_equal_to_size(self):
         ts = five_tile(4, 5)
-        for tile in ts.tiles:
-            basis = tile_basis(tile, ts.m, ts.n)
-            gram = np.array([[inner_product(x, y) for y in basis] for x in basis])
-            assert np.allclose(gram, tile.size * np.eye(tile.size), atol=1e-12)
+        upb = build_upb(ts)
+        labels = upb_state_labels(ts)
+        for tile, miss in zip(ts.tiles, upb.missing):
+            basis = [miss] + [s for s, label in zip(upb.states, labels) if label[0] == tile.id]
+            size = len(tile.rows) * len(tile.cols)
+            gram = np.array([[brute_inner(x, y) for y in basis] for x in basis])
+            assert np.allclose(gram, size * np.eye(size), atol=1e-12)
 
     def test_first_element_is_the_tile_indicator(self):
         ts = example1()
-        tile = ts.tile(4)
-        first = tile_basis(tile, ts.m, ts.n)[0].matrix
+        tile = ts.tiles[3]
+        first = build_upb(ts).missing[3].matrix
         indicator = np.zeros((ts.m, ts.n))
-        for r, c in tile.cells:
+        for r, c in itertools.product(tile.rows, tile.cols):
             indicator[r, c] = 1
         assert np.allclose(first, indicator)
 
 
 class TestBuildCopb:
     def test_is_a_complete_orthogonal_product_family(self, all_3x3_structures):
-        """All tile bases together form a complete orthogonal product basis."""
+        """All tile bases together, the kept states and the omitted ones,
+        form a complete orthogonal product basis."""
         for grid in all_3x3_structures[::13]:
             ts = structure_from_grid(grid)
-            states = [s for tile in ts.tiles for s in tile_basis(tile, ts.m, ts.n)]
+            upb = build_upb(ts)
+            states = upb.states[:-1] + upb.missing
             assert len(states) == ts.m * ts.n
             flat = np.array([s.matrix.reshape(-1) for s in states])
             gram = flat.conj() @ flat.T
@@ -105,17 +107,17 @@ class TestBuildUpb:
         assert labels[0] == (1, 0, 1)
         for tile in ts.tiles:
             per_tile = [l for l in labels if l[0] == tile.id and len(l) == 3]
-            assert len(per_tile) == tile.size - 1
+            assert len(per_tile) == len(tile.rows) * len(tile.cols) - 1
 
     def test_stopper_is_the_all_ones_matrix(self):
-        s = stopper(3, 4)
+        s = build_upb(five_tile(3, 4)).stopper
         assert np.allclose(s.matrix, np.ones((3, 4)))
 
     def test_stopper_overlap_with_missing_states_equals_tile_size(self):
         ts = prop2(5, 6)
         upb = build_upb(ts)
         for tile, miss in zip(ts.tiles, upb.missing):
-            assert inner_product(upb.stopper, miss) == pytest.approx(tile.size)
+            assert brute_inner(upb.stopper, miss) == pytest.approx(len(tile.rows) * len(tile.cols))
 
     def test_json_round_trip(self):
         upb = build_upb(example1())
@@ -139,17 +141,19 @@ BENCHMARK_FAMILIES = {
 
 
 def assert_stack_is_the_tile_bases(ts):
-    """Row i of build_upb(ts).a and .b is, bit for bit, the tile-basis
-    state upb_state_labels(ts)[i] names, and the last row the stopper."""
+    """Row i of build_upb(ts).a and .b is the tile-basis state
+    upb_state_labels(ts)[i] names, as the cell-by-cell oracle
+    ``brute_tile_matrices`` builds it, the last row is the all-ones
+    stopper, and ``missing`` holds each tile's (0, 0) state."""
     upb = build_upb(ts)
-    bases = {tile.id: tile_basis(tile, ts.m, ts.n) for tile in ts.tiles}
+    bases = {tile.id: brute_tile_matrices(tile, ts.m, ts.n) for tile in ts.tiles}
     want = [
-        stopper(ts.m, ts.n) if label == STOPPER_LABEL
-        else bases[label[0]][label[1] * len(ts.tile(label[0]).cols) + label[2]]
+        np.ones((ts.m, ts.n)) if label == STOPPER_LABEL
+        else bases[label[0]][label[1] * len(ts.tiles[label[0] - 1].cols) + label[2]]
         for label in upb_state_labels(ts)
     ]
-    assert np.array_equal(upb.a, [s.a_vec for s in want])
-    assert np.array_equal(upb.b, [s.b_vec for s in want])
+    assert np.allclose(upb.a[:, :, None] * upb.b[:, None, :], want, rtol=0, atol=1e-12)
+    assert np.array_equal([s.matrix for s in upb.missing], [bases[t.id][0] for t in ts.tiles])
 
 
 class TestUPBSetStack:
@@ -175,8 +179,9 @@ class TestUPBSetStack:
     def test_json_missing_and_stopper_are_fixed_by_the_origin(self):
         ts = prop2(5, 6)
         data = build_upb(ts).to_json_dict()
-        assert data["missing"] == [tile_basis(t, ts.m, ts.n)[0].to_json_dict() for t in ts.tiles]
-        assert data["stopper"] == stopper(ts.m, ts.n).to_json_dict()
+        missing = [ProductState.from_json_dict(entry).matrix for entry in data["missing"]]
+        assert np.array_equal(missing, [brute_tile_matrices(t, ts.m, ts.n)[0] for t in ts.tiles])
+        assert np.array_equal(ProductState.from_json_dict(data["stopper"]).matrix, np.ones((ts.m, ts.n)))
 
     @pytest.mark.parametrize("case", ["matrices", "short-b", "wide-a"])
     def test_refuses_stacks_that_do_not_fit_the_origin(self, case):

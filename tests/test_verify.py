@@ -49,46 +49,40 @@ SPLIT_FIVE_TILE = [
 ]
 
 
-def _random_states(kind, count, seed, m=3, n=4):
-    """Random unnormalized states on sparse supports, so that some pairs
-    are exactly orthogonal, with norms spread over six decades; kind
-    "bipartite" gives plain m x n coefficient arrays."""
+def _random_states(count, seed, m=3, n=4):
+    """Random unnormalized product states on sparse supports, so that
+    some pairs are exactly orthogonal, with norms spread over six
+    decades."""
     rng = np.random.default_rng(seed)
 
     def sparse(size):
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         return vec * (rng.random(size) < 0.6) * 10.0 ** rng.uniform(-3, 3)
 
-    if kind == "product":
-        return [ProductState(sparse(m), sparse(n)) for _ in range(count)]
-    return [sparse(m * n).reshape(m, n) for _ in range(count)]
+    return [ProductState(sparse(m), sparse(n)) for _ in range(count)]
 
 
 class TestOrthogonalityCheck:
     def test_clean_family_passes(self):
-        report = check_orthogonal_set(build_upb(example1()).states)
+        upb = build_upb(example1())
+        report = check_orthogonal_set(upb.a, upb.b)
         assert report.ok
         assert report.max_offdiagonal < 1e-12
         assert report.violations == ()
 
     def test_reports_the_offending_pair(self):
-        states = [ProductState([1, 0], [1, 0]), ProductState([1, 1], [1, 0])]
-        report = check_orthogonal_set(states)
+        report = check_orthogonal_set(np.array([[1, 0], [1, 1]]), np.array([[1, 0], [1, 0]]))
         assert not report.ok
         assert report.violations[0][:2] == (0, 1)
 
-    @pytest.mark.parametrize("kind", ["product", "bipartite"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
-    def test_matches_the_pairwise_oracle(self, kind, count):
-        """Product states match the pairwise oracle; states given as
-        matrices are refused, since the Gram is formed from factors."""
-        states = _random_states(kind, count, seed=count)
+    def test_matches_the_pairwise_oracle(self, count):
+        """The blocked factor Gram matches the pairwise Kronecker oracle."""
+        states = _random_states(count, seed=count)
         tol = 0.3
-        if kind == "bipartite":
-            with pytest.raises(TypeError, match="product states"):
-                check_orthogonal_set(states, tol=tol)
-            return
-        report = check_orthogonal_set(states, tol=tol)
+        a = np.array([s.a_vec for s in states])
+        b = np.array([s.b_vec for s in states])
+        report = check_orthogonal_set(a, b, tol=tol)
         want, worst = brute_orthogonality(states, tol)
         assert [v[:2] for v in report.violations] == [v[:2] for v in want]
         assert np.allclose([v[2] for v in report.violations], [v[2] for v in want],
@@ -98,7 +92,8 @@ class TestOrthogonalityCheck:
             assert 0 < len(want) < count * (count - 1) // 2
 
     def test_large_tiles_pass_under_the_relative_rule(self):
-        assert check_orthogonal_set(build_upb(five_tile(32, 32)).states).ok
+        upb = build_upb(five_tile(32, 32))
+        assert check_orthogonal_set(upb.a, upb.b).ok
 
 
 class TestComplementBasis:
@@ -297,7 +292,7 @@ class TestSeesawSearch:
 def _split_columns(ts, tid, k):
     """ts with the first k columns of tile tid moved to a new tile: the
     two halves form a special rectangle, so the result is not U-tile."""
-    cols = sorted(ts.tile(tid).cols)[:k]
+    cols = sorted(ts.tiles[tid - 1].cols)[:k]
     new = ts.tile_count + 1
     return structure_from_grid(
         [[new if v == tid and c in cols else v for c, v in enumerate(row)] for row in ts.cell_map]
