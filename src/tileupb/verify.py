@@ -88,11 +88,11 @@ def check_orthogonal_set(a: np.ndarray, b: np.ndarray,
     above tol for the product states psi_i whose factors are row i of
     the stacks A (N x m) and B (N x n); a zero state overlaps nothing.
 
-    The Gram is the entrywise product of the factor Grams
-    (A* A^T) o (B* B^T), formed GRAM_BLOCK rows at a time over the
-    columns j >= the block's first row.  Violations come in (i, j)
-    row-major order.
+    The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
+    at a time over the columns j >= the block's first row.  Violations
+    come in (i, j) row-major order.
     """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     count = len(a)
     if count < 2:
         return OrthogonalityReport((), 0.0)

@@ -75,13 +75,19 @@ class TestOrthogonalityCheck:
         assert not report.ok
         assert report.violations[0][:2] == (0, 1)
 
+    @pytest.mark.parametrize("kind", ["product", "real-a"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
-    def test_matches_the_pairwise_oracle(self, count):
-        """The blocked factor Gram matches the pairwise Kronecker oracle."""
+    def test_matches_the_pairwise_oracle(self, kind, count):
+        """The blocked factor Gram matches the pairwise Kronecker oracle,
+        also when the A stack is a real float array and B is complex."""
         states = _random_states(count, seed=count)
+        if kind == "real-a":
+            states = [ProductState(s.a_vec.real, s.b_vec) for s in states]
         tol = 0.3
         a = np.array([s.a_vec for s in states])
         b = np.array([s.b_vec for s in states])
+        if kind == "real-a":
+            a = a.real
         report = check_orthogonal_set(a, b, tol=tol)
         want, worst = brute_orthogonality(states, tol)
         assert [v[:2] for v in report.violations] == [v[:2] for v in want]
