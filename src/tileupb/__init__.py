@@ -47,7 +47,6 @@ from .locc import (
     ALICE,
     BOB,
     Branch,
-    CompositeState,
     DiscriminationReport,
     Identify,
     LocalProjector,
@@ -95,7 +94,6 @@ __all__ = [
     "ALICE",
     "BOB",
     "Branch",
-    "CompositeState",
     "DiscriminationReport",
     "Identify",
     "LocalProjector",

@@ -133,10 +133,11 @@ def _cmd_build_upb(args, parser) -> int:
         print(f"error: not a U-tile structure: special rectangle {w.tile_ids} "
               f"splits into {w.part1} | {w.part2} on the {w.axis} axis", file=sys.stderr)
         return 1
-    upb = build_upb(ts)
-    lines = [f"{len(upb.a)} states on a {upb.m} x {upb.n} grid"]
-    lines += [f"  {i}: {label}" for i, label in enumerate(upb_state_labels(ts))]
-    _emit(args, "\n".join(lines), upb.to_json_dict())
+    labels = upb_state_labels(ts)
+    lines = [f"{len(labels)} states on a {ts.m} x {ts.n} grid"]
+    lines += [f"  {i}: {label}" for i, label in enumerate(labels)]
+    origin = {"m": ts.m, "n": ts.n, "grid": ts.cell_map}
+    _emit(args, "\n".join(lines), {"m": ts.m, "n": ts.n, "origin": origin, "states": labels})
     return 0
 
 
@@ -187,10 +188,9 @@ def _cmd_distinguish(args, parser) -> int:
     protocol = build_theorem3_protocol(args.m, args.n)
     upb = build_upb(prop2(args.m, args.n))
     resource_dim = args.m // 2
-    states = attach_resource(upb.states, resource_dim)
-    report = verify_protocol(protocol, states)
+    report = verify_protocol(protocol, *attach_resource(upb.a, upb.b, resource_dim))
     lines = [
-        f"states: {len(states)} on {args.m} x {args.n} with a {resource_dim}-level resource",
+        f"states: {len(upb.a)} on {args.m} x {args.n} with a {resource_dim}-level resource",
         f"min success probability: {report.min_success_probability:.12f}",
         f"max misidentification probability: {report.max_wrong_probability:.3e}",
     ]

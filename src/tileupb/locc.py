@@ -8,8 +8,10 @@ acting party's joint register (A (x) a or B (x) b).  Leaves either name
 the single surviving candidate or assert that one party can finish
 alone: the survivors are product across the Alice/Bob cut, parallel on
 the idle party, and orthogonal on the measuring party.  A state is held
-only as an exact factor pair (L, R) of its matrix across that cut
-(``CompositeState``), and each local outcome acts on one factor.
+only as an exact factor pair (L, R) of its matrix L R^T across that cut;
+the N states travel as the two stacks of those factors, which
+``attach_resource`` lifts from a set's factor stacks, and each local
+outcome acts on one stack.
 
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
@@ -29,12 +31,11 @@ from typing import Union
 import numpy as np
 
 from .families import prop2
-from .states import ProductState, upb_state_labels, STOPPER_LABEL
+from .states import upb_state_labels, STOPPER_LABEL
 
 __all__ = [
     "ALICE",
     "BOB",
-    "CompositeState",
     "LocalProjector",
     "Branch",
     "Identify",
@@ -52,31 +53,6 @@ BRANCH_TOL = 1e-12
 PRUNE_TOL = 1e-10
 LEAF_TOL = 1e-8
 PROB_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeState:
-    """A state on registers (A, B, a, b) as an exact factor pair (L, R)
-    of its matrix across the Alice/Bob cut, L @ R.T: row A*d_a + a of L
-    and row B*d_b + b of R.  ``attach_resource`` gives L = kron(a, I_d)
-    and R = kron(b, I_d), of rank d."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=complex))
-        if self.left.ndim != 2 or self.right.ndim != 2 or self.left.shape[1] != self.right.shape[1]:
-            raise ValueError("cut factors must be two matrices with equal column counts")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        """Register sizes (m d_a, n d_b) of Alice and Bob."""
-        return self.left.shape[0], self.right.shape[0]
-
-    def cut_matrix(self) -> np.ndarray:
-        return self.left @ self.right.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +86,17 @@ class OnePartyFinish:
 ProtocolNode = Union[Branch, Identify, OnePartyFinish]
 
 
-def attach_resource(states, d: int) -> list[CompositeState]:
-    """Tensor each product state with the unnormalized d-level resource
-    sum_j |jj> on the ancilla pair."""
+def attach_resource(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor the product states with factor stacks a (N x m) and
+    b (N x n) with the unnormalized d-level resource sum_j |jj> on the
+    ancilla pair: the cut factor stacks kron(a_i, I_d) (N x m*d x d) and
+    kron(b_i, I_d) (N x n*d x d), rows indexed A*d + a and B*d + b."""
     if d < 1:
         raise ValueError("resource dimension must be at least 1")
     eye = np.eye(d)
-    out = []
-    for state in states:
-        if not isinstance(state, ProductState):
-            raise TypeError("attach_resource expects product states")
-        # kron(a, I_d) and kron(b, I_d), rows indexed A*d + a and B*d + b
-        out.append(CompositeState((state.a_vec[:, None, None] * eye).reshape(-1, d),
-                                  (state.b_vec[:, None, None] * eye).reshape(-1, d)))
-    return out
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return ((a[:, :, None, None] * eye).reshape(len(a), -1, d),
+            (b[:, :, None, None] * eye).reshape(len(b), -1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -425,42 +398,40 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
                 )
 
 
-def verify_protocol(protocol: ProtocolNode, states: list[CompositeState]) -> DiscriminationReport:
+def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
+                    rights: np.ndarray) -> DiscriminationReport:
     """Walk every input through the tree and audit all invariants.
 
-    Each state travels as its exact cut factors (L, R), with cut matrix
-    L Rᵀ: Alice's outcome P maps L to P L and Bob's maps R to P R, one
-    batched product per outcome over all states alive at the branch.
-    Every branch that some state reaches is checked for projector
-    completeness, orthogonality and idempotency; branches below squared
-    norm 1e-10 are pruned.  Identify leaves must be reached only by
+    State i travels as its exact cut factors L = lefts[i] and
+    R = rights[i], with cut matrix L Rᵀ: Alice's outcome P maps L to P L
+    and Bob's maps R to P R, one batched product per outcome over all
+    states alive at the branch.  Every branch that some state reaches is
+    checked for projector completeness, orthogonality and idempotency;
+    branches below squared norm 1e-10 are pruned.  Identify leaves must be reached only by
     their labeled candidate, one-party-finish leaves must hold product
     survivors that are parallel on the idle party and orthogonal on the
     measuring one, and each outcome layer must conserve every state's
     norm.  The report carries the minimum success probability over
     states and the largest probability any state lent to a wrong
-    identification.
+    identification.  Raises ValueError unless the stacks are 3-D with
+    equal state counts and ranks, or when there are no states or one
+    is zero.
     """
-    if not states:
+    lefts, rights = np.asarray(lefts, dtype=complex), np.asarray(rights, dtype=complex)
+    if not (lefts.ndim == rights.ndim == 3 and len(lefts) == len(rights)
+            and lefts.shape[2] == rights.shape[2]):
+        raise ValueError(f"cut factor stacks of shapes {lefts.shape} and {rights.shape} "
+                         "need three axes with equal state counts and ranks")
+    count = len(lefts)
+    if not count:
         raise ValueError("no states to discriminate")
-    reg_dims = states[0].dims
-    if any(st.dims != reg_dims for st in states):
-        raise ValueError("states have inconsistent register dimensions")
-
-    # Stack the factors, zero-padded to a common rank: L Rᵀ is unchanged.
-    count = len(states)
-    rank = max(st.left.shape[1] for st in states)
-    lefts = np.zeros((count, reg_dims[0], rank), dtype=complex)
-    rights = np.zeros((count, reg_dims[1], rank), dtype=complex)
-    for i, st in enumerate(states):
-        lefts[i, :, : st.left.shape[1]] = st.left
-        rights[i, :, : st.right.shape[1]] = st.right
+    reg_dims = lefts.shape[1], rights.shape[1]
     right_gram = _gram(rights)
     norms2 = _sq_norms(lefts, right_gram)
     zero = np.flatnonzero(norms2 == 0)
     if zero.size:
         raise ValueError(f"state {zero[0]} is zero")
-    lefts /= np.sqrt(norms2)[:, None, None]
+    lefts = lefts / np.sqrt(norms2)[:, None, None]
 
     success = np.zeros(count)
     wrong = np.zeros(count)

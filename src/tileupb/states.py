@@ -1,12 +1,14 @@
 """Product states, tile bases, and UPB assembly.
 
-Every state a tile structure induces is a product |a>|b>, stored by its
-two factor vectors, so <a b|a' b'> = <a|a'><b|b'> and its m x n
-coefficient matrix is the outer product a b^T.  States are deliberately
-left unnormalized; modules that need probabilities normalize locally.
-``build_upb`` stacks the factors of the candidate set of any tile
-structure (``UPBSet``); ``verify.certify_upb`` decides whether it is
-unextendible.
+Every state a tile structure induces is a product |a>|b>, so
+<a b|a' b'> = <a|a'><b|b'> and its m x n coefficient matrix is the
+outer product a b^T.  ``build_upb`` stacks the factors of the candidate
+set of any tile structure (``UPBSet``), and that stack is the one form
+its states take downstream: ``verify.certify_upb`` decides from it
+whether the set is unextendible, ``locc.attach_resource`` lifts it to
+the protocol's cut factors, and a state is named, not stored, by its
+``upb_state_labels`` entry (tile, k, l).  States are deliberately left
+unnormalized; modules that need probabilities normalize locally.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Tile, TileStructure, validate
+from .grid import Tile, TileStructure
 
 __all__ = [
     "ProductState",
@@ -39,18 +41,10 @@ class ProductState:
         object.__setattr__(self, "a_vec", np.asarray(self.a_vec, dtype=complex))
         object.__setattr__(self, "b_vec", np.asarray(self.b_vec, dtype=complex))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.a_vec, self.b_vec)
-
     def to_json_dict(self) -> dict:
         """Each factor as a list of [re, im] pairs."""
         return {"a": [[z.real, z.imag] for z in map(complex, self.a_vec)],
                 "b": [[z.real, z.imag] for z in map(complex, self.b_vec)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> ProductState:
-        return cls(*(np.array([complex(*z) for z in data[k]], dtype=complex) for k in "ab"))
 
 
 def _dft(size: int) -> np.ndarray:
@@ -79,9 +73,8 @@ def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 class UPBSet:
     """An ordered product-state set on the grid of a tile structure,
     stored as its factor stack: row i of ``a`` (N x m) and ``b`` (N x n)
-    holds the two factors of state i.  ``missing`` and ``stopper``
-    follow from ``origin``.  Raises ValueError when the stacks do not
-    fit the origin's m x n grid.
+    holds the two factors of state i.  Raises ValueError when the stacks
+    do not fit the origin's m x n grid.
     """
 
     a: np.ndarray
@@ -111,57 +104,6 @@ class UPBSet:
         """The rows of the stack as product states, labelled in order by
         ``upb_state_labels`` for a set from ``build_upb``."""
         return tuple(ProductState(a, b) for a, b in zip(self.a, self.b))
-
-    @property
-    def missing(self) -> tuple[ProductState, ...]:
-        """Each tile's omitted (0,0) state: its row and column indicators."""
-        m, n = self.m, self.n
-        return tuple(ProductState(np.isin(np.arange(m), t.rows), np.isin(np.arange(n), t.cols))
-                     for t in self.origin.tiles)
-
-    @property
-    def stopper(self) -> ProductState:
-        """The all-ones product state (sum_e |e>)(sum_j |j>)."""
-        return ProductState(np.ones(self.m), np.ones(self.n))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "states": [s.to_json_dict() for s in self.states],
-            "missing": [s.to_json_dict() for s in self.missing],
-            "stopper": self.stopper.to_json_dict(),
-            "origin": {
-                "m": self.origin.m,
-                "n": self.origin.n,
-                "grid": [list(row) for row in self.origin.cell_map],
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> UPBSet:
-        """Rebuild a set from ``to_json_dict`` output.  Raises ValueError
-        when the origin grid fails ``validate``, m or n disagree with it,
-        a state's factor a (b) is not of length m (n), or ``missing`` and
-        ``stopper`` are not the states the origin fixes; the state count
-        is left to the verifier (``check_upb`` reports size_ok)."""
-        origin = TileStructure.from_grid(data["origin"]["grid"])
-        m, n = origin.m, origin.n
-        states = [ProductState.from_json_dict(s) for s in data["states"]]
-        problems = list(validate(origin).problems)
-        if {(data["m"], data["n"]), (data["origin"]["m"], data["origin"]["n"])} != {(m, n)}:
-            problems.append(f"m or n disagree with the {m} x {n} origin grid")
-        if any((len(s.a_vec), len(s.b_vec)) != (m, n) for s in states):
-            problems.append(f"a factor's length differs from the {m} x {n} grid")
-        else:
-            upb = cls(np.reshape([s.a_vec for s in states], (len(states), m)),
-                      np.reshape([s.b_vec for s in states], (len(states), n)), origin)
-            fixed = [s.to_json_dict() for s in upb.missing], upb.stopper.to_json_dict()
-            if (data["missing"], data["stopper"]) != fixed:
-                problems.append("the missing or stopper states differ from those the origin fixes")
-        if problems:
-            raise ValueError("invalid UPB set: " + "; ".join(problems))
-        return upb
 
 
 def upb_state_labels(ts: TileStructure) -> list[tuple]:

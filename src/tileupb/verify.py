@@ -176,7 +176,6 @@ def _top_factors(side, other, other_coords, sizes) -> tuple[np.ndarray, np.ndarr
 def seesaw_search(
     ts: TileStructure,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int = 0,
 ) -> SearchResult:
     """Best product state found in span{1_t} minus the stopper of ts, the
@@ -193,12 +192,12 @@ def seesaw_search(
     the objective, and advance SEESAW_BLOCK at a time (fewer when a
     block's gain temporary would pass SEESAW_ELEMENTS): one stacked eigh
     per half-step over the restarts not yet converged, each with its own
-    iteration cap, stopping rule (a gain below DEFAULT_CONV_TOL) and
-    count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
+    DEFAULT_MAX_ITERS cap, stopping rule (a gain below DEFAULT_CONV_TOL)
+    and count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
     recomputed objective, first best wins, and the winner is lifted back
-    to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises ValueError for
-    fewer than one restart, a single tile (nothing to search) or tiles
-    that do not partition the grid.
+    to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises
+    ValueError for fewer than one restart, a single tile (nothing to
+    search) or tiles that do not partition the grid.
     """
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
@@ -223,7 +222,7 @@ def seesaw_search(
         y = (b / np.linalg.norm(b, axis=1, keepdims=True)) @ side_b.lift
         prev = _class_objective(side_a, side_b, sizes, x, y)
         active = np.arange(len(x))
-        for _ in range(max_iters):
+        for _ in range(DEFAULT_MAX_ITERS):
             if not active.size:
                 break
             _, x[active] = _top_factors(side_a, side_b, y[active], sizes)

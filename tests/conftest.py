@@ -160,6 +160,23 @@ def brute_inner(s1, s2):
     return complex(np.vdot(kron_vector(s1), kron_vector(s2)))
 
 
+def product_matrix(state):
+    """The m x n coefficient matrix a b^T of a product state."""
+    return np.outer(state.a_vec, state.b_vec)
+
+
+def missing_states(ts):
+    """Each tile's (0, 0) state, the one build_upb omits: its row and
+    column indicators."""
+    return tuple(ProductState(np.isin(np.arange(ts.m), t.rows), np.isin(np.arange(ts.n), t.cols))
+                 for t in ts.tiles)
+
+
+def stopper_state(ts):
+    """The all-ones product state (sum_e |e>)(sum_j |j>) on ts's grid."""
+    return ProductState(np.ones(ts.m), np.ones(ts.n))
+
+
 def brute_tile_matrices(tile, m, n):
     """The tile's full orthogonal family as grid matrices, built cell by
     cell, in (k, l) row-major order."""
@@ -328,7 +345,7 @@ def _seesaw_restart(rows, cols, sizes, a, b, max_iters, conv_tol, slack):
     return a, b, _tile_objective(rows, cols, sizes, a, b), converged, violations
 
 
-def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS):
+def sequential_seesaw(ts, restarts, seed):
     """The seesaw one restart at a time, with one m x m (or n x n) eigh
     per half-step: the same seeded starts, stopping rule and first-best
     ranking as ``seesaw_search``, as a SearchResult."""
@@ -341,7 +358,7 @@ def sequential_seesaw(ts, restarts, seed, max_iters=DEFAULT_MAX_ITERS):
         b = rng.standard_normal(ts.n) + 1j * rng.standard_normal(ts.n)
         a, b, overlap, converged, dropped = _seesaw_restart(
             rows, cols, sizes, a / np.linalg.norm(a), b / np.linalg.norm(b),
-            max_iters, DEFAULT_CONV_TOL, MONOTONE_SLACK,
+            DEFAULT_MAX_ITERS, DEFAULT_CONV_TOL, MONOTONE_SLACK,
         )
         converged_count += int(converged)
         violations += dropped
@@ -391,20 +408,19 @@ def _dense_finish_leaf(node, alive, path, problems):
                 problems.append(f"{path}: states {si} and {sj} differ on the idle party")
 
 
-def dense_verify_protocol(protocol, states):
-    """verify_protocol on dense cut matrices: every state is its full
-    (m*d_a) x (n*d_b) matrix M, Alice's outcome P maps M to P M, Bob's
-    maps M to M P^T, each norm is a Frobenius norm, and every outcome is
-    applied a second time for the conservation check.  Tolerances,
-    pruning, branch audit and violation messages are the library's."""
-    if not states:
+def dense_verify_protocol(protocol, lefts, rights):
+    """verify_protocol on dense cut matrices: state i is its full
+    (m*d_a) x (n*d_b) matrix M = lefts[i] rights[i]^T, Alice's outcome P
+    maps M to P M, Bob's maps M to M P^T, each norm is a Frobenius norm,
+    and every outcome is applied a second time for the conservation
+    check.  Tolerances, pruning, branch audit and violation messages are
+    the library's."""
+    if not len(lefts):
         raise ValueError("no states to discriminate")
-    reg_dims = states[0].dims
-    if any(st.dims != reg_dims for st in states):
-        raise ValueError("states have inconsistent register dimensions")
+    reg_dims = lefts.shape[1], rights.shape[1]
     mats = []
-    for i, st in enumerate(states):
-        mat = st.cut_matrix()
+    for i, (left, right) in enumerate(zip(lefts, rights)):
+        mat = left @ right.T
         norm = np.linalg.norm(mat)
         if norm == 0:
             raise ValueError(f"state {i} is zero")
@@ -413,8 +429,8 @@ def dense_verify_protocol(protocol, states):
     def apply(op, mat, party):
         return op @ mat if party == ALICE else mat @ op.T
 
-    success = np.zeros(len(states))
-    wrong = np.zeros(len(states))
+    success = np.zeros(len(mats))
+    wrong = np.zeros(len(mats))
     branch_problems, leaf_problems = [], []
 
     def walk(node, alive, path):

@@ -216,8 +216,7 @@ def test_criterion_7_two_level_resource_protocols(capsys):
     problems = []
     for n in (4, 5, 6):
         upb = build_upb(prop2(4, n))
-        states = attach_resource(upb.states, 2)
-        report = verify_protocol(build_theorem3_protocol(4, n), states)
+        report = verify_protocol(build_theorem3_protocol(4, n), *attach_resource(upb.a, upb.b, 2))
         if abs(report.min_success_probability - 1) > 1e-9 or not report.ok:
             problems.append(
                 f"n={n}: min success {report.min_success_probability}, "
@@ -233,10 +232,10 @@ def test_criterion_8_half_m_resource_protocols(capsys):
     # (8, 8) and larger recurse through two or more levels of ring peeling.
     for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10), (12, 12)):
         upb = build_upb(prop2(m, n))
-        states = attach_resource(upb.states, m // 2)
-        if states[0].left.shape[1] != m // 2 or states[0].right.shape[1] != m // 2:
+        lefts, rights = attach_resource(upb.a, upb.b, m // 2)
+        if lefts.shape[2] != m // 2 or rights.shape[2] != m // 2:
             problems.append(f"({m},{n}): resource dimension is not m/2")
-        report = verify_protocol(build_theorem3_protocol(m, n), states)
+        report = verify_protocol(build_theorem3_protocol(m, n), lefts, rights)
         if abs(report.min_success_probability - 1) > 1e-9 or not report.ok:
             problems.append(
                 f"({m},{n}): min success {report.min_success_probability}, "

@@ -6,11 +6,15 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tileupb.cli
 import tileupb.verify
+from tileupb import build_upb, example1, five_tile, prop2, prop3
 from tileupb.cli import _build_parser, main
+
+from conftest import brute_tile_matrices, structure_from_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,10 +283,11 @@ class TestJsonKeys:
 
     def test_build_upb(self, capsys):
         data = self._json(capsys, "build-upb", "--family", "example1")
-        assert set(data) == {"m", "n", "states", "missing", "stopper", "origin"}
+        assert set(data) == {"m", "n", "states", "origin"}
         assert set(data["origin"]) == {"m", "n", "grid"}
-        for state in data["states"] + data["missing"] + [data["stopper"]]:
-            assert set(state) == {"a", "b"}
+        assert data["states"][-1] == ["stopper"]
+        for label in data["states"][:-1]:
+            assert len(label) == 3 and all(type(x) is int for x in label)
 
     @pytest.mark.parametrize("family,certificate", [
         ("example1", {"u_tile", "witness"}),
@@ -339,3 +344,33 @@ class TestReadme:
             for word in words[2:]:
                 assert not word.startswith("-") or word in accepted, (line, word)
         assert listed == set(subs)
+
+
+LABELLED_FAMILIES = {
+    "example1": (("--family", "example1"), example1),
+    "prop2-5x6": (("--family", "prop2", "--m", "5", "--n", "6"), lambda: prop2(5, 6)),
+    "five-tile-4x5": (("--family", "five-tile", "--m", "4", "--n", "5"), lambda: five_tile(4, 5)),
+    "prop3-6-9": (("--family", "prop3", "--m", "6", "--tiles", "9"), lambda: prop3(6, 9)),
+}
+
+
+class TestBuildUpbLabels:
+    @pytest.mark.parametrize("case", sorted(LABELLED_FAMILIES))
+    def test_each_label_rebuilds_its_state_exactly(self, capsys, case):
+        """State i's label [t, k, l], read against the emitted grid by the
+        cell-by-cell oracle, is the outer product of row i of build_upb's
+        factor stacks; the last label is the stopper."""
+        argv, family = LABELLED_FAMILIES[case]
+        code, out, _ = run(capsys, "build-upb", *argv, "--json")
+        assert code == 0
+        data = json.loads(out, parse_float=lambda text: pytest.fail(f"amplitude {text} in the JSON"))
+        ts = structure_from_grid(data["origin"]["grid"])
+        upb = build_upb(family())
+        assert (data["m"], data["n"]) == (ts.m, ts.n) == (upb.m, upb.n)
+        assert len(data["states"]) == len(upb.a)
+        assert data["states"][-1] == ["stopper"]
+        assert np.array_equal(np.outer(upb.a[-1], upb.b[-1]), np.ones((ts.m, ts.n)))
+        for i, (t, k, l) in enumerate(data["states"][:-1]):
+            tile = ts.tiles[t - 1]
+            want = brute_tile_matrices(tile, ts.m, ts.n)[k * len(tile.cols) + l]
+            assert np.array_equal(np.outer(upb.a[i], upb.b[i]), want), (i, t, k, l)

@@ -16,6 +16,8 @@ from tileupb import (
     validate,
 )
 
+from conftest import product_matrix
+
 
 class TestFixedGrids:
     def test_example_grid(self):
@@ -177,7 +179,7 @@ class TestFourRowListing:
         for state, label in zip(upb.states, upb_state_labels(ts)):
             if label == ("stopper",):
                 continue
-            kept.setdefault(label[0], []).append(state.matrix.reshape(-1))
+            kept.setdefault(label[0], []).append(product_matrix(state).reshape(-1))
         listing = _four_row_listing(n)
         assert len(kept) == len(listing) == 5
         for tid, vectors in kept.items():

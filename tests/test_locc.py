@@ -9,11 +9,9 @@ from tileupb import (
     ALICE,
     BOB,
     Branch,
-    CompositeState,
     Identify,
     LocalProjector,
     OnePartyFinish,
-    ProductState,
     attach_resource,
     build_theorem3_protocol,
     build_upb,
@@ -35,50 +33,68 @@ def _shift_unitary(iota, i):
     return u
 
 
-def _composite_states(m, n):
+def _resource_stacks(m, n):
+    """The prop2(m, n) basis and its cut factor stacks with an
+    (m/2)-level resource."""
     upb = build_upb(prop2(m, n))
-    return upb, attach_resource(upb.states, m // 2)
+    return (upb, *attach_resource(upb.a, upb.b, m // 2))
 
 
-def _bare(amps):
-    """The state with amplitudes amps[A, B, a, b] as the factor pair
-    (M, I) of its cut matrix M, row A*d_a + a and column B*d_b + b."""
+def _cut(amps):
+    """The cut matrix of the state with amplitudes amps[A, B, a, b]: row
+    A*d_a + a and column B*d_b + b."""
     m, n, da, db = amps.shape
-    return CompositeState(amps.transpose(0, 2, 1, 3).reshape(m * da, n * db), np.eye(n * db))
+    return amps.transpose(0, 2, 1, 3).reshape(m * da, n * db)
 
 
-class TestCompositeStates:
+def _cuts(lefts, rights):
+    """The cut matrices L_i R_iᵀ of every state in a pair of stacks."""
+    return lefts @ np.swapaxes(rights, 1, 2)
+
+
+def _as_cut_stacks(mats):
+    """Every state i as the factor pair (M_i, I) of its cut matrix, so
+    its factors have rank n*d."""
+    return mats, np.broadcast_to(np.eye(mats.shape[2]), (len(mats),) + mats.shape[2:] * 2)
+
+
+class TestResourceStacks:
     def test_attach_resource_builds_the_diagonal_ancilla_sum(self):
-        s = ProductState([1, 2], [3, 4])
-        (comp,) = attach_resource([s], 2)
-        assert comp.dims == (4, 4)
-        assert comp.left.shape == comp.right.shape == (4, 2)
-        cut = comp.cut_matrix()
+        lefts, rights = attach_resource([[1, 2]], [[3, 4]], 2)
+        assert lefts.shape == rights.shape == (1, 4, 2)
+        (cut,) = _cuts(lefts, rights)
         assert cut[2, 0] == 2 * 3  # A=1, a=0; B=0, b=0
         assert cut[3, 1] == 2 * 3  # A=1, a=1; B=0, b=1
         assert cut[2, 1] == 0  # A=1, a=0; B=0, b=1
 
     def test_trivial_resource_keeps_the_state(self):
-        s = ProductState([1, 2], [3, 4])
-        (comp,) = attach_resource([s], 1)
-        assert np.allclose(comp.cut_matrix(), s.matrix)
+        a, b = np.array([[1, 2], [0, 1j]]), np.array([[3, 4], [1, -1]])
+        assert np.allclose(_cuts(*attach_resource(a, b, 1)), a[:, :, None] * b[:, None, :])
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_resource_dimension_below_one_is_refused(self, d):
+        with pytest.raises(ValueError, match="at least 1"):
+            attach_resource([[1, 2]], [[3, 4]], d)
 
     def test_cut_matrix_agrees_with_kron_application(self):
+        """The walk's rule, P M for Alice's outcome and M Pᵀ for Bob's,
+        is the operator's full Kronecker lift on the joint vector."""
         rng = np.random.default_rng(0)
         amps = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
-        state = _bare(amps)
         op = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        direct = op @ state.cut_matrix()
-        lifted = brute_composite_apply(op, "alice", amps)
-        assert np.allclose(direct, _bare(lifted).cut_matrix())
+        assert np.allclose(op @ _cut(amps), _cut(brute_composite_apply(op, "alice", amps)))
         op_b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        direct_b = state.cut_matrix() @ op_b.T
-        lifted_b = brute_composite_apply(op_b, "bob", amps)
-        assert np.allclose(direct_b, _bare(lifted_b).cut_matrix())
+        assert np.allclose(_cut(amps) @ op_b.T, _cut(brute_composite_apply(op_b, "bob", amps)))
 
-    def test_factors_of_unequal_rank_are_refused(self):
-        with pytest.raises(ValueError, match="equal column counts"):
-            CompositeState(np.ones((4, 2)), np.ones((4, 3)))
+    @pytest.mark.parametrize("shapes,match", [
+        (((1, 4, 2), (1, 4, 3)), "equal state counts and ranks"),
+        (((2, 4, 2), (1, 4, 2)), "equal state counts and ranks"),
+        (((4, 2), (4, 2)), "equal state counts and ranks"),
+        (((0, 4, 2), (0, 4, 2)), "no states to discriminate"),
+    ], ids=["unequal-ranks", "unequal-counts", "matrices", "empty"])
+    def test_malformed_stacks_are_refused(self, shapes, match):
+        with pytest.raises(ValueError, match=match):
+            verify_protocol(Identify(0), *(np.ones(shape) for shape in shapes))
 
 
 class TestRootLayer:
@@ -164,15 +180,14 @@ class TestRootLayer:
 
     def test_resource_states_are_invariant_under_matched_shifts(self):
         m, n = 6, 6
-        upb, states = _composite_states(m, n)
+        _, lefts, rights = _resource_stacks(m, n)
         iota = m // 2
         u = _shift_unitary(iota, 2)
         ua = np.kron(np.eye(m), u)
         ub = np.kron(np.eye(n), u)
         a1 = _root_projector(m, 1)
         a2 = _root_projector(m, 2)
-        for st in states:
-            x = st.cut_matrix()
+        for x in _cuts(lefts, rights):
             assert np.allclose(ua @ x @ ub.T, x)
             assert np.allclose(a2 @ x, ua @ (a1 @ x) @ ub.T)
 
@@ -180,16 +195,16 @@ class TestRootLayer:
 class TestProtocols:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_four_row_base_case_discriminates_perfectly(self, n):
-        upb, states = _composite_states(4, n)
-        report = verify_protocol(build_theorem3_protocol(4, n), states)
+        _, lefts, rights = _resource_stacks(4, n)
+        report = verify_protocol(build_theorem3_protocol(4, n), lefts, rights)
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
         assert report.max_wrong_probability <= 1e-9
 
     @pytest.mark.parametrize("m,n", [(4, 4), (4, 7), (6, 6), (6, 7), (8, 8)])
     def test_even_rows_discriminate_perfectly(self, m, n):
-        upb, states = _composite_states(m, n)
-        report = verify_protocol(build_theorem3_protocol(m, n), states)
+        _, lefts, rights = _resource_stacks(m, n)
+        report = verify_protocol(build_theorem3_protocol(m, n), lefts, rights)
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
 
@@ -212,7 +227,7 @@ class TestProtocols:
 
         monkeypatch.setattr(tileupb.locc, "_check_branch", record)
         protocol = build_theorem3_protocol(m, n)
-        report = verify_protocol(protocol, _composite_states(m, n)[1])
+        report = verify_protocol(protocol, *_resource_stacks(m, n)[1:])
         assert report.ok
         assert len(set(audited)) == len(audited) == _count_branches(protocol)
 
@@ -271,26 +286,24 @@ EMBEDDED_4X4_IN_6X6 = (0, 6, 1, 1)
 
 
 def _swapped_identify_labels():
-    upb, states = _composite_states(4, 4)
+    upb, *stacks = _resource_stacks(4, 4)
     labels = upb_state_labels(upb.origin)
     # cross the two identified bottom-row labels
     first, second = labels.index((3, 0, 1)), labels.index((3, 0, 2))
-    return _swap_labels(build_theorem3_protocol(4, 4), first, second), states
+    return _swap_labels(build_theorem3_protocol(4, 4), first, second), *stacks
 
 
 def _incomplete_root():
-    upb, states = _composite_states(4, 4)
     protocol = build_theorem3_protocol(4, 4)
-    return Branch(protocol.party, protocol.outcomes[:-1]), states
+    return Branch(protocol.party, protocol.outcomes[:-1]), *_resource_stacks(4, 4)[1:]
 
 
 def _wrong_resource_dimension():
     upb = build_upb(prop2(6, 6))
-    return build_theorem3_protocol(6, 6), attach_resource(upb.states, 2)
+    return build_theorem3_protocol(6, 6), *attach_resource(upb.a, upb.b, 2)
 
 
 def _non_projector_outcomes():
-    upb, states = _composite_states(4, 4)
     bad = Branch(
         ALICE,
         (
@@ -298,18 +311,18 @@ def _non_projector_outcomes():
             (LocalProjector(0.5 * np.eye(8)), Identify(1)),
         ),
     )
-    return bad, states
+    return bad, *_resource_stacks(4, 4)[1:]
 
 
 def _overlapping_projector_outcomes():
     """Three Hermitian idempotent outcomes on Alice's 8-dim register:
     diag(0, 0, 1, ..., 1), |0><0| and |+><+| on levels {0, 1}.  Only the
     last two overlap."""
-    upb, states = _composite_states(4, 4)
     plus = np.zeros(8)
     plus[:2] = 1.0 / np.sqrt(2.0)
     ops = [np.diag([0.0, 0.0] + [1.0] * 6), np.diag([1.0] + [0.0] * 7), np.outer(plus, plus)]
-    return _branch(ALICE, [(op, Identify(k)) for k, op in enumerate(ops)]), states
+    return (_branch(ALICE, [(op, Identify(k)) for k, op in enumerate(ops)]),
+            *_resource_stacks(4, 4)[1:])
 
 
 def _entangled_finish_leaf():
@@ -319,28 +332,26 @@ def _entangled_finish_leaf():
     amps[1, 1, 1, 1] = 1.0
     corner = np.zeros((2, 2, 2, 2), dtype=complex)
     corner[0, 1, 0, 0] = 1.0
-    return OnePartyFinish(ALICE, (0, 1)), [_bare(amps), _bare(corner)]
+    return OnePartyFinish(ALICE, (0, 1)), *_as_cut_stacks(np.array([_cut(amps), _cut(corner)]))
 
 
 def _nested_bob_outcome_dropped():
-    upb, states = _composite_states(6, 6)
     protocol = _replace_at(
         build_theorem3_protocol(6, 6),
         NESTED_BOB_6X6,
         lambda node: Branch(node.party, node.outcomes[:-1]),
     )
-    return protocol, states
+    return protocol, *_resource_stacks(6, 6)[1:]
 
 
 def _embedded_identify_labels_swapped():
-    upb, states = _composite_states(6, 6)
     protocol = build_theorem3_protocol(6, 6)
     # cross the first two labels of the inner ring's Bob layer
     first, second = (_subtree(protocol, EMBEDDED_4X4_IN_6X6 + (k,)).candidate for k in (0, 1))
     swapped = _replace_at(
         protocol, EMBEDDED_4X4_IN_6X6, lambda node: _swap_labels(node, first, second)
     )
-    return swapped, states
+    return swapped, *_resource_stacks(6, 6)[1:]
 
 
 SABOTAGE = {
@@ -356,15 +367,13 @@ SABOTAGE = {
 
 
 def _prop2_case(m, n):
-    return lambda: (build_theorem3_protocol(m, n), _composite_states(m, n)[1])
+    return lambda: (build_theorem3_protocol(m, n), *_resource_stacks(m, n)[1:])
 
 
 def _mixed_factor_ranks():
-    # every other state rebuilt as (M, I): its factors have rank n*d,
-    # not d, so the walk zero-pads the others to a common rank
-    protocol, states = _prop2_case(4, 5)()
-    return protocol, [CompositeState(st.cut_matrix(), np.eye(st.dims[1])) if i % 2 else st
-                      for i, st in enumerate(states)]
+    # every state rebuilt as (M, I): its factors have rank n*d, not d
+    protocol, lefts, rights = _prop2_case(4, 5)()
+    return protocol, *_as_cut_stacks(_cuts(lefts, rights))
 
 
 DIFFERENTIAL = {
@@ -406,9 +415,9 @@ class TestVerifierCatchesSabotage:
         assert any("not product" in v for v in report.leaf_violations)
 
     def test_dropped_outcome_of_a_nested_bob_layer_is_flagged(self):
-        protocol, states = _nested_bob_outcome_dropped()
+        protocol, *stacks = _nested_bob_outcome_dropped()
         assert _subtree(protocol, NESTED_BOB_6X6).party == BOB
-        report = verify_protocol(protocol, states)
+        report = verify_protocol(protocol, *stacks)
         assert not report.ok
         path = "root." + ".".join(map(str, NESTED_BOB_6X6))
         assert f"{path}: outcomes do not sum to the identity" in report.branch_violations
@@ -416,8 +425,8 @@ class TestVerifierCatchesSabotage:
         assert report.min_success_probability < 1.0 - 1e-3
 
     def test_swapped_labels_inside_the_embedded_protocol_are_flagged(self):
-        protocol, states = _embedded_identify_labels_swapped()
-        report = verify_protocol(protocol, states)
+        protocol, *stacks = _embedded_identify_labels_swapped()
+        report = verify_protocol(protocol, *stacks)
         assert not report.ok
         assert not report.branch_violations
         assert report.max_wrong_probability > 1e-3
@@ -428,22 +437,21 @@ class TestVerifierCatchesSabotage:
 
 class TestFactoredWalk:
     def test_resource_states_carry_rank_d_factors(self):
-        upb, states = _composite_states(6, 6)
-        for state, st in zip(upb.states, states):
-            assert st.left.shape == (6 * 3, 3) and st.right.shape == (6 * 3, 3)
-            assert np.array_equal(st.left, np.kron(state.a_vec[:, None], np.eye(3)))
-            assert np.array_equal(st.right, np.kron(state.b_vec[:, None], np.eye(3)))
+        upb, lefts, rights = _resource_stacks(6, 6)
+        assert lefts.shape == rights.shape == (len(upb.a), 6 * 3, 3)
+        for a, b, left, right in zip(upb.a, upb.b, lefts, rights):
+            assert np.array_equal(left, np.kron(a[:, None], np.eye(3)))
+            assert np.array_equal(right, np.kron(b[:, None], np.eye(3)))
 
     def test_zero_states_are_refused(self):
-        zero = CompositeState(np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="state 0 is zero"):
-            verify_protocol(Identify(0), [zero])
+            verify_protocol(Identify(0), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)))
 
     @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
     def test_agrees_with_the_dense_walk(self, case):
-        protocol, states = DIFFERENTIAL[case]()
-        fast = verify_protocol(protocol, states)
-        dense = dense_verify_protocol(protocol, states)
+        protocol, *stacks = DIFFERENTIAL[case]()
+        fast = verify_protocol(protocol, *stacks)
+        dense = dense_verify_protocol(protocol, *stacks)
         assert fast.ok == dense.ok
         assert fast.branch_violations == dense.branch_violations
         assert fast.leaf_violations == dense.leaf_violations

@@ -22,6 +22,7 @@ from conftest import (
     enumerate_special_rectangles,
     enumeration_is_u_tile,
     random_structure,
+    stopper_state,
     structure_from_grid,
 )
 
@@ -69,7 +70,7 @@ def _assert_valid_witness(ts, verdict):
     upb = build_upb(ts)
     worst = max(abs(brute_inner(kept, state)) for kept in upb.states)
     assert worst < 1e-12
-    assert abs(brute_inner(upb.stopper, state)) < 1e-12
+    assert abs(brute_inner(stopper_state(ts), state)) < 1e-12
 
 
 class TestUTileDecision:
@@ -151,7 +152,7 @@ class TestExtensionWitness:
             upb = build_upb(ts)
             worst = max(abs(brute_inner(kept, state)) for kept in upb.states)
             assert worst < 1e-12, grid
-            assert abs(brute_inner(upb.stopper, state)) < 1e-12
+            assert abs(brute_inner(stopper_state(ts), state)) < 1e-12
 
     def test_u_tile_verdict_has_no_witness(self):
         verdict = is_u_tile(example1())

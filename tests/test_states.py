@@ -13,7 +13,6 @@ from tileupb import (
     UPBSet,
     build_upb,
     check_orthogonal_set,
-    check_upb,
     example1,
     fig2,
     five_tile,
@@ -21,8 +20,16 @@ from tileupb import (
     prop3,
     upb_state_labels,
 )
+from tileupb.states import _tile_factors
 
-from conftest import brute_inner, brute_tile_matrices, kron_vector, structure_from_grid
+from conftest import (
+    brute_inner,
+    brute_tile_matrices,
+    kron_vector,
+    missing_states,
+    product_matrix,
+    structure_from_grid,
+)
 
 
 def _complexes(size):
@@ -33,9 +40,10 @@ def _complexes(size):
 
 
 class TestInnerProduct:
-    def test_product_state_matrix_is_the_outer_product(self):
-        s = ProductState([1, 2j], [3, 0, -1])
-        assert np.allclose(s.matrix, np.outer([1, 2j], [3, 0, -1]))
+    def test_product_state_keeps_its_factors_as_complex_vectors(self):
+        s = ProductState([1, 2], [3, 0, -1])
+        assert s.a_vec.dtype == s.b_vec.dtype == complex
+        assert np.array_equal(product_matrix(s), np.outer([1, 2], [3, 0, -1]))
 
     @settings(max_examples=40, deadline=None)
     @given(_complexes(2), _complexes(3), _complexes(2), _complexes(3))
@@ -50,8 +58,8 @@ class TestInnerProduct:
 
 
 class TestTileBasis:
-    """Each tile's basis is its omitted (0, 0) state in ``missing`` and
-    its kept rows of the stack."""
+    """Each tile's basis is its omitted (0, 0) state (``missing_states``)
+    and its kept rows of the stack."""
 
     def test_matches_cellwise_oracle(self):
         assert_stack_is_the_tile_bases(example1())
@@ -60,20 +68,24 @@ class TestTileBasis:
         ts = five_tile(4, 5)
         upb = build_upb(ts)
         labels = upb_state_labels(ts)
-        for tile, miss in zip(ts.tiles, upb.missing):
+        for tile, miss in zip(ts.tiles, missing_states(ts)):
             basis = [miss] + [s for s, label in zip(upb.states, labels) if label[0] == tile.id]
             size = len(tile.rows) * len(tile.cols)
             gram = np.array([[brute_inner(x, y) for y in basis] for x in basis])
             assert np.allclose(gram, size * np.eye(size), atol=1e-12)
 
     def test_first_element_is_the_tile_indicator(self):
+        """The (0, 0) state of a tile's basis, which build_upb omits, is
+        the tile's indicator, as ``missing_states`` has it."""
         ts = example1()
         tile = ts.tiles[3]
-        first = build_upb(ts).missing[3].matrix
+        a, b = _tile_factors(tile, ts.m, ts.n)
+        first = np.outer(a[0], b[0])
         indicator = np.zeros((ts.m, ts.n))
         for r, c in itertools.product(tile.rows, tile.cols):
             indicator[r, c] = 1
         assert np.allclose(first, indicator)
+        assert np.array_equal(product_matrix(missing_states(ts)[3]), indicator)
 
 
 class TestBuildCopb:
@@ -83,9 +95,9 @@ class TestBuildCopb:
         for grid in all_3x3_structures[::13]:
             ts = structure_from_grid(grid)
             upb = build_upb(ts)
-            states = upb.states[:-1] + upb.missing
+            states = upb.states[:-1] + missing_states(ts)
             assert len(states) == ts.m * ts.n
-            flat = np.array([s.matrix.reshape(-1) for s in states])
+            flat = np.array([product_matrix(s).reshape(-1) for s in states])
             gram = flat.conj() @ flat.T
             assert np.allclose(gram - np.diag(np.diag(gram)), 0, atol=1e-10), grid
             assert np.linalg.matrix_rank(flat) == ts.m * ts.n
@@ -95,7 +107,7 @@ class TestBuildUpb:
     def test_example_structure_yields_eleven_states(self):
         upb = build_upb(example1())
         assert len(upb.states) == 11
-        assert len(upb.missing) == 6
+        assert upb.origin.tile_count == 6
         labels = upb_state_labels(upb.origin)
         assert labels[-1] == STOPPER_LABEL
         assert labels.count(STOPPER_LABEL) == 1
@@ -110,22 +122,14 @@ class TestBuildUpb:
             assert len(per_tile) == len(tile.rows) * len(tile.cols) - 1
 
     def test_stopper_is_the_all_ones_matrix(self):
-        s = build_upb(five_tile(3, 4)).stopper
-        assert np.allclose(s.matrix, np.ones((3, 4)))
+        upb = build_upb(five_tile(3, 4))
+        assert np.array_equal(np.outer(upb.a[-1], upb.b[-1]), np.ones((3, 4)))
 
     def test_stopper_overlap_with_missing_states_equals_tile_size(self):
         ts = prop2(5, 6)
-        upb = build_upb(ts)
-        for tile, miss in zip(ts.tiles, upb.missing):
-            assert brute_inner(upb.stopper, miss) == pytest.approx(len(tile.rows) * len(tile.cols))
-
-    def test_json_round_trip(self):
-        upb = build_upb(example1())
-        again = UPBSet.from_json_dict(upb.to_json_dict())
-        assert len(again.states) == len(upb.states)
-        for s, t in zip(upb.states, again.states):
-            assert np.allclose(s.matrix, t.matrix)
-        assert again.origin.cell_map == upb.origin.cell_map
+        stopper = build_upb(ts).states[-1]
+        for tile, miss in zip(ts.tiles, missing_states(ts)):
+            assert brute_inner(stopper, miss) == pytest.approx(len(tile.rows) * len(tile.cols))
 
 
 # Structures the benchmark builds bases of (upb-verify, locc-distinguish).
@@ -143,8 +147,8 @@ BENCHMARK_FAMILIES = {
 def assert_stack_is_the_tile_bases(ts):
     """Row i of build_upb(ts).a and .b is the tile-basis state
     upb_state_labels(ts)[i] names, as the cell-by-cell oracle
-    ``brute_tile_matrices`` builds it, the last row is the all-ones
-    stopper, and ``missing`` holds each tile's (0, 0) state."""
+    ``brute_tile_matrices`` builds it, and the last row is the all-ones
+    stopper."""
     upb = build_upb(ts)
     bases = {tile.id: brute_tile_matrices(tile, ts.m, ts.n) for tile in ts.tiles}
     want = [
@@ -153,7 +157,6 @@ def assert_stack_is_the_tile_bases(ts):
         for label in upb_state_labels(ts)
     ]
     assert np.allclose(upb.a[:, :, None] * upb.b[:, None, :], want, rtol=0, atol=1e-12)
-    assert np.array_equal([s.matrix for s in upb.missing], [bases[t.id][0] for t in ts.tiles])
 
 
 class TestUPBSetStack:
@@ -176,19 +179,12 @@ class TestUPBSetStack:
         with pytest.raises(FrozenInstanceError):
             upb.states = ()
 
-    def test_json_missing_and_stopper_are_fixed_by_the_origin(self):
-        ts = prop2(5, 6)
-        data = build_upb(ts).to_json_dict()
-        missing = [ProductState.from_json_dict(entry).matrix for entry in data["missing"]]
-        assert np.array_equal(missing, [brute_tile_matrices(t, ts.m, ts.n)[0] for t in ts.tiles])
-        assert np.array_equal(ProductState.from_json_dict(data["stopper"]).matrix, np.ones((ts.m, ts.n)))
-
     @pytest.mark.parametrize("case", ["matrices", "short-b", "wide-a"])
     def test_refuses_stacks_that_do_not_fit_the_origin(self, case):
         upb = build_upb(example1())
         a, b = upb.a, upb.b
         if case == "matrices":
-            a = np.array([s.matrix for s in upb.states])
+            a = upb.a[:, :, None] * upb.b[:, None, :]
         elif case == "short-b":
             b = b[1:]
         else:
@@ -196,43 +192,3 @@ class TestUPBSetStack:
         with pytest.raises(ValueError, match="do not fit the 4 x 4 origin"):
             UPBSet(a, b, upb.origin)
 
-
-class TestUPBSetJson:
-    def test_round_trip_keeps_every_factor(self):
-        upb = build_upb(prop2(5, 6))
-        data = upb.to_json_dict()
-        again = UPBSet.from_json_dict(data)
-        assert again.to_json_dict() == data
-        assert again.origin == upb.origin
-
-    def test_refuses_an_invalid_origin_grid(self):
-        data = build_upb(example1()).to_json_dict()
-        data["origin"]["grid"][0][0] = 99  # ids no longer 1..s
-        with pytest.raises(ValueError, match="contiguous"):
-            UPBSet.from_json_dict(data)
-
-    @pytest.mark.parametrize("where", ["top", "origin"])
-    @pytest.mark.parametrize("key", ["m", "n"])
-    def test_refuses_dimensions_that_disagree_with_the_grid(self, key, where):
-        data = build_upb(prop2(5, 6)).to_json_dict()
-        (data if where == "top" else data["origin"])[key] += 1
-        with pytest.raises(ValueError, match="disagree"):
-            UPBSet.from_json_dict(data)
-
-    @pytest.mark.parametrize("factor", ["a", "b"])
-    @pytest.mark.parametrize("group", ["states", "missing", "stopper"])
-    def test_refuses_a_factor_of_the_wrong_length(self, factor, group):
-        """A state's factor is checked against the grid; the missing and
-        stopper entries against the states the origin fixes."""
-        data = build_upb(prop2(5, 6)).to_json_dict()
-        state = data["stopper"] if group == "stopper" else data[group][-1]
-        state[factor].append([0.0, 0.0])
-        match = "factor's length" if group == "states" else "the origin fixes"
-        with pytest.raises(ValueError, match=match):
-            UPBSet.from_json_dict(data)
-
-    def test_leaves_the_state_count_to_the_verifier(self):
-        data = build_upb(prop2(5, 6)).to_json_dict()
-        data["states"].pop(0)
-        upb = UPBSet.from_json_dict(data)
-        assert not check_upb(upb, restarts=5).certificate.size_ok

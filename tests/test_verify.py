@@ -245,17 +245,23 @@ class TestSeesawSearch:
         )
 
     def test_tile_objective_matches_the_svd_oracle(self, small_structures):
-        """With no iterations the search scores its random start, so the
-        tile-sum objective is compared at random complex a and b."""
-        for k, grid in enumerate(small_structures):
+        """The class-coordinate objective at the class coordinates
+        x = E_R^T a, y = E_C^T b of random complex unit a and b is
+        a (x) b's squared projection onto the complement: complement
+        vectors are constant on each class, so nothing is lost."""
+        rng = np.random.default_rng(0)
+        for grid in small_structures:
             ts = structure_from_grid(grid)
             if ts.tile_count < 2:
                 continue
-            res = seesaw_search(ts, restarts=1, max_iters=0, seed=k)
-            a, b = res.best_product.a_vec, res.best_product.b_vec
-            assert np.iscomplexobj(a) and np.abs(a.imag).max() > 0
+            rows, cols, sizes = tileupb.verify._tile_incidence(ts)
+            side_a, side_b = tileupb.verify._class_side(rows), tileupb.verify._class_side(cols)
+            a, b = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (ts.m, ts.n))
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            got = tileupb.verify._class_objective(
+                side_a, side_b, sizes, (a @ side_a.lift)[None], (b @ side_b.lift)[None])
             want = brute_seesaw_objective(svd_complement(build_upb(ts).states), a, b)
-            assert abs(res.best_overlap - want) < 1e-12, grid
+            assert abs(got[0] - want) < 1e-12, grid
 
     def test_refuses_tiles_that_do_not_partition_the_grid(self):
         bent = structure_from_grid([[1, 1], [1, 2]])  # tile 1 claims cell (1, 1) too
