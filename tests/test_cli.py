@@ -11,7 +11,7 @@ import pytest
 
 import tileupb.cli
 import tileupb.verify
-from tileupb import build_upb, example1, five_tile, prop2, prop3
+from tileupb import build_upb, example1, five_tile, prop2, prop3, validate
 from tileupb.cli import _build_parser, main
 
 from conftest import brute_tile_matrices, structure_from_grid
@@ -374,3 +374,39 @@ class TestBuildUpbLabels:
             tile = ts.tiles[t - 1]
             want = brute_tile_matrices(tile, ts.m, ts.n)[k * len(tile.cols) + l]
             assert np.array_equal(np.outer(upb.a[i], upb.b[i]), want), (i, t, k, l)
+
+    @pytest.mark.parametrize("case", sorted(LABELLED_FAMILIES))
+    def test_origin_is_the_valid_structure_it_was_built_from(self, capsys, case):
+        """The emitted origin grid is a valid tile structure equal to the
+        one the basis was built from, and the top-level and origin
+        dimensions are the grid's own."""
+        argv, family = LABELLED_FAMILIES[case]
+        code, out, _ = run(capsys, "build-upb", *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        grid = data["origin"]["grid"]
+        ts = structure_from_grid(grid)
+        assert validate(ts).ok, validate(ts).problems
+        assert ts == family()
+        assert data["m"] == data["origin"]["m"] == len(grid)
+        assert data["n"] == data["origin"]["n"] == len(grid[0])
+
+    @pytest.mark.parametrize("case", sorted(LABELLED_FAMILIES))
+    def test_labels_name_each_kept_tile_state_once(self, capsys, case):
+        """Read off the grid cell by cell, the labels are, tile by tile,
+        every (k, l) != (0, 0) with k below the tile's row count and l
+        below its column count, so there are mn - s + 1 states."""
+        argv, _ = LABELLED_FAMILIES[case]
+        code, out, _ = run(capsys, "build-upb", *argv, "--json")
+        assert code == 0
+        data = json.loads(out)
+        grid = data["origin"]["grid"]
+        cells = [(r, c, tid) for r, row in enumerate(grid) for c, tid in enumerate(row)]
+        ids = sorted({tid for _, _, tid in cells})
+        want = []
+        for tid in ids:
+            p = len({r for r, _, t in cells if t == tid})
+            q = len({c for _, c, t in cells if t == tid})
+            want += [[tid, k, l] for k in range(p) for l in range(q) if (k, l) != (0, 0)]
+        assert data["states"] == want + [["stopper"]]
+        assert len(data["states"]) == data["m"] * data["n"] - len(ids) + 1
