@@ -16,11 +16,13 @@ outcome acts on one stack.
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
 (m/2)-level resource.  Alice's root layer picks one of m/2 cyclic
-shifts of the ancilla levels; below it the tree peels the outer ring
-and recurses on the ring peel alone, placing the next ring's subtree
-into the outer registers by an index map, down to the 4-row center.
-The inner rings need no root layer of their own, because the outer
-root outcome already fixes their answer.
+shifts of the ancilla levels, each the first outcome placed by its
+shift; below it the tree peels the outer ring and recurses on the ring
+peel alone, placing the next ring's subtree into the outer registers
+by an index map, down to the 4-row center.  The inner rings need no
+root layer of their own, because the outer root outcome already fixes
+their answer.  Trees past MAX_OPERATOR_BYTES of dense operators are
+refused unbuilt.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ BRANCH_TOL = 1e-12
 PRUNE_TOL = 1e-10
 LEAF_TOL = 1e-8
 PROB_TOL = 1e-9
+MAX_OPERATOR_BYTES = 2 * 2**30  # refuse trees past this (22 x 22 would hold 2.9 GiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,19 +122,12 @@ def _dft_proj(dim: int, t: int, levels: int) -> np.ndarray:
     return np.outer(v, v.conj()) / levels
 
 
-def _root_projector(m: int, i: int) -> np.ndarray:
-    """Alice's i-th root outcome: rows 0..iota pair with ancilla level
-    i-1, row iota+j with level (j+i-1) mod iota.  Rank m."""
-    iota = m // 2
-    p = np.zeros((m * iota, m * iota), dtype=complex)
-    for r in range(iota + 1):
-        a = (i - 1) % iota
-        p[r * iota + a, r * iota + a] = 1.0
-    for j in range(1, iota):
-        a = (j + i - 1) % iota
-        row = iota + j
-        p[row * iota + a, row * iota + a] = 1.0
-    return p
+def _root_projector(m: int) -> np.ndarray:
+    """Alice's first root outcome: rows 0..iota pair with ancilla level
+    0, row iota+j with level j.  Rank m; outcome i is its
+    ``_shift_index`` placement."""
+    iota, rows = m // 2, np.arange(m)
+    return _levels_proj(m * iota, rows * iota + np.maximum(rows - iota, 0))
 
 
 def _shift_index(levels: int, iota: int, i: int) -> np.ndarray:
@@ -151,6 +147,23 @@ def _branch(party: str, outcomes) -> Branch:
     return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes))
 
 
+def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
+    """The two-outcome layer (op, I - op)."""
+    return _branch(party, [(op, inside), (np.eye(len(op)) - op, rest)])
+
+
+def _level_dft(party: str, column: np.ndarray, iota: int, levels: int,
+               leaf: ProtocolNode) -> Branch:
+    """DFT layer over the first ``levels`` ancilla levels of an
+    iota-level register, on the classical levels ``column`` projects
+    onto: outcome t projects onto sum_j w^{tj} |j>, and outcome 0 also
+    takes the identity off column (x) those levels."""
+    outcomes = [(np.kron(column, _dft_proj(iota, t, levels)), leaf) for t in range(levels)]
+    span = np.kron(column, _levels_proj(iota, range(levels)))
+    outcomes[0] = (outcomes[0][0] + np.eye(len(span)) - span, leaf)
+    return _branch(party, outcomes)
+
+
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
            dims: tuple[int, int]) -> ProtocolNode:
     """Carry a tree into registers of sizes dims = (Alice, Bob).
@@ -164,7 +177,7 @@ def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
     if not isinstance(node, Branch):
         return node
     index, dim = (alice_index, dims[0]) if node.party == ALICE else (bob_index, dims[1])
-    off = np.setdiff1d(np.arange(dim), index)
+    off = np.delete(np.arange(dim), index)
     outcomes = []
     for k, (proj, child) in enumerate(node.outcomes):
         op = np.zeros((dim, dim), dtype=complex)
@@ -188,7 +201,6 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     ring tile t is tile t + 4*ring there, as ``idx`` labels them.
     """
     iota = m // 2
-    dim_a = m * iota
     dim_b = n * iota
     stop = idx[STOPPER_LABEL]
 
@@ -201,105 +213,87 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
         u = np.zeros(n, dtype=complex)
         u[1:] = w ** (i * np.arange(1, n))
         op = np.kron(np.outer(u, u.conj()) / (n - 1), _levels_proj(iota, [iota - 1]))
-        target = state(3, 0, i) if i <= n - 2 else stop
-        outcomes.append((op, Identify(target)))
+        outcomes.append((op, Identify(state(3, 0, i) if i <= n - 2 else stop)))
 
-    tile2 = tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,)
-    b_n = np.kron(_levels_proj(n, [n - 1]), _levels_proj(iota, range(iota - 1)))
-    if iota == 2:
-        child_n: ProtocolNode = OnePartyFinish(ALICE, tile2)
-    else:
-        sub = [
-            (np.kron(_levels_proj(n, [n - 1]), _dft_proj(iota, t, iota - 1)), OnePartyFinish(ALICE, tile2))
-            for t in range(iota - 1)
-        ]
-        sub[0] = (sub[0][0] + np.eye(dim_b) - b_n, sub[0][1])
-        child_n = _branch(BOB, sub)
-    outcomes.append((b_n, child_n))
-
+    tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
+    last_col = _levels_proj(n, [n - 1])
+    b_n = np.kron(last_col, _levels_proj(iota, range(iota - 1)))
+    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(BOB, last_col, iota, iota - 1, tile2)))
     b_rest = np.eye(dim_b, dtype=complex) - sum(op for op, _ in outcomes)
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
-    tile4 = tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,)
-    a_corner = np.kron(_levels_proj(m, [0]), _levels_proj(iota, [0]))
-
-    b_col = np.kron(_levels_proj(n, [0]), np.eye(iota))
-    dft4 = [
-        (np.kron(_levels_proj(n, [0]), _dft_proj(iota, t, iota)), OnePartyFinish(ALICE, tile4))
-        for t in range(iota)
-    ]
-    dft4[0] = (dft4[0][0] + np.eye(dim_b) - b_col, dft4[0][1])
-
+    tile4 = OnePartyFinish(ALICE, tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,))
     if m == 4:
         half = np.zeros(m, dtype=complex)
         half[1] = half[2] = 1.0 / np.sqrt(2.0)
-        a_mid = np.kron(np.outer(half, half.conj()), np.eye(iota))
         center_sym = tuple(state(5, 0, l) for l in range(1, n - 3 + 1)) + (stop,)
         center_anti = tuple(state(5, 1, l) for l in range(0, n - 3 + 1))
-        interior: ProtocolNode = _branch(
-            ALICE,
-            [
-                (a_mid, OnePartyFinish(BOB, center_sym)),
-                (np.eye(dim_a) - a_mid, OnePartyFinish(BOB, center_anti)),
-            ],
-        )
+        interior: ProtocolNode = _either(ALICE, np.kron(np.outer(half, half.conj()), np.eye(iota)),
+                                         OnePartyFinish(BOB, center_sym),
+                                         OnePartyFinish(BOB, center_anti))
     else:
-        interior = _place(
-            _a1_subtree(m - 2, n - 2, idx, ring + 1),
-            _ring_index(m, iota),
-            _ring_index(n, iota),
-            (dim_a, dim_b),
-        )
+        interior = _place(_a1_subtree(m - 2, n - 2, idx, ring + 1), _ring_index(m, iota),
+                          _ring_index(n, iota), (m * iota, dim_b))
 
-    after_corner = _branch(
-        BOB,
-        [
-            (b_col, _branch(BOB, dft4)),
-            (np.eye(dim_b) - b_col, interior),
-        ],
-    )
-    child_rest = _branch(
-        ALICE,
-        [
-            (a_corner, OnePartyFinish(BOB, tile1)),
-            (np.eye(dim_a) - a_corner, after_corner),
-        ],
-    )
+    first_col = _levels_proj(n, [0])
+    after_corner = _either(BOB, np.kron(first_col, np.eye(iota)),
+                           _level_dft(BOB, first_col, iota, iota, tile4), interior)
+    child_rest = _either(ALICE, np.kron(_levels_proj(m, [0]), _levels_proj(iota, [0])),
+                         OnePartyFinish(BOB, tile1), after_corner)
     outcomes.append((b_rest, child_rest))
     return _branch(BOB, outcomes)
+
+
+def _operator_bytes(m: int, n: int) -> int:
+    """Bytes of the dense operators in ``build_theorem3_protocol(m, n)``:
+    iota = m/2 placed copies of the first root branch, each with
+    2 iota + 1 Alice operators of (m iota)^2 entries (root, two per ring
+    corner, two at the center) and, per ring r = 0..iota-2,
+    n - 2r + 1 + (iota - r - 1 if iota - r > 2) + 2 + iota - r Bob
+    operators of (n iota)^2 entries (first layer, level DFT, column
+    split, column DFT)."""
+    iota = m // 2
+    bob = sum(n - 2 * r + 1 + (iota - r - 1 if iota - r > 2 else 0) + 2 + iota - r
+              for r in range(iota - 1))
+    return 16 * iota * ((2 * iota + 1) * (m * iota) ** 2 + bob * (n * iota) ** 2)
 
 
 def build_theorem3_protocol(m: int, n: int) -> Branch:
     """Discrimination tree for the prop2(m, n) basis, even m, with an
     (m/2)-level resource.
 
-    Alice's root layer has iota = m/2 outcomes; outcome i carries the
-    first one's subtree conjugated by the matching cyclic shift of both
-    ancillas, which fixes every resource state.  Below the outer ring
-    the subtree goes straight on to the next ring's subtree, without
-    that ring's own root layer: Alice's first root outcome already pairs
-    each inner row with the level the inner first root outcome would
-    pick, and her operators in between are diagonal, so the inner root
-    would give its first outcome with certainty and its other outcomes
-    would be reached by no state.  The tree has 5k(k-1) + 1 branches
+    Alice's root layer has iota = m/2 outcomes; outcome i is the first
+    outcome with its subtree, placed by the matching cyclic shift of
+    both ancillas (``_shift_index``), which fixes every resource state.
+    Below the outer ring the subtree goes straight on to the next ring's
+    subtree, without that ring's own root layer: Alice's first root
+    outcome already pairs each inner row with the level the inner first
+    root outcome would pick, and her operators in between are diagonal,
+    so the inner root would give its first outcome with certainty and
+    its other outcomes would be reached by no state.  The tree has 5k(k-1) + 1 branches
     for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
-    and no odd base case is built here.
+    and no odd base case is built here.  So is a tree whose operators
+    (``_operator_bytes``) would pass MAX_OPERATOR_BYTES, before any is
+    built.
     """
     if m % 2 != 0:
         raise ValueError(f"only even m is supported, got m={m}")
     if not (4 <= m <= n):
         raise ValueError(f"the protocol needs 4 <= m <= n, got m={m}, n={n}")
+    size = _operator_bytes(m, n)
+    if size > MAX_OPERATOR_BYTES:
+        raise ValueError(f"the protocol for m={m}, n={n} would hold {size / 2**30:.2f} GiB "
+                         f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
     iota = m // 2
     idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
-    subtree = _a1_subtree(m, n, idx, 0)
+    first = _branch(ALICE, [(_root_projector(m), _a1_subtree(m, n, idx, 0))])
     dims = (m * iota, n * iota)
-    return _branch(ALICE, [
-        (_root_projector(m, i),
-         _place(subtree, _shift_index(m, iota, i), _shift_index(n, iota, i), dims))
+    return Branch(ALICE, tuple(
+        _place(first, _shift_index(m, iota, i), _shift_index(n, iota, i), dims).outcomes[0]
         for i in range(1, iota + 1)
-    ])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +401,12 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     and Bob's maps R to P R, one batched product per outcome over all
     states alive at the branch.  Every branch that some state reaches is
     checked for projector completeness, orthogonality and idempotency;
-    branches below squared norm 1e-10 are pruned.  Identify leaves must be reached only by
-    their labeled candidate, one-party-finish leaves must hold product
-    survivors that are parallel on the idle party and orthogonal on the
-    measuring one, and each outcome layer must conserve every state's
-    norm.  The report carries the minimum success probability over
+    branches below squared norm 1e-10 are pruned.  Each outcome layer
+    must conserve every state's norm, and each leaf must be reached only
+    by its candidates: an Identify leaf counts as a finish leaf with one
+    candidate, and a one-party-finish leaf must also hold product
+    survivors, parallel on the idle party and orthogonal on the
+    measuring one.  The report carries the minimum success probability over
     states and the largest probability any state lent to a wrong
     identification.  Raises ValueError unless the stacks are 3-D with
     equal state counts and ranks, or when there are no states or one
@@ -457,19 +452,9 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
             # Conservation: the outcomes repartition each state's norm.
             for i in np.flatnonzero(np.abs(total - norms2) > PROB_TOL):
                 branch_problems.append(f"{path}: state {idx[i]} loses norm across outcomes")
-        elif isinstance(node, Identify):
-            for i, p in zip(idx, norms2):
-                if i == node.candidate:
-                    success[i] += p
-                else:
-                    wrong[i] += p
-                    if p > PROB_TOL:
-                        leaf_problems.append(
-                            f"{path}: labeled {node.candidate} but state {i} "
-                            f"arrives with probability {p:.3e}"
-                        )
         else:
-            named = np.isin(idx, node.candidates)
+            identify = isinstance(node, Identify)
+            named = idx == node.candidate if identify else np.isin(idx, node.candidates)
             for i, p, is_named in zip(idx, norms2, named):
                 if is_named:
                     success[i] += p
@@ -477,9 +462,13 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                     wrong[i] += p
                     if p > PROB_TOL:
                         leaf_problems.append(
-                            f"{path}: state {i} is not among the leaf candidates"
+                            f"{path}: labeled {node.candidate} but state {i} "
+                            f"arrives with probability {p:.3e}" if identify
+                            else f"{path}: state {i} is not among the leaf candidates"
                         )
-            _check_finish_leaf(node, idx[named], lefts[named], rights[named], path, leaf_problems)
+            if not identify:
+                _check_finish_leaf(node, idx[named], lefts[named], rights[named], path,
+                                   leaf_problems)
 
     walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, right_gram), "root")
 

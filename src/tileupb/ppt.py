@@ -64,29 +64,18 @@ def ppt_report(upb: UPBSet) -> PPTReport:
     criterion when the origin is U-tile, so that the set is a UPB and no
     product state fits in the support of rho; it is None, with a
     ``warning``, when the origin is not.  A certified empty complement
-    (one tile) yields a degenerate rank-0 report.
+    (one tile) is the same report at rank 0: trace 0, no spectrum
+    certificate and a degenerate-input warning.
     """
     cert = certify_upb(upb)
     if cert.refusal:
         raise ValueError(cert.refusal)
     mn = upb.m * upb.n
-    if cert.verdict is None:
-        return PPTReport(
-            dim=mn,
-            trace=0.0,
-            rank=0,
-            expected_rank=0,
-            min_eigenvalue=0.0,
-            min_eigenvalue_pt=0.0,
-            ppt=True,
-            spectrum_certificate="none: empty complement",
-            entangled_certificate=None,
-            warning="degenerate input: the set spans the whole space",
-        )
+    rank = cert.complement_dim
     return PPTReport(
         dim=mn,
-        trace=1.0,
-        rank=upb.origin.tile_count - 1,
+        trace=1.0 if rank else 0.0,
+        rank=rank,
         expected_rank=mn - len(upb.a),
         min_eigenvalue=0.0,
         min_eigenvalue_pt=0.0,
@@ -94,15 +83,16 @@ def ppt_report(upb: UPBSet) -> PPTReport:
         spectrum_certificate=(
             "closed form: the certified complement makes rho its projector over "
             "s - 1 (eigenvalues 1/(s - 1) and 0), and real rectangular tiles "
-            "give rho^Gamma = rho"
+            "give rho^Gamma = rho" if rank else "none: empty complement"
         ),
         entangled_certificate=(
             "range criterion: the support is the orthogonal complement of an "
             "unextendible product set, so it contains no product state"
             if cert.u_tile else None
         ),
-        warning=None if cert.u_tile else (
+        warning=(
+            None if cert.u_tile else
             "the origin is not U-tile: the support contains its extension state, "
             "so the range criterion certifies no entanglement"
-        ),
+        ) if rank else "degenerate input: the set spans the whole space",
     )

@@ -7,9 +7,10 @@ index sets) are disjoint; by the paper's main theorem that is exactly
 when the product basis the structure induces is unextendible.
 ``is_u_tile`` decides it by a joint closure over per-tile row and
 column bitmasks, polynomial in the tile count, without listing special
-rectangles.  A failing structure comes with an explicit two-part
-witness that carries its extension state: a product state orthogonal
-to the whole kept set, read off the same fixpoint.
+rectangles.  The verdict is its witness: none for a U-tile structure,
+and otherwise an explicit two-part split that carries its extension
+state, a product state orthogonal to the whole kept set, read off the
+same fixpoint.
 """
 
 from __future__ import annotations
@@ -65,19 +66,17 @@ class UTileWitness:
 
 @dataclass(frozen=True)
 class UTileVerdict:
-    is_u_tile: bool
+    """U-tile exactly when there is no failing split ``witness``."""
+
     witness: UTileWitness | None = None
+
+    @property
+    def is_u_tile(self) -> bool:
+        return self.witness is None
 
 
 def _bit_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _split(shared: list[int], split: list[int]) -> tuple[int, int, int] | None:
@@ -144,6 +143,6 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
         split_vec[_bit_indices(two)] = -one.bit_count() / two.bit_count()
         pair = (shared_vec, split_vec) if axis == "column" else (split_vec, shared_vec)
         rect = (base_idx, split_idx) if axis == "column" else (split_idx, base_idx)
-        return UTileVerdict(False, UTileWitness(tuple(ts.tiles[k].id for k in inside), *rect,
-                                                axis, part1, part2, ProductState(*pair)))
-    return UTileVerdict(True, None)
+        return UTileVerdict(UTileWitness(tuple(ts.tiles[k].id for k in inside), *rect,
+                                         axis, part1, part2, ProductState(*pair)))
+    return UTileVerdict()

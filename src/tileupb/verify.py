@@ -1,9 +1,9 @@
-"""Numerical verification: Gram reports, the one verdict on a tile
-basis (``certify_upb``), and a seesaw search for product states inside
-the complement.
+"""Numerical verification: a counted orthogonality report, the one
+verdict on a tile basis (``certify_upb``), and a seesaw search for
+product states inside the complement.
 
 The basis a tile structure induces is made of products |a>|b>, stored
-as the factor stacks A and B of a ``UPBSet``; the orthogonality check
+as the factor stacks A and B of a ``UPBSet``; the orthogonality count
 works from them, and the complement of the basis is span{tile
 indicators} minus the stopper direction, never materialized as a basis:
 its certificate reads each state's s tile coordinates.  Once it holds,
@@ -59,15 +59,15 @@ PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product st
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
-    """Pairs whose relative overlap |<psi_i|psi_j>| / (|psi_i| |psi_j|)
-    exceeds the tolerance, plus the largest relative overlap seen."""
+    """The count of pairs whose relative overlap |<psi_i|psi_j>| /
+    (|psi_i| |psi_j|) exceeds DEFAULT_ORTH_TOL, and the largest seen."""
 
-    violations: tuple[tuple[int, int, float], ...]
+    violating_pairs: int
     max_offdiagonal: float
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violating_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,33 +82,30 @@ class SearchResult:
         return {**asdict(self), "best_product": self.best_product.to_json_dict()}
 
 
-def check_orthogonal_set(a: np.ndarray, b: np.ndarray,
-                         tol: float = DEFAULT_ORTH_TOL) -> OrthogonalityReport:
-    """Report every pair i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
-    above tol for the product states psi_i whose factors are row i of
-    the stacks A (N x m) and B (N x n); a zero state overlaps nothing.
+def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
+    """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
+    above DEFAULT_ORTH_TOL for the product states psi_i with factors row
+    i of the stacks A (N x m) and B (N x n); a zero overlaps nothing.
 
     The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
-    at a time over the columns j >= the block's first row.  Violations
-    come in (i, j) row-major order.
+    at a time over the columns j >= the block's first row, so memory
+    stays O(GRAM_BLOCK * N) however many pairs violate.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     count = len(a)
     if count < 2:
-        return OrthogonalityReport((), 0.0)
+        return OrthogonalityReport(0, 0.0)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
-    violations = []
-    worst = 0.0
+    violating, worst = 0, 0.0
     for start in range(0, count - 1, GRAM_BLOCK):
         stop = min(start + GRAM_BLOCK, count)
         gram = a[start:stop].conj() @ a[start:].T
         gram *= b[start:stop].conj() @ b[start:].T
         rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
         worst = max(worst, float(rel.max()))
-        for i, j in zip(*np.nonzero(rel > tol)):
-            violations.append((start + int(i), start + int(j), float(rel[i, j])))
-    return OrthogonalityReport(tuple(violations), worst)
+        violating += int(np.count_nonzero(rel > DEFAULT_ORTH_TOL))
+    return OrthogonalityReport(violating, worst)
 
 
 def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,7 +322,7 @@ def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> None:
     """
     if not orth.ok:
         raise ValueError(
-            f"the states are not pairwise orthogonal: {len(orth.violations)} violating "
+            f"the states are not pairwise orthogonal: {orth.violating_pairs} violating "
             f"pairs, worst {orth.max_offdiagonal:.3e}"
         )
     ts = upb.origin

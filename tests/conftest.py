@@ -208,6 +208,49 @@ def brute_orthogonality(states, tol):
     return violations, worst
 
 
+LEMMA1_RTOL = 1e-9
+
+
+def _numeric_ranks(stack):
+    """Rank of each matrix in a stack, at relative tolerance LEMMA1_RTOL;
+    an all-zero matrix has rank 0."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(sv > LEMMA1_RTOL * sv[..., :1], axis=-1)
+
+
+def lemma1_is_extendible(a, b):
+    """Whether the orthogonal product set with nonzero factor rows a
+    (N x m, m >= 2) and b (N x n) extends, by Lemma 1 of DiVincenzo, Mor,
+    Shor, Smolin and Terhal (CMP 238, 379, 2003): it does iff its states
+    split into S1 and S2 with rank{a_i : S1} < m and rank{b_i : S2} < n.
+
+    If S1 works, so does the set of every state whose a_i lies in a
+    hyperplane holding S1's factors: its rank stays below m and S2 only
+    shrinks.  Once the a_i span C^m such a hyperplane is spanned by m - 1
+    independent a_i, so only the closed flats of those sets need
+    checking, one a_i per direction: S1 is every state whose unit a_i is
+    orthogonal to the set's normal within LEMMA1_RTOL.  Exhaustive over
+    C(N, m - 1) sets, so for grids up to about 5 x 5.
+    """
+    a, b = (x / np.linalg.norm(x, axis=1, keepdims=True)
+            for x in (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    m, n = a.shape[1], b.shape[1]
+    if m < 2:
+        raise ValueError("the flat search needs m >= 2")
+    if _numeric_ranks(a) < m:
+        return True
+    # One factor per direction: drop each a_i parallel to an earlier one.
+    spread = ~np.any(np.triu(np.abs(a.conj() @ a.T) > 1 - LEMMA1_RTOL, 1), axis=0)
+    combos = np.array(list(itertools.combinations(np.flatnonzero(spread), m - 1)))
+    _, sv, vh = np.linalg.svd(a[combos])
+    # The last right singular vector of m - 1 independent rows is their
+    # normal x, and a_j lies in their span iff a_j . x = 0.
+    normals = vh[sv[:, -1] > LEMMA1_RTOL * sv[:, 0], -1].conj()
+    outside = np.unique(np.abs(normals @ a.T) > LEMMA1_RTOL, axis=0)
+    # Zeroed rows leave the singular values of the S2 factors unchanged.
+    return bool(np.any(_numeric_ranks(outside[:, :, None] * b) < n))
+
+
 def brute_ppt_state(upb):
     """rho = (I - sum_i |psi_i><psi_i| / <psi_i|psi_i>) / (mn - N), one
     rank-1 update per state."""

@@ -30,6 +30,7 @@ from tileupb import (
 from conftest import (
     closed_form_projector,
     enumerate_all_structures,
+    lemma1_is_extendible,
     random_structure,
     structure_from_grid,
     svd_complement,
@@ -161,6 +162,11 @@ def test_criterion_5_search_verdicts_match_the_combinatorial_decision(capsys):
         refusal = certify_upb(upb).refusal
         if refusal:
             problems.append(f"certificate refused {grid}: {refusal}")
+        # Lemma 1 of DiVincenzo et al. decides extendibility exactly,
+        # without the paper's theorem: no product state for a U-tile.
+        if lemma1_is_extendible(upb.a, upb.b) == combinatorial:
+            problems.append(f"Lemma 1 says {grid} is "
+                            f"{'extendible' if combinatorial else 'unextendible'}")
         if combinatorial:
             res = seesaw_search(ts, restarts=budget, seed=0)
             if not res.best_overlap <= 1 - 1e-3:

@@ -4,6 +4,7 @@ import argparse
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,15 @@ class TestChecks:
         code, _, err = run(capsys, "distinguish", "--m", "5", "--n", "5")
         assert code == 2
         assert "even" in err
+
+    @pytest.mark.parametrize("m,n", [(22, 22), (16, 64), (64, 64)])
+    def test_distinguish_refuses_an_oversized_tree_quickly(self, m, n, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "distinguish", "--m", str(m), "--n", str(n))
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "GiB of dense operators" in err
 
     def test_distinguish_refuses_dimensions_beyond_the_format(self, capsys):
         code, out, err = run(capsys, "distinguish", "--m", "4", "--n", "65")

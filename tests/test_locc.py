@@ -1,5 +1,8 @@
 """Measurement trees: construction, simulation, and verification."""
 
+import time
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,15 @@ from tileupb import (
     upb_state_labels,
     verify_protocol,
 )
-from tileupb.locc import _branch, _place, _ring_index, _root_projector, _shift_index
+from tileupb.locc import (
+    MAX_OPERATOR_BYTES,
+    _branch,
+    _operator_bytes,
+    _place,
+    _ring_index,
+    _root_projector,
+    _shift_index,
+)
 
 from conftest import brute_composite_apply, dense_verify_protocol
 
@@ -31,6 +42,12 @@ def _shift_unitary(iota, i):
     for j in range(iota):
         u[(j + i - 1) % iota, j] = 1.0
     return u
+
+
+@lru_cache(maxsize=None)
+def _root_outcome(m, i):
+    """Alice's i-th root outcome, read off the built m x m tree."""
+    return build_theorem3_protocol(m, m).outcomes[i - 1][0].operator
 
 
 def _resource_stacks(m, n):
@@ -101,10 +118,10 @@ class TestRootLayer:
     def test_root_outcomes_partition_alices_register(self):
         for m in (4, 6, 8):
             iota = m // 2
-            total = sum(_root_projector(m, i) for i in range(1, iota + 1))
+            total = sum(_root_outcome(m, i) for i in range(1, iota + 1))
             assert np.allclose(total, np.eye(m * iota))
             for i in range(1, iota + 1):
-                p = _root_projector(m, i)
+                p = _root_outcome(m, i)
                 assert np.allclose(p @ p, p)
                 assert np.trace(p).real == pytest.approx(m)
 
@@ -113,7 +130,8 @@ class TestRootLayer:
         want = np.zeros((8, 8), dtype=complex)
         for row, level in [(0, 0), (1, 0), (2, 0), (3, 1)]:
             want[row * 2 + level, row * 2 + level] = 1.0
-        assert np.allclose(_root_projector(4, 1), want)
+        assert np.allclose(_root_projector(4), want)
+        assert np.array_equal(_root_outcome(4, 1), _root_projector(4))
 
     def test_second_outcome_is_the_shifted_first(self):
         # rotating the ancilla level carries outcome 1 onto outcome i
@@ -121,9 +139,7 @@ class TestRootLayer:
             iota = m // 2
             for i in range(2, iota + 1):
                 u = np.kron(np.eye(m), _shift_unitary(iota, i))
-                assert np.allclose(
-                    u @ _root_projector(m, 1) @ u.conj().T, _root_projector(m, i)
-                )
+                assert np.allclose(u @ _root_projector(m) @ u.conj().T, _root_outcome(m, i))
 
     def test_index_conjugation_equals_the_dense_unitary(self):
         """Placing by the shift index gives exactly U op U^dagger, each
@@ -151,7 +167,7 @@ class TestRootLayer:
         m, iota = 6, 3
         index = _ring_index(m, iota)
         v = np.eye(m * iota)[:, index]
-        inner = [_root_projector(m - 2, i) for i in (1, 2)]
+        inner = [_root_outcome(m - 2, i) for i in (1, 2)]
         placed = _place(_branch(ALICE, [(q, Identify(i)) for i, q in enumerate(inner)]),
                         index, index, (m * iota, m * iota))
         ops = [proj.operator for proj, _ in placed.outcomes]
@@ -167,7 +183,7 @@ class TestRootLayer:
         iota = m // 2
         for ring in range(1, iota - 1):
             inner_m = m - 2 * ring
-            node = _branch(ALICE, [(_root_projector(inner_m, 1), Identify(0))])
+            node = _branch(ALICE, [(_root_projector(inner_m), Identify(0))])
             for outer in range(ring - 1, -1, -1):
                 size, levels = m - 2 * outer, iota - outer
                 index = _ring_index(size, levels)
@@ -175,7 +191,7 @@ class TestRootLayer:
             for i in range(1, iota + 1):
                 shift = _shift_index(m, iota, i)
                 q = _place(node, shift, shift, (m * iota, m * iota)).outcomes[0][0].operator
-                p_i = _root_projector(m, i)
+                p_i = _root_outcome(m, i)
                 assert np.array_equal(q @ p_i, p_i), (ring, i)
 
     def test_resource_states_are_invariant_under_matched_shifts(self):
@@ -185,8 +201,8 @@ class TestRootLayer:
         u = _shift_unitary(iota, 2)
         ua = np.kron(np.eye(m), u)
         ub = np.kron(np.eye(n), u)
-        a1 = _root_projector(m, 1)
-        a2 = _root_projector(m, 2)
+        a1 = _root_outcome(m, 1)
+        a2 = _root_outcome(m, 2)
         for x in _cuts(lefts, rights):
             assert np.allclose(ua @ x @ ub.T, x)
             assert np.allclose(a2 @ x, ua @ (a1 @ x) @ ub.T)
@@ -231,11 +247,40 @@ class TestProtocols:
         assert report.ok
         assert len(set(audited)) == len(audited) == _count_branches(protocol)
 
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_operator_bytes_match_the_built_tree(self, m):
+        """The closed form the size refusal reads equals the bytes of
+        the distinct operators found by walking the built tree."""
+        for n in (m, m + 3):
+            assert _operator_bytes(m, n) == _tree_operator_bytes(build_theorem3_protocol(m, n))
+
+    @pytest.mark.parametrize("m,n", [(22, 22), (16, 64), (64, 64)])
+    def test_oversized_trees_are_refused_before_they_are_built(self, m, n):
+        assert _operator_bytes(m, n) > MAX_OPERATOR_BYTES
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="GiB of dense operators"):
+            build_theorem3_protocol(m, n)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_the_largest_admitted_square_is_20x20(self):
+        assert _operator_bytes(20, 20) <= MAX_OPERATOR_BYTES < _operator_bytes(22, 22)
+
     def test_odd_row_counts_are_rejected(self):
         with pytest.raises(ValueError, match="even"):
             build_theorem3_protocol(5, 5)
         with pytest.raises(ValueError):
             build_theorem3_protocol(4, 3)
+
+
+def _tree_operator_bytes(node):
+    """Bytes of the distinct projector operators in a tree, by walking it."""
+    seen, stack = {}, [node]
+    while stack:
+        node = stack.pop()
+        for proj, child in getattr(node, "outcomes", ()):
+            seen[id(proj.operator)] = proj.operator.nbytes
+            stack.append(child)
+    return sum(seen.values())
 
 
 def _count_branches(node):

@@ -21,6 +21,7 @@ from conftest import (
     brute_special_rectangles,
     enumerate_special_rectangles,
     enumeration_is_u_tile,
+    lemma1_is_extendible,
     random_structure,
     stopper_state,
     structure_from_grid,
@@ -83,6 +84,19 @@ class TestUTileDecision:
             assert got == enumeration_is_u_tile(ts), grid
             if ts.m * ts.n <= 9:
                 assert got == brute_is_u_tile(ts), grid
+
+    def test_is_the_exact_unextendibility_of_the_basis(self, small_structures):
+        """Against Lemma 1 of DiVincenzo et al., which decides whether the
+        basis extends without the paper's theorem: on every structure the
+        basis is unextendible exactly when the structure is U-tile."""
+        verdicts = set()
+        for grid in small_structures:
+            ts = structure_from_grid(grid)
+            upb = build_upb(ts)
+            u_tile = is_u_tile(ts).is_u_tile
+            assert lemma1_is_extendible(upb.a, upb.b) != u_tile, grid
+            verdicts.add(u_tile)
+        assert verdicts == {True, False}
 
     def test_agrees_with_oracle_on_random_4x4(self):
         rng = np.random.default_rng(7)

@@ -52,7 +52,7 @@ class TestInnerProduct:
         explicit Kronecker product does."""
         s1, s2 = ProductState(a1, b1), ProductState(a2, b2)
         norms = np.linalg.norm(kron_vector(s1)) * np.linalg.norm(kron_vector(s2))
-        report = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]), tol=np.inf)
+        report = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]))
         want = abs(brute_inner(s1, s2)) / norms if norms else 0.0
         assert report.max_offdiagonal == pytest.approx(want, abs=1e-9)
 

@@ -23,7 +23,7 @@ from tileupb import (
     prop3,
     seesaw_search,
 )
-from tileupb.verify import GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
+from tileupb.verify import DEFAULT_ORTH_TOL, GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
 
 from conftest import (
     assert_witness_split,
@@ -68,12 +68,13 @@ class TestOrthogonalityCheck:
         report = check_orthogonal_set(upb.a, upb.b)
         assert report.ok
         assert report.max_offdiagonal < 1e-12
-        assert report.violations == ()
+        assert report.violating_pairs == 0
 
     def test_reports_the_offending_pair(self):
         report = check_orthogonal_set(np.array([[1, 0], [1, 1]]), np.array([[1, 0], [1, 0]]))
         assert not report.ok
-        assert report.violations[0][:2] == (0, 1)
+        assert report.violating_pairs == 1
+        assert report.max_offdiagonal == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["product", "real-a"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
@@ -83,16 +84,13 @@ class TestOrthogonalityCheck:
         states = _random_states(count, seed=count)
         if kind == "real-a":
             states = [ProductState(s.a_vec.real, s.b_vec) for s in states]
-        tol = 0.3
         a = np.array([s.a_vec for s in states])
         b = np.array([s.b_vec for s in states])
         if kind == "real-a":
             a = a.real
-        report = check_orthogonal_set(a, b, tol=tol)
-        want, worst = brute_orthogonality(states, tol)
-        assert [v[:2] for v in report.violations] == [v[:2] for v in want]
-        assert np.allclose([v[2] for v in report.violations], [v[2] for v in want],
-                           rtol=0, atol=1e-12)
+        report = check_orthogonal_set(a, b)
+        want, worst = brute_orthogonality(states, DEFAULT_ORTH_TOL)
+        assert report.violating_pairs == len(want)
         assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
         if count > 2:  # both verdicts occur
             assert 0 < len(want) < count * (count - 1) // 2
@@ -100,6 +98,20 @@ class TestOrthogonalityCheck:
     def test_large_tiles_pass_under_the_relative_rule(self):
         upb = build_upb(five_tile(32, 32))
         assert check_orthogonal_set(upb.a, upb.b).ok
+
+    def test_many_violations_are_counted_in_bounded_memory(self):
+        """1,000 equal states violate every one of their 499,500 pairs;
+        the report counts them, so the traced peak stays at the size of
+        a Gram block rather than growing with the pairs."""
+        tracemalloc.start()
+        try:
+            report = check_orthogonal_set(np.ones((1000, 3)), np.ones((1000, 4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.violating_pairs == 1000 * 999 // 2
+        assert report.max_offdiagonal == pytest.approx(1.0, abs=1e-12)
+        assert peak < 20e6
 
 
 class TestComplementBasis:
