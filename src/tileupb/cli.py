@@ -1,11 +1,13 @@
 """Command line interface.
 
-Exit codes: 0 when the requested property holds or the artifact was
-produced, 1 when a checked property fails (invalid structure content,
-not a U-tile, failed basis or state or protocol verification), 2 for
-usage, format, or I/O errors.  ``build-upb`` refuses a structure that is
-not U-tile; ``ppt`` prints its report for one and exits 1, since the
-state is then PPT without an entanglement certificate.
+A structure comes from a FILE or a ``--family``, built and so validated;
+``--m``, ``--n`` or ``--tiles`` where that source takes none is a usage
+error.  Exit codes: 0 when the requested property holds or the artifact
+was produced, 1 when a checked property fails (invalid structure
+content, not a U-tile, failed basis or state or protocol verification),
+2 for usage, format, or I/O errors.  ``build-upb`` refuses a structure
+that is not U-tile; ``ppt`` prints its report for one and exits 1, since
+the state is then PPT without an entanglement certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 
 from .families import example1, fig2, five_tile, prop2, prop3
-from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize, validate
+from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import is_u_tile
@@ -56,19 +58,19 @@ def _load_structure(args, parser: argparse.ArgumentParser):
     path = getattr(args, "file", None)
     if (path is None) == (args.family is None):
         parser.error("exactly one of FILE and --family is required")
+    source, (builder, arity) = (("FILE", (None, ())) if path is not None
+                                else (f"--family {args.family}", FAMILIES[args.family]))
+    for name in ("m", "n", "tiles"):
+        given = getattr(args, name) is not None
+        if given != (name in arity):
+            parser.error(f"--{name} does not apply to {source}" if given
+                         else f"{source} requires --{name}")
+        if given and name != "tiles":
+            _check_dim(name, getattr(args, name))
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return parse_tile_grid(fh.read())
-    builder, arity = FAMILIES[args.family]
-    values = []
-    for name in arity:
-        value = getattr(args, name)
-        if value is None:
-            parser.error(f"--family {args.family} requires --{name}")
-        if name in ("m", "n"):
-            _check_dim(name, value)
-        values.append(value)
-    return builder(*values)
+    return builder(*(getattr(args, name) for name in arity))
 
 
 def _emit(args, text: str, payload) -> None:
@@ -88,9 +90,6 @@ def _cmd_validate(args, parser) -> int:
         ts = _load_structure(args, parser)
     except TileGridContentError as exc:
         problems = list(exc.report.problems)
-    else:
-        problems = list(validate(ts).problems)
-    if problems:
         _emit(args, "\n".join(["invalid tile structure:"] + [f"  {p}" for p in problems]),
               {"ok": False, "problems": problems})
         return 1

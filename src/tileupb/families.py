@@ -124,39 +124,40 @@ def prop3(m: int, t: int) -> TileStructure:
     on top and then its last column on the right, which changes no tile
     count.  The two remaining counts add a fresh border: a new column
     tile 2m-1 plus either an extension of existing border tiles
-    (t = 2m-1) or a second fresh tile 2m.
+    (t = 2m-1) or a second fresh tile 2m.  Only the final grid is built.
     """
     if m < 4:
         raise ValueError(f"prop3 requires m >= 4, got m={m}")
     if not (5 <= t <= 2 * m):
         raise ValueError(f"prop3 requires 5 <= t <= 2m, got t={t} for m={m}")
+    return TileStructure.from_grid(_prop3_grid(m, t))
+
+
+def _prop3_grid(m: int, t: int) -> list[list[int]]:
     if m == 4:
-        return TileStructure.from_grid(_PROP3_SEEDS[t])
+        return [list(row) for row in _PROP3_SEEDS[t]]
     if t <= 2 * (m - 1):
-        base = prop3(m - 1, t)
-        grid = [list(base.cell_map[0])] + [list(row) for row in base.cell_map]
+        grid = _prop3_grid(m - 1, t)
+        grid.insert(0, list(grid[0]))
         for row in grid:
             row.append(row[-1])
-        return TileStructure.from_grid(grid)
-    base = prop3(m - 1, 2 * (m - 1))
+        return grid
+    base = _prop3_grid(m - 1, 2 * (m - 1))
     if m % 2 == 0:
         # Corner joins the left-column tile 5; the rest of the new top
         # row is tile 2m-1.  The new right column copies its left
         # neighbor (t = 2m-1) or becomes tile 2m.
-        top = [5] + [2 * m - 1] * (m - 1)
-        grid = [top] + [list(row) for row in base.cell_map]
-        for row in grid[1:]:
+        for row in base:
             row.append(row[-1] if t == 2 * m - 1 else 2 * m)
-    else:
-        # The new top row copies the base first row and ends with the
-        # new column tile 2m-1 (t = 2m-1) or is tile 2m throughout but
-        # for that corner (t = 2m); the new right column is tile 2m-1
-        # except the bottom cell, which joins the bottom-row tile 4.
-        first = list(base.cell_map[0]) if t == 2 * m - 1 else [2 * m] * (m - 1)
-        grid = [first + [2 * m - 1]]
-        for i, row in enumerate(base.cell_map):
-            grid.append(list(row) + [4 if i == m - 2 else 2 * m - 1])
-    return TileStructure.from_grid(grid)
+        return [[5] + [2 * m - 1] * (m - 1)] + base
+    # The new top row copies the base first row and ends with the new
+    # column tile 2m-1 (t = 2m-1) or is tile 2m throughout but for that
+    # corner (t = 2m); the new right column is tile 2m-1 except the
+    # bottom cell, which joins the bottom-row tile 4.
+    first = list(base[0]) if t == 2 * m - 1 else [2 * m] * (m - 1)
+    for i, row in enumerate(base):
+        row.append(4 if i == m - 2 else 2 * m - 1)
+    return [first + [2 * m - 1]] + base
 
 
 def five_tile(m: int, n: int) -> TileStructure:

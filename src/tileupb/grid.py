@@ -2,9 +2,9 @@
 
 A tile is a (possibly separated) combinatorial rectangle: a set of row
 indices R and column indices C whose cell set is exactly R x C.  A tile
-structure partitions the whole grid into such tiles, numbered 1..s,
-and is stored as its grid of tile ids alone: every tile's index sets
-are read off that grid, so the two forms cannot disagree.
+structure partitions the whole grid into such tiles, numbered 1..s, and
+is stored as its grid of tile ids alone: every tile's index sets are
+read off that grid, and construction refuses a grid that is not one.
 
 The text format is line based: optional comment lines starting with '#',
 then a header line "m n", then exactly m lines of n whitespace-separated
@@ -13,6 +13,7 @@ tile ids.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -47,16 +48,22 @@ class TileStructure:
 
     ``cell_map`` is the row-major id grid and the only stored field;
     ``m``, ``n`` and the index-set form ``tiles`` (sorted by id) are read
-    off it.  ``validate`` checks that it is a tile structure.
+    off it.  Construction raises TypeError for a non-integral id (1.9 is
+    not truncated) and TileGridContentError, with the ``validate``
+    report, for a grid that is not a tile structure.
     """
 
     cell_map: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        grid = tuple(tuple(map(operator.index, row)) for row in self.cell_map)
+        object.__setattr__(self, "cell_map", grid)
+        if (report := validate(self)).problems:
+            raise TileGridContentError(report)
+
     @classmethod
-    def from_grid(cls, grid: list[list[int]] | tuple[tuple[int, ...], ...]) -> TileStructure:
-        """Build a structure from an id grid.  No invariants are enforced
-        here; run ``validate`` (or use ``parse_tile_grid``) to check them."""
-        return cls(tuple(tuple(int(v) for v in row) for row in grid))
+    def from_grid(cls, grid) -> TileStructure:
+        return cls(grid)
 
     @property
     def m(self) -> int:
@@ -140,11 +147,11 @@ def _ascii_int(token: str) -> int | None:
 
 
 def parse_tile_grid(text: str) -> TileStructure:
-    """Parse .tile text into a validated TileStructure.
+    """Parse .tile text into a TileStructure.
 
     Numbers are runs of ASCII digits.  Raises TileGridFormatError for
-    token or shape problems and TileGridContentError (carrying the full
-    report) when the grid is well formed but not a valid tile structure.
+    token or shape problems; construction raises TileGridContentError
+    when the grid is well formed but not a valid tile structure.
     """
     lines = [
         line
@@ -174,17 +181,13 @@ def parse_tile_grid(text: str) -> TileStructure:
             if tid is None or tid < 1:
                 raise TileGridFormatError(f"row {r}: tile ids must be positive integers, got {tok!r}")
         grid.append(row)
-    ts = TileStructure.from_grid(grid)
-    report = validate(ts)
-    if not report.ok:
-        raise TileGridContentError(report)
-    return ts
+    return TileStructure.from_grid(grid)
 
 
 def serialize(ts: TileStructure) -> str:
     """Canonical .tile text: header line then the id grid, LF terminated.
 
-    Round-trips: parse_tile_grid(serialize(ts)) == ts for valid ts.
+    Round-trips: parse_tile_grid(serialize(ts)) == ts.
     """
     width = max(len(str(tid)) for row in ts.cell_map for tid in row)
     lines = [f"{ts.m} {ts.n}"]

@@ -302,15 +302,26 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationReport:
+    """The measured probabilities and violations; the verdict is read off them."""
+
     probabilities: tuple[float, ...]
-    min_success_probability: float
     max_wrong_probability: float
     branch_violations: tuple[str, ...]
     leaf_violations: tuple[str, ...]
-    ok: bool
+
+    @property
+    def min_success_probability(self) -> float:
+        return min(self.probabilities)
+
+    @property
+    def ok(self) -> bool:
+        return (not self.branch_violations and not self.leaf_violations
+                and self.min_success_probability >= 1.0 - PROB_TOL
+                and self.max_wrong_probability <= PROB_TOL)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "min_success_probability": self.min_success_probability,
+                "ok": self.ok}
 
 
 def _gram(idle: np.ndarray) -> np.ndarray:
@@ -406,8 +417,8 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     by its candidates: an Identify leaf counts as a finish leaf with one
     candidate, and a one-party-finish leaf must also hold product
     survivors, parallel on the idle party and orthogonal on the
-    measuring one.  The report carries the minimum success probability over
-    states and the largest probability any state lent to a wrong
+    measuring one.  The report carries each state's success probability
+    and the largest probability any state lent to a wrong
     identification.  Raises ValueError unless the stacks are 3-D with
     equal state counts and ranks, or when there are no states or one
     is zero.
@@ -472,19 +483,9 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
 
     walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, right_gram), "root")
 
-    min_success = float(np.min(success))
-    max_wrong = float(np.max(wrong))
-    ok = (
-        not branch_problems
-        and not leaf_problems
-        and min_success >= 1.0 - PROB_TOL
-        and max_wrong <= PROB_TOL
-    )
     return DiscriminationReport(
         probabilities=tuple(float(p) for p in success),
-        min_success_probability=min_success,
-        max_wrong_probability=max_wrong,
+        max_wrong_probability=float(np.max(wrong)),
         branch_violations=tuple(branch_problems),
         leaf_violations=tuple(leaf_problems),
-        ok=ok,
     )

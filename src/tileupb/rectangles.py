@@ -31,9 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UTileWitness:
-    """A failing split: a special rectangle, the tiles ``tile_ids``
-    whose cell union is exactly rows x cols, in two nonempty groups
-    whose unions of row sets (axis="row") or column sets
+    """A failing split: a special rectangle rows x cols, tiled by the
+    nonempty groups ``part1`` and ``part2`` (their sorted union is
+    ``tile_ids``) whose unions of row sets (axis="row") or column sets
     (axis="column") are disjoint, and its extension ``state``.
 
     For a column split whose parts cover column sets C1 and C2 of the
@@ -44,13 +44,16 @@ class UTileWitness:
     kept state of ``build_upb``.  Row splits are the transpose.
     """
 
-    tile_ids: tuple[int, ...]
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     axis: str
     part1: tuple[int, ...]
     part2: tuple[int, ...]
     state: ProductState = field(compare=False)
+
+    @property
+    def tile_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self.part1 + self.part2))
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,6 +146,5 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
         split_vec[_bit_indices(two)] = -one.bit_count() / two.bit_count()
         pair = (shared_vec, split_vec) if axis == "column" else (split_vec, shared_vec)
         rect = (base_idx, split_idx) if axis == "column" else (split_idx, base_idx)
-        return UTileVerdict(UTileWitness(tuple(ts.tiles[k].id for k in inside), *rect,
-                                         axis, part1, part2, ProductState(*pair)))
+        return UTileVerdict(UTileWitness(*rect, axis, part1, part2, ProductState(*pair)))
     return UTileVerdict()

@@ -110,15 +110,12 @@ def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
 
 def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tiles' row and column indicator matrices R (m x s) and
-    C (n x s) and their cell counts |t|; raises ValueError unless the
-    tiles partition the grid."""
+    C (n x s) and their cell counts |t|."""
     rows = np.zeros((ts.m, ts.tile_count))
     cols = np.zeros((ts.n, ts.tile_count))
     for k, tile in enumerate(ts.tiles):
         rows[list(tile.rows), k] = 1.0
         cols[list(tile.cols), k] = 1.0
-    if np.any(rows @ cols.T != 1):
-        raise ValueError("the tiles do not partition the grid")
     return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
 
 
@@ -193,8 +190,8 @@ def seesaw_search(
     and count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
     recomputed objective, first best wins, and the winner is lifted back
     to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises
-    ValueError for fewer than one restart, a single tile (nothing to
-    search) or tiles that do not partition the grid.
+    ValueError for fewer than one restart or a single tile (nothing to
+    search).
     """
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
@@ -315,10 +312,10 @@ def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> None:
     and column indicator matrices R and C.  Its component in span{1_t}
     minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||, which no
     choice of basis enters.  Pairwise orthogonal states, tiles that
-    partition the grid, the size law and every component at most
-    DEFAULT_ORTH_TOL relative to |psi_i| (``norms``) prove that
-    (s - 1)-dimensional space is exactly the complement, whatever
-    ``origin`` claims.
+    partition the grid (as every TileStructure's do), the size law and
+    every component at most DEFAULT_ORTH_TOL relative to |psi_i|
+    (``norms``) prove that (s - 1)-dimensional space is exactly the
+    complement, whatever ``origin`` claims.
     """
     if not orth.ok:
         raise ValueError(
@@ -389,17 +386,37 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
 
 @dataclass(frozen=True, eq=False)
 class UPBCheckReport:
-    """``certify_upb``'s verdict with the seesaw cross-check."""
+    """``certify_upb``'s verdict with the seesaw cross-check, read off both."""
 
     certificate: UPBCertificate
     search: SearchResult | None
-    product_found: bool
-    note: str
     settings: dict
+
+    @property
+    def product_found(self) -> bool:
+        return self.search is not None and self.search.best_overlap > 1.0 - PRODUCT_THRESHOLD
 
     @property
     def passed(self) -> bool:
         return self.certificate.ok and not self.product_found
+
+    @property
+    def note(self) -> str:
+        cert, found = self.certificate, self.product_found
+        if cert.refusal:
+            return f"complement not certified, search skipped: {cert.refusal}"
+        if cert.verdict is None:
+            return "complement is empty; unextendibility holds vacuously"
+        if cert.u_tile:
+            return ("the seesaw found a product state in the complement of a U-tile origin, "
+                    "which contradicts the U-tile theorem" if found else
+                    "U-tile: no product state in the complement; the seesaw found none")
+        if cert.max_overlap <= DEFAULT_ORTH_TOL:
+            return ("not a U-tile: the witness is a product state in the complement "
+                    "(extendibility certificate); the seesaw "
+                    + ("found one too" if found else "missed it"))
+        return ("not a U-tile, but the witness state overlaps the states: relative "
+                f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,32 +448,7 @@ def check_upb(
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
     cert = certify_upb(upb)
-    search = None
-    if cert.verdict is not None:
-        search = seesaw_search(upb.origin, restarts=restarts, seed=seed)
-    found = search is not None and search.best_overlap > 1.0 - PRODUCT_THRESHOLD
-    if cert.refusal:
-        note = f"complement not certified, search skipped: {cert.refusal}"
-    elif cert.verdict is None:
-        note = "complement is empty; unextendibility holds vacuously"
-    elif cert.u_tile:
-        note = (
-            "the seesaw found a product state in the complement of a U-tile "
-            "origin, which contradicts the U-tile theorem"
-            if found
-            else "U-tile: no product state in the complement; the seesaw found none"
-        )
-    elif cert.max_overlap <= DEFAULT_ORTH_TOL:
-        note = (
-            "not a U-tile: the witness is a product state in the complement "
-            "(extendibility certificate); the seesaw "
-            + ("found one too" if found else "missed it")
-        )
-    else:
-        note = (
-            "not a U-tile, but the witness state overlaps the states: relative "
-            f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}"
-        )
+    search = None if cert.verdict is None else seesaw_search(upb.origin, restarts, seed)
     settings = {
         "restarts": restarts,
         "max_iters": DEFAULT_MAX_ITERS,
@@ -465,4 +457,4 @@ def check_upb(
         "orth_tol": DEFAULT_ORTH_TOL,
         "product_threshold": PRODUCT_THRESHOLD,
     }
-    return UPBCheckReport(cert, search, found, note, settings)
+    return UPBCheckReport(cert, search, settings)

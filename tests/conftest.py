@@ -518,16 +518,11 @@ def dense_verify_protocol(protocol, lefts, rights):
             _dense_finish_leaf(node, survivors, path, leaf_problems)
 
     walk(protocol, list(enumerate(mats)), "root")
-    min_success = float(np.min(success))
-    max_wrong = float(np.max(wrong))
     return DiscriminationReport(
         probabilities=tuple(float(p) for p in success),
-        min_success_probability=min_success,
-        max_wrong_probability=max_wrong,
+        max_wrong_probability=float(np.max(wrong)),
         branch_violations=tuple(branch_problems),
         leaf_violations=tuple(leaf_problems),
-        ok=not branch_problems and not leaf_problems
-        and min_success >= 1.0 - PROB_TOL and max_wrong <= PROB_TOL,
     )
 
 

@@ -56,6 +56,23 @@ class TestValidate:
         assert exc.value.code == 2
 
 
+class TestStructureFlags:
+    @pytest.mark.parametrize("argv, flag, source", [
+        ("check-utile --family example1 --m 9 --n 9", "--m", "--family example1"),
+        ("check-utile {file} --m 7", "--m", "FILE"),
+        ("gen --family prop3 --m 5 --tiles 7 --n 9", "--n", "--family prop3"),
+        ("verify-upb --family five-tile --m 6 --n 6 --tiles 5", "--tiles", "--family five-tile"),
+    ], ids=["fixed-family", "file", "prop3-n", "five-tile-tiles"])
+    def test_flags_the_source_does_not_take_are_usage_errors(self, tmp_path, capsys,
+                                                             argv, flag, source):
+        path = tmp_path / "grid.tile"
+        path.write_text("1 2\n1 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(argv.format(file=path)))
+        assert exc.value.code == 2
+        assert f"{flag} does not apply to {source}" in capsys.readouterr().err
+
+
 class TestGenRoundTrip:
     def test_gen_output_validates_and_rebuilds(self, tmp_path, capsys):
         path = tmp_path / "ring.tile"

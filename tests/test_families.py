@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tileupb import (
+    MAX_DIM,
+    TileGridContentError,
     TileStructure,
     build_upb,
     example1,
@@ -65,6 +67,10 @@ class TestRingFamily:
             prop2(2, 5)
         with pytest.raises(ValueError):
             prop2(5, 4)
+
+    def test_refuses_grids_past_the_format_maximum(self):
+        with pytest.raises(TileGridContentError, match=f"supported maximum {MAX_DIM}"):
+            prop2(70, 70)
 
 
 class TestTileCountFamily:

@@ -89,22 +89,52 @@ class TestParse:
 
 
 class TestValidate:
+    """Construction runs ``validate`` and refuses any grid it faults,
+    with the full report on the error."""
+
+    @staticmethod
+    def refusal(grid):
+        with pytest.raises(TileGridContentError) as info:
+            TileStructure.from_grid(grid)
+        return info.value.report.problems
+
     def test_bent_tile_names_its_first_foreign_cell_and_owner(self):
         # rows x cols of tile 1 is {0, 1} x {0, 1}, and tile 3 owns (1, 1)
-        report = validate(TileStructure.from_grid([[1, 1, 2], [1, 3, 3], [4, 4, 4]]))
-        assert report.problems == (
+        assert self.refusal([[1, 1, 2], [1, 3, 3], [4, 4, 4]]) == (
             "tile 1 is not a separated rectangle: cell (1, 1) of rows x cols belongs to tile 3",
         )
 
     def test_reports_tile_out_of_bounds(self):
         # the long second row puts tile 1's cell (1, 2) outside the 2 x 2 grid
-        report = validate(TileStructure.from_grid([[1, 1], [1, 1, 1]]))
-        assert report.problems == ("cell_map rows differ in length",)
+        assert self.refusal([[1, 1], [1, 1, 1]]) == ("cell_map rows differ in length",)
 
     def test_reports_empty_tile(self):
         # tile 2 owns no cell, so the ids skip from 1 to 3
-        report = validate(TileStructure.from_grid([[1, 1], [3, 3]]))
-        assert report.problems == ("tile ids are not contiguous 1..2: [1, 3]",)
+        assert self.refusal([[1, 1], [3, 3]]) == ("tile ids are not contiguous 1..2: [1, 3]",)
+
+    def test_checkerboard_names_both_tiles(self):
+        assert self.refusal([[1, 2], [2, 1]]) == (
+            "tile 1 is not a separated rectangle: cell (0, 1) of rows x cols belongs to tile 2",
+            "tile 2 is not a separated rectangle: cell (0, 0) of rows x cols belongs to tile 1",
+        )
+
+    def test_refuses_dimensions_past_the_format_maximum(self):
+        assert self.refusal([[1] * (MAX_DIM + 1)]) == (
+            f"grid dimensions exceed the supported maximum {MAX_DIM}",
+        )
+
+    @pytest.mark.parametrize("grid", [[], [[]]], ids=["no-rows", "empty-row"])
+    def test_refuses_an_empty_grid(self, grid):
+        assert self.refusal(grid)[0].startswith("grid dimensions must be positive")
+
+    def test_non_integral_ids_are_a_type_error_not_truncated(self):
+        with pytest.raises(TypeError):
+            TileStructure.from_grid([[1.9, 2.2], [1, 2]])
+
+    def test_numpy_integer_ids_become_ints(self):
+        ts = TileStructure.from_grid(np.array([[1, 2], [1, 2]]))
+        assert ts.cell_map == ((1, 2), (1, 2))
+        assert {type(tid) for row in ts.cell_map for tid in row} == {int}
 
     def test_accepts_single_tile_cover(self):
         ts = structure_from_grid([[1, 1], [1, 1]])

@@ -12,6 +12,7 @@ from tileupb import (
     ALICE,
     BOB,
     Branch,
+    DiscriminationReport,
     Identify,
     LocalProjector,
     OnePartyFinish,
@@ -491,6 +492,12 @@ class TestFactoredWalk:
     def test_zero_states_are_refused(self):
         with pytest.raises(ValueError, match="state 0 is zero"):
             verify_protocol(Identify(0), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)))
+
+    def test_the_verdict_is_read_off_the_probabilities(self):
+        report = DiscriminationReport((1.0, 0.5), 0.0, (), ())
+        assert report.min_success_probability == 0.5
+        assert not report.ok
+        assert report.to_json_dict()["ok"] is False
 
     @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
     def test_agrees_with_the_dense_walk(self, case):
