@@ -33,22 +33,6 @@ FAMILIES = {
 }
 
 
-def _add_structure_args(sub: argparse.ArgumentParser, with_file: bool = True) -> None:
-    if with_file:
-        sub.add_argument("file", nargs="?", metavar="FILE",
-                         help="read the tile grid from this file")
-    sub.add_argument("--family", choices=sorted(FAMILIES), help="use a built-in family")
-    sub.add_argument("--m", type=int, help="family row count")
-    sub.add_argument("--n", type=int, help="family column count")
-    sub.add_argument("--tiles", type=int, help="family tile count (prop3)")
-
-
-def _add_output_args(sub: argparse.ArgumentParser, with_json: bool = True) -> None:
-    sub.add_argument("-o", "--output", metavar="PATH", help="write the result to a file")
-    if with_json:
-        sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-
 def _check_dim(name: str, value: int) -> None:
     if not 1 <= value <= MAX_DIM:
         raise ValueError(f"--{name} {value} lies outside the format's 1..{MAX_DIM}")
@@ -85,6 +69,12 @@ def _emit(args, text: str, payload) -> None:
         sys.stdout.write(body)
 
 
+def _describe_witness(wit) -> str:
+    return (f"witness rectangle: tiles {{{', '.join(map(str, wit.tile_ids))}}} "
+            f"(rows {list(wit.rows)} x cols {list(wit.cols)})\n"
+            f"disconnected {wit.axis} split: {list(wit.part1)} vs {list(wit.part2)}")
+
+
 def _cmd_validate(args, parser) -> int:
     try:
         ts = _load_structure(args, parser)
@@ -105,15 +95,8 @@ def _cmd_check_utile(args, parser) -> int:
     if verdict.is_u_tile:
         _emit(args, "U-tile: yes", payload)
         return 0
-    wit = verdict.witness
-    payload["witness"] = wit.to_json_dict()
-    text = (
-        "U-tile: no\n"
-        f"witness rectangle: tiles {{{', '.join(map(str, wit.tile_ids))}}} "
-        f"(rows {list(wit.rows)} x cols {list(wit.cols)})\n"
-        f"disconnected {wit.axis} split: {list(wit.part1)} vs {list(wit.part2)}"
-    )
-    _emit(args, text, payload)
+    payload["witness"] = verdict.witness.to_json_dict()
+    _emit(args, "U-tile: no\n" + _describe_witness(verdict.witness), payload)
     return 1
 
 
@@ -128,9 +111,8 @@ def _cmd_build_upb(args, parser) -> int:
     ts = _load_structure(args, parser)
     verdict = is_u_tile(ts)
     if not verdict.is_u_tile:
-        w = verdict.witness
-        print(f"error: not a U-tile structure: special rectangle {w.tile_ids} "
-              f"splits into {w.part1} | {w.part2} on the {w.axis} axis", file=sys.stderr)
+        print("error: not a U-tile structure\n" + _describe_witness(verdict.witness),
+              file=sys.stderr)
         return 1
     labels = upb_state_labels(ts)
     lines = [f"{len(labels)} states on a {ts.m} x {ts.n} grid"]
@@ -196,62 +178,65 @@ def _cmd_distinguish(args, parser) -> int:
     for problem in report.branch_violations + report.leaf_violations:
         lines.append(f"violation: {problem}")
     lines.append("verdict: " + ("perfect discrimination" if report.ok else "FAILED"))
-    payload = {
-        "m": args.m,
-        "n": args.n,
-        "resource_dim": resource_dim,
-        "report": report.to_json_dict(),
-    }
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, "\n".join(lines), {"m": args.m, "n": args.n, "resource_dim": resource_dim,
+                                   "report": report.to_json_dict()})
     return 0 if report.ok else 1
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+FAMILY_ARGS = (
+    _arg("--family", choices=sorted(FAMILIES), help="use a built-in family"),
+    _arg("--m", type=int, help="family row count"),
+    _arg("--n", type=int, help="family column count"),
+    _arg("--tiles", type=int, help="family tile count (prop3)"),
+)
+OUTPUT_ARGS = (
+    _arg("-o", "--output", metavar="PATH", help="write the result to a file"),
+    _arg("--json", action="store_true", help="emit JSON instead of text"),
+)
+REPORT_ARGS = (
+    _arg("file", nargs="?", metavar="FILE", help="read the tile grid from this file"),
+    *FAMILY_ARGS,
+    *OUTPUT_ARGS,
+)
+
+# subcommand -> (handler, help, its arguments in the order --help lists them);
+# the arguments name the structure source: FILE or --family, --family alone
+# (gen, which writes a grid and so takes no --json), or neither (distinguish)
+COMMANDS = {
+    "validate": (_cmd_validate, "check a tile structure for well-formedness", REPORT_ARGS),
+    "check-utile": (_cmd_check_utile, "decide the U-tile property", REPORT_ARGS),
+    "gen": (_cmd_gen, "write a built-in family grid", (*FAMILY_ARGS, OUTPUT_ARGS[0])),
+    "build-upb": (_cmd_build_upb, "construct the product basis of a tile structure",
+                  REPORT_ARGS),
+    "verify-upb": (_cmd_verify_upb, "verify orthogonality and unextendibility", (
+        *REPORT_ARGS,
+        _arg("--restarts", type=int, default=DEFAULT_RESTARTS,
+             help=f"seesaw restarts, at least 1 (default {DEFAULT_RESTARTS})"),
+        _arg("--seed", type=int, default=0, help="seesaw random seed, non-negative (default 0)"),
+    )),
+    "ppt": (_cmd_ppt, "build and check the complement-projector state", REPORT_ARGS),
+    "distinguish": (_cmd_distinguish,
+                    "build and verify a discrimination protocol for the ring family", (
+        _arg("--m", type=int, required=True, help="row count (even)"),
+        _arg("--n", type=int, required=True, help="column count"),
+        *OUTPUT_ARGS,
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tileupb",
-        description="Tile structures, unextendible product bases, and discrimination protocols.",
-    )
+    parser = argparse.ArgumentParser(prog="tileupb", description=(
+        "Tile structures, unextendible product bases, and discrimination protocols."))
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="check a tile structure for well-formedness")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_validate)
-
-    sub = subs.add_parser("check-utile", help="decide the U-tile property")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_check_utile)
-
-    sub = subs.add_parser("gen", help="write a built-in family grid")
-    _add_structure_args(sub, with_file=False)
-    _add_output_args(sub, with_json=False)
-    sub.set_defaults(func=_cmd_gen)
-
-    sub = subs.add_parser("build-upb", help="construct the product basis of a tile structure")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_build_upb)
-
-    sub = subs.add_parser("verify-upb", help="verify orthogonality and unextendibility")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=_cmd_verify_upb)
-
-    sub = subs.add_parser("ppt", help="build and check the complement-projector state")
-    _add_structure_args(sub)
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_ppt)
-
-    sub = subs.add_parser("distinguish",
-                          help="build and verify a discrimination protocol for the ring family")
-    sub.add_argument("--m", type=int, required=True, help="row count (even)")
-    sub.add_argument("--n", type=int, required=True, help="column count")
-    _add_output_args(sub)
-    sub.set_defaults(func=_cmd_distinguish)
-
+    for name, (func, text, arguments) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -260,12 +245,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except TileGridContentError as exc:
+    except (OSError, ValueError) as exc:  # both TileGrid*Error classes are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:  # TileGridFormatError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TileGridContentError) else 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+__all__ = [
+    "MAX_DIM",
+    "Tile",
+    "TileGridContentError",
+    "TileGridFormatError",
+    "TileStructure",
+    "ValidationReport",
+    "parse_tile_grid",
+    "serialize",
+    "validate",
+]
+
 MAX_DIM = 64
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .grid import Tile, TileStructure
 
 __all__ = [
+    "STOPPER_LABEL",
     "ProductState",
     "UPBSet",
     "build_upb",

@@ -147,6 +147,16 @@ class TestChecks:
         assert code == 1
         assert "U-tile" in err
 
+    def test_build_upb_refusal_names_the_check_utile_witness(self, capsys):
+        """The refusal states the failing split in check-utile's words,
+        not as Python tuple reprs."""
+        _, out, _ = run(capsys, "check-utile", "--family", "fig2")
+        code, _, err = run(capsys, "build-upb", "--family", "fig2")
+        assert code == 1
+        witness = out.splitlines()[1:]
+        assert witness[0].startswith("witness rectangle:") and len(witness) == 2
+        assert err.splitlines()[1:] == witness
+
     def test_build_upb_json_contains_all_states(self, capsys):
         code, out, _ = run(capsys, "build-upb", "--family", "example1", "--json")
         assert code == 0
@@ -348,6 +358,39 @@ def _subcommands():
     parser = _build_parser()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return subs.choices
+
+
+REPORT_OPTIONS = ["-h/--help", "FILE", "--family", "--m", "--n", "--tiles",
+                  "-o/--output", "--json"]
+
+
+class TestParser:
+    def test_each_subcommand_takes_its_options_in_order(self):
+        """Pins every subcommand's arguments, so the table that builds the
+        parser cannot add or drop a flag unnoticed."""
+        shape = {name: ["/".join(action.option_strings) or action.metavar
+                        for action in sub._actions]
+                 for name, sub in _subcommands().items()}
+        assert shape == {
+            "validate": REPORT_OPTIONS,
+            "check-utile": REPORT_OPTIONS,
+            "gen": ["-h/--help", "--family", "--m", "--n", "--tiles", "-o/--output"],
+            "build-upb": REPORT_OPTIONS,
+            "verify-upb": REPORT_OPTIONS + ["--restarts", "--seed"],
+            "ppt": REPORT_OPTIONS,
+            "distinguish": ["-h/--help", "--m", "--n", "-o/--output", "--json"],
+        }
+
+    def test_every_option_has_help_text(self):
+        missing = [(name, action.option_strings or action.metavar)
+                   for name, sub in _subcommands().items()
+                   for action in sub._actions if not action.help]
+        assert not missing
+
+    def test_seed_help_says_it_must_be_non_negative(self, capsys):
+        with pytest.raises(SystemExit):
+            run(capsys, "verify-upb", "--help")
+        assert re.search(r"--seed SEED\s+.*non-negative", capsys.readouterr().out)
 
 
 def _readme_command_lines():
