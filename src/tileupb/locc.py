@@ -108,10 +108,7 @@ def attach_resource(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, n
 
 def _levels_proj(dim: int, levels) -> np.ndarray:
     """Diagonal projector onto the given levels of a dim-level register."""
-    p = np.zeros((dim, dim), dtype=complex)
-    for j in levels:
-        p[j, j] = 1.0
-    return p
+    return np.diag(np.isin(np.arange(dim), levels)).astype(complex)
 
 
 def _dft_proj(dim: int, t: int, levels: int) -> np.ndarray:
@@ -152,16 +149,15 @@ def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode
     return _branch(party, [(op, inside), (np.eye(len(op)) - op, rest)])
 
 
-def _level_dft(party: str, column: np.ndarray, iota: int, levels: int,
-               leaf: ProtocolNode) -> Branch:
-    """DFT layer over the first ``levels`` ancilla levels of an
+def _level_dft(column: np.ndarray, iota: int, levels: int, leaf: ProtocolNode) -> Branch:
+    """Bob's DFT layer over the first ``levels`` ancilla levels of an
     iota-level register, on the classical levels ``column`` projects
     onto: outcome t projects onto sum_j w^{tj} |j>, and outcome 0 also
     takes the identity off column (x) those levels."""
     outcomes = [(np.kron(column, _dft_proj(iota, t, levels)), leaf) for t in range(levels)]
     span = np.kron(column, _levels_proj(iota, range(levels)))
     outcomes[0] = (outcomes[0][0] + np.eye(len(span)) - span, leaf)
-    return _branch(party, outcomes)
+    return _branch(BOB, outcomes)
 
 
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
@@ -218,7 +214,7 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
     last_col = _levels_proj(n, [n - 1])
     b_n = np.kron(last_col, _levels_proj(iota, range(iota - 1)))
-    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(BOB, last_col, iota, iota - 1, tile2)))
+    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(last_col, iota, iota - 1, tile2)))
     b_rest = np.eye(dim_b, dtype=complex) - sum(op for op, _ in outcomes)
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
@@ -237,7 +233,7 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
 
     first_col = _levels_proj(n, [0])
     after_corner = _either(BOB, np.kron(first_col, np.eye(iota)),
-                           _level_dft(BOB, first_col, iota, iota, tile4), interior)
+                           _level_dft(first_col, iota, iota, tile4), interior)
     child_rest = _either(ALICE, np.kron(_levels_proj(m, [0]), _levels_proj(iota, [0])),
                          OnePartyFinish(BOB, tile1), after_corner)
     outcomes.append((b_rest, child_rest))
@@ -337,8 +333,8 @@ def _sq_norms(moved: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list[str]) -> bool:
-    """Audit one measurement layer; False means the operators cannot
-    even be applied (wrong register shape)."""
+    """Audit one measurement layer, failing a NaN entry on every count;
+    False means the operators cannot be applied (wrong register shape)."""
     dim = dims[0] if node.party == ALICE else dims[1]
     ops = []
     for proj, _ in node.outcomes:
@@ -346,17 +342,17 @@ def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list
         if op.shape != (dim, dim):
             problems.append(f"{path}: operator shape {op.shape} does not match register {dim}")
             return False
-        if np.max(np.abs(op - op.conj().T)) > BRANCH_TOL:
+        if not np.max(np.abs(op - op.conj().T)) <= BRANCH_TOL:
             problems.append(f"{path}: operator is not Hermitian")
-        if np.max(np.abs(op @ op - op)) > BRANCH_TOL:
+        if not np.max(np.abs(op @ op - op)) <= BRANCH_TOL:
             problems.append(f"{path}: operator is not idempotent")
         ops.append(op)
     total = sum(ops)
-    if np.max(np.abs(total - np.eye(dim))) > BRANCH_TOL:
+    if not np.max(np.abs(total - np.eye(dim))) <= BRANCH_TOL:
         problems.append(f"{path}: outcomes do not sum to the identity")
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if np.max(np.abs(ops[i] @ ops[j])) > BRANCH_TOL:
+            if not np.max(np.abs(ops[i] @ ops[j])) <= BRANCH_TOL:
                 problems.append(f"{path}: outcomes {i} and {j} are not orthogonal")
     return True
 
@@ -369,8 +365,6 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
     Q_L (T_L T_Rᵀ) Q_Rᵀ, so its singular triplets come from the small
     core T_L T_Rᵀ.
     """
-    if idx.size == 0:
-        return
     q_l, t_l = np.linalg.qr(lefts)
     q_r, t_r = np.linalg.qr(rights)
     u, sv, vh = np.linalg.svd(t_l @ np.swapaxes(t_r, 1, 2))
@@ -410,9 +404,11 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     State i travels as its exact cut factors L = lefts[i] and
     R = rights[i], with cut matrix L Rᵀ: Alice's outcome P maps L to P L
     and Bob's maps R to P R, one batched product per outcome over all
-    states alive at the branch.  Every branch that some state reaches is
-    checked for projector completeness, orthogonality and idempotency;
-    branches below squared norm 1e-10 are pruned.  Each outcome layer
+    states alive at the branch.  Every outcome is entered with the
+    states that reach it at squared norm 1e-10 or more, possibly none,
+    so each branch is checked once for projector completeness,
+    orthogonality and idempotency whatever the inputs (a branch whose
+    operators do not fit the registers stops there).  Each outcome layer
     must conserve every state's norm, and each leaf must be reached only
     by its candidates: an Identify leaf counts as a finish leaf with one
     candidate, and a one-party-finish leaf must also hold product
@@ -421,7 +417,7 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     and the largest probability any state lent to a wrong
     identification.  Raises ValueError unless the stacks are 3-D with
     equal state counts and ranks, or when there are no states or one
-    is zero.
+    is zero or not finite.
     """
     lefts, rights = np.asarray(lefts, dtype=complex), np.asarray(rights, dtype=complex)
     if not (lefts.ndim == rights.ndim == 3 and len(lefts) == len(rights)
@@ -432,8 +428,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     if not count:
         raise ValueError("no states to discriminate")
     reg_dims = lefts.shape[1], rights.shape[1]
-    right_gram = _gram(rights)
-    norms2 = _sq_norms(lefts, right_gram)
+    finite = np.isfinite(lefts).all(axis=(1, 2)) & np.isfinite(rights).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"state {np.flatnonzero(~finite)[0]} is not finite")
+    norms2 = _sq_norms(lefts, _gram(rights))
     zero = np.flatnonzero(norms2 == 0)
     if zero.size:
         raise ValueError(f"state {zero[0]} is zero")
@@ -457,31 +455,28 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 p = _sq_norms(out, gram)
                 total += p
                 keep = p >= PRUNE_TOL
-                if keep.any():
-                    pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
-                    walk(child, idx[keep], *pair, p[keep], f"{path}.{k}")
+                pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
+                walk(child, idx[keep], *pair, p[keep], f"{path}.{k}")
             # Conservation: the outcomes repartition each state's norm.
-            for i in np.flatnonzero(np.abs(total - norms2) > PROB_TOL):
+            for i in np.flatnonzero(~(np.abs(total - norms2) <= PROB_TOL)):
                 branch_problems.append(f"{path}: state {idx[i]} loses norm across outcomes")
         else:
             identify = isinstance(node, Identify)
             named = idx == node.candidate if identify else np.isin(idx, node.candidates)
-            for i, p, is_named in zip(idx, norms2, named):
-                if is_named:
-                    success[i] += p
-                else:
-                    wrong[i] += p
-                    if p > PROB_TOL:
-                        leaf_problems.append(
-                            f"{path}: labeled {node.candidate} but state {i} "
-                            f"arrives with probability {p:.3e}" if identify
-                            else f"{path}: state {i} is not among the leaf candidates"
-                        )
+            success[idx[named]] += norms2[named]
+            wrong[idx[~named]] += norms2[~named]
+            loud = ~named & (norms2 > PROB_TOL)
+            for i, p in zip(idx[loud], norms2[loud]):
+                leaf_problems.append(
+                    f"{path}: labeled {node.candidate} but state {i} "
+                    f"arrives with probability {p:.3e}" if identify
+                    else f"{path}: state {i} is not among the leaf candidates"
+                )
             if not identify:
                 _check_finish_leaf(node, idx[named], lefts[named], rights[named], path,
                                    leaf_problems)
 
-    walk(protocol, np.arange(count), lefts, rights, _sq_norms(lefts, right_gram), "root")
+    walk(protocol, np.arange(count), lefts, rights, np.ones(count), "root")
 
     return DiscriminationReport(
         probabilities=tuple(float(p) for p in success),

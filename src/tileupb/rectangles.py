@@ -69,13 +69,16 @@ class UTileWitness:
 
 @dataclass(frozen=True)
 class UTileVerdict:
-    """U-tile exactly when there is no failing split ``witness``."""
+    """U-tile, and true, exactly when there is no failing split ``witness``."""
 
     witness: UTileWitness | None = None
 
     @property
     def is_u_tile(self) -> bool:
         return self.witness is None
+
+    def __bool__(self) -> bool:
+        return self.is_u_tile
 
 
 def _bit_indices(mask: int) -> list[int]:

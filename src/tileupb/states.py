@@ -75,7 +75,7 @@ class UPBSet:
     """An ordered product-state set on the grid of a tile structure,
     stored as its factor stack: row i of ``a`` (N x m) and ``b`` (N x n)
     holds the two factors of state i.  Raises ValueError when the stacks
-    do not fit the origin's m x n grid.
+    do not fit the origin's m x n grid or hold a NaN or infinite entry.
     """
 
     a: np.ndarray
@@ -89,6 +89,8 @@ class UPBSet:
         if a.ndim != 2 or b.ndim != 2 or len(a) != len(b) or (a.shape[1], b.shape[1]) != (m, n):
             raise ValueError(
                 f"stacks of shapes {a.shape}, {b.shape} do not fit the {m} x {n} origin")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("the factor stacks hold a non-finite entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -60,7 +60,7 @@ PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product st
 @dataclass(frozen=True)
 class OrthogonalityReport:
     """The count of pairs whose relative overlap |<psi_i|psi_j>| /
-    (|psi_i| |psi_j|) exceeds DEFAULT_ORTH_TOL, and the largest seen."""
+    (|psi_i| |psi_j|) is not within DEFAULT_ORTH_TOL, and the largest."""
 
     violating_pairs: int
     max_offdiagonal: float
@@ -83,9 +83,10 @@ class SearchResult:
 
 
 def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
-    """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|)
-    above DEFAULT_ORTH_TOL for the product states psi_i with factors row
-    i of the stacks A (N x m) and B (N x n); a zero overlaps nothing.
+    """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|) not
+    within DEFAULT_ORTH_TOL (a NaN one too) for the product states psi_i
+    with factors row i of the stacks A (N x m) and B (N x n); a zero
+    overlaps nothing.
 
     The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
     at a time over the columns j >= the block's first row, so memory
@@ -93,8 +94,6 @@ def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     count = len(a)
-    if count < 2:
-        return OrthogonalityReport(0, 0.0)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
     violating, worst = 0, 0.0
@@ -103,8 +102,8 @@ def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
         gram = a[start:stop].conj() @ a[start:].T
         gram *= b[start:stop].conj() @ b[start:].T
         rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
-        worst = max(worst, float(rel.max()))
-        violating += int(np.count_nonzero(rel > DEFAULT_ORTH_TOL))
+        worst = float(np.maximum(worst, rel.max()))
+        violating += int(np.count_nonzero(~(rel <= DEFAULT_ORTH_TOL)))
     return OrthogonalityReport(violating, worst)
 
 
@@ -119,14 +118,6 @@ def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, cols, rows.sum(axis=0) * cols.sum(axis=0)
 
 
-def _classes(ind: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the rows of a tile indicator matrix (m x s) into classes of
-    equal rows: the p distinct rows (p x s), each row's class index, and
-    the class sizes."""
-    keys, index, counts = np.unique(ind, axis=0, return_inverse=True, return_counts=True)
-    return keys, index.ravel(), counts
-
-
 class _Side(NamedTuple):
     """One party's tile-class coordinates: ind = lift @ basis, with the
     orthonormal class indicators ``lift`` (m x p), root = lift^T 1 and
@@ -139,8 +130,9 @@ class _Side(NamedTuple):
 
 
 def _class_side(ind: np.ndarray) -> _Side:
-    keys, index, counts = _classes(ind)
-    root = np.sqrt(counts)
+    """The coordinates of the p classes of equal rows of ind (m x s)."""
+    keys, index, counts = np.unique(ind, axis=0, return_inverse=True, return_counts=True)
+    index, root = index.ravel(), np.sqrt(counts)
     lift = np.zeros((ind.shape[0], counts.size))
     lift[np.arange(ind.shape[0]), index] = 1.0 / root[index]
     return _Side(lift, keys * root[:, None], root, np.outer(root, root))
@@ -167,6 +159,13 @@ def _top_factors(side, other, other_coords, sizes) -> tuple[np.ndarray, np.ndarr
     return vals[:, -1], vecs[:, :, -1]
 
 
+def _check_search_settings(restarts: int, seed: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"the search needs at least one restart, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"the search seed must be non-negative, got {seed}")
+
+
 def seesaw_search(
     ts: TileStructure,
     restarts: int = DEFAULT_RESTARTS,
@@ -180,7 +179,7 @@ def seesaw_search(
     <a b|P|a b> = sum_t |alpha_t beta_t|^2 / |t| - |sum a sum b|^2 / mn.
     For fixed b the best unit a is the top eigenvector of
     R diag(|beta_t|^2 / |t|) R^T - (|sum b|^2 / mn) J = E_R G E_R^T, with
-    E_R the orthonormal indicators of the p row classes (``_classes``),
+    E_R the orthonormal indicators of the p row classes (``_class_side``),
     so each half-step is a p x p eigenproblem, and q x q for b.  Seeded
     complex-Gaussian starts are projected onto the classes, which keeps
     the objective, and advance SEESAW_BLOCK at a time (fewer when a
@@ -190,11 +189,10 @@ def seesaw_search(
     and count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
     recomputed objective, first best wins, and the winner is lifted back
     to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises
-    ValueError for fewer than one restart or a single tile (nothing to
-    search).
+    ValueError for fewer than one restart, a negative seed or a single
+    tile (nothing to search).
     """
-    if restarts < 1:
-        raise ValueError(f"the search needs at least one restart, got {restarts}")
+    _check_search_settings(restarts, seed)
     if ts.tile_count < 2:
         raise ValueError("a single tile leaves an empty complement: nothing to search")
     rows, cols, sizes = _tile_incidence(ts)
@@ -302,9 +300,9 @@ class UPBCertificate:
         }
 
 
-def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> None:
-    """Raise ValueError naming the first condition of the complement
-    certificate that fails.
+def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> str | None:
+    """The first condition of the complement certificate that fails, as
+    the refusal ``certify_upb`` reports, or None when all hold.
 
     In the orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper
     is the unit vector u_hat = (sqrt(|t| / mn))_t, and state psi_i has
@@ -318,26 +316,23 @@ def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> None:
     complement, whatever ``origin`` claims.
     """
     if not orth.ok:
-        raise ValueError(
-            f"the states are not pairwise orthogonal: {orth.violating_pairs} violating "
-            f"pairs, worst {orth.max_offdiagonal:.3e}"
-        )
+        return (f"the states are not pairwise orthogonal: {orth.violating_pairs} violating "
+                f"pairs, worst {orth.max_offdiagonal:.3e}")
     ts = upb.origin
     m, n, s = upb.m, upb.n, ts.tile_count
     if len(upb.a) != m * n - s + 1:
-        raise ValueError(f"{len(upb.a)} states where the size law gives {m * n - s + 1}")
+        return f"{len(upb.a)} states where the size law gives {m * n - s + 1}"
     rows, cols, sizes = _tile_incidence(ts)
     if not np.all(norms > 0):
-        raise ValueError("a state is zero")
+        return "a state is zero"
     coords = (upb.a.conj() @ rows) * (upb.b.conj() @ cols) / np.sqrt(sizes)
     u_hat = np.sqrt(sizes / (m * n))
     inside = coords - np.outer(coords @ u_hat, u_hat)
     worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
     if not worst <= DEFAULT_ORTH_TOL:
-        raise ValueError(
-            f"the tile complement overlaps the states: relative component {worst:.3e} "
-            f"exceeds {DEFAULT_ORTH_TOL:.1e}"
-        )
+        return (f"the tile complement overlaps the states: relative component {worst:.3e} "
+                f"exceeds {DEFAULT_ORTH_TOL:.1e}")
+    return None
 
 
 def _all_ones(factor: np.ndarray) -> bool:
@@ -369,12 +364,9 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     orth = check_orthogonal_set(upb.a, upb.b)
     stopper_ok = count > 0 and _all_ones(upb.a[-1]) and _all_ones(upb.b[-1])
     certificate = partial(UPBCertificate, count, mn - s + 1, orth, stopper_ok, s - 1)
-    try:
-        _certify(upb, norms, orth)
-    except ValueError as exc:
-        return certificate(str(exc))
-    if s == 1:
-        return certificate()
+    refusal = _certify(upb, norms, orth)
+    if refusal or s == 1:
+        return certificate(refusal)
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
@@ -442,11 +434,10 @@ def check_upb(
     the certificate holds (``UPBCertificate.ok``) and the seesaw found
     nothing.  When the complement cannot be certified the check fails
     with the reason in ``note`` and no search runs; an empty complement
-    (one tile) passes vacuously.  Raises ValueError when restarts < 1,
-    whether or not a search runs.
+    (one tile) passes vacuously.  Raises ValueError when restarts < 1 or
+    seed < 0, whether or not a search runs.
     """
-    if restarts < 1:
-        raise ValueError(f"the search needs at least one restart, got {restarts}")
+    _check_search_settings(restarts, seed)
     cert = certify_upb(upb)
     search = None if cert.verdict is None else seesaw_search(upb.origin, restarts, seed)
     settings = {

@@ -456,8 +456,8 @@ def dense_verify_protocol(protocol, lefts, rights):
     (m*d_a) x (n*d_b) matrix M = lefts[i] rights[i]^T, Alice's outcome P
     maps M to P M, Bob's maps M to M P^T, each norm is a Frobenius norm,
     and every outcome is applied a second time for the conservation
-    check.  Tolerances, pruning, branch audit and violation messages are
-    the library's."""
+    check.  Every outcome is entered, reached or not.  Tolerances,
+    pruning, branch audit and violation messages are the library's."""
     if not len(lefts):
         raise ValueError("no states to discriminate")
     reg_dims = lefts.shape[1], rights.shape[1]
@@ -486,8 +486,7 @@ def dense_verify_protocol(protocol, lefts, rights):
                     out = apply(proj.operator, mat, node.party)
                     if np.linalg.norm(out) ** 2 >= PRUNE_TOL:
                         nxt.append((state_index, out))
-                if nxt:
-                    walk(child, nxt, f"{path}.{k}")
+                walk(child, nxt, f"{path}.{k}")
             for state_index, mat in alive:
                 total = sum(
                     np.linalg.norm(apply(proj.operator, mat, node.party)) ** 2

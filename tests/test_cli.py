@@ -212,6 +212,19 @@ class TestChecks:
         assert out == ""
         assert err.startswith("error:") and "restart" in err
 
+    @pytest.mark.parametrize("one_tile", [False, True], ids=["example1", "one-tile"])
+    def test_verify_upb_refuses_a_negative_seed(self, capsys, tmp_path, one_tile):
+        """Refused by name, also on one tile where no search would run."""
+        source = ("--family", "example1")
+        if one_tile:
+            path = tmp_path / "one.tile"
+            path.write_text("2 2\n1 1\n1 1\n")
+            source = (str(path),)
+        code, out, err = run(capsys, "verify-upb", *source, "--seed", "-5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: the search seed must be non-negative, got -5\n"
+
     def test_ppt_json(self, capsys):
         code, out, _ = run(capsys, "ppt", "--family", "five-tile", "--m", "3", "--n", "4")
         assert code == 0

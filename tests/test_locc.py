@@ -235,16 +235,8 @@ class TestProtocols:
 
     @pytest.mark.parametrize("m,n", [(8, 8), (10, 10)])
     def test_every_branch_is_audited(self, m, n, monkeypatch):
-        audited = []
-        check = tileupb.locc._check_branch
-
-        def record(node, dims, path, problems):
-            audited.append(path)
-            return check(node, dims, path, problems)
-
-        monkeypatch.setattr(tileupb.locc, "_check_branch", record)
         protocol = build_theorem3_protocol(m, n)
-        report = verify_protocol(protocol, *_resource_stacks(m, n)[1:])
+        report, audited = _audited(monkeypatch, protocol, *_resource_stacks(m, n)[1:])
         assert report.ok
         assert len(set(audited)) == len(audited) == _count_branches(protocol)
 
@@ -271,6 +263,20 @@ class TestProtocols:
             build_theorem3_protocol(5, 5)
         with pytest.raises(ValueError):
             build_theorem3_protocol(4, 3)
+
+
+def _audited(monkeypatch, protocol, lefts, rights):
+    """The report of ``verify_protocol`` and the path of each branch it
+    passed to ``_check_branch``, in call order."""
+    audited = []
+    check = tileupb.locc._check_branch
+
+    def record(node, dims, path, problems):
+        audited.append(path)
+        return check(node, dims, path, problems)
+
+    monkeypatch.setattr(tileupb.locc, "_check_branch", record)
+    return verify_protocol(protocol, lefts, rights), audited
 
 
 def _tree_operator_bytes(node):
@@ -400,6 +406,15 @@ def _embedded_identify_labels_swapped():
     return swapped, *_resource_stacks(6, 6)[1:]
 
 
+def _unreachable_branch():
+    """The 4x4 tree with a zero root outcome added: no state reaches it,
+    and it leads to a Bob layer whose only outcome is 0.3 I."""
+    protocol = build_theorem3_protocol(4, 4)
+    bad = _branch(BOB, [(0.3 * np.eye(8), Identify(0))])
+    return (Branch(protocol.party, protocol.outcomes + ((LocalProjector(np.zeros((8, 8))), bad),)),
+            *_resource_stacks(4, 4)[1:])
+
+
 SABOTAGE = {
     "swapped_identify_labels": _swapped_identify_labels,
     "incomplete_root": _incomplete_root,
@@ -409,6 +424,7 @@ SABOTAGE = {
     "entangled_finish_leaf": _entangled_finish_leaf,
     "nested_bob_outcome_dropped": _nested_bob_outcome_dropped,
     "embedded_identify_labels_swapped": _embedded_identify_labels_swapped,
+    "unreachable_branch": _unreachable_branch,
 }
 
 
@@ -480,6 +496,32 @@ class TestVerifierCatchesSabotage:
         assert report.leaf_violations
         assert all(v.startswith(inner) for v in report.leaf_violations)
 
+    def test_a_branch_no_state_reaches_is_still_audited(self):
+        report = verify_protocol(*_unreachable_branch())
+        assert not report.ok
+        assert "root.2: operator is not idempotent" in report.branch_violations
+        assert "root.2: outcomes do not sum to the identity" in report.branch_violations
+        assert not report.leaf_violations
+        assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
+
+    def test_every_branch_is_audited_once_whatever_reaches_it(self, monkeypatch):
+        protocol, *stacks = _unreachable_branch()
+        _, audited = _audited(monkeypatch, protocol, *stacks)
+        assert len(set(audited)) == len(audited) == _count_branches(protocol) == 12
+
+    def test_a_nan_operator_is_named_at_its_branch(self):
+        protocol, *stacks = _prop2_case(4, 4)()
+        (first, child), *rest = protocol.outcomes
+        op = first.operator.copy()
+        op[0, 0] = np.nan
+        report = verify_protocol(
+            Branch(protocol.party, ((LocalProjector(op), child), *rest)), *stacks)
+        assert not report.ok
+        assert "root: operator is not Hermitian" in report.branch_violations
+        assert "root: outcomes do not sum to the identity" in report.branch_violations
+        assert any(v.startswith("root: state") and "loses norm" in v
+                   for v in report.branch_violations)
+
 
 class TestFactoredWalk:
     def test_resource_states_carry_rank_d_factors(self):
@@ -492,6 +534,14 @@ class TestFactoredWalk:
     def test_zero_states_are_refused(self):
         with pytest.raises(ValueError, match="state 0 is zero"):
             verify_protocol(Identify(0), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)))
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lefts", "rights"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_states_are_refused(self, side, value):
+        stacks = [np.ones((2, 2, 1)), np.ones((2, 2, 1))]
+        stacks[side][1, 0, 0] = value
+        with pytest.raises(ValueError, match="state 1 is not finite"):
+            verify_protocol(Identify(0), *stacks)
 
     def test_the_verdict_is_read_off_the_probabilities(self):
         report = DiscriminationReport((1.0, 0.5), 0.0, (), ())

@@ -94,6 +94,12 @@ class TestBuildState:
         upb = build_upb(ts)
         assert np.allclose(lifted_state(ts), brute_ppt_state(upb), rtol=0, atol=1e-12)
 
+    def test_rejects_a_nan_written_into_the_stack_as_not_orthogonal(self):
+        upb = build_upb(example1())
+        upb.b[2, 1] = np.nan
+        with pytest.raises(ValueError, match="not pairwise orthogonal"):
+            ppt_report(upb)
+
     def test_rejects_a_foreign_origin(self):
         with pytest.raises(ValueError, match="overlap"):
             ppt_report(foreign_origin_upb())

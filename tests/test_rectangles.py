@@ -168,6 +168,10 @@ class TestExtensionWitness:
             assert worst < 1e-12, grid
             assert abs(brute_inner(stopper_state(ts), state)) < 1e-12
 
+    def test_verdict_is_true_exactly_for_a_u_tile(self):
+        assert is_u_tile(example1())
+        assert not is_u_tile(fig2())
+
     def test_u_tile_verdict_has_no_witness(self):
         verdict = is_u_tile(example1())
         assert verdict.witness is None

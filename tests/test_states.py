@@ -192,3 +192,11 @@ class TestUPBSetStack:
         with pytest.raises(ValueError, match="do not fit the 4 x 4 origin"):
             UPBSet(a, b, upb.origin)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_refuses_a_non_finite_entry(self, side, value):
+        upb = build_upb(example1())
+        stacks = {"a": upb.a.copy(), "b": upb.b.copy()}
+        stacks[side][3, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            UPBSet(stacks["a"], stacks["b"], upb.origin)

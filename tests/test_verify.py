@@ -95,6 +95,17 @@ class TestOrthogonalityCheck:
         if count > 2:  # both verdicts occur
             assert 0 < len(want) < count * (count - 1) // 2
 
+    def test_a_nan_overlap_counts_as_violating(self):
+        """One NaN entry makes every overlap of its state NaN, and each
+        such pair violates."""
+        upb = build_upb(example1())
+        a = upb.a.copy()
+        a[0, 0] = np.nan
+        report = check_orthogonal_set(a, upb.b)
+        assert not report.ok
+        assert report.violating_pairs == len(a) - 1
+        assert np.isnan(report.max_offdiagonal)
+
     def test_large_tiles_pass_under_the_relative_rule(self):
         upb = build_upb(five_tile(32, 32))
         assert check_orthogonal_set(upb.a, upb.b).ok
@@ -208,6 +219,15 @@ class TestCertifyUpb:
         assert "zero" in cert.refusal
         assert not cert.stopper_law_ok
 
+    def test_a_nan_written_into_the_stack_is_refused_as_not_orthogonal(self):
+        """UPBSet refuses a NaN on construction; one written into its
+        stack afterwards is refused for orthogonality, not as a zero."""
+        upb = build_upb(example1())
+        upb.a[0, 0] = np.nan
+        cert = certify_upb(upb)
+        assert cert.refusal.startswith("the states are not pairwise orthogonal")
+        assert not cert.ok
+
     def test_a_rescaled_stopper_keeps_the_stopper_law(self):
         upb = build_upb(example1())
         last = upb.states[-1]
@@ -279,6 +299,10 @@ class TestSeesawSearch:
     def test_refuses_fewer_than_one_restart(self, restarts):
         with pytest.raises(ValueError, match="at least one restart"):
             seesaw_search(fig2(), restarts=restarts)
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            seesaw_search(fig2(), seed=-1)
 
     def test_a_single_tile_has_nothing_to_search(self):
         with pytest.raises(ValueError, match="nothing to search"):
@@ -499,6 +523,12 @@ class TestCheckUpb:
         assert report.search is None
         assert report.to_json_dict()["certificate"] is None
         assert "vacuous" in report.note
+
+    @pytest.mark.parametrize("ts", [fig2(), structure_from_grid([[1, 1], [1, 1]])],
+                             ids=["fig2", "one-tile"])
+    def test_refuses_a_negative_seed_whether_or_not_a_search_runs(self, ts):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            check_upb(build_upb(ts), seed=-5)
 
     def test_report_serializes(self):
         report = check_upb(build_upb(prop3(4, 6)), restarts=30, seed=1)
