@@ -8,11 +8,13 @@ content, not a U-tile, failed basis or state or protocol verification),
 2 for usage, format, or I/O errors.  ``build-upb`` refuses a structure
 that is not U-tile; ``ppt`` prints its report for one and exits 1, since
 the state is then PPT without an entanglement certificate.
+``main(argv)`` returns the exit code; repeated calls share one parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,6 +230,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tileupb", description=(
         "Tile structures, unextendible product bases, and discrimination protocols."))

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .families import prop2
-from .states import upb_state_labels, STOPPER_LABEL
+from .states import STOPPER_LABEL, pow2_scaled, upb_state_labels
 
 __all__ = [
     "ALICE",
@@ -419,7 +419,7 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     equal state counts and ranks, or when there are no states or one
     is zero or not finite.
     """
-    lefts, rights = np.asarray(lefts, dtype=complex), np.asarray(rights, dtype=complex)
+    lefts, rights = pow2_scaled(lefts), pow2_scaled(rights)  # exact; keeps norms2 finite
     if not (lefts.ndim == rights.ndim == 3 and len(lefts) == len(rights)
             and lefts.shape[2] == rights.shape[2]):
         raise ValueError(f"cut factor stacks of shapes {lefts.shape} and {rights.shape} "

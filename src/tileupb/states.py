@@ -70,6 +70,16 @@ def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def pow2_scaled(stack: np.ndarray) -> np.ndarray:
+    """Each state (all axes but the first) of a complex stack times the power
+    of two that puts its largest real or imaginary part in [1, 2): exact, so
+    no norm over- or underflows; a stack already in range is not copied."""
+    parts = np.ascontiguousarray(stack, dtype=complex).view(float)
+    peak = np.max(np.abs(parts), axis=tuple(range(1, parts.ndim)), keepdims=True, initial=0.0)
+    shift = 1 - np.frexp(peak)[1]
+    return (np.ldexp(parts, shift) if shift.any() else parts).view(complex)
+
+
 @dataclass(frozen=True, eq=False)
 class UPBSet:
     """An ordered product-state set on the grid of a tile structure,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import TileStructure
 from .rectangles import UTileVerdict, is_u_tile
-from .states import ProductState, UPBSet
+from .states import ProductState, UPBSet, pow2_scaled
 
 __all__ = [
     "OrthogonalityReport",
@@ -85,20 +85,19 @@ class SearchResult:
 def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
     """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|) not
     within DEFAULT_ORTH_TOL (a NaN one too) for the product states psi_i
-    with factors row i of the stacks A (N x m) and B (N x n); a zero
-    overlaps nothing.
+    with factors row i of the stacks A (N x m) and B (N x n), each row
+    scaled first by ``pow2_scaled``; a zero overlaps nothing.
 
     The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
     at a time over the columns j >= the block's first row, so memory
     stays O(GRAM_BLOCK * N) however many pairs violate.
     """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    count = len(a)
+    a, b = pow2_scaled(a), pow2_scaled(b)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
     violating, worst = 0, 0.0
-    for start in range(0, count - 1, GRAM_BLOCK):
-        stop = min(start + GRAM_BLOCK, count)
+    for start in range(0, len(a) - 1, GRAM_BLOCK):
+        stop = min(start + GRAM_BLOCK, len(a))
         gram = a[start:stop].conj() @ a[start:].T
         gram *= b[start:stop].conj() @ b[start:].T
         rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
@@ -300,41 +299,6 @@ class UPBCertificate:
         }
 
 
-def _certify(upb: UPBSet, norms: np.ndarray, orth: OrthogonalityReport) -> str | None:
-    """The first condition of the complement certificate that fails, as
-    the refusal ``certify_upb`` reports, or None when all hold.
-
-    In the orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper
-    is the unit vector u_hat = (sqrt(|t| / mn))_t, and state psi_i has
-    coordinates v_i = ((A* R) o (B* C)) / sqrt|t| from the tiles' row
-    and column indicator matrices R and C.  Its component in span{1_t}
-    minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||, which no
-    choice of basis enters.  Pairwise orthogonal states, tiles that
-    partition the grid (as every TileStructure's do), the size law and
-    every component at most DEFAULT_ORTH_TOL relative to |psi_i|
-    (``norms``) prove that (s - 1)-dimensional space is exactly the
-    complement, whatever ``origin`` claims.
-    """
-    if not orth.ok:
-        return (f"the states are not pairwise orthogonal: {orth.violating_pairs} violating "
-                f"pairs, worst {orth.max_offdiagonal:.3e}")
-    ts = upb.origin
-    m, n, s = upb.m, upb.n, ts.tile_count
-    if len(upb.a) != m * n - s + 1:
-        return f"{len(upb.a)} states where the size law gives {m * n - s + 1}"
-    rows, cols, sizes = _tile_incidence(ts)
-    if not np.all(norms > 0):
-        return "a state is zero"
-    coords = (upb.a.conj() @ rows) * (upb.b.conj() @ cols) / np.sqrt(sizes)
-    u_hat = np.sqrt(sizes / (m * n))
-    inside = coords - np.outer(coords @ u_hat, u_hat)
-    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
-    if not worst <= DEFAULT_ORTH_TOL:
-        return (f"the tile complement overlaps the states: relative component {worst:.3e} "
-                f"exceeds {DEFAULT_ORTH_TOL:.1e}")
-    return None
-
-
 def _all_ones(factor: np.ndarray) -> bool:
     """A nonzero factor whose component off the all-ones vector is at most
     DEFAULT_ORTH_TOL of its norm."""
@@ -344,35 +308,58 @@ def _all_ones(factor: np.ndarray) -> bool:
 
 def certify_upb(upb: UPBSet) -> UPBCertificate:
     """The verdict on a UPBSet that needs no search, read off its factor
-    stack ``upb.a``, ``upb.b``.
+    stack ``upb.a``, ``upb.b`` with each row scaled by ``pow2_scaled``.
 
     Reports pairwise orthogonality (``check_orthogonal_set``), the size
     law N = mn - s + 1 and the stopper law (the last state is the
     stopper up to scale, by ``_all_ones`` on both factors, so its
     overlap with each tile's omitted state is proportional to |t| and
     nonzero), and certifies the complement span{1_t} minus the stopper
-    (``_certify``) or names why not in ``refusal``; for one tile the
-    certified complement is empty and no U-tile decision is made.  On a
-    certified nonempty complement the paper's theorem makes the origin's
-    U-tile decision exact: a U-tile origin gives a UPB, and otherwise the
+    or names in ``refusal`` the first condition that fails.  In the
+    orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper is
+    u_hat = (sqrt(|t| / mn))_t and state psi_i has coordinates
+    v_i = ((A* R) o (B* C)) / sqrt|t|, R and C the tiles' row and column
+    indicators; its component in span{1_t} minus the stopper has norm
+    ||v_i - (v_i . u_hat) u_hat|| in any basis.  Pairwise orthogonal
+    states, tiles that partition the grid (as every TileStructure's do),
+    the size law and every component at most DEFAULT_ORTH_TOL relative
+    to |psi_i| prove that (s - 1)-dimensional space is the complement,
+    whatever the origin claims; for one tile it is empty and no U-tile
+    decision is made.  Otherwise the paper's theorem makes the origin's
+    U-tile decision exact: a U-tile origin gives a UPB, and else the
     witness's extension state is a product state in the complement,
     checked against every state.
     """
     ts = upb.origin
-    mn, s, count = upb.m * upb.n, ts.tile_count, len(upb.a)
-    norms = np.linalg.norm(upb.a, axis=1) * np.linalg.norm(upb.b, axis=1)
-    orth = check_orthogonal_set(upb.a, upb.b)
-    stopper_ok = count > 0 and _all_ones(upb.a[-1]) and _all_ones(upb.b[-1])
-    certificate = partial(UPBCertificate, count, mn - s + 1, orth, stopper_ok, s - 1)
-    refusal = _certify(upb, norms, orth)
-    if refusal or s == 1:
-        return certificate(refusal)
+    m, n, s, count = upb.m, upb.n, ts.tile_count, len(upb.a)
+    a, b = pow2_scaled(upb.a), pow2_scaled(upb.b)
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    orth = check_orthogonal_set(a, b)
+    stopper_ok = count > 0 and _all_ones(a[-1]) and _all_ones(b[-1])
+    certificate = partial(UPBCertificate, count, m * n - s + 1, orth, stopper_ok, s - 1)
+    if not orth.ok:
+        return certificate(f"the states are not pairwise orthogonal: {orth.violating_pairs} "
+                           f"violating pairs, worst {orth.max_offdiagonal:.3e}")
+    if count != m * n - s + 1:
+        return certificate(f"{count} states where the size law gives {m * n - s + 1}")
+    if not np.all(norms > 0):
+        return certificate("a state is zero")
+    rows, cols, sizes = _tile_incidence(ts)
+    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
+    u_hat = np.sqrt(sizes / (m * n))
+    inside = coords - np.outer(coords @ u_hat, u_hat)
+    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
+    if not worst <= DEFAULT_ORTH_TOL:
+        return certificate(f"the tile complement overlaps the states: relative component "
+                           f"{worst:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
+    if s == 1:
+        return certificate()
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
     state = verdict.witness.state
     scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
-    overlaps = np.abs(upb.a.conj() @ state.a_vec) * np.abs(upb.b.conj() @ state.b_vec) / scale
+    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
     return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))
 
 

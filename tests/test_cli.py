@@ -13,7 +13,7 @@ import pytest
 import tileupb.cli
 import tileupb.verify
 from tileupb import build_upb, example1, five_tile, prop2, prop3, validate
-from tileupb.cli import _build_parser, main
+from tileupb.cli import COMMANDS, _build_parser, main
 
 from conftest import brute_tile_matrices, structure_from_grid
 
@@ -404,6 +404,50 @@ class TestParser:
         with pytest.raises(SystemExit):
             run(capsys, "verify-upb", "--help")
         assert re.search(r"--seed SEED\s+.*non-negative", capsys.readouterr().out)
+
+
+class TestRepeatedCalls:
+    """``main`` may be called many times in one process; the parser it
+    builds on the first call is reused, so no call may leave state in it."""
+
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_each_call_starts_from_the_defaults(self, tmp_path, capsys):
+        out, bad = tmp_path / "report.json", tmp_path / "bad.tile"
+        bad.write_text("2 2\n1 1\n1 3\n")
+
+        def output(*argv):
+            assert main([*argv, "--json", "-o", str(out)]) == 0
+            return out.read_bytes()
+
+        utile = ["check-utile", "--family", "prop2", "--m", "4", "--n", "4"]
+        first = output(*utile)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-utile", "--family", "prop2"])
+        assert exc.value.code == 2
+        assert output(*utile) == first
+        assert main(["validate", str(bad)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert output(*utile) == first
+        verify = ["verify-upb", "--family", "example1", "--restarts", "3"]
+        default = output(*verify)
+        assert json.loads(output(*verify, "--seed", "5"))["settings"]["seed"] == 5
+        assert output(*verify) == default
+        assert json.loads(default)["settings"]["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [[]] + [[name] for name in COMMANDS],
+                             ids=lambda argv: " ".join(argv) or "tileupb")
+    def test_help_matches_a_freshly_built_parser(self, capsys, argv):
+        texts = []
+        for parser in (_build_parser(), _build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*argv, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: tileupb")
 
 
 def _readme_command_lines():

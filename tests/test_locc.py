@@ -534,6 +534,22 @@ class TestFactoredWalk:
     def test_zero_states_are_refused(self):
         with pytest.raises(ValueError, match="state 0 is zero"):
             verify_protocol(Identify(0), np.zeros((1, 2, 1)), np.zeros((1, 2, 1)))
+        protocol, lefts, rights = _prop2_case(4, 4)()
+        lefts = lefts.copy()
+        lefts[0] = 0.0
+        with pytest.raises(ValueError, match="state 0 is zero"):
+            verify_protocol(protocol, lefts, rights)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_a_rescaled_state_is_discriminated_at_any_scale(self, scale):
+        """Only the direction of a state enters its probabilities, so a
+        huge or tiny but nonzero state 0 is still discriminated."""
+        protocol, lefts, rights = _prop2_case(4, 4)()
+        lefts = lefts.copy()
+        lefts[0] *= scale
+        report = verify_protocol(protocol, lefts, rights)
+        assert report.ok, report.branch_violations + report.leaf_violations
+        assert report.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("side", [0, 1], ids=["lefts", "rights"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

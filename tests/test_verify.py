@@ -11,6 +11,7 @@ import tileupb.verify
 from tileupb import (
     ProductState,
     SearchResult,
+    UPBSet,
     build_upb,
     certify_upb,
     check_orthogonal_set,
@@ -105,6 +106,18 @@ class TestOrthogonalityCheck:
         assert not report.ok
         assert report.violating_pairs == len(a) - 1
         assert np.isnan(report.max_offdiagonal)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_a_repeated_state_is_caught_at_any_scale(self, scale):
+        """State 0 copied into row 1 overlaps it fully however state 0 is
+        scaled; a norm that overflows or underflows must not hide it."""
+        upb = build_upb(prop2(4, 4))
+        a, b = upb.a.copy(), upb.b.copy()
+        a[1], b[1] = a[0], b[0]
+        a[0] *= scale
+        report = check_orthogonal_set(a, b)
+        assert report.violating_pairs == 1
+        assert report.max_offdiagonal == pytest.approx(1.0, abs=1e-12)
 
     def test_large_tiles_pass_under_the_relative_rule(self):
         upb = build_upb(five_tile(32, 32))
@@ -218,6 +231,17 @@ class TestCertifyUpb:
         cert = certify_upb(tampered_upb(upb, zeroed))
         assert "zero" in cert.refusal
         assert not cert.stopper_law_ok
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_a_rescaled_state_is_certified_at_any_scale(self, scale):
+        """States are unnormalized: a huge or tiny but nonzero state 0
+        leaves the prop2 4 x 4 basis a certified UPB."""
+        upb = build_upb(prop2(4, 4))
+        a = upb.a.copy()
+        a[0] *= scale
+        cert = certify_upb(UPBSet(a, upb.b, upb.origin))
+        assert cert.refusal is None and cert.orthogonality.ok
+        assert cert.ok and cert.u_tile
 
     def test_a_nan_written_into_the_stack_is_refused_as_not_orthogonal(self):
         """UPBSet refuses a NaN on construction; one written into its
