@@ -9,11 +9,16 @@ content, not a U-tile, failed basis or state or protocol verification),
 that is not U-tile; ``ppt`` prints its report for one and exits 1, since
 the state is then PPT without an entanglement certificate.
 ``main(argv)`` returns the exit code; repeated calls share one parser.
+
+The library returns frozen report dataclasses; this module alone renders
+them, as text and as ``--json`` (sorted keys, so byte-for-byte
+deterministic), each command's two forms side by side.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -71,6 +76,27 @@ def _emit(args, text: str, payload) -> None:
         sys.stdout.write(body)
 
 
+def _product_json(state) -> dict:
+    """A product state's factors, each as a list of [re, im] pairs."""
+    return {key: [[z.real, z.imag] for z in map(complex, vec)]
+            for key, vec in (("a", state.a_vec), ("b", state.b_vec))}
+
+
+def _attrs(obj, *names, **rendered) -> dict:
+    """The named attributes of a report, then ``rendered`` (renamed or
+    rendered in place)."""
+    return {**{name: getattr(obj, name) for name in names}, **rendered}
+
+
+def _fields_json(report, *derived, **rendered) -> dict:
+    """A report's dataclass fields and the named derived properties."""
+    return _attrs(report, *(f.name for f in dataclasses.fields(report)), *derived, **rendered)
+
+
+def _witness_json(wit) -> dict:
+    return _fields_json(wit, tiles=wit.tile_ids, state=_product_json(wit.state))
+
+
 def _describe_witness(wit) -> str:
     return (f"witness rectangle: tiles {{{', '.join(map(str, wit.tile_ids))}}} "
             f"(rows {list(wit.rows)} x cols {list(wit.cols)})\n"
@@ -97,7 +123,7 @@ def _cmd_check_utile(args, parser) -> int:
     if verdict.is_u_tile:
         _emit(args, "U-tile: yes", payload)
         return 0
-    payload["witness"] = verdict.witness.to_json_dict()
+    payload["witness"] = _witness_json(verdict.witness)
     _emit(args, "U-tile: no\n" + _describe_witness(verdict.witness), payload)
     return 1
 
@@ -135,15 +161,25 @@ def _cmd_verify_upb(args, parser) -> int:
         f"complement dimension: {cert.complement_dim} "
         f"(expected {cert.expected_complement_dim})",
     ]
-    if report.search is not None:
-        lines.append(
-            f"best product overlap: {report.search.best_overlap:.12f} "
-            f"over {report.search.restarts_run} restarts"
-        )
+    search = report.search
+    if search is not None:
+        lines.append(f"best product overlap: {search.best_overlap:.12f} "
+                     f"over {search.restarts_run} restarts")
+        search = _fields_json(search, best_product=_product_json(search.best_product))
     if report.note:
         lines.append(report.note)
     lines.append("verdict: " + ("unextendible product basis" if report.passed else "FAILED"))
-    _emit(args, "\n".join(lines), report.to_json_dict())
+    # "certificate" is the U-tile verdict, None when none was made
+    origin = None if cert.verdict is None else {"u_tile": cert.u_tile, "witness": None}
+    if origin and not cert.u_tile:
+        origin.update(witness=_witness_json(cert.verdict.witness), max_overlap=cert.max_overlap)
+    _emit(args, "\n".join(lines), {
+        **_attrs(cert, "size", "expected_size", "size_ok", "stopper_law_ok", "complement_dim",
+                 "expected_complement_dim", orthogonal=cert.orthogonality.ok,
+                 max_offdiagonal=cert.orthogonality.max_offdiagonal),
+        **_attrs(report, "product_found", "passed", "note", "settings",
+                 certificate=origin, search=search),
+    })
     return 0 if report.passed else 1
 
 
@@ -161,7 +197,7 @@ def _cmd_ppt(args, parser) -> int:
         lines.append(f"warning: {report.warning}")
     certified = report.ok and report.entangled_certificate is not None
     lines.append("verdict: " + ("ok" if certified else "FAILED"))
-    _emit(args, "\n".join(lines), report.to_json_dict())
+    _emit(args, "\n".join(lines), _fields_json(report, "ok"))
     return 0 if certified else 1
 
 
@@ -181,7 +217,7 @@ def _cmd_distinguish(args, parser) -> int:
         lines.append(f"violation: {problem}")
     lines.append("verdict: " + ("perfect discrimination" if report.ok else "FAILED"))
     _emit(args, "\n".join(lines), {"m": args.m, "n": args.n, "resource_dim": resource_dim,
-                                   "report": report.to_json_dict()})
+                                   "report": _fields_json(report, "min_success_probability", "ok")})
     return 0 if report.ok else 1
 
 

@@ -27,13 +27,13 @@ refused unbuilt.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .families import prop2
-from .states import STOPPER_LABEL, pow2_scaled, upb_state_labels
+from .states import STOPPER_LABEL, factor_stacks, pow2_scaled, upb_state_labels
 
 __all__ = [
     "ALICE",
@@ -93,11 +93,12 @@ def attach_resource(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, n
     """Tensor the product states with factor stacks a (N x m) and
     b (N x n) with the unnormalized d-level resource sum_j |jj> on the
     ancilla pair: the cut factor stacks kron(a_i, I_d) (N x m*d x d) and
-    kron(b_i, I_d) (N x n*d x d), rows indexed A*d + a and B*d + b."""
+    kron(b_i, I_d) (N x n*d x d), rows indexed A*d + a and B*d + b.
+    Raises ValueError for d < 1 or stacks that ``factor_stacks`` refuses."""
     if d < 1:
         raise ValueError("resource dimension must be at least 1")
     eye = np.eye(d)
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = factor_stacks(a, b)
     return ((a[:, :, None, None] * eye).reshape(len(a), -1, d),
             (b[:, :, None, None] * eye).reshape(len(b), -1, d))
 
@@ -314,10 +315,6 @@ class DiscriminationReport:
         return (not self.branch_violations and not self.leaf_violations
                 and self.min_success_probability >= 1.0 - PROB_TOL
                 and self.max_wrong_probability <= PROB_TOL)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "min_success_probability": self.min_success_probability,
-                "ok": self.ok}
 
 
 def _gram(idle: np.ndarray) -> np.ndarray:

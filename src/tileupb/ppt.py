@@ -24,7 +24,7 @@ entanglement certificate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .states import UPBSet
 from .verify import certify_upb
@@ -48,9 +48,6 @@ class PPTReport:
     @property
     def ok(self) -> bool:
         return self.rank == self.expected_rank > 0 and self.ppt
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
 
 
 def ppt_report(upb: UPBSet) -> PPTReport:

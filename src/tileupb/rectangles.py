@@ -55,17 +55,6 @@ class UTileWitness:
     def tile_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.part1 + self.part2))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tiles": list(self.tile_ids),
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "axis": self.axis,
-            "part1": list(self.part1),
-            "part2": list(self.part2),
-            "state": self.state.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class UTileVerdict:

@@ -42,11 +42,6 @@ class ProductState:
         object.__setattr__(self, "a_vec", np.asarray(self.a_vec, dtype=complex))
         object.__setattr__(self, "b_vec", np.asarray(self.b_vec, dtype=complex))
 
-    def to_json_dict(self) -> dict:
-        """Each factor as a list of [re, im] pairs."""
-        return {"a": [[z.real, z.imag] for z in map(complex, self.a_vec)],
-                "b": [[z.real, z.imag] for z in map(complex, self.b_vec)]}
-
 
 def _dft(size: int) -> np.ndarray:
     """The DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
@@ -67,6 +62,15 @@ def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.zeros((p * q, n), dtype=complex)
     a[:, list(tile.rows)] = np.repeat(_dft(p), q, axis=0)
     b[:, list(tile.cols)] = np.tile(_dft(q), (p, 1))
+    return a, b
+
+
+def factor_stacks(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Complex factor stacks a (N x m) and b (N x n), else ValueError."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if not (a.ndim == b.ndim == 2 and len(a) == len(b)):
+        raise ValueError(f"factor stacks of shapes {a.shape} and {b.shape} need two axes "
+                         "with equal state counts")
     return a, b
 
 

@@ -25,7 +25,7 @@ restarts take it together as one stacked p x p (or q x q) eigh.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .grid import TileStructure
 from .rectangles import UTileVerdict, is_u_tile
-from .states import ProductState, UPBSet, pow2_scaled
+from .states import ProductState, UPBSet, factor_stacks, pow2_scaled
 
 __all__ = [
     "OrthogonalityReport",
@@ -78,21 +78,19 @@ class SearchResult:
     converged_restarts: int
     monotonicity_violations: int
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "best_product": self.best_product.to_json_dict()}
-
 
 def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
     """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|) not
     within DEFAULT_ORTH_TOL (a NaN one too) for the product states psi_i
     with factors row i of the stacks A (N x m) and B (N x n), each row
-    scaled first by ``pow2_scaled``; a zero overlaps nothing.
+    scaled first by ``pow2_scaled``; a zero overlaps nothing.  Raises
+    ValueError for stacks that ``factor_stacks`` refuses.
 
     The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
     at a time over the columns j >= the block's first row, so memory
     stays O(GRAM_BLOCK * N) however many pairs violate.
     """
-    a, b = pow2_scaled(a), pow2_scaled(b)
+    a, b = map(pow2_scaled, factor_stacks(a, b))
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     scale = np.where(norms > 0, norms, 1.0)
     violating, worst = 0, 0.0
@@ -202,8 +200,7 @@ def seesaw_search(
     rng = np.random.default_rng(seed)
     best_overlap = -1.0
     best_x = best_y = None
-    converged_count = 0
-    violations = 0
+    converged_count = violations = 0
     for first in range(0, restarts, block):
         # The same normals, in the same order, as one start at a time.
         draws = rng.standard_normal((min(block, restarts - first), 2 * (m + n)))
@@ -230,13 +227,8 @@ def seesaw_search(
         if overlaps[k] > best_overlap:
             best_overlap = float(overlaps[k])
             best_x, best_y = x[k], y[k]
-    return SearchResult(
-        best_overlap=best_overlap,
-        best_product=ProductState(side_a.lift @ best_x, side_b.lift @ best_y),
-        restarts_run=restarts,
-        converged_restarts=converged_count,
-        monotonicity_violations=violations,
-    )
+    return SearchResult(best_overlap, ProductState(side_a.lift @ best_x, side_b.lift @ best_y),
+                        restarts, converged_count, violations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,27 +268,6 @@ class UPBCertificate:
         stopper law holds, and the origin is U-tile or the only tile."""
         return (self.stopper_law_ok and self.refusal is None
                 and (self.verdict is None or self.verdict.is_u_tile))
-
-    def to_json_dict(self) -> dict:
-        """The ``verify-upb`` report keys it decides; ``certificate`` holds
-        the U-tile verdict, None when none was made."""
-        origin = None
-        if self.verdict is not None:
-            origin = {"u_tile": self.u_tile, "witness": None}
-            if not self.u_tile:
-                origin.update(witness=self.verdict.witness.to_json_dict(),
-                              max_overlap=self.max_overlap)
-        return {
-            "size": self.size,
-            "expected_size": self.expected_size,
-            "size_ok": self.size_ok,
-            "orthogonal": self.orthogonality.ok,
-            "max_offdiagonal": self.orthogonality.max_offdiagonal,
-            "stopper_law_ok": self.stopper_law_ok,
-            "complement_dim": self.complement_dim,
-            "expected_complement_dim": self.expected_complement_dim,
-            "certificate": origin,
-        }
 
 
 def _all_ones(factor: np.ndarray) -> bool:
@@ -397,16 +368,6 @@ class UPBCheckReport:
         return ("not a U-tile, but the witness state overlaps the states: relative "
                 f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            **self.certificate.to_json_dict(),
-            "search": None if self.search is None else self.search.to_json_dict(),
-            "product_found": self.product_found,
-            "passed": self.passed,
-            "note": self.note,
-            "settings": dict(self.settings),
-        }
-
 
 def check_upb(
     upb: UPBSet,
@@ -427,12 +388,6 @@ def check_upb(
     _check_search_settings(restarts, seed)
     cert = certify_upb(upb)
     search = None if cert.verdict is None else seesaw_search(upb.origin, restarts, seed)
-    settings = {
-        "restarts": restarts,
-        "max_iters": DEFAULT_MAX_ITERS,
-        "conv_tol": DEFAULT_CONV_TOL,
-        "seed": seed,
-        "orth_tol": DEFAULT_ORTH_TOL,
-        "product_threshold": PRODUCT_THRESHOLD,
-    }
+    settings = dict(restarts=restarts, max_iters=DEFAULT_MAX_ITERS, conv_tol=DEFAULT_CONV_TOL,
+                    seed=seed, orth_tol=DEFAULT_ORTH_TOL, product_threshold=PRODUCT_THRESHOLD)
     return UPBCheckReport(cert, search, settings)

@@ -174,7 +174,17 @@ class TestChecks:
         data = json.loads(out1)
         assert data["passed"] is True
         assert data["settings"]["restarts"] == 40
+        assert data["search"]["restarts_run"] == 40
         assert data["certificate"] == {"u_tile": True, "witness": None}
+
+    def test_verify_upb_json_on_one_tile_is_a_vacuous_pass(self, capsys, tmp_path):
+        path = tmp_path / "one.tile"
+        path.write_text("2 2\n1 1\n1 1\n")
+        code, out, _ = run(capsys, "verify-upb", str(path), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["passed"] is True
+        assert data["certificate"] is None and data["search"] is None
 
     def test_verify_upb_fails_on_extendible_input(self, capsys):
         code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--restarts", "40")
@@ -437,6 +447,17 @@ class TestRepeatedCalls:
         assert json.loads(output(*verify, "--seed", "5"))["settings"]["seed"] == 5
         assert output(*verify) == default
         assert json.loads(default)["settings"]["seed"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        *[(command, "--family", family) for command in ("check-utile", "build-upb", "ppt",
+                                                       "validate")
+          for family in ("fig2", "example1")],
+        ("distinguish", "--m", "4", "--n", "4"),
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_json_output_is_byte_identical_on_a_second_call(self, capsys, argv):
+        first = run(capsys, *argv, "--json")
+        assert first[1] or first[2]
+        assert run(capsys, *argv, "--json") == first
 
     @pytest.mark.parametrize("argv", [[]] + [[name] for name in COMMANDS],
                              ids=lambda argv: " ".join(argv) or "tileupb")

@@ -94,6 +94,14 @@ class TestResourceStacks:
         with pytest.raises(ValueError, match="at least 1"):
             attach_resource([[1, 2]], [[3, 4]], d)
 
+    @pytest.mark.parametrize("case", ["vectors", "one-b-row"])
+    def test_refuses_stacks_of_unequal_state_counts(self, case):
+        upb = build_upb(prop2(4, 4))
+        a, b, shapes = {"vectors": (upb.a[0], upb.b[0], r"\(4,\) and \(4,\)"),
+                        "one-b-row": (upb.a, upb.b[:1], r"\(12, 4\) and \(1, 4\)")}[case]
+        with pytest.raises(ValueError, match=f"factor stacks of shapes {shapes}"):
+            attach_resource(a, b, 2)
+
     def test_cut_matrix_agrees_with_kron_application(self):
         """The walk's rule, P M for Alice's outcome and M Pᵀ for Bob's,
         is the operator's full Kronecker lift on the joint vector."""
@@ -563,7 +571,6 @@ class TestFactoredWalk:
         report = DiscriminationReport((1.0, 0.5), 0.0, (), ())
         assert report.min_success_probability == 0.5
         assert not report.ok
-        assert report.to_json_dict()["ok"] is False
 
     @pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
     def test_agrees_with_the_dense_walk(self, case):

@@ -72,24 +72,27 @@ def test_only_the_grid_module_calls_validate(path):
     assert not calls, f"{path.name}: validate called on line(s) {calls}"
 
 
-# src/tileupb/*.py held 2,427 lines when the line count started to be
-# tracked, 2,355 once the PPT report became closed-form, 2,321 once one
-# certificate decided a tile basis, 2,278 once a tile structure kept
-# only its grid and a U-tile witness its extension state, 2,277 once a
-# tile basis was stored as its factor stack, 2,195 once the per-state
-# twins of that stack and the members only tests called were deleted,
-# 2,105 once the protocol walk took the factor stacks and build-upb --json
-# named its states by label, 2,080 once each protocol layer, leaf rule,
-# PPT report and orthogonality report was built one way (with the
-# protocol size refusal added), and 2,078 once a tile structure validated
-# itself on construction and reports derived their verdicts (with the
-# CLI's refusal of structure flags its source does not take added), and
-# 1,988 once the package re-exported each module's __all__ and one table
-# built the CLI parser, and 1,979 once the protocol walk entered every
-# outcome and the complement certificate returned its refusal (with the
-# refusals of negative seeds and non-finite stacks added); it may only
-# fall, so speed work cannot grow the library unnoticed.
-SOURCE_LINE_CAP = 1979
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_only_the_cli_renders_json(path):
+    """The library returns report objects and the CLI renders them, so
+    the ``--json`` schema lives in one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name == "to_json_dict")
+        or (isinstance(node, ast.Import) and "json" in [alias.name for alias in node.names])
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+        or (isinstance(node, (ast.ImportFrom, ast.Import))
+            and "asdict" in [alias.name for alias in node.names])
+        or (isinstance(node, ast.Attribute) and node.attr == "asdict")
+    ]
+    assert not found, f"{path.name}: JSON rendering on line(s) {found}"
+
+
+# src/tileupb/*.py held 2,427 lines when the count started and holds
+# 1,957 now; it may only fall, so speed work cannot grow the library
+# unnoticed.
+SOURCE_LINE_CAP = 1957
 
 
 def test_library_source_stays_under_the_line_cap():

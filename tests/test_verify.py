@@ -1,5 +1,6 @@
 """Orthogonality checks, the complement certificate, and the product search."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from tileupb import (
     prop3,
     seesaw_search,
 )
+from tileupb.cli import main
 from tileupb.verify import DEFAULT_ORTH_TOL, GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
 
 from conftest import (
@@ -118,6 +120,17 @@ class TestOrthogonalityCheck:
         report = check_orthogonal_set(a, b)
         assert report.violating_pairs == 1
         assert report.max_offdiagonal == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["one-a-row", "one-b-row", "vectors"])
+    def test_refuses_stacks_of_unequal_state_counts(self, case):
+        """A 1-row A against 12 B rows is no silent pass, and one B row is
+        not broadcast over every state."""
+        upb = build_upb(prop2(4, 4))
+        a, b, shapes = {"one-a-row": (upb.a[:1], upb.b, r"\(1, 4\) and \(12, 4\)"),
+                        "one-b-row": (upb.a, upb.b[:1], r"\(12, 4\) and \(1, 4\)"),
+                        "vectors": (upb.a[0], upb.b[0], r"\(4,\) and \(4,\)")}[case]
+        with pytest.raises(ValueError, match=f"factor stacks of shapes {shapes}"):
+            check_orthogonal_set(a, b)
 
     def test_large_tiles_pass_under_the_relative_rule(self):
         upb = build_upb(five_tile(32, 32))
@@ -495,7 +508,6 @@ class TestCheckUpb:
         assert cert.stopper_law_ok
         assert not report.product_found
         assert cert.u_tile
-        assert report.to_json_dict()["certificate"] == {"u_tile": True, "witness": None}
 
     def test_extendible_basis_fails_with_a_certificate(self):
         report = check_upb(build_upb(fig2()), restarts=50, seed=0)
@@ -529,7 +541,6 @@ class TestCheckUpb:
     def test_the_objective_never_drops(self, ts):
         report = check_upb(build_upb(ts), restarts=50, seed=0)
         assert report.search.monotonicity_violations == 0
-        assert report.to_json_dict()["search"]["monotonicity_violations"] == 0
 
     def test_uncertified_complement_fails_without_a_search(self):
         report = check_upb(foreign_origin_upb(), restarts=10, seed=0)
@@ -545,7 +556,6 @@ class TestCheckUpb:
         assert report.passed
         assert report.certificate.complement_dim == 0
         assert report.search is None
-        assert report.to_json_dict()["certificate"] is None
         assert "vacuous" in report.note
 
     @pytest.mark.parametrize("ts", [fig2(), structure_from_grid([[1, 1], [1, 1]])],
@@ -554,12 +564,18 @@ class TestCheckUpb:
         with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
             check_upb(build_upb(ts), seed=-5)
 
-    def test_report_serializes(self):
+    def test_report_serializes(self, capsys):
+        """The report serializes through ``verify-upb --json``, the one
+        renderer, and the JSON agrees with the library report."""
         report = check_upb(build_upb(prop3(4, 6)), restarts=30, seed=1)
-        data = report.to_json_dict()
-        assert data["passed"] is True
+        code = main(["verify-upb", "--family", "prop3", "--m", "4", "--tiles", "6",
+                     "--restarts", "30", "--seed", "1", "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["passed"] is True and report.passed
         assert data["settings"]["restarts"] == 30
         assert data["search"]["restarts_run"] == 30
+        assert data["search"]["best_overlap"] == report.search.best_overlap
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(ts=limit_structures())
