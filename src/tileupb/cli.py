@@ -206,7 +206,7 @@ def _cmd_distinguish(args, parser) -> int:
     _check_dim("n", args.n)
     protocol = build_theorem3_protocol(args.m, args.n)
     upb = build_upb(prop2(args.m, args.n))
-    resource_dim = args.m // 2
+    resource_dim = len(protocol.outcomes)  # one root outcome per resource level
     report = verify_protocol(protocol, *attach_resource(upb.a, upb.b, resource_dim))
     lines = [
         f"states: {len(upb.a)} on {args.m} x {args.n} with a {resource_dim}-level resource",

@@ -15,14 +15,14 @@ outcome acts on one stack.
 
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
-(m/2)-level resource.  Alice's root layer picks one of m/2 cyclic
-shifts of the ancilla levels, each the first outcome placed by its
-shift; below it the tree peels the outer ring and recurses on the ring
-peel alone, placing the next ring's subtree into the outer registers
-by an index map, down to the 4-row center.  The inner rings need no
-root layer of their own, because the outer root outcome already fixes
-their answer.  Trees past MAX_OPERATOR_BYTES of dense operators are
-refused unbuilt.
+(m/2)-level resource, one root outcome per level.  Alice's root outcome
+i shifts the ancilla levels cyclically by i - 1: outcome 1 keeps the
+outer ring's subtree as built and outcome i carries its placement by
+that shift.  The subtree peels the outer ring and recurses on the ring
+peel alone, placing the next ring's subtree into the outer registers by
+an index map, down to the 4-row center; the inner rings need no root
+layer, as the outer root outcome fixes their answer.  Every Fourier row
+is a ``states.dft`` row.  Trees past MAX_OPERATOR_BYTES are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .families import prop2
-from .states import STOPPER_LABEL, factor_stacks, pow2_scaled, upb_state_labels
+from .states import STOPPER_LABEL, dft, factor_stacks, pow2_scaled, upb_state_labels
 
 __all__ = [
     "ALICE",
@@ -112,20 +112,12 @@ def _levels_proj(dim: int, levels) -> np.ndarray:
     return np.diag(np.isin(np.arange(dim), levels)).astype(complex)
 
 
-def _dft_proj(dim: int, t: int, levels: int) -> np.ndarray:
-    """Normalized projector onto sum_j w^{tj} |j> over the first
-    ``levels`` of a dim-level register."""
-    v = np.zeros(dim, dtype=complex)
-    v[:levels] = np.exp(2j * np.pi * t * np.arange(levels) / levels)
-    return np.outer(v, v.conj()) / levels
-
-
-def _root_projector(m: int) -> np.ndarray:
-    """Alice's first root outcome: rows 0..iota pair with ancilla level
-    0, row iota+j with level j.  Rank m; outcome i is its
-    ``_shift_index`` placement."""
+def _root_projector(m: int, i: int) -> np.ndarray:
+    """Alice's root outcome i: the first pairing (rows 0..iota with
+    ancilla level 0, row iota+j with level j), its levels shifted by
+    ``_shift_index``.  Rank m."""
     iota, rows = m // 2, np.arange(m)
-    return _levels_proj(m * iota, rows * iota + np.maximum(rows - iota, 0))
+    return _levels_proj(m * iota, _shift_index(m, iota, i)[rows * iota + (rows - iota).clip(0)])
 
 
 def _shift_index(levels: int, iota: int, i: int) -> np.ndarray:
@@ -155,7 +147,8 @@ def _level_dft(column: np.ndarray, iota: int, levels: int, leaf: ProtocolNode) -
     iota-level register, on the classical levels ``column`` projects
     onto: outcome t projects onto sum_j w^{tj} |j>, and outcome 0 also
     takes the identity off column (x) those levels."""
-    outcomes = [(np.kron(column, _dft_proj(iota, t, levels)), leaf) for t in range(levels)]
+    rows = np.pad(dft(levels), ((0, 0), (0, iota - levels)))
+    outcomes = [(np.kron(column, np.outer(v, v.conj()) / levels), leaf) for v in rows]
     span = np.kron(column, _levels_proj(iota, range(levels)))
     outcomes[0] = (outcomes[0][0] + np.eye(len(span)) - span, leaf)
     return _branch(BOB, outcomes)
@@ -204,13 +197,11 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     def state(tid: int, k: int, l: int) -> int:
         return idx[(tid + 4 * ring, k, l)]
 
-    outcomes: list[tuple[np.ndarray, ProtocolNode]] = []
-    w = np.exp(2j * np.pi / (n - 1))
-    for i in range(1, n):
-        u = np.zeros(n, dtype=complex)
-        u[1:] = w ** (i * np.arange(1, n))
-        op = np.kron(np.outer(u, u.conj()) / (n - 1), _levels_proj(iota, [iota - 1]))
-        outcomes.append((op, Identify(state(3, 0, i) if i <= n - 2 else stop)))
+    # outcome i: row i mod (n-1) of the (n-1)-point DFT table, on columns 1..n-1
+    rows = np.pad(np.roll(dft(n - 1), -1, axis=0), ((0, 0), (1, 0)))
+    outcomes: list[tuple[np.ndarray, ProtocolNode]] = [
+        (np.kron(np.outer(u, u.conj()) / (n - 1), _levels_proj(iota, [iota - 1])),
+         Identify(state(3, 0, i) if i < n - 1 else stop)) for i, u in enumerate(rows, 1)]
 
     tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
     last_col = _levels_proj(n, [n - 1])
@@ -243,7 +234,7 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
 
 def _operator_bytes(m: int, n: int) -> int:
     """Bytes of the dense operators in ``build_theorem3_protocol(m, n)``:
-    iota = m/2 placed copies of the first root branch, each with
+    iota = m/2 root outcomes (the ring-0 subtree and its iota - 1 shifts), each with
     2 iota + 1 Alice operators of (m iota)^2 entries (root, two per ring
     corner, two at the center) and, per ring r = 0..iota-2,
     n - 2r + 1 + (iota - r - 1 if iota - r > 2) + 2 + iota - r Bob
@@ -259,9 +250,10 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     """Discrimination tree for the prop2(m, n) basis, even m, with an
     (m/2)-level resource.
 
-    Alice's root layer has iota = m/2 outcomes; outcome i is the first
-    outcome with its subtree, placed by the matching cyclic shift of
-    both ancillas (``_shift_index``), which fixes every resource state.
+    Alice's root layer has iota = m/2 outcomes, ``_root_projector(m, i)``
+    each.  The ring-0 subtree is built once: outcome 1 keeps it, and
+    outcome i carries it placed by the matching cyclic shift of both
+    ancillas (``_shift_index``), which fixes every resource state.
     Below the outer ring the subtree goes straight on to the next ring's
     subtree, without that ring's own root layer: Alice's first root
     outcome already pairs each inner row with the level the inner first
@@ -285,12 +277,12 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
                          f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
     iota = m // 2
     idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
-    first = _branch(ALICE, [(_root_projector(m), _a1_subtree(m, n, idx, 0))])
+    sub = _a1_subtree(m, n, idx, 0)
     dims = (m * iota, n * iota)
-    return Branch(ALICE, tuple(
-        _place(first, _shift_index(m, iota, i), _shift_index(n, iota, i), dims).outcomes[0]
-        for i in range(1, iota + 1)
-    ))
+    return _branch(ALICE, [
+        (_root_projector(m, i),
+         sub if i == 1 else _place(sub, _shift_index(m, iota, i), _shift_index(n, iota, i), dims))
+        for i in range(1, iota + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +404,12 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     survivors, parallel on the idle party and orthogonal on the
     measuring one.  The report carries each state's success probability
     and the largest probability any state lent to a wrong
-    identification.  Raises ValueError unless the stacks are 3-D with
-    equal state counts and ranks, or when there are no states or one
-    is zero or not finite.
+    identification.  Raises ValueError for stacks that
+    ``factor_stacks(..., axes=3)`` refuses, or when there are no states
+    or one is zero or not finite.
     """
-    lefts, rights = pow2_scaled(lefts), pow2_scaled(rights)  # exact; keeps norms2 finite
-    if not (lefts.ndim == rights.ndim == 3 and len(lefts) == len(rights)
-            and lefts.shape[2] == rights.shape[2]):
-        raise ValueError(f"cut factor stacks of shapes {lefts.shape} and {rights.shape} "
-                         "need three axes with equal state counts and ranks")
+    # pow2_scaled is exact and keeps norms2 finite
+    lefts, rights = map(pow2_scaled, factor_stacks(lefts, rights, axes=3))
     count = len(lefts)
     if not count:
         raise ValueError("no states to discriminate")

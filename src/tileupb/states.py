@@ -43,8 +43,8 @@ class ProductState:
         object.__setattr__(self, "b_vec", np.asarray(self.b_vec, dtype=complex))
 
 
-def _dft(size: int) -> np.ndarray:
-    """The DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
+def dft(size: int) -> np.ndarray:
+    """Every Fourier row: the DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
     return np.exp(2j * np.pi * np.arange(size)[:, None] * np.arange(size) / size)
 
 
@@ -60,17 +60,18 @@ def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     p, q = len(tile.rows), len(tile.cols)
     a = np.zeros((p * q, m), dtype=complex)
     b = np.zeros((p * q, n), dtype=complex)
-    a[:, list(tile.rows)] = np.repeat(_dft(p), q, axis=0)
-    b[:, list(tile.cols)] = np.tile(_dft(q), (p, 1))
+    a[:, list(tile.rows)] = np.repeat(dft(p), q, axis=0)
+    b[:, list(tile.cols)] = np.tile(dft(q), (p, 1))
     return a, b
 
 
-def factor_stacks(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Complex factor stacks a (N x m) and b (N x n), else ValueError."""
+def factor_stacks(a, b, axes: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Complex factor stacks a (N x m) and b (N x n), or with axes=3 cut
+    stacks a (N x m x r) and b (N x n x r) of equal ranks r, else ValueError."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if not (a.ndim == b.ndim == 2 and len(a) == len(b)):
-        raise ValueError(f"factor stacks of shapes {a.shape} and {b.shape} need two axes "
-                         "with equal state counts")
+    if not (a.ndim == b.ndim == axes and len(a) == len(b) and a.shape[2:] == b.shape[2:]):
+        raise ValueError(f"factor stacks of shapes {a.shape} and {b.shape} need {axes} axes "
+                         "with equal state counts" + (" and ranks" if axes == 3 else ""))
     return a, b
 
 
@@ -88,8 +89,9 @@ def pow2_scaled(stack: np.ndarray) -> np.ndarray:
 class UPBSet:
     """An ordered product-state set on the grid of a tile structure,
     stored as its factor stack: row i of ``a`` (N x m) and ``b`` (N x n)
-    holds the two factors of state i.  Raises ValueError when the stacks
-    do not fit the origin's m x n grid or hold a NaN or infinite entry.
+    holds the two factors of state i.  Raises ValueError for stacks that
+    ``factor_stacks`` refuses, that do not fit the origin's m x n grid,
+    or that hold a NaN or infinite entry.
     """
 
     a: np.ndarray
@@ -97,10 +99,9 @@ class UPBSet:
     origin: TileStructure
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
+        a, b = factor_stacks(self.a, self.b)
         m, n = self.m, self.n
-        if a.ndim != 2 or b.ndim != 2 or len(a) != len(b) or (a.shape[1], b.shape[1]) != (m, n):
+        if (a.shape[1], b.shape[1]) != (m, n):
             raise ValueError(
                 f"stacks of shapes {a.shape}, {b.shape} do not fit the {m} x {n} origin")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -12,7 +12,8 @@ import pytest
 
 import tileupb.cli
 import tileupb.verify
-from tileupb import build_upb, example1, five_tile, prop2, prop3, validate
+from tileupb import (ALICE, Branch, LocalProjector, build_upb, example1, five_tile, prop2, prop3,
+                     validate)
 from tileupb.cli import COMMANDS, _build_parser, main
 
 from conftest import brute_tile_matrices, structure_from_grid
@@ -102,6 +103,15 @@ class TestGenRoundTrip:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "gen", "--family", "prop3", "--m", "5")
         assert exc.value.code == 2
+
+    def test_gen_without_a_family_names_gens_own_source(self, capsys):
+        """gen takes no FILE, so its refusal does not offer one."""
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "gen")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gen requires --family" in err
+        assert "FILE" not in err
 
 
 class TestChecks:
@@ -277,12 +287,47 @@ class TestChecks:
         assert "FAILED" not in out
 
     def test_distinguish(self, capsys):
-        code, out, _ = run(capsys, "distinguish", "--m", "4", "--n", "5", "--json")
-        assert code == 0
-        data = json.loads(out)
-        assert data["resource_dim"] == 2
-        assert data["report"]["ok"] is True
-        assert data["report"]["min_success_probability"] == pytest.approx(1.0, abs=1e-9)
+        """The resource dimension is read off the tree: m/2 levels, one
+        per root outcome."""
+        for m in (4, 6, 8):
+            code, out, _ = run(capsys, "distinguish", "--m", str(m), "--n", str(m + 1), "--json")
+            assert code == 0
+            data = json.loads(out)
+            root_outcomes = len(tileupb.cli.build_theorem3_protocol(m, m + 1).outcomes)
+            assert data["resource_dim"] == m // 2 == root_outcomes
+            assert data["report"]["ok"] is True
+            assert data["report"]["min_success_probability"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_distinguish_prints_each_violation_and_fails(self, capsys, monkeypatch):
+        """A tree whose last root outcome is zeroed fails its root audit,
+        and distinguish prints that violation and exits 1."""
+        build = tileupb.cli.build_theorem3_protocol
+
+        def zeroed_last_root_outcome(m, n):
+            protocol = build(m, n)
+            *kept, (last, child) = protocol.outcomes
+            zero = LocalProjector(np.zeros_like(last.operator))
+            return Branch(protocol.party, (*kept, (zero, child)))
+
+        monkeypatch.setattr(tileupb.cli, "build_theorem3_protocol", zeroed_last_root_outcome)
+        code, out, _ = run(capsys, "distinguish", "--m", "4", "--n", "4")
+        assert code == 1
+        lines = out.splitlines()
+        assert "violation: root: outcomes do not sum to the identity" in lines
+        assert lines[-1] == "verdict: FAILED"
+
+    def test_distinguish_sizes_the_resource_by_the_trees_root(self, capsys, monkeypatch):
+        """Without its last root outcome the 4 x 4 tree has one root
+        outcome, so it is checked with a 1-level resource, which its
+        operators do not fit."""
+        build = tileupb.cli.build_theorem3_protocol
+        monkeypatch.setattr(tileupb.cli, "build_theorem3_protocol",
+                            lambda m, n: Branch(ALICE, build(m, n).outcomes[:-1]))
+        code, out, _ = run(capsys, "distinguish", "--m", "4", "--n", "4")
+        assert code == 1
+        assert out.splitlines()[0] == "states: 12 on 4 x 4 with a 1-level resource"
+        assert "violation: root: operator shape (8, 8) does not match register 4" in out
+        assert out.splitlines()[-1] == "verdict: FAILED"
 
     def test_distinguish_rejects_odd_rows(self, capsys):
         code, _, err = run(capsys, "distinguish", "--m", "5", "--n", "5")

@@ -139,16 +139,23 @@ class TestRootLayer:
         want = np.zeros((8, 8), dtype=complex)
         for row, level in [(0, 0), (1, 0), (2, 0), (3, 1)]:
             want[row * 2 + level, row * 2 + level] = 1.0
-        assert np.allclose(_root_projector(4), want)
-        assert np.array_equal(_root_outcome(4, 1), _root_projector(4))
+        assert np.allclose(_root_projector(4, 1), want)
+        assert np.array_equal(_root_outcome(4, 1), _root_projector(4, 1))
 
     def test_second_outcome_is_the_shifted_first(self):
-        # rotating the ancilla level carries outcome 1 onto outcome i
-        for m in (4, 6):
+        """Root outcome i, built by index, is U_i P_1 U_i^dagger for the
+        cyclic ancilla shift U_i, and the tree holds exactly it."""
+        for m in (4, 6, 8):
             iota = m // 2
-            for i in range(2, iota + 1):
+            first = np.zeros((m * iota, m * iota))
+            for row in range(m):
+                level = max(row - iota, 0)  # rows 0..iota on level 0, row iota+j on level j
+                first[row * iota + level, row * iota + level] = 1.0
+            assert np.array_equal(_root_projector(m, 1), first)
+            for i in range(1, iota + 1):
                 u = np.kron(np.eye(m), _shift_unitary(iota, i))
-                assert np.allclose(u @ _root_projector(m) @ u.conj().T, _root_outcome(m, i))
+                assert np.array_equal(u @ first @ u.conj().T, _root_projector(m, i)), (m, i)
+                assert np.array_equal(_root_outcome(m, i), _root_projector(m, i)), (m, i)
 
     def test_index_conjugation_equals_the_dense_unitary(self):
         """Placing by the shift index gives exactly U op U^dagger, each
@@ -192,7 +199,7 @@ class TestRootLayer:
         iota = m // 2
         for ring in range(1, iota - 1):
             inner_m = m - 2 * ring
-            node = _branch(ALICE, [(_root_projector(inner_m), Identify(0))])
+            node = _branch(ALICE, [(_root_projector(inner_m, 1), Identify(0))])
             for outer in range(ring - 1, -1, -1):
                 size, levels = m - 2 * outer, iota - outer
                 index = _ring_index(size, levels)
@@ -232,6 +239,14 @@ class TestProtocols:
         report = verify_protocol(build_theorem3_protocol(m, n), lefts, rights)
         assert report.ok, (report.branch_violations, report.leaf_violations)
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("m,n", [(8, 10), (10, 10), (12, 12)])
+    def test_success_probabilities_are_one_to_rounding(self, m, n):
+        """Every Fourier row comes from one DFT table, so no state's
+        probability drifts by the rounding of repeated complex powers."""
+        report = verify_protocol(build_theorem3_protocol(m, n), *_resource_stacks(m, n)[1:])
+        assert np.max(np.abs(np.array(report.probabilities) - 1.0)) <= 3e-15
+        assert report.max_wrong_probability == 0.0
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_the_tree_grows_quadratically_in_the_rings(self, m):
@@ -395,6 +410,20 @@ def _entangled_finish_leaf():
     return OnePartyFinish(ALICE, (0, 1)), *_as_cut_stacks(np.array([_cut(amps), _cut(corner)]))
 
 
+def _two_state_finish(a, b):
+    """Alice finishing alone between the product states with factor
+    rows a and b, with a trivial resource."""
+    return OnePartyFinish(ALICE, (0, 1)), *attach_resource(a, b, 1)
+
+
+def _finish_leaf_overlapping_on_the_measuring_party():
+    return _two_state_finish([[1, 0], [1, 1]], [[1, 0], [1, 0]])
+
+
+def _finish_leaf_differing_on_the_idle_party():
+    return _two_state_finish(np.eye(2), np.eye(2))
+
+
 def _nested_bob_outcome_dropped():
     protocol = _replace_at(
         build_theorem3_protocol(6, 6),
@@ -430,6 +459,9 @@ SABOTAGE = {
     "non_projector_outcomes": _non_projector_outcomes,
     "overlapping_projector_outcomes": _overlapping_projector_outcomes,
     "entangled_finish_leaf": _entangled_finish_leaf,
+    "finish_leaf_overlapping_on_the_measuring_party":
+        _finish_leaf_overlapping_on_the_measuring_party,
+    "finish_leaf_differing_on_the_idle_party": _finish_leaf_differing_on_the_idle_party,
     "nested_bob_outcome_dropped": _nested_bob_outcome_dropped,
     "embedded_identify_labels_swapped": _embedded_identify_labels_swapped,
     "unreachable_branch": _unreachable_branch,
@@ -483,6 +515,17 @@ class TestVerifierCatchesSabotage:
     def test_finish_leaf_geometry_is_checked(self):
         report = verify_protocol(*_entangled_finish_leaf())
         assert any("not product" in v for v in report.leaf_violations)
+
+    def test_finish_leaf_states_must_be_orthogonal_on_the_measuring_party(self):
+        report = verify_protocol(*_finish_leaf_overlapping_on_the_measuring_party())
+        assert not report.ok
+        assert report.leaf_violations == (
+            "root: states 0 and 1 are not orthogonal on the measuring party",)
+
+    def test_finish_leaf_states_must_be_parallel_on_the_idle_party(self):
+        report = verify_protocol(*_finish_leaf_differing_on_the_idle_party())
+        assert not report.ok
+        assert report.leaf_violations == ("root: states 0 and 1 differ on the idle party",)
 
     def test_dropped_outcome_of_a_nested_bob_layer_is_flagged(self):
         protocol, *stacks = _nested_bob_outcome_dropped()

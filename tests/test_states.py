@@ -181,6 +181,8 @@ class TestUPBSetStack:
 
     @pytest.mark.parametrize("case", ["matrices", "short-b", "wide-a"])
     def test_refuses_stacks_that_do_not_fit_the_origin(self, case):
+        """An axis or count mismatch is ``factor_stacks``' refusal; a
+        stack of the wrong width is UPBSet's own."""
         upb = build_upb(example1())
         a, b = upb.a, upb.b
         if case == "matrices":
@@ -189,7 +191,10 @@ class TestUPBSetStack:
             b = b[1:]
         else:
             a = np.hstack([a, a[:, :1]])
-        with pytest.raises(ValueError, match="do not fit the 4 x 4 origin"):
+        match = {"matrices": r"factor stacks of shapes \(11, 4, 4\) and \(11, 4\) need 2 axes",
+                 "short-b": r"factor stacks of shapes \(11, 4\) and \(10, 4\) need 2 axes",
+                 "wide-a": "do not fit the 4 x 4 origin"}[case]
+        with pytest.raises(ValueError, match=match):
             UPBSet(a, b, upb.origin)
 
     @pytest.mark.parametrize("side", ["a", "b"])
