@@ -5,17 +5,19 @@ Five families are provided:
 * ``example1`` and ``fig2``: two fixed 4x4 reference structures.  The
   first is U-tile (its basis is unextendible); the second fails the
   U-tile test and is the canonical counterexample.
-* ``prop2(m, n)``: concentric windmill rings with a two-row core (even
-  m) or a five-tile core (odd m); 2m-3 or 2m-1 tiles.
+* ``prop2(m, n)``: floor((m-1)/2) nested windmill rings around one
+  interior tile; 2m-3 (even m) or 2m-1 (odd m) tiles.
 * ``prop3(m, t)``: square structures realizing every tile count
-  5 <= t <= 2m, grown inductively from four hardcoded 4x4 seeds.
-* ``five_tile(m, n)``: four boundary tiles around one interior tile,
+  5 <= t <= 2m, grown inductively from four 4x4 seeds.
+* ``five_tile(m, n)``: one windmill ring around one interior tile,
   realizing the maximal basis size mn - 4.
 """
 
 from __future__ import annotations
 
-from .grid import TileStructure
+import operator
+
+from .grid import MAX_DIM, TileStructure
 
 __all__ = [
     "example1",
@@ -51,50 +53,39 @@ def fig2() -> TileStructure:
     )
 
 
-def _paint(grid: list[list[int]], tid: int, rows, cols) -> None:
-    for r in rows:
-        for c in cols:
-            grid[r][c] = tid
+def _rings(m: int, n: int, count: int) -> list[list[int]]:
+    """Id grid of ``count`` windmill rings around one interior tile.
+
+    Ring r (0-based, from the border) holds tiles 4r+1..4r+4: its top
+    row minus the last cell, right column minus the bottom cell, bottom
+    row minus the first cell, left column minus the top cell.  Tile
+    4*count+1 fills every cell the rings leave.
+    """
+    grid = [[4 * count + 1] * n for _ in range(m)]
+    for r in range(count):
+        grid[r][r:n - 1 - r] = [4 * r + 1] * (n - 1 - 2 * r)
+        grid[m - 1 - r][r + 1:n - r] = [4 * r + 3] * (n - 1 - 2 * r)
+        for i in range(r, m - 1 - r):
+            grid[i][n - 1 - r] = 4 * r + 2
+            grid[i + 1][r] = 4 * r + 4
+    return grid
 
 
 def prop2(m: int, n: int) -> TileStructure:
     """Ring structure on m x n with 2m-3 (even m) or 2m-1 (odd m) tiles.
 
-    Ring r (0-based, counted from the border) lays four tiles windmill
-    fashion: top row minus its last cell, right column minus its bottom
-    cell, bottom row minus its first cell, left column minus its top
-    cell.  Even m finishes with a central 2 x (n-m+2) tile; odd m
-    finishes with a five-tile core on the central three rows.
+    floor((m-1)/2) windmill rings around one interior tile: a 2 x (n-m+2)
+    block for even m, a 1 x (n-m+1) strip for odd m.  Dropping the
+    border ring and renumbering tile t as t-4 leaves prop2(m-2, n-2).
     """
+    m, n = operator.index(m), operator.index(n)
     if not (3 <= m <= n):
         raise ValueError(f"prop2 requires 3 <= m <= n, got m={m}, n={n}")
-    grid = [[0] * n for _ in range(m)]
-    rings = (m - 2) // 2 if m % 2 == 0 else (m - 3) // 2
-    for r in range(rings):
-        _paint(grid, 4 * r + 1, [r], range(r, n - 1 - r))
-        _paint(grid, 4 * r + 2, range(r, m - 1 - r), [n - 1 - r])
-        _paint(grid, 4 * r + 3, [m - 1 - r], range(r + 1, n - r))
-        _paint(grid, 4 * r + 4, range(r + 1, m - r), [r])
-    if m % 2 == 0:
-        a = (m - 2) // 2
-        _paint(grid, 2 * m - 3, [a, a + 1], range(a, n - a))
-    else:
-        a = (m - 3) // 2
-        _paint(grid, 2 * m - 5, [a], range(a, n - 1 - a))
-        _paint(grid, 2 * m - 4, [a, a + 1], [n - 1 - a])
-        _paint(grid, 2 * m - 3, [a + 2], range(a + 1, n - a))
-        _paint(grid, 2 * m - 2, [a + 1, a + 2], [a])
-        _paint(grid, 2 * m - 1, [a + 1], range(a + 1, n - 1 - a))
-    return TileStructure.from_grid(grid)
+    return TileStructure.from_grid(_rings(m, n, (m - 1) // 2))
 
 
 _PROP3_SEEDS = {
-    5: [
-        [1, 1, 1, 2],
-        [4, 5, 5, 2],
-        [4, 5, 5, 2],
-        [4, 3, 3, 3],
-    ],
+    5: _rings(4, 4, 1),
     6: [
         [1, 1, 6, 2],
         [4, 5, 5, 2],
@@ -119,15 +110,16 @@ _PROP3_SEEDS = {
 def prop3(m: int, t: int) -> TileStructure:
     """Square m x m structure with exactly t tiles, 5 <= t <= 2m.
 
-    m=4 returns one of four hardcoded seeds.  For larger m with
-    t <= 2(m-1) the (m-1)-grid is extended by duplicating its first row
-    on top and then its last column on the right, which changes no tile
-    count.  The two remaining counts add a fresh border: a new column
-    tile 2m-1 plus either an extension of existing border tiles
-    (t = 2m-1) or a second fresh tile 2m.  Only the final grid is built.
+    m=4 returns one of four seeds, the t=5 one being the 4x4 ring.  For
+    larger m with t <= 2(m-1) the (m-1)-grid is extended by duplicating
+    its first row on top and then its last column on the right, which
+    changes no tile count.  The two remaining counts add a fresh border:
+    a new column tile 2m-1 plus either an extension of existing border
+    tiles (t = 2m-1) or a second fresh tile 2m.  Only the final grid is built.
     """
-    if m < 4:
-        raise ValueError(f"prop3 requires m >= 4, got m={m}")
+    m, t = operator.index(m), operator.index(t)
+    if not (4 <= m <= MAX_DIM):
+        raise ValueError(f"prop3 requires 4 <= m <= {MAX_DIM}, got m={m}")
     if not (5 <= t <= 2 * m):
         raise ValueError(f"prop3 requires 5 <= t <= 2m, got t={t} for m={m}")
     return TileStructure.from_grid(_prop3_grid(m, t))
@@ -161,13 +153,8 @@ def _prop3_grid(m: int, t: int) -> list[list[int]]:
 
 
 def five_tile(m: int, n: int) -> TileStructure:
-    """Four boundary tiles plus one (m-2) x (n-2) interior tile."""
+    """One windmill ring around one (m-2) x (n-2) interior tile."""
+    m, n = operator.index(m), operator.index(n)
     if not (3 <= m <= n):
         raise ValueError(f"five_tile requires 3 <= m <= n, got m={m}, n={n}")
-    grid = [[0] * n for _ in range(m)]
-    _paint(grid, 1, [0], range(0, n - 1))
-    _paint(grid, 2, range(0, m - 1), [n - 1])
-    _paint(grid, 3, [m - 1], range(1, n))
-    _paint(grid, 4, range(1, m), [0])
-    _paint(grid, 5, range(1, m - 1), range(1, n - 1))
-    return TileStructure.from_grid(grid)
+    return TileStructure.from_grid(_rings(m, n, 1))

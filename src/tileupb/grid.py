@@ -118,20 +118,20 @@ class ValidationReport:
 def validate(ts: TileStructure) -> ValidationReport:
     """Check every tile-structure invariant and report all violations.
 
-    Checks grid shape and bounds, id contiguity (ids must be exactly
-    1..s), and that every tile's cell set is exactly rows x cols (each
-    violation names the offending id, the first cell of rows x cols
-    that another tile owns, and that tile).
+    A grid with a side outside 1..MAX_DIM or ragged rows gets that one
+    problem, and its tiles are not read.  Otherwise checks id contiguity
+    (ids must be exactly 1..s), and that every tile's cell set is exactly
+    rows x cols (each violation names the offending id, the first cell
+    of rows x cols that another tile owns, and that tile).
     """
     if ts.m < 1 or ts.n < 1:
         return ValidationReport((f"grid dimensions must be positive, got {ts.m}x{ts.n}",))
-    problems: list[str] = []
     if ts.m > MAX_DIM or ts.n > MAX_DIM:
-        problems.append(f"grid dimensions exceed the supported maximum {MAX_DIM}")
+        return ValidationReport((f"grid dimensions exceed the supported maximum {MAX_DIM}",))
     if any(len(row) != ts.n for row in ts.cell_map):
-        problems.append("cell_map rows differ in length")
-        return ValidationReport(tuple(problems))
+        return ValidationReport(("cell_map rows differ in length",))
 
+    problems: list[str] = []
     s = ts.tile_count
     ids = [t.id for t in ts.tiles]
     if ids != list(range(1, s + 1)):

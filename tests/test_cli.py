@@ -99,6 +99,11 @@ class TestGenRoundTrip:
         assert out == ""
         assert "1..64" in err
 
+    def test_gen_names_prop3s_range_of_m(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "prop3", "--m", "3", "--tiles", "5")
+        assert (code, out) == (2, "")
+        assert "prop3 requires 4 <= m <= 64, got m=3" in err
+
     def test_family_parameters_are_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "gen", "--family", "prop3", "--m", "5")

@@ -41,7 +41,8 @@ class TestFixedGrids:
 
 class TestRingFamily:
     @pytest.mark.parametrize(
-        "m,n", [(m, n) for m in range(3, 9) for n in range(m, 11)]
+        "m,n",
+        [(m, n) for m in range(3, 9) for n in range(m, 11)] + [(31, 40), (63, 64), (64, 64)],
     )
     def test_valid_u_tile_with_expected_counts(self, m, n):
         ts = prop2(m, n)
@@ -61,6 +62,19 @@ class TestRingFamily:
             (4, 5, 5, 2),
             (4, 3, 3, 3),
         )
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(5, 17) for n in range(m, 17)])
+    def test_peeling_the_border_ring_leaves_the_smaller_ring_structure(self, m, n):
+        """The LOCC builder reads ring r's tile t as tile t + 4r: inside
+        the border, prop2(m, n) is prop2(m - 2, n - 2) shifted by 4."""
+        inner = [[tid - 4 for tid in row[1:-1]] for row in prop2(m, n).cell_map[1:-1]]
+        assert tuple(map(tuple, inner)) == prop2(m - 2, n - 2).cell_map
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(3, 17) for n in range(m, 17)])
+    def test_border_ring_is_the_five_tile_ring(self, m, n):
+        ring, five = prop2(m, n).cell_map, five_tile(m, n).cell_map
+        assert ring[0] == five[0] and ring[-1] == five[-1]
+        assert [(row[0], row[-1]) for row in ring] == [(row[0], row[-1]) for row in five]
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -97,8 +111,12 @@ class TestTileCountFamily:
             prop3(4, 4)
         with pytest.raises(ValueError):
             prop3(4, 9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prop3 requires 4 <= m <= 64, got m=3"):
             prop3(3, 5)
+
+    def test_refuses_m_past_the_format_maximum_before_recursing(self):
+        with pytest.raises(ValueError, match=f"prop3 requires 4 <= m <= {MAX_DIM}, got m=2000"):
+            prop3(2000, 5)
 
 
 class TestFiveTileFamily:
@@ -114,6 +132,15 @@ class TestFiveTileFamily:
     def test_rejects_dimensions_below_three(self):
         with pytest.raises(ValueError):
             five_tile(2, 4)
+
+
+@pytest.mark.parametrize("family,args", [
+    (prop3, (4.5, 5)), (prop3, (5, 6.0)), (five_tile, (4, 5.5)), (prop2, (4.0, 5)),
+], ids=["prop3-m", "prop3-t", "five_tile", "prop2"])
+def test_families_refuse_non_integral_arguments(family, args):
+    """A float is refused, not truncated, as TileStructure refuses a 1.9 id."""
+    with pytest.raises(TypeError):
+        family(*args)
 
 
 class TestExtendColumns:

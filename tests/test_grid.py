@@ -123,6 +123,11 @@ class TestValidate:
             f"grid dimensions exceed the supported maximum {MAX_DIM}",
         )
 
+    def test_oversized_grid_is_refused_without_reading_its_tiles(self):
+        assert self.refusal([[5] * 100] * 100) == (
+            f"grid dimensions exceed the supported maximum {MAX_DIM}",
+        )
+
     @pytest.mark.parametrize("grid", [[], [[]]], ids=["no-rows", "empty-row"])
     def test_refuses_an_empty_grid(self, grid):
         assert self.refusal(grid)[0].startswith("grid dimensions must be positive")
