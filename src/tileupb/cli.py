@@ -24,7 +24,7 @@ import json
 import sys
 
 from .families import example1, fig2, five_tile, prop2, prop3
-from .grid import MAX_DIM, TileGridContentError, parse_tile_grid, serialize
+from .grid import TileGridContentError, parse_tile_grid, serialize
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import is_u_tile
@@ -40,11 +40,6 @@ FAMILIES = {
 }
 
 
-def _check_dim(name: str, value: int) -> None:
-    if not 1 <= value <= MAX_DIM:
-        raise ValueError(f"--{name} {value} lies outside the format's 1..{MAX_DIM}")
-
-
 def _load_structure(args, parser: argparse.ArgumentParser):
     path = getattr(args, "file", None)
     if (path is None) == (args.family is None):
@@ -56,8 +51,6 @@ def _load_structure(args, parser: argparse.ArgumentParser):
         if given != (name in arity):
             parser.error(f"--{name} does not apply to {source}" if given
                          else f"{source} requires --{name}")
-        if given and name != "tiles":
-            _check_dim(name, getattr(args, name))
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return parse_tile_grid(fh.read())
@@ -202,8 +195,6 @@ def _cmd_ppt(args, parser) -> int:
 
 
 def _cmd_distinguish(args, parser) -> int:
-    _check_dim("m", args.m)
-    _check_dim("n", args.n)
     protocol = build_theorem3_protocol(args.m, args.n)
     upb = build_upb(prop2(args.m, args.n))
     resource_dim = len(protocol.outcomes)  # one root outcome per resource level

@@ -72,15 +72,16 @@ def _rings(m: int, n: int, count: int) -> list[list[int]]:
 
 
 def prop2(m: int, n: int) -> TileStructure:
-    """Ring structure on m x n with 2m-3 (even m) or 2m-1 (odd m) tiles.
+    """Ring structure on m x n, 3 <= m <= n <= MAX_DIM, with 2m-3 (even m)
+    or 2m-1 (odd m) tiles; other sizes are refused before any cell is built.
 
     floor((m-1)/2) windmill rings around one interior tile: a 2 x (n-m+2)
     block for even m, a 1 x (n-m+1) strip for odd m.  Dropping the
     border ring and renumbering tile t as t-4 leaves prop2(m-2, n-2).
     """
     m, n = operator.index(m), operator.index(n)
-    if not (3 <= m <= n):
-        raise ValueError(f"prop2 requires 3 <= m <= n, got m={m}, n={n}")
+    if not (3 <= m <= n <= MAX_DIM):
+        raise ValueError(f"prop2 requires 3 <= m <= n <= {MAX_DIM}, got m={m}, n={n}")
     return TileStructure.from_grid(_rings(m, n, (m - 1) // 2))
 
 
@@ -153,8 +154,9 @@ def _prop3_grid(m: int, t: int) -> list[list[int]]:
 
 
 def five_tile(m: int, n: int) -> TileStructure:
-    """One windmill ring around one (m-2) x (n-2) interior tile."""
+    """One windmill ring around one (m-2) x (n-2) interior tile, for
+    3 <= m <= n <= MAX_DIM; other sizes are refused before any cell is built."""
     m, n = operator.index(m), operator.index(n)
-    if not (3 <= m <= n):
-        raise ValueError(f"five_tile requires 3 <= m <= n, got m={m}, n={n}")
+    if not (3 <= m <= n <= MAX_DIM):
+        raise ValueError(f"five_tile requires 3 <= m <= n <= {MAX_DIM}, got m={m}, n={n}")
     return TileStructure.from_grid(_rings(m, n, 1))

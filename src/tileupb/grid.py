@@ -60,16 +60,25 @@ class TileStructure:
 
     ``cell_map`` is the row-major id grid and the only stored field;
     ``m``, ``n`` and the index-set form ``tiles`` (sorted by id) are read
-    off it.  Construction raises TypeError for a non-integral id (1.9 is
-    not truncated) and TileGridContentError, with the ``validate``
-    report, for a grid that is not a tile structure.
+    off it.  Construction raises TileGridContentError, reporting that one
+    problem, for a side outside 1..MAX_DIM or ragged rows before it reads
+    any cell; then TypeError for a non-integral id (1.9 is not truncated)
+    and TileGridContentError, with the ``validate`` report, for a grid
+    that is not a tile structure.
     """
 
     cell_map: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        grid = tuple(tuple(map(operator.index, row)) for row in self.cell_map)
-        object.__setattr__(self, "cell_map", grid)
+        rows = tuple(self.cell_map)
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+        if shape := (f"grid dimensions must be positive, got {m}x{n}" if min(m, n) < 1 else
+                     f"grid dimensions exceed the supported maximum {MAX_DIM}"
+                     if max(m, n) > MAX_DIM else
+                     "cell_map rows differ in length" if any(len(r) != n for r in rows) else None):
+            raise TileGridContentError(ValidationReport((shape,)))
+        object.__setattr__(self, "cell_map", tuple(tuple(map(operator.index, r)) for r in rows))
         if (report := validate(self)).problems:
             raise TileGridContentError(report)
 
@@ -116,21 +125,12 @@ class ValidationReport:
 
 
 def validate(ts: TileStructure) -> ValidationReport:
-    """Check every tile-structure invariant and report all violations.
-
-    A grid with a side outside 1..MAX_DIM or ragged rows gets that one
-    problem, and its tiles are not read.  Otherwise checks id contiguity
-    (ids must be exactly 1..s), and that every tile's cell set is exactly
-    rows x cols (each violation names the offending id, the first cell
-    of rows x cols that another tile owns, and that tile).
-    """
-    if ts.m < 1 or ts.n < 1:
-        return ValidationReport((f"grid dimensions must be positive, got {ts.m}x{ts.n}",))
-    if ts.m > MAX_DIM or ts.n > MAX_DIM:
-        return ValidationReport((f"grid dimensions exceed the supported maximum {MAX_DIM}",))
-    if any(len(row) != ts.n for row in ts.cell_map):
-        return ValidationReport(("cell_map rows differ in length",))
-
+    """Check id contiguity (ids must be exactly 1..s) and that every
+    tile's cell set is exactly rows x cols, and report all violations
+    (each names the offending id, the first cell of rows x cols that
+    another tile owns, and that tile).  Construction checks the shape
+    first and refuses any grid this faults, so a built structure's
+    report is empty."""
     problems: list[str] = []
     s = ts.tile_count
     ids = [t.id for t in ts.tiles]

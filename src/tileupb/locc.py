@@ -263,20 +263,18 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
-    and no odd base case is built here.  So is a tree whose operators
-    (``_operator_bytes``) would pass MAX_OPERATOR_BYTES, before any is
-    built.
+    and no odd base case is built here.  prop2 refuses the sizes it does
+    not build (an even m it takes is at least 4); then a tree whose
+    operators (``_operator_bytes``) pass MAX_OPERATOR_BYTES is refused.
     """
     if m % 2 != 0:
         raise ValueError(f"only even m is supported, got m={m}")
-    if not (4 <= m <= n):
-        raise ValueError(f"the protocol needs 4 <= m <= n, got m={m}, n={n}")
+    idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
     size = _operator_bytes(m, n)
     if size > MAX_OPERATOR_BYTES:
         raise ValueError(f"the protocol for m={m}, n={n} would hold {size / 2**30:.2f} GiB "
                          f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
     iota = m // 2
-    idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
     sub = _a1_subtree(m, n, idx, 0)
     dims = (m * iota, n * iota)
     return _branch(ALICE, [
@@ -397,16 +395,16 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     states that reach it at squared norm 1e-10 or more, possibly none,
     so each branch is checked once for projector completeness,
     orthogonality and idempotency whatever the inputs (a branch whose
-    operators do not fit the registers stops there).  Each outcome layer
-    must conserve every state's norm, and each leaf must be reached only
-    by its candidates: an Identify leaf counts as a finish leaf with one
-    candidate, and a one-party-finish leaf must also hold product
-    survivors, parallel on the idle party and orthogonal on the
-    measuring one.  The report carries each state's success probability
-    and the largest probability any state lent to a wrong
-    identification.  Raises ValueError for stacks that
-    ``factor_stacks(..., axes=3)`` refuses, or when there are no states
-    or one is zero or not finite.
+    operators do not fit the registers, or a node of an unknown party,
+    stops there unjudged).  Each outcome layer must conserve every
+    state's norm, and each leaf must be reached only by its candidates:
+    an Identify leaf counts as a finish leaf with one candidate, and a
+    one-party-finish leaf must also hold product survivors, parallel on
+    the idle party and orthogonal on the measuring one.  The report
+    carries each state's success probability and the largest probability
+    any state lent to a wrong identification.  Raises ValueError for
+    stacks that ``factor_stacks(..., axes=3)`` refuses, or when there are
+    no states or one is zero or not finite.
     """
     # pow2_scaled is exact and keeps norms2 finite
     lefts, rights = map(pow2_scaled, factor_stacks(lefts, rights, axes=3))
@@ -429,7 +427,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     leaf_problems: list[str] = []
 
     def walk(node: ProtocolNode, idx, lefts, rights, norms2, path: str) -> None:
-        if isinstance(node, Branch):
+        if not isinstance(node, Identify) and node.party not in (ALICE, BOB):
+            problems = branch_problems if isinstance(node, Branch) else leaf_problems
+            problems.append(f"{path}: unknown party {node.party!r}")
+        elif isinstance(node, Branch):
             if not _check_branch(node, reg_dims, path, branch_problems):
                 return
             alice = node.party == ALICE

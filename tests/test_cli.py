@@ -83,21 +83,25 @@ class TestGenRoundTrip:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
 
-    @pytest.mark.parametrize("dims", [("--m", "65", "--n", "70"), ("--m", "3", "--n", "65")])
-    def test_gen_refuses_dimensions_beyond_the_format(self, tmp_path, capsys, dims):
+    @pytest.mark.parametrize("m,n", [(65, 70), (3, 65)])
+    def test_gen_refuses_dimensions_beyond_the_format(self, tmp_path, capsys, m, n):
+        """The family states its own range; the CLI adds no size rule."""
         path = tmp_path / "big.tile"
-        code, _, err = run(capsys, "gen", "--family", "five-tile", *dims, "-o", str(path))
-        assert code == 2
-        assert "1..64" in err
+        code, out, err = run(capsys, "gen", "--family", "five-tile", "--m", str(m), "--n", str(n),
+                             "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: five_tile requires 3 <= m <= n <= 64, got m={m}, n={n}\n"
         assert not path.exists()
 
-    @pytest.mark.parametrize("family", [("five-tile", "--m", "65", "--n", "70"),
-                                        ("prop3", "--m", "0", "--tiles", "5")])
-    def test_check_utile_refuses_dimensions_beyond_the_format(self, capsys, family):
+    @pytest.mark.parametrize("family, message", [
+        (("five-tile", "--m", "65", "--n", "70"),
+         "five_tile requires 3 <= m <= n <= 64, got m=65, n=70"),
+        (("prop3", "--m", "0", "--tiles", "5"), "prop3 requires 4 <= m <= 64, got m=0"),
+    ], ids=["five-tile", "prop3"])
+    def test_check_utile_refuses_dimensions_beyond_the_format(self, capsys, family, message):
         code, out, err = run(capsys, "check-utile", "--family", *family)
-        assert code == 2
-        assert out == ""
-        assert "1..64" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_gen_names_prop3s_range_of_m(self, capsys):
         code, out, err = run(capsys, "gen", "--family", "prop3", "--m", "3", "--tiles", "5")
@@ -352,7 +356,7 @@ class TestChecks:
         code, out, err = run(capsys, "distinguish", "--m", "4", "--n", "65")
         assert code == 2
         assert out == ""
-        assert "--n 65 lies outside the format's 1..64" in err
+        assert err == "error: prop2 requires 3 <= m <= n <= 64, got m=4, n=65\n"
 
 
 class TestOutputFile:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tileupb.families
 from tileupb import (
     MAX_DIM,
     TileGridContentError,
@@ -83,8 +84,31 @@ class TestRingFamily:
             prop2(5, 4)
 
     def test_refuses_grids_past_the_format_maximum(self):
-        with pytest.raises(TileGridContentError, match=f"supported maximum {MAX_DIM}"):
+        with pytest.raises(ValueError, match=f"prop2 requires 3 <= m <= n <= {MAX_DIM}, "
+                                             "got m=70, n=70") as info:
             prop2(70, 70)
+        assert not isinstance(info.value, TileGridContentError)
+
+
+class TestSizeRefusals:
+    """A ring family refuses a size outside 3 <= m <= n <= MAX_DIM in its
+    argument check, before ``_rings`` paints a cell."""
+
+    @pytest.mark.parametrize("family, m, n", [(prop2, 10**6, 10**6), (five_tile, 3, 65)])
+    def test_sizes_outside_the_range_are_refused_unpainted(self, monkeypatch, family, m, n):
+        def paint(*args):
+            raise AssertionError("_rings painted a refused size")
+
+        monkeypatch.setattr(tileupb.families, "_rings", paint)
+        with pytest.raises(ValueError, match=f"{family.__name__} requires 3 <= m <= n "
+                                             f"<= {MAX_DIM}, got m={m}, n={n}"):
+            family(m, n)
+
+    @pytest.mark.parametrize("family", [prop2, five_tile])
+    @pytest.mark.parametrize("m", [3, MAX_DIM])
+    def test_the_format_maximum_still_builds(self, family, m):
+        ts = family(m, MAX_DIM)
+        assert (ts.m, ts.n) == (m, MAX_DIM)
 
 
 class TestTileCountFamily:

@@ -123,6 +123,15 @@ class TestValidate:
             f"grid dimensions exceed the supported maximum {MAX_DIM}",
         )
 
+    @pytest.mark.parametrize("grid, problem", [
+        ([[1.5] * (MAX_DIM + 1)] * (MAX_DIM + 1),
+         f"grid dimensions exceed the supported maximum {MAX_DIM}"),
+        ([[1.5, 1.5], [1.5]], "cell_map rows differ in length"),
+    ], ids=["oversized", "ragged"])
+    def test_the_shape_is_refused_before_any_cell_is_converted(self, grid, problem):
+        """1.5 is no id (a TypeError once read), but the shape fails first."""
+        assert self.refusal(grid) == (problem,)
+
     def test_oversized_grid_is_refused_without_reading_its_tiles(self):
         assert self.refusal([[5] * 100] * 100) == (
             f"grid dimensions exceed the supported maximum {MAX_DIM}",

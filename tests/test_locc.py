@@ -287,6 +287,16 @@ class TestProtocols:
         with pytest.raises(ValueError):
             build_theorem3_protocol(4, 3)
 
+    @pytest.mark.parametrize("m,n", [(6, 4), (4, 65), (2, 5)])
+    def test_sizes_are_prop2s_to_refuse(self, m, n):
+        with pytest.raises(ValueError, match=f"^prop2 requires 3 <= m <= n <= 64, "
+                                             f"got m={m}, n={n}$"):
+            build_theorem3_protocol(m, n)
+
+    def test_odd_m_is_refused_before_prop2_reads_the_size(self):
+        with pytest.raises(ValueError, match="^only even m is supported, got m=3$"):
+            build_theorem3_protocol(3, 5)
+
 
 def _audited(monkeypatch, protocol, lefts, rights):
     """The report of ``verify_protocol`` and the path of each branch it
@@ -424,6 +434,11 @@ def _finish_leaf_differing_on_the_idle_party():
     return _two_state_finish(np.eye(2), np.eye(2))
 
 
+def _parallel_on_alice():
+    """|0>|0> and |0>|1> with a trivial resource: Bob alone tells them apart."""
+    return attach_resource([[1, 0], [1, 0]], np.eye(2), 1)
+
+
 def _nested_bob_outcome_dropped():
     protocol = _replace_at(
         build_theorem3_protocol(6, 6),
@@ -526,6 +541,22 @@ class TestVerifierCatchesSabotage:
         report = verify_protocol(*_finish_leaf_differing_on_the_idle_party())
         assert not report.ok
         assert report.leaf_violations == ("root: states 0 and 1 differ on the idle party",)
+
+    def test_a_branch_of_an_unknown_party_is_named_not_measured_as_bobs(self):
+        outcomes = ((LocalProjector(np.diag([1, 0])), Identify(0)),
+                    (LocalProjector(np.diag([0, 1])), Identify(1)))
+        assert verify_protocol(Branch(BOB, outcomes), *_parallel_on_alice()).ok
+        report = verify_protocol(Branch("carol", outcomes), *_parallel_on_alice())
+        assert not report.ok
+        assert report.branch_violations == ("root: unknown party 'carol'",)
+        assert report.probabilities == (0.0, 0.0)
+
+    def test_a_finish_leaf_of_an_unknown_party_is_named_not_judged(self):
+        assert verify_protocol(OnePartyFinish(BOB, (0, 1)), *_parallel_on_alice()).ok
+        report = verify_protocol(OnePartyFinish("carol", (0, 1)), *_parallel_on_alice())
+        assert not report.ok
+        assert report.leaf_violations == ("root: unknown party 'carol'",)
+        assert not report.branch_violations
 
     def test_dropped_outcome_of_a_nested_bob_layer_is_flagged(self):
         protocol, *stacks = _nested_bob_outcome_dropped()

@@ -108,9 +108,9 @@ def test_stack_shapes_and_fourier_rows_live_in_the_states_module(path):
 
 
 # src/tileupb/*.py held 2,427 lines when the count started and holds
-# 1,934 now; it may only fall, so speed work cannot grow the library
+# 1,928 now; it may only fall, so speed work cannot grow the library
 # unnoticed.
-SOURCE_LINE_CAP = 1934
+SOURCE_LINE_CAP = 1928
 
 
 def test_library_source_stays_under_the_line_cap():
