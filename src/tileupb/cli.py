@@ -29,7 +29,8 @@ from .locc import attach_resource, build_theorem3_protocol, verify_protocol
 from .ppt import ppt_report
 from .rectangles import is_u_tile
 from .states import build_upb, upb_state_labels
-from .verify import DEFAULT_RESTARTS, check_upb
+from .verify import (DEFAULT_CONV_TOL, DEFAULT_MAX_ITERS, DEFAULT_ORTH_TOL, DEFAULT_RESTARTS,
+                     PRODUCT_THRESHOLD, _check_search_settings, certify_upb, seesaw_search)
 
 FAMILIES = {
     "example1": (example1, ()),
@@ -143,10 +144,35 @@ def _cmd_build_upb(args, parser) -> int:
     return 0
 
 
+def _verify_note(cert, product_found: bool) -> str:
+    """How the certificate and the seesaw probe read together."""
+    if cert.refusal:
+        return f"complement not certified, search skipped: {cert.refusal}"
+    if cert.verdict is None:
+        return "complement is empty; unextendibility holds vacuously"
+    if cert.u_tile:
+        return ("the seesaw found a product state in the complement of a U-tile origin, "
+                "which contradicts the U-tile theorem" if product_found else
+                "U-tile: no product state in the complement; the seesaw found none")
+    if cert.max_overlap <= DEFAULT_ORTH_TOL:
+        return ("not a U-tile: the witness is a product state in the complement "
+                "(extendibility certificate); the seesaw "
+                + ("found one too" if product_found else "missed it"))
+    return ("not a U-tile, but the witness state overlaps the states: relative "
+            f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
+
+
 def _cmd_verify_upb(args, parser) -> int:
-    ts = _load_structure(args, parser)
-    report = check_upb(build_upb(ts), restarts=args.restarts, seed=args.seed)
-    cert = report.certificate
+    """``certify_upb``'s verdict, cross-checked by the seesaw probe once a
+    nonempty complement is certified; a product state the probe finds
+    fails the check (for a U-tile origin it contradicts the theorem)."""
+    upb = build_upb(_load_structure(args, parser))
+    restarts, seed = _check_search_settings(args.restarts, args.seed)
+    cert = certify_upb(upb)
+    search = None if cert.verdict is None else seesaw_search(upb.origin, restarts, seed)
+    product_found = search is not None and search.best_overlap > 1.0 - PRODUCT_THRESHOLD
+    passed = cert.ok and not product_found
+    note = _verify_note(cert, product_found)
     lines = [
         f"size: {cert.size} (expected {cert.expected_size})",
         f"orthogonal: {cert.orthogonality.ok} "
@@ -154,26 +180,25 @@ def _cmd_verify_upb(args, parser) -> int:
         f"complement dimension: {cert.complement_dim} "
         f"(expected {cert.expected_complement_dim})",
     ]
-    search = report.search
     if search is not None:
         lines.append(f"best product overlap: {search.best_overlap:.12f} "
                      f"over {search.restarts_run} restarts")
         search = _fields_json(search, best_product=_product_json(search.best_product))
-    if report.note:
-        lines.append(report.note)
-    lines.append("verdict: " + ("unextendible product basis" if report.passed else "FAILED"))
+    lines += [note, "verdict: " + ("unextendible product basis" if passed else "FAILED")]
     # "certificate" is the U-tile verdict, None when none was made
     origin = None if cert.verdict is None else {"u_tile": cert.u_tile, "witness": None}
     if origin and not cert.u_tile:
         origin.update(witness=_witness_json(cert.verdict.witness), max_overlap=cert.max_overlap)
+    settings = dict(restarts=restarts, max_iters=DEFAULT_MAX_ITERS, conv_tol=DEFAULT_CONV_TOL,
+                    seed=seed, orth_tol=DEFAULT_ORTH_TOL, product_threshold=PRODUCT_THRESHOLD)
     _emit(args, "\n".join(lines), {
         **_attrs(cert, "size", "expected_size", "size_ok", "stopper_law_ok", "complement_dim",
                  "expected_complement_dim", orthogonal=cert.orthogonality.ok,
                  max_offdiagonal=cert.orthogonality.max_offdiagonal),
-        **_attrs(report, "product_found", "passed", "note", "settings",
-                 certificate=origin, search=search),
+        "product_found": product_found, "passed": passed, "note": note, "settings": settings,
+        "certificate": origin, "search": search,
     })
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _cmd_ppt(args, parser) -> int:

@@ -10,10 +10,10 @@ its certificate reads each state's s tile coordinates.  Once it holds,
 the paper's main theorem makes the U-tile decision of the origin exact:
 the complement holds a product state iff the origin is not U-tile, and
 then the verdict's witness carries one, checked against every state.
-``certify_upb`` makes all of these decisions on the set's stack;
-``check_upb`` and ``ppt_report`` read its ``UPBCertificate``.
+``certify_upb`` makes all of these decisions on the set's stack, and
+its ``UPBCertificate`` is the library's one verdict on a basis.
 
-The seesaw search is a numerical cross-check of that verdict: it
+The seesaw search is a numerical probe, never part of that verdict: it
 maximizes the squared norm of the projection of a (x) b onto the
 complement over unit product vectors.  Every complement vector is
 constant on each tile, and rows (columns) lying in the same set of
@@ -25,6 +25,7 @@ restarts take it together as one stacked p x p (or q x q) eigh.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -39,11 +40,9 @@ __all__ = [
     "OrthogonalityReport",
     "SearchResult",
     "UPBCertificate",
-    "UPBCheckReport",
     "check_orthogonal_set",
     "certify_upb",
     "seesaw_search",
-    "check_upb",
 ]
 
 DEFAULT_RESTARTS = 200
@@ -156,11 +155,14 @@ def _top_factors(side, other, other_coords, sizes) -> tuple[np.ndarray, np.ndarr
     return vals[:, -1], vecs[:, :, -1]
 
 
-def _check_search_settings(restarts: int, seed: int) -> None:
+def _check_search_settings(restarts: int, seed: int) -> tuple[int, int]:
+    """restarts and seed as ints, checked before any search work."""
+    restarts, seed = operator.index(restarts), operator.index(seed)
     if restarts < 1:
         raise ValueError(f"the search needs at least one restart, got {restarts}")
     if seed < 0:
         raise ValueError(f"the search seed must be non-negative, got {seed}")
+    return restarts, seed
 
 
 def seesaw_search(
@@ -186,10 +188,11 @@ def seesaw_search(
     and count of drops beyond MONOTONE_SLACK.  Restarts are ranked by
     recomputed objective, first best wins, and the winner is lifted back
     to C^m and C^n.  Deterministic for fixed inputs and seed.  Raises
-    ValueError for fewer than one restart, a negative seed or a single
-    tile (nothing to search).
+    TypeError for a non-integer restarts or seed, and ValueError for
+    fewer than one restart, a negative seed or a single tile (nothing
+    to search).
     """
-    _check_search_settings(restarts, seed)
+    restarts, seed = _check_search_settings(restarts, seed)
     if ts.tile_count < 2:
         raise ValueError("a single tile leaves an empty complement: nothing to search")
     rows, cols, sizes = _tile_incidence(ts)
@@ -332,62 +335,3 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
     overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
     return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))
-
-
-@dataclass(frozen=True, eq=False)
-class UPBCheckReport:
-    """``certify_upb``'s verdict with the seesaw cross-check, read off both."""
-
-    certificate: UPBCertificate
-    search: SearchResult | None
-    settings: dict
-
-    @property
-    def product_found(self) -> bool:
-        return self.search is not None and self.search.best_overlap > 1.0 - PRODUCT_THRESHOLD
-
-    @property
-    def passed(self) -> bool:
-        return self.certificate.ok and not self.product_found
-
-    @property
-    def note(self) -> str:
-        cert, found = self.certificate, self.product_found
-        if cert.refusal:
-            return f"complement not certified, search skipped: {cert.refusal}"
-        if cert.verdict is None:
-            return "complement is empty; unextendibility holds vacuously"
-        if cert.u_tile:
-            return ("the seesaw found a product state in the complement of a U-tile origin, "
-                    "which contradicts the U-tile theorem" if found else
-                    "U-tile: no product state in the complement; the seesaw found none")
-        if cert.max_overlap <= DEFAULT_ORTH_TOL:
-            return ("not a U-tile: the witness is a product state in the complement "
-                    "(extendibility certificate); the seesaw "
-                    + ("found one too" if found else "missed it"))
-        return ("not a U-tile, but the witness state overlaps the states: relative "
-                f"{cert.max_overlap:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
-
-
-def check_upb(
-    upb: UPBSet,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> UPBCheckReport:
-    """Full check of a UPBSet: ``certify_upb`` and a seesaw cross-check.
-
-    The seesaw search runs over the origin's tile sums once a nonempty
-    complement is certified; a product state it finds for a U-tile
-    origin contradicts the theorem and fails the check.  Passing means
-    the certificate holds (``UPBCertificate.ok``) and the seesaw found
-    nothing.  When the complement cannot be certified the check fails
-    with the reason in ``note`` and no search runs; an empty complement
-    (one tile) passes vacuously.  Raises ValueError when restarts < 1 or
-    seed < 0, whether or not a search runs.
-    """
-    _check_search_settings(restarts, seed)
-    cert = certify_upb(upb)
-    search = None if cert.verdict is None else seesaw_search(upb.origin, restarts, seed)
-    settings = dict(restarts=restarts, max_iters=DEFAULT_MAX_ITERS, conv_tol=DEFAULT_CONV_TOL,
-                    seed=seed, orth_tol=DEFAULT_ORTH_TOL, product_threshold=PRODUCT_THRESHOLD)
-    return UPBCheckReport(cert, search, settings)

@@ -203,7 +203,9 @@ class TestChecks:
         assert code == 0
         data = json.loads(out)
         assert data["passed"] is True
+        assert data["complement_dim"] == 0
         assert data["certificate"] is None and data["search"] is None
+        assert "vacuous" in data["note"]
 
     def test_verify_upb_fails_on_extendible_input(self, capsys):
         code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--restarts", "40")
@@ -212,10 +214,15 @@ class TestChecks:
 
     def test_verify_upb_certifies_the_check_utile_witness(self, capsys):
         """The extendibility certificate carries the witness check-utile
-        prints, checked against every state."""
-        code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--json")
+        prints, checked against every state; the seesaw finds a product
+        state too."""
+        code, out, _ = run(capsys, "verify-upb", "--family", "fig2", "--restarts", "50", "--json")
         assert code == 1
-        cert = json.loads(out)["certificate"]
+        data = json.loads(out)
+        assert data["passed"] is False and data["product_found"] is True
+        assert data["search"]["best_overlap"] > 1 - 1e-9
+        assert "found one too" in data["note"]
+        cert = data["certificate"]
         assert cert["u_tile"] is False
         assert cert["max_overlap"] <= 1e-12
         _, utile, _ = run(capsys, "check-utile", "--family", "fig2", "--json")

@@ -8,7 +8,7 @@ import pytest
 from tileupb import (
     ProductState,
     build_upb,
-    check_upb,
+    certify_upb,
     example1,
     fig2,
     five_tile,
@@ -122,22 +122,22 @@ class TestBuildState:
             ppt_report(tampered_upb(upb, states))
 
     @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
-    def test_accepts_the_same_sets_as_check_upb(self, shift):
+    def test_accepts_the_same_sets_as_certify_upb(self, shift):
         """A set whose worst relative overlap lies between 1e-12 and
-        1e-10 is refused by both checks; one within rounding passes both."""
+        1e-10 is refused by both; one within rounding passes both."""
         upb = build_upb(example1())
         rng = np.random.default_rng(3)
         first = upb.states[0]
         nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
         tampered = tampered_upb(upb, (nudged,) + upb.states[1:])
-        verdict = check_upb(tampered, restarts=1)
+        verdict = certify_upb(tampered)
         if shift > 1e-12:
-            assert 1e-12 < verdict.certificate.orthogonality.max_offdiagonal < 1e-10
+            assert 1e-12 < verdict.orthogonality.max_offdiagonal < 1e-10
         try:
             report = ppt_report(tampered)
         except ValueError:
             report = None
-        assert (report is not None and report.ok) == verdict.passed == (shift < 1e-12)
+        assert (report is not None and report.ok) == verdict.ok == (shift < 1e-12)
 
 
 class TestPartialTranspose:

@@ -1,13 +1,19 @@
-"""Orthogonality checks, the complement certificate, and the product search."""
+"""Orthogonality checks, the complement certificate, the product search,
+and how ``verify-upb`` composes the certificate with the search."""
 
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tileupb.cli
 import tileupb.verify
 from tileupb import (
     ProductState,
@@ -16,7 +22,6 @@ from tileupb import (
     build_upb,
     certify_upb,
     check_orthogonal_set,
-    check_upb,
     example1,
     fig2,
     five_tile,
@@ -24,6 +29,7 @@ from tileupb import (
     prop2,
     prop3,
     seesaw_search,
+    serialize,
 )
 from tileupb.cli import main
 from tileupb.verify import DEFAULT_ORTH_TOL, GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
@@ -341,6 +347,19 @@ class TestSeesawSearch:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             seesaw_search(fig2(), seed=-1)
 
+    def test_a_bool_restart_count_is_reported_as_an_int(self):
+        assert type(seesaw_search(fig2(), restarts=True).restarts_run) is int
+
+    def test_a_float_setting_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(tileupb.verify, "_class_side", _never_called)
+        for bad in (dict(restarts=2.5), dict(seed=1.5)):
+            with pytest.raises(TypeError, match="integer"):
+                seesaw_search(fig2(), **bad)
+
+    @pytest.mark.parametrize("ts", [example1(), fig2()], ids=["example1", "fig2"])
+    def test_the_objective_never_drops(self, ts):
+        assert seesaw_search(ts, restarts=50, seed=0).monotonicity_violations == 0
+
     def test_a_single_tile_has_nothing_to_search(self):
         with pytest.raises(ValueError, match="nothing to search"):
             seesaw_search(structure_from_grid([[1, 1], [1, 1]]))
@@ -498,94 +517,84 @@ def limit_structures(draw):
     return structure_from_grid(grid.tolist())
 
 
-class TestCheckUpb:
-    def test_reference_basis_passes(self):
-        report = check_upb(build_upb(example1()), restarts=100, seed=0)
-        assert report.passed
-        cert = report.certificate
-        assert cert.size == cert.expected_size == 11
-        assert cert.complement_dim == cert.expected_complement_dim == 5
-        assert cert.stopper_law_ok
-        assert not report.product_found
-        assert cert.u_tile
+def _verify_json(capsys, *argv):
+    """``verify-upb --json`` on argv: the exit code and the parsed report."""
+    code = main(["verify-upb", *argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
 
-    def test_extendible_basis_fails_with_a_certificate(self):
-        report = check_upb(build_upb(fig2()), restarts=50, seed=0)
-        assert not report.passed
-        assert report.product_found
-        assert report.search.best_overlap > 1 - 1e-9
-        assert not report.certificate.u_tile
-        assert report.certificate.max_overlap <= 1e-12
-        assert "found one too" in report.note
 
-    def test_a_seesaw_miss_leaves_the_verdict_exact(self, monkeypatch):
+def _never_called(*args):
+    pytest.fail("the seesaw ran")
+
+
+class TestVerifyUpb:
+    """``verify-upb`` reads its verdict off ``certify_upb`` and fails a
+    basis the seesaw probe finds a product state for."""
+
+    def test_reference_basis_passes(self, capsys):
+        code, data = _verify_json(capsys, "--family", "example1", "--restarts", "100")
+        assert code == 0 and data["passed"] is True
+        assert data["size"] == data["expected_size"] == 11
+        assert data["complement_dim"] == data["expected_complement_dim"] == 5
+        assert data["stopper_law_ok"] is True
+        assert data["product_found"] is False
+        assert data["certificate"]["u_tile"] is True
+
+    def test_a_seesaw_miss_leaves_the_verdict_exact(self, capsys, monkeypatch):
         """The verdict comes from the U-tile decision: with the search
         forced to miss, fig2 still fails, on a checked witness."""
-        monkeypatch.setattr(tileupb.verify, "seesaw_search", _forced_search(0.5))
-        report = check_upb(build_upb(fig2()))
-        assert report.passed is False
-        assert not report.product_found
-        assert report.certificate.u_tile is False
-        assert report.certificate.max_overlap <= 1e-12
-        assert "missed it" in report.note
+        monkeypatch.setattr(tileupb.cli, "seesaw_search", _forced_search(0.5))
+        code, data = _verify_json(capsys, "--family", "fig2")
+        assert code == 1 and data["passed"] is False
+        assert data["product_found"] is False
+        assert data["certificate"]["u_tile"] is False
+        assert data["certificate"]["max_overlap"] <= 1e-12
+        assert "missed it" in data["note"]
 
-    def test_a_seesaw_hit_on_a_u_tile_is_a_contradiction(self, monkeypatch):
-        monkeypatch.setattr(tileupb.verify, "seesaw_search", _forced_search(1.0))
-        report = check_upb(build_upb(example1()))
-        assert report.certificate.u_tile
-        assert report.product_found
-        assert report.passed is False
-        assert "contradicts" in report.note
+    def test_a_seesaw_hit_on_a_u_tile_is_a_contradiction(self, capsys, monkeypatch):
+        monkeypatch.setattr(tileupb.cli, "seesaw_search", _forced_search(1.0))
+        code, data = _verify_json(capsys, "--family", "example1")
+        assert data["certificate"]["u_tile"] is True
+        assert data["product_found"] is True
+        assert code == 1 and data["passed"] is False
+        assert "contradicts" in data["note"]
 
-    @pytest.mark.parametrize("ts", [example1(), fig2()], ids=["example1", "fig2"])
-    def test_the_objective_never_drops(self, ts):
-        report = check_upb(build_upb(ts), restarts=50, seed=0)
-        assert report.search.monotonicity_violations == 0
+    def test_uncertified_complement_fails_without_a_search(self, capsys, monkeypatch):
+        monkeypatch.setattr(tileupb.cli, "build_upb", lambda ts: foreign_origin_upb())
+        monkeypatch.setattr(tileupb.cli, "seesaw_search", _never_called)
+        code, data = _verify_json(capsys, "--family", "five-tile", "--m", "4", "--n", "4")
+        assert data["orthogonal"] is True and data["size_ok"] is True
+        assert code == 1 and data["passed"] is False
+        assert data["search"] is None and data["certificate"] is None
+        assert "not certified" in data["note"] and "overlap" in data["note"]
 
-    def test_uncertified_complement_fails_without_a_search(self):
-        report = check_upb(foreign_origin_upb(), restarts=10, seed=0)
-        assert report.certificate.orthogonality.ok and report.certificate.size_ok
-        assert not report.passed
-        assert report.search is None
-        assert report.certificate.verdict is None
-        assert "not certified" in report.note and "overlap" in report.note
-
-    def test_complete_basis_passes_vacuously(self):
-        ts = structure_from_grid([[1, 1], [1, 1]])
-        report = check_upb(build_upb(ts))
-        assert report.passed
-        assert report.certificate.complement_dim == 0
-        assert report.search is None
-        assert "vacuous" in report.note
-
-    @pytest.mark.parametrize("ts", [fig2(), structure_from_grid([[1, 1], [1, 1]])],
-                             ids=["fig2", "one-tile"])
-    def test_refuses_a_negative_seed_whether_or_not_a_search_runs(self, ts):
-        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
-            check_upb(build_upb(ts), seed=-5)
-
-    def test_report_serializes(self, capsys):
-        """The report serializes through ``verify-upb --json``, the one
-        renderer, and the JSON agrees with the library report."""
-        report = check_upb(build_upb(prop3(4, 6)), restarts=30, seed=1)
-        code = main(["verify-upb", "--family", "prop3", "--m", "4", "--tiles", "6",
-                     "--restarts", "30", "--seed", "1", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert data["passed"] is True and report.passed
-        assert data["settings"]["restarts"] == 30
+    def test_the_json_reports_the_library_search(self, capsys):
+        """The search in ``verify-upb --json`` is ``seesaw_search`` at the
+        given restarts and seed, echoed in the settings."""
+        search = seesaw_search(prop3(4, 6), restarts=30, seed=1)
+        code, data = _verify_json(capsys, "--family", "prop3", "--m", "4", "--tiles", "6",
+                                  "--restarts", "30", "--seed", "1")
+        assert code == 0 and data["passed"] is True
+        assert data["settings"]["restarts"] == 30 and data["settings"]["seed"] == 1
         assert data["search"]["restarts_run"] == 30
-        assert data["search"]["best_overlap"] == report.search.best_overlap
+        assert data["search"]["best_overlap"] == search.best_overlap
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(ts=limit_structures())
     def test_verdict_is_the_u_tile_decision_up_to_64x64(self, ts):
-        report = check_upb(build_upb(ts), restarts=3, seed=0)
-        assert report.passed == is_u_tile(ts).is_u_tile
+        verdict = is_u_tile(ts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "limit.tile"
+            path.write_text(serialize(ts))
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["verify-upb", str(path), "--restarts", "3", "--json"])
+        data = json.loads(out.getvalue())
+        assert data["passed"] == verdict.is_u_tile == (code == 0)
         if ts.tile_count == 1:  # an empty complement leaves nothing to decide
-            assert report.certificate.verdict is None
+            assert data["certificate"] is None
         else:
-            assert report.certificate.u_tile == report.passed
-        if not report.passed:
-            assert_witness_split(ts, report.certificate.verdict)
-            assert report.certificate.max_overlap <= 1e-12
+            assert data["certificate"]["u_tile"] == data["passed"]
+        if not data["passed"]:
+            assert_witness_split(ts, verdict)
+            assert data["certificate"]["witness"]["tiles"] == list(verdict.witness.tile_ids)
+            assert data["certificate"]["max_overlap"] <= 1e-12
