@@ -26,7 +26,6 @@ import sys
 from .families import example1, fig2, five_tile, prop2, prop3
 from .grid import TileGridContentError, parse_tile_grid, serialize
 from .locc import attach_resource, build_theorem3_protocol, verify_protocol
-from .ppt import ppt_report
 from .rectangles import is_u_tile
 from .states import build_upb, upb_state_labels
 from .verify import (DEFAULT_CONV_TOL, DEFAULT_MAX_ITERS, DEFAULT_ORTH_TOL, DEFAULT_RESTARTS,
@@ -202,20 +201,39 @@ def _cmd_verify_upb(args, parser) -> int:
 
 
 def _cmd_ppt(args, parser) -> int:
-    report = ppt_report(build_upb(_load_structure(args, parser)))
-    lines = [
-        f"trace: {report.trace:.12f}",
-        f"rank: {report.rank} (expected {report.expected_rank})",
-        f"min eigenvalue: {report.min_eigenvalue:.3e}",
-        f"min eigenvalue after partial transpose: {report.min_eigenvalue_pt:.3e}",
-        f"ppt: {report.ppt}",
-        f"spectrum: {report.spectrum_certificate}",
-    ]
-    if report.warning:
-        lines.append(f"warning: {report.warning}")
-    certified = report.ok and report.entangled_certificate is not None
-    lines.append("verdict: " + ("ok" if certified else "FAILED"))
-    _emit(args, "\n".join(lines), _fields_json(report, "ok"))
+    """The complement state's trace, rank and spectra, read off
+    ``certify_upb`` by the closed form ``tileupb.ppt`` states, so no
+    state is formed; a refused set is an error, and an empty complement
+    (one tile) reads rank 0."""
+    upb = build_upb(_load_structure(args, parser))
+    cert = certify_upb(upb)
+    if cert.refusal:
+        raise ValueError(cert.refusal)
+    rank, dim = cert.complement_dim, upb.m * upb.n
+    expected_rank = dim - len(upb.a)
+    report = dict(
+        dim=dim, trace=1.0 if rank else 0.0, rank=rank, expected_rank=expected_rank,
+        min_eigenvalue=0.0, min_eigenvalue_pt=0.0, ppt=True, ok=rank == expected_rank > 0,
+        spectrum_certificate=(
+            "closed form: the certified complement makes rho its projector over "
+            "s - 1 (eigenvalues 1/(s - 1) and 0), and real rectangular tiles "
+            "give rho^Gamma = rho" if rank else "none: empty complement"),
+        entangled_certificate=(
+            "range criterion: the support is the orthogonal complement of an "
+            "unextendible product set, so it contains no product state" if cert.u_tile else None),
+        warning=(None if cert.u_tile else
+                 "the origin is not U-tile: the support contains its extension state, "
+                 "so the range criterion certifies no entanglement")
+        if rank else "degenerate input: the set spans the whole space",
+    )
+    text = ("trace: {trace:.12f}\nrank: {rank} (expected {expected_rank})\n"
+            "min eigenvalue: {min_eigenvalue:.3e}\n"
+            "min eigenvalue after partial transpose: {min_eigenvalue_pt:.3e}\n"
+            "ppt: {ppt}\nspectrum: {spectrum_certificate}\n").format(**report)
+    if report["warning"]:
+        text += f"warning: {report['warning']}\n"
+    certified = report["ok"] and cert.u_tile
+    _emit(args, text + "verdict: " + ("ok" if certified else "FAILED"), report)
     return 0 if certified else 1
 
 

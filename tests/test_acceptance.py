@@ -4,6 +4,7 @@ Each test prints one live PASS/FAIL line (bypassing capture) and
 enforces its own wall-clock budget, so a full run reads as a checklist.
 """
 
+import json
 import time
 
 import numpy as np
@@ -19,13 +20,13 @@ from tileupb import (
     fig2,
     five_tile,
     is_u_tile,
-    ppt_report,
     prop2,
     prop3,
     seesaw_search,
     validate,
     verify_protocol,
 )
+from tileupb.cli import main
 
 from conftest import (
     closed_form_projector,
@@ -189,29 +190,33 @@ def test_criterion_5_search_verdicts_match_the_combinatorial_decision(capsys):
 
 
 def test_criterion_6_complement_states_are_ppt_entangled(capsys):
+    """``tileupb ppt --json`` on every case reports trace 1, rank s - 1,
+    no negative eigenvalue and ok."""
     t0 = time.monotonic()
     problems = []
-    cases = [("example1", example1()), ("fig2", fig2())]
+    cases = [(("example1",), example1()), (("fig2",), fig2())]
     for m in range(3, 9):
         for n in range(m, 11):
             if m * n <= 49:
-                cases.append((f"prop2({m},{n})", prop2(m, n)))
+                cases.append((("prop2", "--m", str(m), "--n", str(n)), prop2(m, n)))
     for m in range(4, 8):
         for t in range(5, 2 * m + 1):
-            cases.append((f"prop3({m},{t})", prop3(m, t)))
+            cases.append((("prop3", "--m", str(m), "--tiles", str(t)), prop3(m, t)))
     for m in range(3, 9):
         for n in range(m, 9):
             if m * n <= 49:
-                cases.append((f"five_tile({m},{n})", five_tile(m, n)))
-    for name, ts in cases:
-        report = ppt_report(build_upb(ts))
-        if abs(report.trace - 1) > 1e-12:
-            problems.append(f"{name}: trace {report.trace}")
-        if report.rank != ts.tile_count - 1:
-            problems.append(f"{name}: rank {report.rank}, want {ts.tile_count - 1}")
-        if report.min_eigenvalue < -1e-10 or report.min_eigenvalue_pt < -1e-10:
+                cases.append((("five-tile", "--m", str(m), "--n", str(n)), five_tile(m, n)))
+    for family, ts in cases:
+        name = " ".join(family)
+        main(["ppt", "--family", *family, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        if abs(report["trace"] - 1) > 1e-12:
+            problems.append(f"{name}: trace {report['trace']}")
+        if report["rank"] != ts.tile_count - 1:
+            problems.append(f"{name}: rank {report['rank']}, want {ts.tile_count - 1}")
+        if report["min_eigenvalue"] < -1e-10 or report["min_eigenvalue_pt"] < -1e-10:
             problems.append(f"{name}: negative eigenvalue")
-        if not report.ok:
+        if not report["ok"]:
             problems.append(f"{name}: report not ok")
     _report(capsys, f"criterion 6: {len(cases)} complement states are PPT with rank s-1",
             problems, t0, 60.0)

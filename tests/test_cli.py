@@ -554,6 +554,15 @@ class TestReadme:
                 assert not word.startswith("-") or word in accepted, (line, word)
         assert listed == set(subs)
 
+    def test_library_names_exist(self):
+        """Each ``T.<name>`` of the README's Library block is an attribute
+        of the package, so a removed public name cannot linger there."""
+        text = README.read_text(encoding="utf-8")
+        block = re.search(r"## Library\n+```python\n(.*?)```", text, re.S).group(1)
+        names = set(re.findall(r"\bT\.(\w+)", block))
+        assert "certify_upb" in names
+        assert not [name for name in sorted(names) if not hasattr(tileupb, name)]
+
 
 LABELLED_FAMILIES = {
     "example1": (("--family", "example1"), example1),
