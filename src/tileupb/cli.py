@@ -70,9 +70,8 @@ def _emit(args, text: str, payload) -> None:
 
 
 def _product_json(state) -> dict:
-    """A product state's factors, each as a list of [re, im] pairs."""
-    return {key: [[z.real, z.imag] for z in map(complex, vec)]
-            for key, vec in (("a", state.a_vec), ("b", state.b_vec))}
+    """A product state's (a, b) factors, each as a list of [re, im] pairs."""
+    return {key: [[z.real, z.imag] for z in map(complex, vec)] for key, vec in zip("ab", state)}
 
 
 def _attrs(obj, *names, **rendered) -> dict:
@@ -174,8 +173,7 @@ def _cmd_verify_upb(args, parser) -> int:
     note = _verify_note(cert, product_found)
     lines = [
         f"size: {cert.size} (expected {cert.expected_size})",
-        f"orthogonal: {cert.orthogonality.ok} "
-        f"(max off-diagonal {cert.orthogonality.max_offdiagonal:.3e})",
+        f"orthogonal: {cert.orthogonal} (max off-diagonal {cert.max_offdiagonal:.3e})",
         f"complement dimension: {cert.complement_dim} "
         f"(expected {cert.expected_complement_dim})",
     ]
@@ -191,9 +189,8 @@ def _cmd_verify_upb(args, parser) -> int:
     settings = dict(restarts=restarts, max_iters=DEFAULT_MAX_ITERS, conv_tol=DEFAULT_CONV_TOL,
                     seed=seed, orth_tol=DEFAULT_ORTH_TOL, product_threshold=PRODUCT_THRESHOLD)
     _emit(args, "\n".join(lines), {
-        **_attrs(cert, "size", "expected_size", "size_ok", "stopper_law_ok", "complement_dim",
-                 "expected_complement_dim", orthogonal=cert.orthogonality.ok,
-                 max_offdiagonal=cert.orthogonality.max_offdiagonal),
+        **_attrs(cert, "size", "expected_size", "size_ok", "orthogonal", "max_offdiagonal",
+                 "stopper_law_ok", "complement_dim", "expected_complement_dim"),
         "product_found": product_found, "passed": passed, "note": note, "settings": settings,
         "certificate": origin, "search": search,
     })

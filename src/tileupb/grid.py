@@ -92,7 +92,7 @@ class TileStructure:
 
     @property
     def n(self) -> int:
-        return len(self.cell_map[0]) if self.cell_map else 0
+        return len(self.cell_map[0])
 
     @cached_property
     def tiles(self) -> tuple[Tile, ...]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import TileStructure
-from .states import ProductState
 
 __all__ = [
     "UTileWitness",
@@ -34,7 +33,7 @@ class UTileWitness:
     """A failing split: a special rectangle rows x cols, tiled by the
     nonempty groups ``part1`` and ``part2`` (their sorted union is
     ``tile_ids``) whose unions of row sets (axis="row") or column sets
-    (axis="column") are disjoint, and its extension ``state``.
+    (axis="column") are disjoint, and its extension ``state``, an (a, b) pair.
 
     For a column split whose parts cover column sets C1 and C2 of the
     rectangle's rows R, the state is sum_i c_i |phi_i^(0,0)> with
@@ -49,7 +48,7 @@ class UTileWitness:
     axis: str
     part1: tuple[int, ...]
     part2: tuple[int, ...]
-    state: ProductState = field(compare=False)
+    state: tuple[np.ndarray, np.ndarray] = field(compare=False)
 
     @property
     def tile_ids(self) -> tuple[int, ...]:
@@ -138,5 +137,5 @@ def is_u_tile(ts: TileStructure) -> UTileVerdict:
         split_vec[_bit_indices(two)] = -one.bit_count() / two.bit_count()
         pair = (shared_vec, split_vec) if axis == "column" else (split_vec, shared_vec)
         rect = (base_idx, split_idx) if axis == "column" else (split_idx, base_idx)
-        return UTileVerdict(UTileWitness(*rect, axis, part1, part2, ProductState(*pair)))
+        return UTileVerdict(UTileWitness(*rect, axis, part1, part2, pair))
     return UTileVerdict()

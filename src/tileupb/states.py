@@ -22,25 +22,12 @@ from .grid import Tile, TileStructure
 
 __all__ = [
     "STOPPER_LABEL",
-    "ProductState",
     "UPBSet",
     "build_upb",
     "upb_state_labels",
 ]
 
 STOPPER_LABEL = ("stopper",)
-
-
-@dataclass(frozen=True, eq=False)
-class ProductState:
-    """A product state |a>|b>, stored by its two factor vectors."""
-
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_vec", np.asarray(self.a_vec, dtype=complex))
-        object.__setattr__(self, "b_vec", np.asarray(self.b_vec, dtype=complex))
 
 
 def dft(size: int) -> np.ndarray:
@@ -118,10 +105,11 @@ class UPBSet:
         return self.origin.n
 
     @cached_property
-    def states(self) -> tuple[ProductState, ...]:
-        """The rows of the stack as product states, labelled in order by
-        ``upb_state_labels`` for a set from ``build_upb``."""
-        return tuple(ProductState(a, b) for a, b in zip(self.a, self.b))
+    def states(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (a, b) row pairs of the stack, in ``upb_state_labels`` order
+        for a set from ``build_upb``; unread by the library, kept for the
+        benchmark tracer, which counts ``len(build_upb(...).states)``."""
+        return tuple(zip(self.a, self.b))
 
 
 def upb_state_labels(ts: TileStructure) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""Numerical verification: a counted orthogonality report, the one
+"""Numerical verification: a counted orthogonality check, the one
 verdict on a tile basis (``certify_upb``), and a seesaw search for
 product states inside the complement.
 
@@ -34,10 +34,9 @@ import numpy as np
 
 from .grid import TileStructure
 from .rectangles import UTileVerdict, is_u_tile
-from .states import ProductState, UPBSet, factor_stacks, pow2_scaled
+from .states import UPBSet, factor_stacks, pow2_scaled
 
 __all__ = [
-    "OrthogonalityReport",
     "SearchResult",
     "UPBCertificate",
     "check_orthogonal_set",
@@ -56,34 +55,22 @@ MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
 PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product state
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """The count of pairs whose relative overlap |<psi_i|psi_j>| /
-    (|psi_i| |psi_j|) is not within DEFAULT_ORTH_TOL, and the largest."""
-
-    violating_pairs: int
-    max_offdiagonal: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violating_pairs
-
-
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     best_overlap: float
-    best_product: ProductState
+    best_product: tuple[np.ndarray, np.ndarray]  # its (a, b) factor vectors
     restarts_run: int
     converged_restarts: int
     monotonicity_violations: int
 
 
-def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
-    """Count the pairs i < j with |<psi_i|psi_j>| / (|psi_i| |psi_j|) not
-    within DEFAULT_ORTH_TOL (a NaN one too) for the product states psi_i
-    with factors row i of the stacks A (N x m) and B (N x n), each row
-    scaled first by ``pow2_scaled``; a zero overlaps nothing.  Raises
-    ValueError for stacks that ``factor_stacks`` refuses.
+def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
+    """(violating_pairs, max_offdiagonal): the count of pairs i < j with
+    |<psi_i|psi_j>| / (|psi_i| |psi_j|) not within DEFAULT_ORTH_TOL (a NaN
+    one too), and the largest, for the product states psi_i with factors
+    row i of the stacks A (N x m) and B (N x n), each row scaled first by
+    ``pow2_scaled``; a zero overlaps nothing.  Raises ValueError for
+    stacks that ``factor_stacks`` refuses.
 
     The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
     at a time over the columns j >= the block's first row, so memory
@@ -100,7 +87,7 @@ def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> OrthogonalityReport:
         rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
         worst = float(np.maximum(worst, rel.max()))
         violating += int(np.count_nonzero(~(rel <= DEFAULT_ORTH_TOL)))
-    return OrthogonalityReport(violating, worst)
+    return violating, worst
 
 
 def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +217,7 @@ def seesaw_search(
         if overlaps[k] > best_overlap:
             best_overlap = float(overlaps[k])
             best_x, best_y = x[k], y[k]
-    return SearchResult(best_overlap, ProductState(side_a.lift @ best_x, side_b.lift @ best_y),
+    return SearchResult(best_overlap, (side_a.lift @ best_x, side_b.lift @ best_y),
                         restarts, converged_count, violations)
 
 
@@ -240,16 +227,22 @@ class UPBCertificate:
     is not certified (None when it is; one tile leaves it empty); on a
     certified nonempty complement ``verdict`` is the origin's U-tile
     decision, and a non-U-tile origin adds ``max_overlap``, the largest
-    relative overlap of its witness's extension state with the states."""
+    relative overlap of its witness's extension state with the states.
+    ``check_orthogonal_set`` gives ``violating_pairs`` and ``max_offdiagonal``."""
 
     size: int
     expected_size: int
-    orthogonality: OrthogonalityReport
+    violating_pairs: int
+    max_offdiagonal: float
     stopper_law_ok: bool
     expected_complement_dim: int
     refusal: str | None = None
     verdict: UTileVerdict | None = None
     max_overlap: float | None = None
+
+    @property
+    def orthogonal(self) -> bool:
+        return not self.violating_pairs
 
     @property
     def size_ok(self) -> bool:
@@ -308,12 +301,13 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     m, n, s, count = upb.m, upb.n, ts.tile_count, len(upb.a)
     a, b = pow2_scaled(upb.a), pow2_scaled(upb.b)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    orth = check_orthogonal_set(a, b)
+    violating, offdiag = check_orthogonal_set(a, b)
     stopper_ok = count > 0 and _all_ones(a[-1]) and _all_ones(b[-1])
-    certificate = partial(UPBCertificate, count, m * n - s + 1, orth, stopper_ok, s - 1)
-    if not orth.ok:
-        return certificate(f"the states are not pairwise orthogonal: {orth.violating_pairs} "
-                           f"violating pairs, worst {orth.max_offdiagonal:.3e}")
+    certificate = partial(UPBCertificate, count, m * n - s + 1, violating, offdiag,
+                          stopper_ok, s - 1)
+    if violating:
+        return certificate(f"the states are not pairwise orthogonal: {violating} "
+                           f"violating pairs, worst {offdiag:.3e}")
     if count != m * n - s + 1:
         return certificate(f"{count} states where the size law gives {m * n - s + 1}")
     if not np.all(norms > 0):
@@ -331,7 +325,7 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     verdict = is_u_tile(ts)
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
-    state = verdict.witness.state
-    scale = norms * np.linalg.norm(state.a_vec) * np.linalg.norm(state.b_vec)
-    overlaps = np.abs(a.conj() @ state.a_vec) * np.abs(b.conj() @ state.b_vec) / scale
+    wa, wb = verdict.witness.state
+    scale = norms * np.linalg.norm(wa) * np.linalg.norm(wb)
+    overlaps = np.abs(a.conj() @ wa) * np.abs(b.conj() @ wb) / scale
     return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))

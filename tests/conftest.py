@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tileupb import (
-    ProductState,
     SearchResult,
     TileStructure,
     UPBSet,
@@ -151,9 +150,9 @@ def assert_witness_split(ts, verdict):
 
 
 def kron_vector(state):
-    """Flatten a product state to the mn-dimensional vector by explicit
-    Kronecker product."""
-    return np.kron(state.a_vec, state.b_vec)
+    """Flatten a product state (a, b) to the mn-dimensional vector by
+    explicit Kronecker product."""
+    return np.kron(*state)
 
 
 def brute_inner(s1, s2):
@@ -161,20 +160,21 @@ def brute_inner(s1, s2):
 
 
 def product_matrix(state):
-    """The m x n coefficient matrix a b^T of a product state."""
-    return np.outer(state.a_vec, state.b_vec)
+    """The m x n coefficient matrix a b^T of a product state (a, b)."""
+    return np.outer(*state)
 
 
 def missing_states(ts):
-    """Each tile's (0, 0) state, the one build_upb omits: its row and
-    column indicators."""
-    return tuple(ProductState(np.isin(np.arange(ts.m), t.rows), np.isin(np.arange(ts.n), t.cols))
-                 for t in ts.tiles)
+    """Each tile's (0, 0) state, the one build_upb omits: the (a, b) pair
+    of its row and column indicators."""
+    return tuple((np.isin(np.arange(ts.m), t.rows).astype(complex),
+                  np.isin(np.arange(ts.n), t.cols).astype(complex)) for t in ts.tiles)
 
 
 def stopper_state(ts):
-    """The all-ones product state (sum_e |e>)(sum_j |j>) on ts's grid."""
-    return ProductState(np.ones(ts.m), np.ones(ts.n))
+    """The all-ones product state (sum_e |e>)(sum_j |j>) on ts's grid, as
+    its (a, b) pair."""
+    return np.ones(ts.m, dtype=complex), np.ones(ts.n, dtype=complex)
 
 
 def brute_tile_matrices(tile, m, n):
@@ -407,7 +407,7 @@ def sequential_seesaw(ts, restarts, seed):
         violations += dropped
         if overlap > best[0]:
             best = (overlap, a, b)
-    return SearchResult(best[0], ProductState(best[1], best[2]), restarts,
+    return SearchResult(best[0], (best[1], best[2]), restarts,
                         converged_count, violations)
 
 
@@ -608,13 +608,13 @@ def random_structure(rng, m, n, grow=0.5):
 
 
 def tampered_upb(upb, states=None, origin=None):
-    """A UPBSet stacking the given product states (default: upb's own)
-    under the given origin (default: upb's), for tests that hand the
+    """A UPBSet stacking the given (a, b) product states (default: upb's
+    own) under the given origin (default: upb's), for tests that hand the
     verifier a set build_upb would not make."""
     states = upb.states if states is None else tuple(states)
     origin = upb.origin if origin is None else origin
-    return UPBSet(np.reshape([s.a_vec for s in states], (len(states), origin.m)),
-                  np.reshape([s.b_vec for s in states], (len(states), origin.n)), origin)
+    return UPBSet(np.reshape([a for a, _ in states], (len(states), origin.m)),
+                  np.reshape([b for _, b in states], (len(states), origin.n)), origin)
 
 
 def foreign_origin_upb():

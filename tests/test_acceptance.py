@@ -73,12 +73,12 @@ def test_criterion_2_refuted_grid_is_extendible(capsys):
         problems.append("structure was wrongly accepted as a U-tile")
     elif not (wit.tile_ids == (1, 2) and wit.axis == "column"):
         problems.append(f"unexpected witness {wit}")
-    state = verdict.witness.state
-    if not (np.allclose(state.a_vec, [1, 0, 0, 0]) and np.allclose(state.b_vec, [1, 1, -1, -1])):
+    wa, wb = verdict.witness.state
+    if not (np.allclose(wa, [1, 0, 0, 0]) and np.allclose(wb, [1, 1, -1, -1])):
         problems.append("witness state is not the top-row half-difference")
     upb = build_upb(ts)
     comp = svd_complement(upb.states)
-    w = np.kron(state.a_vec, state.b_vec).astype(complex)
+    w = np.kron(wa, wb).astype(complex)
     w = w / np.linalg.norm(w)
     residual = np.linalg.norm(w - comp.T @ (comp.conj() @ w))
     if not residual < 1e-12:
@@ -103,7 +103,7 @@ def test_criterion_3_ring_family_table(capsys):
                 problems.append(f"prop2({m},{n}) is not a U-tile")
             if len(upb.states) != expected:
                 problems.append(f"prop2({m},{n}) has {len(upb.states)} states, want {expected}")
-            if not check_orthogonal_set(upb.a, upb.b).ok:
+            if check_orthogonal_set(upb.a, upb.b)[0]:
                 problems.append(f"prop2({m},{n}) basis is not orthogonal")
     _report(capsys, "criterion 3: ring family sizes mn-4*floor((m-1)/2)", problems, t0, 30.0)
 
@@ -118,7 +118,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if ts.tile_count != t or len(upb.states) != m * m - t + 1:
                 problems.append(f"prop3({m},{t}) size law broken")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and check_orthogonal_set(upb.a, upb.b).ok):
+                    and not check_orthogonal_set(upb.a, upb.b)[0]):
                 problems.append(f"prop3({m},{t}) failed a structural check")
     for m in range(3, 9):
         for n in range(m, 9):
@@ -127,7 +127,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if len(upb.states) != m * n - 4:
                 problems.append(f"five_tile({m},{n}) has {len(upb.states)} states")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and check_orthogonal_set(upb.a, upb.b).ok):
+                    and not check_orthogonal_set(upb.a, upb.b)[0]):
                 problems.append(f"five_tile({m},{n}) failed a structural check")
     _report(capsys, "criterion 4: tile-count family m*m-t+1 and five-tile mn-4",
             problems, t0, 60.0)

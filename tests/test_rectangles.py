@@ -152,9 +152,10 @@ class TestUTileDecision:
 class TestExtensionWitness:
     def test_fig2_state_is_the_top_row_split(self):
         verdict = is_u_tile(fig2())
-        state = verdict.witness.state
-        assert np.allclose(state.a_vec, [1, 0, 0, 0])
-        assert np.allclose(state.b_vec, [1, 1, -1, -1])
+        a, b = verdict.witness.state
+        assert a.dtype == b.dtype == complex
+        assert np.allclose(a, [1, 0, 0, 0])
+        assert np.allclose(b, [1, 1, -1, -1])
 
     def test_witness_is_orthogonal_to_every_kept_state(self, all_3x3_structures):
         for grid in all_3x3_structures[::5]:

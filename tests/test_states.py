@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tileupb import (
-    ProductState,
     STOPPER_LABEL,
     UPBSet,
     build_upb,
@@ -40,21 +39,25 @@ def _complexes(size):
 
 
 class TestInnerProduct:
-    def test_product_state_keeps_its_factors_as_complex_vectors(self):
-        s = ProductState([1, 2], [3, 0, -1])
-        assert s.a_vec.dtype == s.b_vec.dtype == complex
-        assert np.array_equal(product_matrix(s), np.outer([1, 2], [3, 0, -1]))
+    def test_a_product_state_is_its_pair_of_complex_factor_rows(self):
+        """Integer stacks become complex, and state i is the pair of row i
+        of each, whose coefficient matrix is their outer product."""
+        upb = UPBSet([[1, 2], [0, 1]], [[3, 0, -1], [0, 1, 0]],
+                     structure_from_grid([[1, 1, 1], [2, 2, 2]]))
+        a, b = upb.states[0]
+        assert a.dtype == b.dtype == complex
+        assert np.array_equal(product_matrix((a, b)), np.outer([1, 2], [3, 0, -1]))
 
     @settings(max_examples=40, deadline=None)
     @given(_complexes(2), _complexes(3), _complexes(2), _complexes(3))
     def test_matches_kron_oracle_on_product_states(self, a1, b1, a2, b2):
         """The factor Gram <a1|a2><b1|b2> gives the relative overlap the
         explicit Kronecker product does."""
-        s1, s2 = ProductState(a1, b1), ProductState(a2, b2)
+        s1, s2 = (a1, b1), (a2, b2)
         norms = np.linalg.norm(kron_vector(s1)) * np.linalg.norm(kron_vector(s2))
-        report = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]))
+        _, worst = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]))
         want = abs(brute_inner(s1, s2)) / norms if norms else 0.0
-        assert report.max_offdiagonal == pytest.approx(want, abs=1e-9)
+        assert worst == pytest.approx(want, abs=1e-9)
 
 
 class TestTileBasis:
@@ -174,8 +177,8 @@ class TestUPBSetStack:
     def test_states_are_the_read_only_rows(self):
         upb = build_upb(example1())
         assert len(upb.states) == len(upb.a)
-        for i, s in enumerate(upb.states):
-            assert np.array_equal(s.a_vec, upb.a[i]) and np.array_equal(s.b_vec, upb.b[i])
+        for i, (a, b) in enumerate(upb.states):
+            assert np.array_equal(a, upb.a[i]) and np.array_equal(b, upb.b[i])
         with pytest.raises(FrozenInstanceError):
             upb.states = ()
 

@@ -2,6 +2,7 @@
 and how ``verify-upb`` composes the certificate with the search."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 import tileupb.cli
 import tileupb.verify
 from tileupb import (
-    ProductState,
     SearchResult,
     UPBSet,
+    UTileVerdict,
     build_upb,
     certify_upb,
     check_orthogonal_set,
@@ -68,22 +69,28 @@ def _random_states(count, seed, m=3, n=4):
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
         return vec * (rng.random(size) < 0.6) * 10.0 ** rng.uniform(-3, 3)
 
-    return [ProductState(sparse(m), sparse(n)) for _ in range(count)]
+    return [(sparse(m), sparse(n)) for _ in range(count)]
 
 
 class TestOrthogonalityCheck:
     def test_clean_family_passes(self):
         upb = build_upb(example1())
-        report = check_orthogonal_set(upb.a, upb.b)
-        assert report.ok
-        assert report.max_offdiagonal < 1e-12
-        assert report.violating_pairs == 0
+        violating, worst = check_orthogonal_set(upb.a, upb.b)
+        assert worst < 1e-12
+        assert violating == 0
 
     def test_reports_the_offending_pair(self):
-        report = check_orthogonal_set(np.array([[1, 0], [1, 1]]), np.array([[1, 0], [1, 0]]))
-        assert not report.ok
-        assert report.violating_pairs == 1
-        assert report.max_offdiagonal == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        violating, worst = check_orthogonal_set(np.array([[1, 0], [1, 1]]),
+                                                np.array([[1, 0], [1, 0]]))
+        assert violating == 1
+        assert worst == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+
+    def test_returns_the_count_and_the_worst_as_builtins(self):
+        """The result is the pair (violating_pairs, max_offdiagonal) of a
+        Python int and float, not a report object."""
+        result = check_orthogonal_set(np.array([[1, 0], [1, 1]]), np.array([[1, 0], [1, 0]]))
+        assert type(result) is tuple and len(result) == 2
+        assert type(result[0]) is int and type(result[1]) is float
 
     @pytest.mark.parametrize("kind", ["product", "real-a"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
@@ -92,15 +99,14 @@ class TestOrthogonalityCheck:
         also when the A stack is a real float array and B is complex."""
         states = _random_states(count, seed=count)
         if kind == "real-a":
-            states = [ProductState(s.a_vec.real, s.b_vec) for s in states]
-        a = np.array([s.a_vec for s in states])
-        b = np.array([s.b_vec for s in states])
-        if kind == "real-a":
-            a = a.real
-        report = check_orthogonal_set(a, b)
+            states = [(a.real, b) for a, b in states]
+        a = np.array([a for a, _ in states])
+        b = np.array([b for _, b in states])
+        assert (a.dtype == float) == (kind == "real-a")
+        violating, got = check_orthogonal_set(a, b)
         want, worst = brute_orthogonality(states, DEFAULT_ORTH_TOL)
-        assert report.violating_pairs == len(want)
-        assert report.max_offdiagonal == pytest.approx(worst, abs=1e-12)
+        assert violating == len(want)
+        assert got == pytest.approx(worst, abs=1e-12)
         if count > 2:  # both verdicts occur
             assert 0 < len(want) < count * (count - 1) // 2
 
@@ -110,10 +116,9 @@ class TestOrthogonalityCheck:
         upb = build_upb(example1())
         a = upb.a.copy()
         a[0, 0] = np.nan
-        report = check_orthogonal_set(a, upb.b)
-        assert not report.ok
-        assert report.violating_pairs == len(a) - 1
-        assert np.isnan(report.max_offdiagonal)
+        violating, worst = check_orthogonal_set(a, upb.b)
+        assert violating == len(a) - 1
+        assert np.isnan(worst)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-170])
     def test_a_repeated_state_is_caught_at_any_scale(self, scale):
@@ -123,9 +128,9 @@ class TestOrthogonalityCheck:
         a, b = upb.a.copy(), upb.b.copy()
         a[1], b[1] = a[0], b[0]
         a[0] *= scale
-        report = check_orthogonal_set(a, b)
-        assert report.violating_pairs == 1
-        assert report.max_offdiagonal == pytest.approx(1.0, abs=1e-12)
+        violating, worst = check_orthogonal_set(a, b)
+        assert violating == 1
+        assert worst == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["one-a-row", "one-b-row", "vectors"])
     def test_refuses_stacks_of_unequal_state_counts(self, case):
@@ -140,7 +145,7 @@ class TestOrthogonalityCheck:
 
     def test_large_tiles_pass_under_the_relative_rule(self):
         upb = build_upb(five_tile(32, 32))
-        assert check_orthogonal_set(upb.a, upb.b).ok
+        assert check_orthogonal_set(upb.a, upb.b)[0] == 0
 
     def test_many_violations_are_counted_in_bounded_memory(self):
         """1,000 equal states violate every one of their 499,500 pairs;
@@ -148,12 +153,12 @@ class TestOrthogonalityCheck:
         a Gram block rather than growing with the pairs."""
         tracemalloc.start()
         try:
-            report = check_orthogonal_set(np.ones((1000, 3)), np.ones((1000, 4)))
+            violating, worst = check_orthogonal_set(np.ones((1000, 3)), np.ones((1000, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.violating_pairs == 1000 * 999 // 2
-        assert report.max_offdiagonal == pytest.approx(1.0, abs=1e-12)
+        assert violating == 1000 * 999 // 2
+        assert worst == pytest.approx(1.0, abs=1e-12)
         assert peak < 20e6
 
 
@@ -180,7 +185,7 @@ class TestComplementBasis:
             svd_complement([])
 
     def test_dependent_input_raises(self):
-        s = ProductState([1, 0], [1, 0])
+        s = (np.array([1, 0]), np.array([1, 0]))
         with pytest.raises(ValueError):
             svd_complement([s, s])
 
@@ -210,8 +215,8 @@ class TestCertifyUpb:
         """A nudge of 1e-11 is refused and one of 1e-15 accepted."""
         upb = build_upb(example1())
         rng = np.random.default_rng(3)
-        first = upb.states[0]
-        nudged = ProductState(first.a_vec + shift * rng.normal(size=4), first.b_vec)
+        first_a, first_b = upb.states[0]
+        nudged = (first_a + shift * rng.normal(size=4), first_b)
         cert = certify_upb(tampered_upb(upb, (nudged,) + upb.states[1:]))
         assert (cert.refusal is None) == cert.ok == (shift < 1e-12)
 
@@ -223,12 +228,12 @@ class TestCertifyUpb:
         size sqrt(2) * shift: the certificate refuses it beyond rounding,
         on that component and not on orthogonality."""
         upb = build_upb(fig2())
-        witness = is_u_tile(upb.origin).witness.state
-        first = upb.states[0]
-        assert np.array_equal(first.a_vec, witness.a_vec)
-        tilted = ProductState(first.a_vec, first.b_vec + shift * witness.b_vec)
+        witness_a, witness_b = is_u_tile(upb.origin).witness.state
+        first_a, first_b = upb.states[0]
+        assert np.array_equal(first_a, witness_a)
+        tilted = (first_a, first_b + shift * witness_b)
         cert = certify_upb(tampered_upb(upb, (tilted,) + upb.states[1:]))
-        assert cert.orthogonality.ok
+        assert cert.orthogonal
         if shift > 1e-12:
             assert "overlap" in cert.refusal and f"{np.sqrt(2) * shift:.3e}" in cert.refusal
             assert cert.verdict is None
@@ -246,7 +251,7 @@ class TestCertifyUpb:
 
     def test_refuses_a_zero_state(self):
         upb = build_upb(example1())
-        zeroed = upb.states[:-1] + (ProductState(np.zeros(upb.m), np.ones(upb.n)),)
+        zeroed = upb.states[:-1] + ((np.zeros(upb.m), np.ones(upb.n)),)
         cert = certify_upb(tampered_upb(upb, zeroed))
         assert "zero" in cert.refusal
         assert not cert.stopper_law_ok
@@ -259,7 +264,7 @@ class TestCertifyUpb:
         a = upb.a.copy()
         a[0] *= scale
         cert = certify_upb(UPBSet(a, upb.b, upb.origin))
-        assert cert.refusal is None and cert.orthogonality.ok
+        assert cert.refusal is None and cert.orthogonal
         assert cert.ok and cert.u_tile
 
     def test_a_nan_written_into_the_stack_is_refused_as_not_orthogonal(self):
@@ -269,12 +274,13 @@ class TestCertifyUpb:
         upb.a[0, 0] = np.nan
         cert = certify_upb(upb)
         assert cert.refusal.startswith("the states are not pairwise orthogonal")
+        assert not cert.orthogonal and cert.violating_pairs == len(upb.a) - 1
         assert not cert.ok
 
     def test_a_rescaled_stopper_keeps_the_stopper_law(self):
         upb = build_upb(example1())
-        last = upb.states[-1]
-        cert = certify_upb(tampered_upb(upb, upb.states[:-1] + (ProductState(2 * last.a_vec, last.b_vec),)))
+        last_a, last_b = upb.states[-1]
+        cert = certify_upb(tampered_upb(upb, upb.states[:-1] + ((2 * last_a, last_b),)))
         assert cert.stopper_law_ok and cert.ok
 
     def test_the_stopper_law_reads_the_last_state(self):
@@ -282,7 +288,7 @@ class TestCertifyUpb:
         orthogonal and certified, but breaks the stopper law."""
         upb = build_upb(example1())
         cert = certify_upb(tampered_upb(upb, upb.states[-1:] + upb.states[:-1]))
-        assert cert.orthogonality.ok and cert.refusal is None and cert.u_tile
+        assert cert.orthogonal and cert.refusal is None and cert.u_tile
         assert not cert.stopper_law_ok and not cert.ok
 
     @pytest.mark.parametrize("shift", [1e-11, 1e-15], ids=["beyond", "within"])
@@ -290,8 +296,8 @@ class TestCertifyUpb:
         """A last factor nudged off all-ones on one entry has a relative
         component sqrt(3)/4 * shift off it: refused beyond rounding."""
         upb = build_upb(example1())
-        last = upb.states[-1]
-        nudged = ProductState(last.a_vec + shift * np.eye(upb.m)[0], last.b_vec)
+        last_a, last_b = upb.states[-1]
+        nudged = (last_a + shift * np.eye(upb.m)[0], last_b)
         cert = certify_upb(tampered_upb(upb, upb.states[:-1] + (nudged,)))
         assert cert.stopper_law_ok == (shift < 1e-12)
 
@@ -314,7 +320,7 @@ class TestSeesawSearch:
     def test_objective_agrees_with_kron_oracle(self):
         upb = build_upb(example1())
         res = seesaw_search(upb.origin, restarts=20, seed=3)
-        a, b = res.best_product.a_vec, res.best_product.b_vec
+        a, b = res.best_product
         assert res.best_overlap == pytest.approx(
             brute_seesaw_objective(svd_complement(upb.states), a, b), abs=1e-9
         )
@@ -369,7 +375,7 @@ class TestSeesawSearch:
         r1 = seesaw_search(ts, restarts=25, seed=11)
         r2 = seesaw_search(ts, restarts=25, seed=11)
         assert r1.best_overlap == r2.best_overlap
-        assert np.array_equal(r1.best_product.a_vec, r2.best_product.a_vec)
+        assert all(map(np.array_equal, r1.best_product, r2.best_product))
 
     def test_finds_the_product_state_in_an_extendible_complement(self):
         res = seesaw_search(fig2(), restarts=50, seed=0)
@@ -446,7 +452,7 @@ class TestBatchedSeesaw:
     def test_the_lifted_winner_scores_its_overlap(self):
         ts = prop2(8, 12)
         res = seesaw_search(ts, restarts=10, seed=4)
-        a, b = res.best_product.a_vec, res.best_product.b_vec
+        a, b = res.best_product
         assert a.shape == (8,) and b.shape == (12,)
         assert np.linalg.norm(a) == pytest.approx(1.0) and np.linalg.norm(b) == pytest.approx(1.0)
         proj = closed_form_projector(ts)
@@ -492,7 +498,7 @@ def _forced_search(overlap):
     """A stand-in for seesaw_search that reports the given best overlap."""
 
     def search(ts, restarts, seed):
-        best = ProductState(np.ones(ts.m), np.ones(ts.n))
+        best = (np.ones(ts.m, dtype=complex), np.ones(ts.n, dtype=complex))
         return SearchResult(overlap, best, restarts, restarts, 0)
 
     return search
@@ -567,6 +573,19 @@ class TestVerifyUpb:
         assert code == 1 and data["passed"] is False
         assert data["search"] is None and data["certificate"] is None
         assert "not certified" in data["note"] and "overlap" in data["note"]
+
+    def test_a_witness_state_that_overlaps_the_states_fails(self, capsys, monkeypatch):
+        """fig2's verdict with its witness state swapped for a kept state
+        of the basis: the certificate measures the overlap, and the
+        verdict fails on it, whatever the seesaw finds."""
+        kept = build_upb(fig2()).states[0]
+        verdict = is_u_tile(fig2())
+        swapped = UTileVerdict(dataclasses.replace(verdict.witness, state=kept))
+        monkeypatch.setattr(tileupb.verify, "is_u_tile", lambda ts: swapped)
+        code, data = _verify_json(capsys, "--family", "fig2", "--restarts", "3")
+        assert code == 1 and data["passed"] is False
+        assert data["certificate"]["max_overlap"] > 1e-12
+        assert data["note"].startswith("not a U-tile, but the witness state overlaps the states")
 
     def test_the_json_reports_the_library_search(self, capsys):
         """The search in ``verify-upb --json`` is ``seesaw_search`` at the
