@@ -30,27 +30,19 @@ __all__ = [
 
 def example1() -> TileStructure:
     """Fixed 4x4 structure with six tiles; passes the U-tile test."""
-    return TileStructure.from_grid(
-        [
-            [1, 1, 2, 3],
-            [6, 4, 6, 3],
-            [6, 4, 6, 3],
-            [5, 4, 2, 5],
-        ]
-    )
+    return TileStructure.from_grid([[1, 1, 2, 3],
+                                    [6, 4, 6, 3],
+                                    [6, 4, 6, 3],
+                                    [5, 4, 2, 5]])
 
 
 def fig2() -> TileStructure:
     """Fixed 4x4 structure with six tiles; fails the U-tile test (its
     top-row tiles {1, 2} split column-disjointly)."""
-    return TileStructure.from_grid(
-        [
-            [1, 1, 2, 2],
-            [3, 4, 4, 3],
-            [5, 4, 4, 5],
-            [6, 6, 6, 6],
-        ]
-    )
+    return TileStructure.from_grid([[1, 1, 2, 2],
+                                    [3, 4, 4, 3],
+                                    [5, 4, 4, 5],
+                                    [6, 6, 6, 6]])
 
 
 def _rings(m: int, n: int, count: int) -> list[list[int]]:
@@ -87,24 +79,18 @@ def prop2(m: int, n: int) -> TileStructure:
 
 _PROP3_SEEDS = {
     5: _rings(4, 4, 1),
-    6: [
-        [1, 1, 6, 2],
+    6: [[1, 1, 6, 2],
         [4, 5, 5, 2],
         [4, 5, 5, 2],
-        [4, 3, 6, 3],
-    ],
-    7: [
-        [1, 1, 6, 2],
+        [4, 3, 6, 3]],
+    7: [[1, 1, 6, 2],
         [7, 5, 5, 7],
         [4, 5, 5, 2],
-        [4, 3, 6, 3],
-    ],
-    8: [
-        [1, 1, 7, 8],
+        [4, 3, 6, 3]],
+    8: [[1, 1, 7, 8],
         [5, 2, 2, 8],
         [5, 6, 3, 3],
-        [4, 6, 7, 4],
-    ],
+        [4, 6, 7, 4]],
 }
 
 

@@ -103,10 +103,8 @@ class TileStructure:
                 rows, cols = by_id.setdefault(tid, (set(), set()))
                 rows.add(r)
                 cols.add(c)
-        return tuple(
-            Tile(tid, tuple(sorted(rows)), tuple(sorted(cols)))
-            for tid, (rows, cols) in sorted(by_id.items())
-        )
+        return tuple(Tile(tid, tuple(sorted(rows)), tuple(sorted(cols)))
+                     for tid, (rows, cols) in sorted(by_id.items()))
 
     @property
     def tile_count(self) -> int:
@@ -165,11 +163,8 @@ def parse_tile_grid(text: str) -> TileStructure:
     token or shape problems; construction raises TileGridContentError
     when the grid is well formed but not a valid tile structure.
     """
-    lines = [
-        line
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [line for line in text.splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
     if not lines:
         raise TileGridFormatError("empty input: expected an 'm n' header line")
     header = [_ascii_int(tok) for tok in lines[0].split()]
@@ -177,9 +172,7 @@ def parse_tile_grid(text: str) -> TileStructure:
         raise TileGridFormatError(f"header must be two integers 'm n', got {lines[0]!r}")
     m, n = header
     if not (1 <= m <= MAX_DIM and 1 <= n <= MAX_DIM):
-        raise TileGridFormatError(
-            f"dimensions must lie in 1..{MAX_DIM}, got m={m}, n={n}"
-        )
+        raise TileGridFormatError(f"dimensions must lie in 1..{MAX_DIM}, got m={m}, n={n}")
     body = lines[1:]
     if len(body) != m:
         raise TileGridFormatError(f"expected {m} grid rows, found {len(body)}")
@@ -202,7 +195,5 @@ def serialize(ts: TileStructure) -> str:
     Round-trips: parse_tile_grid(serialize(ts)) == ts.
     """
     width = max(len(str(tid)) for row in ts.cell_map for tid in row)
-    lines = [f"{ts.m} {ts.n}"]
-    for row in ts.cell_map:
-        lines.append(" ".join(str(tid).rjust(width) for tid in row))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(str(tid).rjust(width) for tid in row) for row in ts.cell_map)
+    return "\n".join([f"{ts.m} {ts.n}", *rows]) + "\n"

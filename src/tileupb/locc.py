@@ -18,11 +18,14 @@ discriminates the ring-structure basis of prop2(m, n) for even m with a
 (m/2)-level resource, one root outcome per level.  Alice's root outcome
 i shifts the ancilla levels cyclically by i - 1: outcome 1 keeps the
 outer ring's subtree as built and outcome i carries its placement by
-that shift.  The subtree peels the outer ring and recurses on the ring
-peel alone, placing the next ring's subtree into the outer registers by
-an index map, down to the 4-row center; the inner rings need no root
-layer, as the outer root outcome fixes their answer.  Every Fourier row
-is a ``states.dft`` row.  Trees past MAX_OPERATOR_BYTES are refused unbuilt.
+that shift, declared in ``Branch.placements``; ``verify_protocol`` proves
+each declaration by exact checks and reuses outcome 1's walk, or walks
+outcome i as undeclared when a check fails.  The subtree peels the outer
+ring and recurses on the ring peel alone, placing the next ring's subtree
+into the outer registers by an index map, down to the 4-row center; the
+inner rings need no root layer, as the outer root outcome fixes their
+answer.  Every Fourier row is a ``states.dft`` row.  Trees past
+MAX_OPERATOR_BYTES are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ class LocalProjector:
 class Branch:
     party: str
     outcomes: tuple[tuple[LocalProjector, "ProtocolNode"], ...]
+    # per outcome, None or the (alice_index, bob_index) permutation pair by
+    # which its operator and subtree are outcome 0's, ``_place``d
+    placements: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,8 @@ def _ring_index(levels: int, iota: int) -> np.ndarray:
     return (np.arange(1, levels - 1)[:, None] * iota + np.arange(iota - 1)).ravel()
 
 
-def _branch(party: str, outcomes) -> Branch:
-    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes))
+def _branch(party: str, outcomes, placements=()) -> Branch:
+    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes), placements)
 
 
 def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
@@ -253,7 +259,8 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     Alice's root layer has iota = m/2 outcomes, ``_root_projector(m, i)``
     each.  The ring-0 subtree is built once: outcome 1 keeps it, and
     outcome i carries it placed by the matching cyclic shift of both
-    ancillas (``_shift_index``), which fixes every resource state.
+    ancillas (``_shift_index``), which fixes every resource state, and
+    declares that pair in ``placements``.
     Below the outer ring the subtree goes straight on to the next ring's
     subtree, without that ring's own root layer: Alice's first root
     outcome already pairs each inner row with the level the inner first
@@ -276,11 +283,10 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
                          f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
     iota = m // 2
     sub = _a1_subtree(m, n, idx, 0)
-    dims = (m * iota, n * iota)
-    return _branch(ALICE, [
-        (_root_projector(m, i),
-         sub if i == 1 else _place(sub, _shift_index(m, iota, i), _shift_index(n, iota, i), dims))
-        for i in range(1, iota + 1)])
+    shifts = [(_shift_index(m, iota, i), _shift_index(n, iota, i)) for i in range(2, iota + 1)]
+    return _branch(ALICE, [(_root_projector(m, 1), sub)] + [
+        (_root_projector(m, i), _place(sub, *shift, (m * iota, n * iota)))
+        for i, shift in enumerate(shifts, 2)], (None, *shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +390,46 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
                 )
 
 
+def _is_placed(copy: ProtocolNode, source: ProtocolNode, grids: tuple) -> bool:
+    """Whether ``copy`` is ``source`` placed by a permutation pair, given
+    by its (Alice, Bob) ``np.ix_`` grids: equal leaves, parties and outcome
+    counts, and op[grid] == the source operator for each copy operator op."""
+    if not isinstance(source, Branch):
+        return copy == source
+    if not (isinstance(copy, Branch) and copy.party == source.party in (ALICE, BOB)
+            and len(copy.outcomes) == len(source.outcomes)):
+        return False
+    grid = grids[source.party == BOB]
+    return all(op.operator.shape == src.operator.shape == (grid[0].size,) * 2
+               and np.array_equal(op.operator[grid], src.operator)
+               and _is_placed(child, src_child, grids)
+               for (op, child), (src, src_child) in zip(copy.outcomes, source.outcomes))
+
+
+def _columns(lefts: np.ndarray, rights: np.ndarray) -> list[list[bytes]]:
+    """Each state's factor columns, L over R, as their sorted bytes."""
+    return [sorted(col.tobytes() for col in state.T)
+            for state in np.concatenate((lefts, rights), axis=1)]
+
+
+def _proved_placement(node: Branch, k: int, lefts: np.ndarray, rights: np.ndarray,
+                      dims: tuple[int, int]) -> bool:
+    """Whether outcome k's declared pair holds exactly: both indices are
+    permutations of their registers, outcome k is outcome 0 placed by
+    them (``_is_placed``), and they only reorder each arriving state's
+    factor columns (``_columns``), which leaves its cut matrix unchanged."""
+    try:  # a missing declaration, None, or one that is not a sequence of arrays
+        pair = tuple(map(np.asarray, node.placements[k]))
+    except (IndexError, TypeError, ValueError):
+        return False
+    return (len(pair) == 2 and all(i.shape == (d,) and i.dtype.kind in "iu"
+                                   and set(i.tolist()) == set(range(d))
+                                   for i, d in zip(pair, dims))
+            and _is_placed(Branch(node.party, node.outcomes[k:k + 1]),
+                           Branch(node.party, node.outcomes[:1]), [np.ix_(i, i) for i in pair])
+            and _columns(lefts[:, pair[0]], rights[:, pair[1]]) == _columns(lefts, rights))
+
+
 def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                     rights: np.ndarray) -> DiscriminationReport:
     """Walk every input through the tree and audit all invariants.
@@ -405,6 +451,13 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     any state lent to a wrong identification.  Raises ValueError for
     stacks that ``factor_stacks(..., axes=3)`` refuses, or when there are
     no states or one is zero or not finite.
+
+    A branch's declared placements are checked exactly, never trusted:
+    outcome k is not walked when ``_proved_placement`` holds (its indices
+    permute their registers, op_k[ix_(σ, σ)] == op_0, subtree k is subtree 0
+    placed, and every arriving state's cut matrix is fixed), and it then
+    takes outcome 0's weights and violations, renamed to its path.
+    Otherwise it is walked as if undeclared.
     """
     # pow2_scaled is exact and keeps norms2 finite
     lefts, rights = map(pow2_scaled, factor_stacks(lefts, rights, axes=3))
@@ -421,17 +474,14 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
         raise ValueError(f"state {zero[0]} is zero")
     lefts = lefts / np.sqrt(norms2)[:, None, None]
 
-    success = np.zeros(count)
-    wrong = np.zeros(count)
-    branch_problems: list[str] = []
-    leaf_problems: list[str] = []
+    weights = np.zeros((2, count))  # each state's success and wrong-identification weight
+    problems = ([], [])  # branch and leaf violations, in walk order
 
-    def walk(node: ProtocolNode, idx, lefts, rights, norms2, path: str) -> None:
+    def walk(node: ProtocolNode, idx, lefts, rights, norms2, path: str, acc, found) -> None:
         if not isinstance(node, Identify) and node.party not in (ALICE, BOB):
-            problems = branch_problems if isinstance(node, Branch) else leaf_problems
-            problems.append(f"{path}: unknown party {node.party!r}")
+            found[not isinstance(node, Branch)].append(f"{path}: unknown party {node.party!r}")
         elif isinstance(node, Branch):
-            if not _check_branch(node, reg_dims, path, branch_problems):
+            if not _check_branch(node, reg_dims, path, found[0]):
                 return
             alice = node.party == ALICE
             moved, idle = (lefts, rights) if alice else (rights, lefts)
@@ -443,31 +493,41 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 total += p
                 keep = p >= PRUNE_TOL
                 pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
-                walk(child, idx[keep], *pair, p[keep], f"{path}.{k}")
+                args = child, idx[keep], *pair, p[keep], f"{path}.{k}"
+                if k == 0 and node.placements:  # walked apart, for the outcomes proved below
+                    first = np.zeros_like(acc), ([], [])
+                    walk(*args, *first)
+                elif not (k and _proved_placement(node, k, lefts, rights, reg_dims)):
+                    walk(*args, acc, found)
+                    continue
+                # outcome 0 or its proved placement: its weights and renamed violations
+                acc += first[0]
+                for mine, theirs in zip(found, first[1]):
+                    mine.extend(f"{path}.{k}" + v[len(path) + 2:] for v in theirs)
             # Conservation: the outcomes repartition each state's norm.
             for i in np.flatnonzero(~(np.abs(total - norms2) <= PROB_TOL)):
-                branch_problems.append(f"{path}: state {idx[i]} loses norm across outcomes")
+                found[0].append(f"{path}: state {idx[i]} loses norm across outcomes")
         else:
             identify = isinstance(node, Identify)
             named = idx == node.candidate if identify else np.isin(idx, node.candidates)
-            success[idx[named]] += norms2[named]
-            wrong[idx[~named]] += norms2[~named]
+            acc[0, idx[named]] += norms2[named]
+            acc[1, idx[~named]] += norms2[~named]
             loud = ~named & (norms2 > PROB_TOL)
             for i, p in zip(idx[loud], norms2[loud]):
-                leaf_problems.append(
+                found[1].append(
                     f"{path}: labeled {node.candidate} but state {i} "
                     f"arrives with probability {p:.3e}" if identify
                     else f"{path}: state {i} is not among the leaf candidates"
                 )
             if not identify:
                 _check_finish_leaf(node, idx[named], lefts[named], rights[named], path,
-                                   leaf_problems)
+                                   found[1])
 
-    walk(protocol, np.arange(count), lefts, rights, np.ones(count), "root")
+    walk(protocol, np.arange(count), lefts, rights, np.ones(count), "root", weights, problems)
 
     return DiscriminationReport(
-        probabilities=tuple(float(p) for p in success),
-        max_wrong_probability=float(np.max(wrong)),
-        branch_violations=tuple(branch_problems),
-        leaf_violations=tuple(leaf_problems),
+        probabilities=tuple(float(p) for p in weights[0]),
+        max_wrong_probability=float(np.max(weights[1])),
+        branch_violations=tuple(problems[0]),
+        leaf_violations=tuple(problems[1]),
     )

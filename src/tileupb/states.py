@@ -115,15 +115,8 @@ class UPBSet:
 def upb_state_labels(ts: TileStructure) -> list[tuple]:
     """Labels of build_upb(ts).states in order: (tile_id, k, l) for each
     kept state, then the stopper sentinel."""
-    labels: list[tuple] = []
-    for tile in ts.tiles:
-        p, q = len(tile.rows), len(tile.cols)
-        for k in range(p):
-            for l in range(q):
-                if (k, l) != (0, 0):
-                    labels.append((tile.id, k, l))
-    labels.append(STOPPER_LABEL)
-    return labels
+    return [(tile.id, k, l) for tile in ts.tiles for k in range(len(tile.rows))
+            for l in range(len(tile.cols)) if k or l] + [STOPPER_LABEL]
 
 
 def build_upb(ts: TileStructure) -> UPBSet:

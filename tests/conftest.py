@@ -492,7 +492,7 @@ def dense_verify_protocol(protocol, lefts, rights):
                     np.linalg.norm(apply(proj.operator, mat, node.party)) ** 2
                     for proj, _ in node.outcomes
                 )
-                if abs(total - np.linalg.norm(mat) ** 2) > PROB_TOL:
+                if not abs(total - np.linalg.norm(mat) ** 2) <= PROB_TOL:  # NaN fails
                     branch_problems.append(
                         f"{path}: state {state_index} loses norm across outcomes"
                     )

@@ -241,7 +241,8 @@ def test_criterion_8_half_m_resource_protocols(capsys):
     t0 = time.monotonic()
     problems = []
     # (8, 8) and larger recurse through two or more levels of ring peeling.
-    for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10), (12, 12)):
+    for m, n in ((4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (10, 10), (12, 12), (14, 14),
+                 (16, 16)):
         upb = build_upb(prop2(m, n))
         lefts, rights = attach_resource(upb.a, upb.b, m // 2)
         if lefts.shape[2] != m // 2 or rights.shape[2] != m // 2:

@@ -1,5 +1,6 @@
 """Measurement trees: construction, simulation, and verification."""
 
+import dataclasses
 import time
 from functools import lru_cache
 
@@ -257,11 +258,37 @@ class TestProtocols:
             assert _count_branches(build_theorem3_protocol(m, n)) == 5 * k * (k - 1) + 1
 
     @pytest.mark.parametrize("m,n", [(8, 8), (10, 10)])
-    def test_every_branch_is_audited(self, m, n, monkeypatch):
+    def test_every_branch_is_audited_or_proved_a_placement(self, m, n, monkeypatch):
+        """Each branch is audited exactly once, or lies in a root outcome
+        proved an exact permutation placement of the audited outcome 0:
+        conjugating by a permutation keeps Hermiticity, idempotency,
+        completeness and pairwise orthogonality exactly."""
         protocol = build_theorem3_protocol(m, n)
-        report, audited = _audited(monkeypatch, protocol, *_resource_stacks(m, n)[1:])
+        report, audited, proved = _audited(monkeypatch, protocol, *_resource_stacks(m, n)[1:])
         assert report.ok
-        assert len(set(audited)) == len(audited) == _count_branches(protocol)
+        assert proved == [f"root.{k}" for k in range(1, m // 2)]
+        paths = _branch_paths(protocol)
+        placed = [p for p in paths if any(p == q or p.startswith(q + ".") for q in proved)]
+        assert len(set(audited)) == len(audited)
+        assert not set(audited) & set(placed)
+        assert sorted(audited + placed) == sorted(paths)
+        assert len(paths) == _count_branches(protocol)
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_the_declared_placements_change_no_report(self, m):
+        """Proving the root's placements instead of walking them gives the
+        report of the same tree with no declaration."""
+        for n in (m, m + 3):
+            protocol = build_theorem3_protocol(m, n)
+            assert len(protocol.placements) == m // 2
+            stacks = _resource_stacks(m, n)[1:]
+            proved = verify_protocol(protocol, *stacks)
+            walked = verify_protocol(Branch(protocol.party, protocol.outcomes), *stacks)
+            assert proved.branch_violations == walked.branch_violations
+            assert proved.leaf_violations == walked.leaf_violations
+            assert np.allclose(proved.probabilities, walked.probabilities, rtol=0, atol=1e-14)
+            assert proved.max_wrong_probability == pytest.approx(walked.max_wrong_probability,
+                                                                 abs=1e-14)
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_operator_bytes_match_the_built_tree(self, m):
@@ -299,17 +326,36 @@ class TestProtocols:
 
 
 def _audited(monkeypatch, protocol, lefts, rights):
-    """The report of ``verify_protocol`` and the path of each branch it
-    passed to ``_check_branch``, in call order."""
-    audited = []
-    check = tileupb.locc._check_branch
+    """The report of ``verify_protocol``, the path of each branch it
+    passed to ``_check_branch`` and the path of each outcome it proved a
+    placement of its branch's outcome 0, in call order."""
+    audited, proved = [], []
+    check, prove = tileupb.locc._check_branch, tileupb.locc._proved_placement
+    paths = {id(node): path for path, node in _branch_paths(protocol).items()}
 
     def record(node, dims, path, problems):
         audited.append(path)
         return check(node, dims, path, problems)
 
+    def record_proof(node, k, *args):
+        found = prove(node, k, *args)
+        if found:
+            proved.append(f"{paths[id(node)]}.{k}")
+        return found
+
     monkeypatch.setattr(tileupb.locc, "_check_branch", record)
-    return verify_protocol(protocol, lefts, rights), audited
+    monkeypatch.setattr(tileupb.locc, "_proved_placement", record_proof)
+    return verify_protocol(protocol, lefts, rights), audited, proved
+
+
+def _branch_paths(node, path="root"):
+    """Every branch of a tree by its walk path."""
+    if not isinstance(node, Branch):
+        return {}
+    found = {path: node}
+    for k, (_, child) in enumerate(node.outcomes):
+        found.update(_branch_paths(child, f"{path}.{k}"))
+    return found
 
 
 def _tree_operator_bytes(node):
@@ -449,12 +495,9 @@ def _nested_bob_outcome_dropped():
 
 
 def _embedded_identify_labels_swapped():
-    protocol = build_theorem3_protocol(6, 6)
     # cross the first two labels of the inner ring's Bob layer
-    first, second = (_subtree(protocol, EMBEDDED_4X4_IN_6X6 + (k,)).candidate for k in (0, 1))
-    swapped = _replace_at(
-        protocol, EMBEDDED_4X4_IN_6X6, lambda node: _swap_labels(node, first, second)
-    )
+    swapped = _replace_at(build_theorem3_protocol(6, 6), EMBEDDED_4X4_IN_6X6,
+                          _first_two_labels_swapped)
     return swapped, *_resource_stacks(6, 6)[1:]
 
 
@@ -493,9 +536,95 @@ def _mixed_factor_ranks():
     return protocol, *_as_cut_stacks(_cuts(lefts, rights))
 
 
+def _with_placed_copy(edit):
+    """The 6x6 tree, its declarations kept, with root outcome 1's subtree
+    (a placed copy of outcome 0's) replaced by edit(that subtree)."""
+    protocol, *stacks = _prop2_case(6, 6)()
+    outcomes = list(protocol.outcomes)
+    outcomes[1] = (outcomes[1][0], edit(outcomes[1][1]))
+    return dataclasses.replace(protocol, outcomes=tuple(outcomes)), *stacks
+
+
+def _largest_entry_of_first_operator(edit):
+    """An edit that applies edit(z) to the largest entry z of a branch's
+    first outcome operator."""
+    def apply(node):
+        (proj, child), *rest = node.outcomes
+        op = proj.operator.copy()
+        entry = np.unravel_index(np.argmax(np.abs(op)), op.shape)
+        op[entry] = edit(op[entry])
+        return Branch(node.party, ((LocalProjector(op), child), *rest))
+    return apply
+
+
+def _placed_copy_entry_moved_one_ulp():
+    return _with_placed_copy(_largest_entry_of_first_operator(
+        lambda z: complex(np.nextafter(z.real, np.inf), z.imag)))
+
+
+def _placed_copy_entry_set_to_nan():
+    return _with_placed_copy(_largest_entry_of_first_operator(lambda z: np.nan))
+
+
+def _first_two_labels_swapped(node):
+    """A Bob layer with the labels of its first two Identify leaves crossed."""
+    return _swap_labels(node, *(node.outcomes[k][1].candidate for k in (0, 1)))
+
+
+def _placed_copy_labels_swapped():
+    return _with_placed_copy(_first_two_labels_swapped)
+
+
+def _sabotaged_source_placed():
+    """Labels swapped in the 6x6 ring-0 subtree, which is then placed by
+    the root's declared pairs, so every copy is an exact image of the
+    sabotage."""
+    protocol, *stacks = _prop2_case(6, 6)()
+    sub = _first_two_labels_swapped(protocol.outcomes[0][1])
+    outcomes = [(proj, _place(sub, *pair, (18, 18)) if pair else sub)
+                for (proj, _), pair in zip(protocol.outcomes, protocol.placements)]
+    return dataclasses.replace(protocol, outcomes=tuple(outcomes)), *stacks
+
+
+def _resource_level_weighted():
+    """Resource level 0 weighted 2 in every state: no shift fixes it."""
+    protocol, lefts, rights = _prop2_case(6, 6)()
+    lefts = lefts.copy()
+    lefts[:, :, 0] *= 2
+    return protocol, lefts, rights
+
+
+def _declared_index_repeats_an_entry():
+    protocol, *stacks = _prop2_case(6, 6)()
+    alice, bob = protocol.placements[1]
+    alice = alice.copy()
+    alice[1] = alice[0]
+    placements = (None, (alice, bob), *protocol.placements[2:])
+    return dataclasses.replace(protocol, placements=placements), *stacks
+
+
+def _declaration_is_not_a_pair():
+    protocol, *stacks = _prop2_case(6, 6)()
+    placements = (None, 7, *protocol.placements[2:])
+    return dataclasses.replace(protocol, placements=placements), *stacks
+
+
+# declared trees whose root outcome 1 is not a placement of outcome 0
+# (or sees states no shift fixes), so it must be walked
+UNPROVABLE = {
+    "placed_copy_entry_moved_one_ulp": _placed_copy_entry_moved_one_ulp,
+    "placed_copy_entry_set_to_nan": _placed_copy_entry_set_to_nan,
+    "placed_copy_labels_swapped": _placed_copy_labels_swapped,
+    "resource_level_weighted": _resource_level_weighted,
+    "declared_index_repeats_an_entry": _declared_index_repeats_an_entry,
+    "declaration_is_not_a_pair": _declaration_is_not_a_pair,
+}
+
 DIFFERENTIAL = {
     **{f"prop2-{m}x{n}": _prop2_case(m, n) for m, n in [(4, 4), (4, 7), (6, 6), (6, 9), (8, 8)]},
     "mixed_factor_ranks": _mixed_factor_ranks,
+    "sabotaged_source_placed": _sabotaged_source_placed,
+    **UNPROVABLE,
     **SABOTAGE,
 }
 
@@ -588,8 +717,26 @@ class TestVerifierCatchesSabotage:
 
     def test_every_branch_is_audited_once_whatever_reaches_it(self, monkeypatch):
         protocol, *stacks = _unreachable_branch()
-        _, audited = _audited(monkeypatch, protocol, *stacks)
+        _, audited, _ = _audited(monkeypatch, protocol, *stacks)
         assert len(set(audited)) == len(audited) == _count_branches(protocol) == 12
+
+    @pytest.mark.parametrize("case", sorted(UNPROVABLE))
+    def test_an_unprovable_placement_is_walked(self, case, monkeypatch):
+        protocol, *stacks = UNPROVABLE[case]()
+        _, audited, proved = _audited(monkeypatch, protocol, *stacks)
+        assert "root.1" in audited
+        assert "root.1" not in proved
+
+    def test_a_placed_sabotage_is_named_under_every_root_outcome(self, monkeypatch):
+        report, audited, proved = _audited(monkeypatch, *_sabotaged_source_placed())
+        assert proved == ["root.1", "root.2"]
+        assert report.max_wrong_probability > 1e-3
+        assert not report.branch_violations
+        for k in range(3):
+            ours = [v[len("root.0"):] for v in report.leaf_violations if v.startswith(f"root.{k}.")]
+            assert ours == [v[len("root.0"):] for v in report.leaf_violations
+                            if v.startswith("root.0.")]
+            assert ours
 
     def test_a_nan_operator_is_named_at_its_branch(self):
         protocol, *stacks = _prop2_case(4, 4)()
