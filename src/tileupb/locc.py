@@ -15,21 +15,16 @@ outcome acts on one stack.
 
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
-(m/2)-level resource, one root outcome per level.  Alice's root outcome
-i shifts the ancilla levels cyclically by i - 1: outcome 1 keeps the
-outer ring's subtree as built and outcome i carries its placement by
-that shift, declared in ``Branch.placements``; ``verify_protocol`` proves
-each declaration by exact checks and reuses outcome 1's walk, or walks
-outcome i as undeclared when a check fails.  The subtree peels the outer
-ring and recurses on the ring peel alone, placing the next ring's subtree
-into the outer registers by an index map, down to the 4-row center; the
-inner rings need no root layer, as the outer root outcome fixes their
-answer.  Every Fourier row is a ``states.dft`` row.  Trees past
-MAX_OPERATOR_BYTES are refused unbuilt.
+(m/2)-level resource, and stores each ring's subtree once: the root's
+shifted outcomes and the inner rings are ``_place`` views, rendered on
+access, and ``verify_protocol`` proves the root's views exactly instead
+of walking them.  Every Fourier row is a ``states.dft`` row.  Trees
+whose full rendering passes MAX_OPERATOR_BYTES are refused unbuilt.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,18 +33,9 @@ import numpy as np
 from .families import prop2
 from .states import STOPPER_LABEL, dft, factor_stacks, pow2_scaled, upb_state_labels
 
-__all__ = [
-    "ALICE",
-    "BOB",
-    "LocalProjector",
-    "Branch",
-    "Identify",
-    "OnePartyFinish",
-    "DiscriminationReport",
-    "attach_resource",
-    "build_theorem3_protocol",
-    "verify_protocol",
-]
+__all__ = ["ALICE", "BOB", "LocalProjector", "Branch", "Identify", "OnePartyFinish",
+           "DiscriminationReport", "attach_resource", "build_theorem3_protocol",
+           "verify_protocol"]
 
 ALICE = "alice"
 BOB = "bob"
@@ -58,7 +44,7 @@ BRANCH_TOL = 1e-12
 PRUNE_TOL = 1e-10
 LEAF_TOL = 1e-8
 PROB_TOL = 1e-9
-MAX_OPERATOR_BYTES = 2 * 2**30  # refuse trees past this (22 x 22 would hold 2.9 GiB)
+MAX_OPERATOR_BYTES = 2 * 2**30  # refuse trees rendering past this (22 x 22 would render 2.9 GiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +61,7 @@ class LocalProjector:
 @dataclass(frozen=True, eq=False)
 class Branch:
     party: str
-    outcomes: tuple[tuple[LocalProjector, "ProtocolNode"], ...]
-    # per outcome, None or the (alice_index, bob_index) permutation pair by
-    # which its operator and subtree are outcome 0's, ``_place``d
-    placements: tuple = ()
+    outcomes: Sequence[tuple[LocalProjector, "ProtocolNode"]]  # a tuple, or a ``_place`` view
 
 
 @dataclass(frozen=True)
@@ -139,8 +122,8 @@ def _ring_index(levels: int, iota: int) -> np.ndarray:
     return (np.arange(1, levels - 1)[:, None] * iota + np.arange(iota - 1)).ravel()
 
 
-def _branch(party: str, outcomes, placements=()) -> Branch:
-    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes), placements)
+def _branch(party: str, outcomes) -> Branch:
+    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes))
 
 
 def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
@@ -162,26 +145,45 @@ def _level_dft(column: np.ndarray, iota: int, levels: int, leaf: ProtocolNode) -
 
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
            dims: tuple[int, int]) -> ProtocolNode:
-    """Carry a tree into registers of sizes dims = (Alice, Bob).
-
-    Each operator entry (u, v) moves to (index[u], index[v]) by the
-    acting party's index map, and each branch's first outcome absorbs
-    the identity off the image, so completeness holds on the full
-    register.  A permutation index conjugates the tree by that
-    permutation; a partial one embeds it.  Leaves are unchanged.
-    """
+    """Carry a tree into registers of sizes dims = (Alice, Bob) as a
+    ``_Placed`` view: each operator entry (u, v) moves to (index[u],
+    index[v]) by the acting party's index map, and each branch's first
+    outcome absorbs the identity off the image, so completeness holds.
+    A permutation index conjugates the tree; a partial one embeds it.
+    Leaves are unchanged, and placing a view composes the index maps."""
     if not isinstance(node, Branch):
         return node
-    index, dim = (alice_index, dims[0]) if node.party == ALICE else (bob_index, dims[1])
-    off = np.delete(np.arange(dim), index)
-    outcomes = []
-    for k, (proj, child) in enumerate(node.outcomes):
+    if isinstance(node.outcomes, _Placed):
+        view = node.outcomes
+        node, alice_index, bob_index = (view.source, alice_index[view.alice_index],
+                                        bob_index[view.bob_index])
+    return Branch(node.party, _Placed(node, alice_index, bob_index, tuple(dims)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Placed(Sequence):
+    """The outcomes of ``source`` placed by ``_place``, rendered on access:
+    each is the placed operator and the placed child."""
+
+    source: Branch
+    alice_index: np.ndarray
+    bob_index: np.ndarray
+    dims: tuple[int, int]
+
+    def __len__(self) -> int:
+        return len(self.source.outcomes)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]  # a negative k names the same outcome, first included
+        proj, child = self.source.outcomes[k]
+        alice = self.source.party == ALICE
+        index, dim = (self.alice_index, self.dims[0]) if alice else (self.bob_index, self.dims[1])
         op = np.zeros((dim, dim), dtype=complex)
         op[np.ix_(index, index)] = proj.operator
         if k == 0:
+            off = np.delete(np.arange(dim), index)
             op[off, off] = 1.0
-        outcomes.append((op, _place(child, alice_index, bob_index, dims)))
-    return _branch(node.party, outcomes)
+        return LocalProjector(op), _place(child, self.alice_index, self.bob_index, self.dims)
 
 
 def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
@@ -239,7 +241,8 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
 
 
 def _operator_bytes(m: int, n: int) -> int:
-    """Bytes of the dense operators in ``build_theorem3_protocol(m, n)``:
+    """Bytes of the dense operators a full rendering of
+    ``build_theorem3_protocol(m, n)`` produces, which stores far fewer:
     iota = m/2 root outcomes (the ring-0 subtree and its iota - 1 shifts), each with
     2 iota + 1 Alice operators of (m iota)^2 entries (root, two per ring
     corner, two at the center) and, per ring r = 0..iota-2,
@@ -257,22 +260,22 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     (m/2)-level resource.
 
     Alice's root layer has iota = m/2 outcomes, ``_root_projector(m, i)``
-    each.  The ring-0 subtree is built once: outcome 1 keeps it, and
-    outcome i carries it placed by the matching cyclic shift of both
-    ancillas (``_shift_index``), which fixes every resource state, and
-    declares that pair in ``placements``.
+    each.  The ring-0 subtree is stored once: outcome 1 keeps it, and
+    outcome i is a view of it (``_place``) by the matching cyclic shift
+    of both ancillas (``_shift_index``), which fixes every resource
+    state.
     Below the outer ring the subtree goes straight on to the next ring's
     subtree, without that ring's own root layer: Alice's first root
     outcome already pairs each inner row with the level the inner first
     root outcome would pick, and her operators in between are diagonal,
     so the inner root would give its first outcome with certainty and
-    its other outcomes would be reached by no state.  The tree has 5k(k-1) + 1 branches
-    for m = 2k.
+    its other outcomes would be reached by no state.  The tree has
+    5k(k-1) + 1 branches for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
     and no odd base case is built here.  prop2 refuses the sizes it does
-    not build (an even m it takes is at least 4); then a tree whose
-    operators (``_operator_bytes``) pass MAX_OPERATOR_BYTES is refused.
+    not build (an even m it takes is at least 4); then a tree whose full
+    rendering (``_operator_bytes``) passes MAX_OPERATOR_BYTES is refused.
     """
     if m % 2 != 0:
         raise ValueError(f"only even m is supported, got m={m}")
@@ -283,10 +286,9 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
                          f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
     iota = m // 2
     sub = _a1_subtree(m, n, idx, 0)
-    shifts = [(_shift_index(m, iota, i), _shift_index(n, iota, i)) for i in range(2, iota + 1)]
     return _branch(ALICE, [(_root_projector(m, 1), sub)] + [
-        (_root_projector(m, i), _place(sub, *shift, (m * iota, n * iota)))
-        for i, shift in enumerate(shifts, 2)], (None, *shifts))
+        (_root_projector(m, i), _place(sub, _shift_index(m, iota, i), _shift_index(n, iota, i),
+                                       (m * iota, n * iota))) for i in range(2, iota + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -390,44 +392,34 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
                 )
 
 
-def _is_placed(copy: ProtocolNode, source: ProtocolNode, grids: tuple) -> bool:
-    """Whether ``copy`` is ``source`` placed by a permutation pair, given
-    by its (Alice, Bob) ``np.ix_`` grids: equal leaves, parties and outcome
-    counts, and op[grid] == the source operator for each copy operator op."""
-    if not isinstance(source, Branch):
-        return copy == source
-    if not (isinstance(copy, Branch) and copy.party == source.party in (ALICE, BOB)
-            and len(copy.outcomes) == len(source.outcomes)):
-        return False
-    grid = grids[source.party == BOB]
-    return all(op.operator.shape == src.operator.shape == (grid[0].size,) * 2
-               and np.array_equal(op.operator[grid], src.operator)
-               and _is_placed(child, src_child, grids)
-               for (op, child), (src, src_child) in zip(copy.outcomes, source.outcomes))
-
-
 def _columns(lefts: np.ndarray, rights: np.ndarray) -> list[list[bytes]]:
     """Each state's factor columns, L over R, as their sorted bytes."""
     return [sorted(col.tobytes() for col in state.T)
             for state in np.concatenate((lefts, rights), axis=1)]
 
 
-def _proved_placement(node: Branch, k: int, lefts: np.ndarray, rights: np.ndarray,
-                      dims: tuple[int, int]) -> bool:
-    """Whether outcome k's declared pair holds exactly: both indices are
-    permutations of their registers, outcome k is outcome 0 placed by
-    them (``_is_placed``), and they only reorder each arriving state's
-    factor columns (``_columns``), which leaves its cut matrix unchanged."""
-    try:  # a missing declaration, None, or one that is not a sequence of arrays
-        pair = tuple(map(np.asarray, node.placements[k]))
-    except (IndexError, TypeError, ValueError):
-        return False
-    return (len(pair) == 2 and all(i.shape == (d,) and i.dtype.kind in "iu"
-                                   and set(i.tolist()) == set(range(d))
-                                   for i, d in zip(pair, dims))
-            and _is_placed(Branch(node.party, node.outcomes[k:k + 1]),
-                           Branch(node.party, node.outcomes[:1]), [np.ix_(i, i) for i in pair])
-            and _columns(lefts[:, pair[0]], rights[:, pair[1]]) == _columns(lefts, rights))
+def _proved_placements(node: Branch, lefts: np.ndarray, rights: np.ndarray,
+                       dims: tuple[int, int]) -> set[int]:
+    """The outcomes k >= 1 of a rendered branch proved outcome 0 placed,
+    from provenance: subtree k is a ``_Placed`` view of subtree 0 itself,
+    on the same dims and party, whose indices permute their registers
+    with op_k[ix_(σ, σ)] == op_0 for the branch party's σ, and only
+    reorder each arriving state's factor columns (``_columns``, computed
+    once), which leaves its cut matrix unchanged."""
+    proved, columns = set(), None
+    for k, (proj, child) in enumerate(node.outcomes[1:], 1):
+        (first, sub), view = node.outcomes[0], getattr(child, "outcomes", None)
+        pair = (view.alice_index, view.bob_index) if isinstance(view, _Placed) else ()
+        if not (pair and view.source is sub and view.dims == dims and child.party == sub.party
+                and all(i.shape == (d,) and i.dtype.kind in "iu"
+                        and set(i.tolist()) == set(range(d)) for i, d in zip(pair, dims))
+                and np.array_equal(proj.operator[np.ix_(*[pair[node.party == BOB]] * 2)],
+                                   first.operator)):
+            continue
+        columns = _columns(lefts, rights) if columns is None else columns
+        if _columns(lefts[:, pair[0]], rights[:, pair[1]]) == columns:
+            proved.add(k)
+    return proved
 
 
 def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
@@ -452,12 +444,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     stacks that ``factor_stacks(..., axes=3)`` refuses, or when there are
     no states or one is zero or not finite.
 
-    A branch's declared placements are checked exactly, never trusted:
-    outcome k is not walked when ``_proved_placement`` holds (its indices
-    permute their registers, op_k[ix_(σ, σ)] == op_0, subtree k is subtree 0
-    placed, and every arriving state's cut matrix is fixed), and it then
-    takes outcome 0's weights and violations, renamed to its path.
-    Otherwise it is walked as if undeclared.
+    Each visit renders a branch's outcomes once, for the audit and the
+    walk alike.  An outcome ``_proved_placements`` proves a placement of
+    outcome 0 is not walked: it takes outcome 0's weights and violations,
+    renamed to its path.  Anything else is walked.
     """
     # pow2_scaled is exact and keeps norms2 finite
     lefts, rights = map(pow2_scaled, factor_stacks(lefts, rights, axes=3))
@@ -481,8 +471,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
         if not isinstance(node, Identify) and node.party not in (ALICE, BOB):
             found[not isinstance(node, Branch)].append(f"{path}: unknown party {node.party!r}")
         elif isinstance(node, Branch):
+            node = Branch(node.party, tuple(node.outcomes))  # rendered once per visit
             if not _check_branch(node, reg_dims, path, found[0]):
                 return
+            proved = _proved_placements(node, lefts, rights, reg_dims)
             alice = node.party == ALICE
             moved, idle = (lefts, rights) if alice else (rights, lefts)
             gram = _gram(idle)  # the idle factors are the same for every outcome
@@ -494,10 +486,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 keep = p >= PRUNE_TOL
                 pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
                 args = child, idx[keep], *pair, p[keep], f"{path}.{k}"
-                if k == 0 and node.placements:  # walked apart, for the outcomes proved below
+                if k == 0 and proved:  # walked apart, for the outcomes proved placements of it
                     first = np.zeros_like(acc), ([], [])
                     walk(*args, *first)
-                elif not (k and _proved_placement(node, k, lefts, rights, reg_dims)):
+                elif k not in proved:
                     walk(*args, acc, found)
                     continue
                 # outcome 0 or its proved placement: its weights and renamed violations

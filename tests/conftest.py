@@ -26,6 +26,7 @@ from tileupb.locc import (
     Branch,
     DiscriminationReport,
     Identify,
+    _branch,
     _check_branch,
 )
 from tileupb.verify import DEFAULT_CONV_TOL, DEFAULT_MAX_ITERS, MONOTONE_SLACK
@@ -422,6 +423,25 @@ def brute_composite_apply(op, party, amps):
         lifted = np.kron(np.eye(m * da), op)
     out = lifted @ vec
     return out.reshape(m, da, n, db).transpose(0, 2, 1, 3)
+
+
+def eager_place(node, alice_index, bob_index, dims):
+    """The reference placement: a tree carried into registers of sizes
+    dims = (Alice, Bob) as dense copies.  Each operator entry (u, v) moves
+    to (index[u], index[v]) by the acting party's index map, and each
+    branch's first outcome absorbs the identity off the image."""
+    if not isinstance(node, Branch):
+        return node
+    index, dim = (alice_index, dims[0]) if node.party == ALICE else (bob_index, dims[1])
+    off = np.delete(np.arange(dim), index)
+    outcomes = []
+    for k, (proj, child) in enumerate(node.outcomes):
+        op = np.zeros((dim, dim), dtype=complex)
+        op[np.ix_(index, index)] = proj.operator
+        if k == 0:
+            op[off, off] = 1.0
+        outcomes.append((op, eager_place(child, alice_index, bob_index, dims)))
+    return _branch(node.party, outcomes)
 
 
 def _dense_finish_leaf(node, alive, path, problems):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +35,7 @@ from tileupb.locc import (
     _shift_index,
 )
 
-from conftest import brute_composite_apply, dense_verify_protocol
+from conftest import brute_composite_apply, dense_verify_protocol, eager_place
 
 
 def _shift_unitary(iota, i):
@@ -267,23 +268,19 @@ class TestProtocols:
         report, audited, proved = _audited(monkeypatch, protocol, *_resource_stacks(m, n)[1:])
         assert report.ok
         assert proved == [f"root.{k}" for k in range(1, m // 2)]
-        paths = _branch_paths(protocol)
-        placed = [p for p in paths if any(p == q or p.startswith(q + ".") for q in proved)]
-        assert len(set(audited)) == len(audited)
-        assert not set(audited) & set(placed)
-        assert sorted(audited + placed) == sorted(paths)
-        assert len(paths) == _count_branches(protocol)
+        _assert_audited_once_or_proved(protocol, audited, proved)
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
-    def test_the_declared_placements_change_no_report(self, m):
-        """Proving the root's placements instead of walking them gives the
-        report of the same tree with no declaration."""
+    def test_the_proved_root_views_change_no_report(self, m):
+        """Proving the root's placed views instead of walking them gives
+        the report of the same tree with its root views rendered eagerly."""
         for n in (m, m + 3):
             protocol = build_theorem3_protocol(m, n)
-            assert len(protocol.placements) == m // 2
             stacks = _resource_stacks(m, n)[1:]
             proved = verify_protocol(protocol, *stacks)
-            walked = verify_protocol(Branch(protocol.party, protocol.outcomes), *stacks)
+            rendered = [(proj, Branch(child.party, tuple(child.outcomes)))
+                        for proj, child in protocol.outcomes]
+            walked = verify_protocol(Branch(protocol.party, tuple(rendered)), *stacks)
             assert proved.branch_violations == walked.branch_violations
             assert proved.leaf_violations == walked.leaf_violations
             assert np.allclose(proved.probabilities, walked.probabilities, rtol=0, atol=1e-14)
@@ -291,9 +288,51 @@ class TestProtocols:
                                                                  abs=1e-14)
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
+    def test_views_render_the_eager_placements_bitwise(self, m):
+        """Every operator the built tree renders, in root outcomes 2..m/2
+        and every ring embedding, is bit for bit the one the eager
+        reference placement copies, with the same node types, parties and
+        leaves."""
+        for n in (m, m + 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tileupb.locc, "_place", eager_place)
+                eager = build_theorem3_protocol(m, n)
+            _assert_same_tree(build_theorem3_protocol(m, n), eager)
+
+    def test_placing_a_placed_branch_composes_the_index_maps(self):
+        sub = build_theorem3_protocol(8, 8).outcomes[0][1]
+        view = _subtree(sub, EMBEDDED_RING_8X8).outcomes
+        shift = _shift_index(8, 4, 2)
+        placed = _place(Branch(BOB, view), shift, shift, (32, 32)).outcomes
+        assert placed.source is view.source
+        assert np.array_equal(placed.alice_index, shift[view.alice_index])
+        assert np.array_equal(placed.bob_index, shift[view.bob_index])
+
+    def test_a_view_reads_like_the_tuple_it_renders(self):
+        view = build_theorem3_protocol(6, 6).outcomes[1][1].outcomes
+        rendered = tuple(view)
+        assert len(view) == len(rendered) == 7
+        for k in (0, 3, -1, -7):
+            assert np.array_equal(view[k][0].operator, rendered[k][0].operator)
+        with pytest.raises(IndexError):
+            view[7]
+
+    def test_the_built_tree_stores_each_subtree_once(self):
+        """The root's shifted subtrees and the ring embeddings are views:
+        the 16x16 tree holds a few of its renderings' 357 MB."""
+        tracemalloc.start()
+        try:
+            protocol = build_theorem3_protocol(16, 16)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(protocol.outcomes) == 8
+        assert held < 40e6
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_operator_bytes_match_the_built_tree(self, m):
         """The closed form the size refusal reads equals the bytes of
-        the distinct operators found by walking the built tree."""
+        the operators a full rendering of the built tree produces."""
         for n in (m, m + 3):
             assert _operator_bytes(m, n) == _tree_operator_bytes(build_theorem3_protocol(m, n))
 
@@ -328,24 +367,34 @@ class TestProtocols:
 def _audited(monkeypatch, protocol, lefts, rights):
     """The report of ``verify_protocol``, the path of each branch it
     passed to ``_check_branch`` and the path of each outcome it proved a
-    placement of its branch's outcome 0, in call order."""
+    placement of its branch's outcome 0, in call order.  The walk seeks
+    proofs at a branch right after auditing it."""
     audited, proved = [], []
-    check, prove = tileupb.locc._check_branch, tileupb.locc._proved_placement
-    paths = {id(node): path for path, node in _branch_paths(protocol).items()}
+    check, prove = tileupb.locc._check_branch, tileupb.locc._proved_placements
 
     def record(node, dims, path, problems):
         audited.append(path)
         return check(node, dims, path, problems)
 
-    def record_proof(node, k, *args):
-        found = prove(node, k, *args)
-        if found:
-            proved.append(f"{paths[id(node)]}.{k}")
+    def record_proof(*args):
+        found = prove(*args)
+        proved.extend(f"{audited[-1]}.{k}" for k in sorted(found))
         return found
 
     monkeypatch.setattr(tileupb.locc, "_check_branch", record)
-    monkeypatch.setattr(tileupb.locc, "_proved_placement", record_proof)
+    monkeypatch.setattr(tileupb.locc, "_proved_placements", record_proof)
     return verify_protocol(protocol, lefts, rights), audited, proved
+
+
+def _assert_audited_once_or_proved(protocol, audited, proved):
+    """Each branch of the tree is audited exactly once or lies in an
+    outcome proved a placement, never both."""
+    paths = _branch_paths(protocol)
+    placed = [p for p in paths if any(p == q or p.startswith(q + ".") for q in proved)]
+    assert len(set(audited)) == len(audited)
+    assert not set(audited) & set(placed)
+    assert sorted(audited + placed) == sorted(paths)
+    assert len(paths) == _count_branches(protocol)
 
 
 def _branch_paths(node, path="root"):
@@ -359,14 +408,24 @@ def _branch_paths(node, path="root"):
 
 
 def _tree_operator_bytes(node):
-    """Bytes of the distinct projector operators in a tree, by walking it."""
-    seen, stack = {}, [node]
-    while stack:
-        node = stack.pop()
-        for proj, child in getattr(node, "outcomes", ()):
-            seen[id(proj.operator)] = proj.operator.nbytes
-            stack.append(child)
-    return sum(seen.values())
+    """Bytes of the projector operators a tree renders, summed per visit."""
+    return sum(proj.operator.nbytes + _tree_operator_bytes(child)
+               for proj, child in getattr(node, "outcomes", ()))
+
+
+def _assert_same_tree(got, want, path="root"):
+    """Equal node types, parties, leaves and outcome counts, and every
+    operator equal bit for bit."""
+    assert type(got) is type(want), path
+    if not isinstance(want, Branch):
+        assert got == want, path
+        return
+    assert got.party == want.party and len(got.outcomes) == len(want.outcomes), path
+    for k, ((op, child), (ref, ref_child)) in enumerate(zip(got.outcomes, want.outcomes)):
+        assert op.operator.dtype == ref.operator.dtype, path
+        assert op.operator.shape == ref.operator.shape, path
+        assert op.operator.tobytes() == ref.operator.tobytes(), f"{path}.{k}"
+        _assert_same_tree(child, ref_child, f"{path}.{k}")
 
 
 def _count_branches(node):
@@ -414,6 +473,9 @@ def _swap_labels(node, first, second):
 # layer.
 NESTED_BOB_6X6 = (0, 6, 1, 0)
 EMBEDDED_4X4_IN_6X6 = (0, 6, 1, 1)
+# the same place in the 8x8 ring-0 subtree (below root outcome 0): the
+# 6x6 ring's subtree, itself holding the placed 4x4 ring's
+EMBEDDED_RING_8X8 = (8, 1, 1)
 
 
 def _swapped_identify_labels():
@@ -537,8 +599,8 @@ def _mixed_factor_ranks():
 
 
 def _with_placed_copy(edit):
-    """The 6x6 tree, its declarations kept, with root outcome 1's subtree
-    (a placed copy of outcome 0's) replaced by edit(that subtree)."""
+    """The 6x6 tree with root outcome 1's subtree (a placed view of
+    outcome 0's) replaced by edit(that subtree)."""
     protocol, *stacks = _prop2_case(6, 6)()
     outcomes = list(protocol.outcomes)
     outcomes[1] = (outcomes[1][0], edit(outcomes[1][1]))
@@ -577,12 +639,11 @@ def _placed_copy_labels_swapped():
 
 def _sabotaged_source_placed():
     """Labels swapped in the 6x6 ring-0 subtree, which is then placed by
-    the root's declared pairs, so every copy is an exact image of the
-    sabotage."""
+    the root's shifts, so every view is an exact image of the sabotage."""
     protocol, *stacks = _prop2_case(6, 6)()
     sub = _first_two_labels_swapped(protocol.outcomes[0][1])
-    outcomes = [(proj, _place(sub, *pair, (18, 18)) if pair else sub)
-                for (proj, _), pair in zip(protocol.outcomes, protocol.placements)]
+    outcomes = [(proj, _place(sub, _shift_index(6, 3, i), _shift_index(6, 3, i), (18, 18))
+                 if i > 1 else sub) for i, (proj, _) in enumerate(protocol.outcomes, 1)]
     return dataclasses.replace(protocol, outcomes=tuple(outcomes)), *stacks
 
 
@@ -594,30 +655,54 @@ def _resource_level_weighted():
     return protocol, lefts, rights
 
 
-def _declared_index_repeats_an_entry():
+def _root_view_of(source=lambda sub: sub, alice_edit=lambda index: index, dims=(18, 18),
+                  party=BOB):
+    """The 6x6 tree with root outcome 1's subtree a view of
+    source(outcome 0's subtree) on dims, placed by outcome 1's index pair
+    with alice_edit applied to a copy of its Alice index, and wrapped in
+    a branch of ``party``.  The defaults rebuild the tree as built."""
     protocol, *stacks = _prop2_case(6, 6)()
-    alice, bob = protocol.placements[1]
-    alice = alice.copy()
-    alice[1] = alice[0]
-    placements = (None, (alice, bob), *protocol.placements[2:])
-    return dataclasses.replace(protocol, placements=placements), *stacks
+    (first, sub), (proj, child), *rest = protocol.outcomes
+    view = child.outcomes
+    placed = _place(source(sub), alice_edit(view.alice_index.copy()), view.bob_index, dims)
+    outcomes = ((first, sub), (proj, Branch(party, placed.outcomes)), *rest)
+    return Branch(protocol.party, outcomes), *stacks
 
 
-def _declaration_is_not_a_pair():
-    protocol, *stacks = _prop2_case(6, 6)()
-    placements = (None, 7, *protocol.placements[2:])
-    return dataclasses.replace(protocol, placements=placements), *stacks
+def _repeat_the_first_entry(index):
+    index[1] = index[0]
+    return index
 
 
-# declared trees whose root outcome 1 is not a placement of outcome 0
+def _placed_index_repeats_an_entry():
+    return _root_view_of(alice_edit=_repeat_the_first_entry)
+
+
+def _view_of_a_distinct_copy():
+    """A view of an equal but distinct copy of outcome 0's subtree: the
+    proof reads provenance, not equality."""
+    return _root_view_of(source=lambda sub: Branch(sub.party, tuple(sub.outcomes)))
+
+
+def _view_on_other_dims():
+    return _root_view_of(dims=(18, 19))
+
+
+def _view_of_another_party():
+    return _root_view_of(party=ALICE)
+
+
+# trees whose root outcome 1 is not proved a view of outcome 0's subtree
 # (or sees states no shift fixes), so it must be walked
 UNPROVABLE = {
     "placed_copy_entry_moved_one_ulp": _placed_copy_entry_moved_one_ulp,
     "placed_copy_entry_set_to_nan": _placed_copy_entry_set_to_nan,
     "placed_copy_labels_swapped": _placed_copy_labels_swapped,
     "resource_level_weighted": _resource_level_weighted,
-    "declared_index_repeats_an_entry": _declared_index_repeats_an_entry,
-    "declaration_is_not_a_pair": _declaration_is_not_a_pair,
+    "placed_index_repeats_an_entry": _placed_index_repeats_an_entry,
+    "view_of_a_distinct_copy": _view_of_a_distinct_copy,
+    "view_on_other_dims": _view_on_other_dims,
+    "view_of_another_party": _view_of_another_party,
 }
 
 DIFFERENTIAL = {
@@ -716,9 +801,13 @@ class TestVerifierCatchesSabotage:
         assert report.min_success_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_every_branch_is_audited_once_whatever_reaches_it(self, monkeypatch):
+        """The added root outcome no state reaches is audited; root
+        outcome 1 is still a view of outcome 0's subtree, and proved."""
         protocol, *stacks = _unreachable_branch()
-        _, audited, _ = _audited(monkeypatch, protocol, *stacks)
-        assert len(set(audited)) == len(audited) == _count_branches(protocol) == 12
+        _, audited, proved = _audited(monkeypatch, protocol, *stacks)
+        assert "root.2" in audited and proved == ["root.1"]
+        assert _count_branches(protocol) == 12
+        _assert_audited_once_or_proved(protocol, audited, proved)
 
     @pytest.mark.parametrize("case", sorted(UNPROVABLE))
     def test_an_unprovable_placement_is_walked(self, case, monkeypatch):
@@ -726,6 +815,15 @@ class TestVerifierCatchesSabotage:
         _, audited, proved = _audited(monkeypatch, protocol, *stacks)
         assert "root.1" in audited
         assert "root.1" not in proved
+
+    def test_a_rebuilt_root_view_is_proved(self, monkeypatch):
+        """The control for the UNPROVABLE views: with no edit, the rebuilt
+        view is proved and the report is the built tree's."""
+        protocol, *stacks = _root_view_of()
+        report, _, proved = _audited(monkeypatch, protocol, *stacks)
+        assert proved == ["root.1", "root.2"]
+        built = verify_protocol(build_theorem3_protocol(6, 6), *stacks)
+        assert dataclasses.astuple(report) == dataclasses.astuple(built)
 
     def test_a_placed_sabotage_is_named_under_every_root_outcome(self, monkeypatch):
         report, audited, proved = _audited(monkeypatch, *_sabotaged_source_placed())
