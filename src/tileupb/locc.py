@@ -18,8 +18,8 @@ discriminates the ring-structure basis of prop2(m, n) for even m with a
 (m/2)-level resource, and stores each ring's subtree once: the root's
 shifted outcomes and the inner rings are ``_place`` views, rendered on
 access, and ``verify_protocol`` proves the root's views exactly instead
-of walking them.  Every Fourier row is a ``states.dft`` row.  Trees
-whose full rendering passes MAX_OPERATOR_BYTES are refused unbuilt.
+of walking them.  Every Fourier row is a ``states.dft`` row.  Grids
+of more than MAX_CELLS cells are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ BRANCH_TOL = 1e-12
 PRUNE_TOL = 1e-10
 LEAF_TOL = 1e-8
 PROB_TOL = 1e-9
-MAX_OPERATOR_BYTES = 2 * 2**30  # refuse trees rendering past this (22 x 22 would render 2.9 GiB)
+MAX_CELLS = 620  # m * n; every walk it admits peaks under 2 GiB of RSS (README)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,21 +240,6 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     return _branch(BOB, outcomes)
 
 
-def _operator_bytes(m: int, n: int) -> int:
-    """Bytes of the dense operators a full rendering of
-    ``build_theorem3_protocol(m, n)`` produces, which stores far fewer:
-    iota = m/2 root outcomes (the ring-0 subtree and its iota - 1 shifts), each with
-    2 iota + 1 Alice operators of (m iota)^2 entries (root, two per ring
-    corner, two at the center) and, per ring r = 0..iota-2,
-    n - 2r + 1 + (iota - r - 1 if iota - r > 2) + 2 + iota - r Bob
-    operators of (n iota)^2 entries (first layer, level DFT, column
-    split, column DFT)."""
-    iota = m // 2
-    bob = sum(n - 2 * r + 1 + (iota - r - 1 if iota - r > 2 else 0) + 2 + iota - r
-              for r in range(iota - 1))
-    return 16 * iota * ((2 * iota + 1) * (m * iota) ** 2 + bob * (n * iota) ** 2)
-
-
 def build_theorem3_protocol(m: int, n: int) -> Branch:
     """Discrimination tree for the prop2(m, n) basis, even m, with an
     (m/2)-level resource.
@@ -274,16 +259,15 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
 
     Odd m is rejected: the even construction peels two rows per round
     and no odd base case is built here.  prop2 refuses the sizes it does
-    not build (an even m it takes is at least 4); then a tree whose full
-    rendering (``_operator_bytes``) passes MAX_OPERATOR_BYTES is refused.
+    not build (an even m it takes is at least 4); then a grid of more
+    than MAX_CELLS cells is refused before any operator is built.
     """
     if m % 2 != 0:
         raise ValueError(f"only even m is supported, got m={m}")
     idx = {label: i for i, label in enumerate(upb_state_labels(prop2(m, n)))}
-    size = _operator_bytes(m, n)
-    if size > MAX_OPERATOR_BYTES:
-        raise ValueError(f"the protocol for m={m}, n={n} would hold {size / 2**30:.2f} GiB "
-                         f"of dense operators, over the {MAX_OPERATOR_BYTES / 2**30:.0f} GiB cap")
+    if m * n > MAX_CELLS:
+        raise ValueError(f"the protocol for m={m}, n={n} covers {m * n} cells, "
+                         f"over the {MAX_CELLS}-cell bound")
     iota = m // 2
     sub = _a1_subtree(m, n, idx, 0)
     return _branch(ALICE, [(_root_projector(m, 1), sub)] + [
@@ -484,7 +468,10 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 p = _sq_norms(out, gram)
                 total += p
                 keep = p >= PRUNE_TOL
-                pair = (out[keep], idle[keep]) if alice else (idle[keep], out[keep])
+                if keep.all():
+                    keep = slice(None)  # views: nothing below writes into a state
+                out = out[keep]  # the unpruned rows are freed before the descent
+                pair = (out, idle[keep]) if alice else (idle[keep], out)
                 args = child, idx[keep], *pair, p[keep], f"{path}.{k}"
                 if k == 0 and proved:  # walked apart, for the outcomes proved placements of it
                     first = np.zeros_like(acc), ([], [])

@@ -26,9 +26,8 @@ from tileupb import (
     verify_protocol,
 )
 from tileupb.locc import (
-    MAX_OPERATOR_BYTES,
+    MAX_CELLS,
     _branch,
-    _operator_bytes,
     _place,
     _ring_index,
     _root_projector,
@@ -329,23 +328,41 @@ class TestProtocols:
         assert len(protocol.outcomes) == 8
         assert held < 40e6
 
-    @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
-    def test_operator_bytes_match_the_built_tree(self, m):
-        """The closed form the size refusal reads equals the bytes of
-        the operators a full rendering of the built tree produces."""
-        for n in (m, m + 3):
-            assert _operator_bytes(m, n) == _tree_operator_bytes(build_theorem3_protocol(m, n))
+    def test_the_walk_copies_no_state_it_does_not_prune(self):
+        """An outcome that keeps every arriving state passes views of them
+        on: the 12x12 walk peaks near 15.5 MB, and at 22.4 MB when each
+        outcome copied its kept states."""
+        protocol = build_theorem3_protocol(12, 12)
+        _, lefts, rights = _resource_stacks(12, 12)
+        tracemalloc.start()
+        try:
+            report = verify_protocol(protocol, lefts, rights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 19e6
 
-    @pytest.mark.parametrize("m,n", [(22, 22), (16, 64), (64, 64)])
+    @pytest.mark.parametrize("m,n", [(24, 26), (26, 26), (16, 64), (64, 64)])
     def test_oversized_trees_are_refused_before_they_are_built(self, m, n):
-        assert _operator_bytes(m, n) > MAX_OPERATOR_BYTES
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match="GiB of dense operators"):
+        with pytest.raises(ValueError, match=f"^the protocol for m={m}, n={n} covers {m * n} "
+                                             f"cells, over the 620-cell bound$"):
             build_theorem3_protocol(m, n)
         assert time.perf_counter() - t0 < 0.5
 
-    def test_the_largest_admitted_square_is_20x20(self):
-        assert _operator_bytes(20, 20) <= MAX_OPERATOR_BYTES < _operator_bytes(22, 22)
+    def test_every_grid_the_former_rendering_cap_admitted_is_admitted(self):
+        """Each even m mapped to the largest n that the 2 GiB cap on a full
+        rendering of the tree admitted; 10 x 62 fills the bound."""
+        frontier = {4: 64, 6: 64, 8: 64, 10: 62, 12: 47, 14: 38, 16: 31, 18: 26, 20: 22}
+        assert max(m * n for m, n in frontier.items()) == MAX_CELLS
+
+    def test_a_grid_the_former_rendering_cap_refused_builds(self):
+        """22 x 22, whose full rendering would hold 2.90 GiB, builds."""
+        assert len(build_theorem3_protocol(22, 22).outcomes) == 11
+
+    def test_the_largest_admitted_square_is_24x24(self):
+        assert 24 * 24 <= MAX_CELLS < 26 * 26
 
     def test_odd_row_counts_are_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -405,12 +422,6 @@ def _branch_paths(node, path="root"):
     for k, (_, child) in enumerate(node.outcomes):
         found.update(_branch_paths(child, f"{path}.{k}"))
     return found
-
-
-def _tree_operator_bytes(node):
-    """Bytes of the projector operators a tree renders, summed per visit."""
-    return sum(proj.operator.nbytes + _tree_operator_bytes(child)
-               for proj, child in getattr(node, "outcomes", ()))
 
 
 def _assert_same_tree(got, want, path="root"):
