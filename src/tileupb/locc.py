@@ -16,10 +16,11 @@ outcome acts on one stack.
 ``build_theorem3_protocol`` constructs the tree that perfectly
 discriminates the ring-structure basis of prop2(m, n) for even m with a
 (m/2)-level resource, and stores each ring's subtree once: the root's
-shifted outcomes and the inner rings are ``_place`` views, rendered on
-access, and ``verify_protocol`` proves the root's views exactly instead
-of walking them.  Every Fourier row is a ``states.dft`` row.  Grids
-of more than MAX_CELLS cells are refused unbuilt.
+shifted outcomes, the inner rings and the Fourier layers are ``_place``
+views, rendered on access, so every completion is exact, and
+``verify_protocol`` proves the root's views exactly instead of walking
+them.  Every Fourier row is a ``states.dft`` row.  Grids of more than
+MAX_CELLS cells are refused unbuilt.
 """
 
 from __future__ import annotations
@@ -131,16 +132,14 @@ def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode
     return _branch(party, [(op, inside), (np.eye(len(op)) - op, rest)])
 
 
-def _level_dft(column: np.ndarray, iota: int, levels: int, leaf: ProtocolNode) -> Branch:
-    """Bob's DFT layer over the first ``levels`` ancilla levels of an
-    iota-level register, on the classical levels ``column`` projects
-    onto: outcome t projects onto sum_j w^{tj} |j>, and outcome 0 also
-    takes the identity off column (x) those levels."""
-    rows = np.pad(dft(levels), ((0, 0), (0, iota - levels)))
-    outcomes = [(np.kron(column, np.outer(v, v.conj()) / levels), leaf) for v in rows]
-    span = np.kron(column, _levels_proj(iota, range(levels)))
-    outcomes[0] = (outcomes[0][0] + np.eye(len(span)) - span, leaf)
-    return _branch(BOB, outcomes)
+def _level_dft(col: int, iota: int, levels: int, dims: tuple[int, int],
+               leaf: ProtocolNode) -> Branch:
+    """Bob's DFT layer over the first ``levels`` ancilla levels of column
+    ``col`` of an iota-level register, placed (``_place``) into registers
+    of sizes dims: outcome t projects onto sum_j w^{tj} |col, j>, and
+    outcome 0 also takes the identity off those cells."""
+    layer = _branch(BOB, [(np.outer(v, v.conj()) / levels, leaf) for v in dft(levels)])
+    return _place(layer, np.arange(dims[0]), col * iota + np.arange(levels), dims)
 
 
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
@@ -174,6 +173,8 @@ class _Placed(Sequence):
         return len(self.source.outcomes)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(len(self))[k])
         k = range(len(self))[k]  # a negative k names the same outcome, first included
         proj, child = self.source.outcomes[k]
         alice = self.source.party == ALICE
@@ -199,7 +200,7 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     ring tile t is tile t + 4*ring there, as ``idx`` labels them.
     """
     iota = m // 2
-    dim_b = n * iota
+    dims = (m * iota, n * iota)
     stop = idx[STOPPER_LABEL]
 
     def state(tid: int, k: int, l: int) -> int:
@@ -212,10 +213,8 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
          Identify(state(3, 0, i) if i < n - 1 else stop)) for i, u in enumerate(rows, 1)]
 
     tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
-    last_col = _levels_proj(n, [n - 1])
-    b_n = np.kron(last_col, _levels_proj(iota, range(iota - 1)))
-    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(last_col, iota, iota - 1, tile2)))
-    b_rest = np.eye(dim_b, dtype=complex) - sum(op for op, _ in outcomes)
+    b_n = _levels_proj(dims[1], (n - 1) * iota + np.arange(iota - 1))
+    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(n - 1, iota, iota - 1, dims, tile2)))
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
     tile4 = OnePartyFinish(ALICE, tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,))
@@ -229,14 +228,14 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
                                          OnePartyFinish(BOB, center_anti))
     else:
         interior = _place(_a1_subtree(m - 2, n - 2, idx, ring + 1), _ring_index(m, iota),
-                          _ring_index(n, iota), (m * iota, dim_b))
+                          _ring_index(n, iota), dims)
 
-    first_col = _levels_proj(n, [0])
-    after_corner = _either(BOB, np.kron(first_col, np.eye(iota)),
-                           _level_dft(first_col, iota, iota, tile4), interior)
-    child_rest = _either(ALICE, np.kron(_levels_proj(m, [0]), _levels_proj(iota, [0])),
-                         OnePartyFinish(BOB, tile1), after_corner)
-    outcomes.append((b_rest, child_rest))
+    after_corner = _either(BOB, _levels_proj(dims[1], range(iota)),
+                           _level_dft(0, iota, iota, dims, tile4), interior)
+    child_rest = _either(ALICE, _levels_proj(dims[0], [0]), OnePartyFinish(BOB, tile1),
+                         after_corner)
+    # the rest: column 0 at every level, and levels 0..iota-2 of columns 1..n-2
+    outcomes.append((_levels_proj(dims[1], np.r_[:iota, _ring_index(n, iota)]), child_rest))
     return _branch(BOB, outcomes)
 
 
@@ -347,15 +346,13 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
     q_l, t_l = np.linalg.qr(lefts)
     q_r, t_r = np.linalg.qr(rights)
     u, sv, vh = np.linalg.svd(t_l @ np.swapaxes(t_r, 1, 2))
-    product = np.ones(idx.size, dtype=bool)
-    if sv.shape[1] > 1:
-        ratio = sv[:, 1] / sv[:, 0]
-        product = ~(sv[:, 1] > LEAF_TOL * sv[:, 0])
-        for k in np.flatnonzero(~product):
-            problems.append(
-                f"{path}: state {idx[k]} is not product across the cut "
-                f"(second singular value ratio {ratio[k]:.2e})"
-            )
+    first, second = sv[:, :1], sv[:, 1:2]  # no second column for rank-1 stacks: product
+    product = ~(second > LEAF_TOL * first).any(axis=1)
+    for k in np.flatnonzero(~product):
+        problems.append(
+            f"{path}: state {idx[k]} is not product across the cut "
+            f"(second singular value ratio {second[k, 0] / first[k, 0]:.2e})"
+        )
     # Unit cut factors a_k = Q_L u_k[:, 0] and b_k = conj(vh_k[0] Q_Rᵀ).
     alice_vecs = (q_l @ u[:, :, :1])[product, :, 0]
     bob_vecs = (vh[:, :1, :] @ np.swapaxes(q_r, 1, 2))[product, 0, :].conj()

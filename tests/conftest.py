@@ -26,6 +26,7 @@ from tileupb.locc import (
     Branch,
     DiscriminationReport,
     Identify,
+    _Placed,
     _branch,
     _check_branch,
 )
@@ -469,6 +470,46 @@ def _dense_finish_leaf(node, alive, path, problems):
                 )
             if idle < 1.0 - LEAF_TOL:
                 problems.append(f"{path}: states {si} and {sj} differ on the idle party")
+
+
+def placed_off_image_residues(protocol, lefts, rights):
+    """Walk root outcome 1 (the first) by dense application and measure,
+    at every branch whose outcomes are a ``_Placed`` view with a partial
+    index, how far the arriving states reach off the view's image.
+
+    Alice's outcome P maps a factor L to P L and Bob's maps R to P R, on
+    the rendered operators; a state goes on while ‖L Rᵀ‖² = tr(Lᴴ L Rᵀ R̄)
+    is at least PRUNE_TOL of its starting value.  At such a branch the
+    residue is the largest |entry| of L[off_A] Rᵀ and L R[off_B]ᵀ over
+    the arriving states, off_A and off_B the cells off the two indices.
+    Returns {path: (arriving state count, residue)}."""
+    def sq_norms(lefts, rights):
+        grams = np.swapaxes(lefts.conj(), 1, 2) @ lefts, np.swapaxes(rights, 1, 2) @ rights.conj()
+        return np.einsum("krs,ksr->k", *grams).real
+
+    start = sq_norms(lefts, rights)
+    found = {}
+
+    def walk(node, alive, lefts, rights, path):
+        if not isinstance(node, Branch):
+            return
+        view = node.outcomes
+        if isinstance(view, _Placed):
+            off = [np.delete(np.arange(d), i) for i, d in zip((view.alice_index, view.bob_index),
+                                                             view.dims)]
+            if any(o.size for o in off):
+                parts = (lefts[:, off[0]] @ np.swapaxes(rights, 1, 2),
+                         lefts @ np.swapaxes(rights[:, off[1]], 1, 2))
+                found[path] = (len(alive), max(np.abs(x).max(initial=0.0) for x in parts))
+        for k, (proj, child) in enumerate(node.outcomes):
+            pair = ((proj.operator @ lefts, rights) if node.party == ALICE
+                    else (lefts, proj.operator @ rights))
+            keep = sq_norms(*pair) >= PRUNE_TOL * start[alive]
+            walk(child, alive[keep], pair[0][keep], pair[1][keep], f"{path}.{k}")
+
+    walk(Branch(protocol.party, protocol.outcomes[:1]), np.arange(len(lefts)), lefts, rights,
+         "root")
+    return found
 
 
 def dense_verify_protocol(protocol, lefts, rights):

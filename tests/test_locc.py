@@ -34,7 +34,8 @@ from tileupb.locc import (
     _shift_index,
 )
 
-from conftest import brute_composite_apply, dense_verify_protocol, eager_place
+from conftest import (brute_composite_apply, dense_verify_protocol, eager_place,
+                      placed_off_image_residues)
 
 
 def _shift_unitary(iota, i):
@@ -315,6 +316,26 @@ class TestProtocols:
             assert np.array_equal(view[k][0].operator, rendered[k][0].operator)
         with pytest.raises(IndexError):
             view[7]
+        for part in (slice(1, None), slice(None, -1), slice(None, None, -2), slice(9, 12)):
+            sliced = view[part]  # a slice is the tuple of the outcomes it names
+            assert type(sliced) is tuple and len(sliced) == len(rendered[part])
+            for (op, child), (ref, ref_child) in zip(sliced, rendered[part]):
+                assert np.array_equal(op.operator, ref.operator)
+                _assert_same_tree(child, ref_child)
+
+    @pytest.mark.parametrize("m", range(6, 18, 2))
+    def test_every_placed_ring_receives_states_exactly_inside_its_image(self, m):
+        """Every completion in the tree is exact (0/1 diagonals, and the
+        identity a placed first outcome takes off its image), so each state
+        reaching a view with a partial index, a ring or a Fourier layer,
+        has a cut matrix that vanishes exactly off the view's image."""
+        for n in (m, m + 3):
+            residues = placed_off_image_residues(build_theorem3_protocol(m, n),
+                                                 *_resource_stacks(m, n)[1:])
+            assert {path: r for path, (_, r) in residues.items() if r != 0.0} == {}
+            # all 5(k-1) branches below root outcome 1 but the outer ring's three tuple layers
+            assert len(residues) == 5 * (m // 2 - 1) - 3
+            assert all(count for count, _ in residues.values())
 
     def test_the_built_tree_stores_each_subtree_once(self):
         """The root's shifted subtrees and the ring embeddings are views:
