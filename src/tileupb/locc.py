@@ -3,24 +3,18 @@
 States live on four registers (A, B, a, b): A and a belong to Alice, B
 and b to Bob, where a and b are d-level ancillas initially holding the
 unnormalized maximally entangled resource sum_j |jj>.  A protocol is a
-tree of local projective measurements; every branch is complete on the
-acting party's joint register (A (x) a or B (x) b).  Leaves either name
-the single surviving candidate or assert that one party can finish
-alone: the survivors are product across the Alice/Bob cut, parallel on
-the idle party, and orthogonal on the measuring party.  A state is held
-only as an exact factor pair (L, R) of its matrix L R^T across that cut;
-the N states travel as the two stacks of those factors, which
-``attach_resource`` lifts from a set's factor stacks, and each local
-outcome acts on one stack.
+tree of local projective measurements, each complete on the acting
+party's joint register (A (x) a or B (x) b) and held as its diagonal plus
+one dense block on the few cells of its off-diagonal entries.  Leaves
+either name the single surviving candidate or assert that one party can
+finish alone: the survivors are product across the Alice/Bob cut,
+parallel on the idle party, and orthogonal on the measuring party.  A
+state is only an exact factor pair (L, R) of its cut matrix L R^T, as
+``attach_resource`` lifts it, and each local outcome acts on one factor.
 
-``build_theorem3_protocol`` constructs the tree that perfectly
-discriminates the ring-structure basis of prop2(m, n) for even m with a
-(m/2)-level resource, and stores each ring's subtree once: the root's
-shifted outcomes, the inner rings and the Fourier layers are ``_place``
-views, rendered on access, so every completion is exact, and
-``verify_protocol`` proves the root's views exactly instead of walking
-them.  Every Fourier row is a ``states.dft`` row.  Grids of more than
-MAX_CELLS cells are refused unbuilt.
+``build_theorem3_protocol`` builds the tree that perfectly discriminates
+the prop2(m, n) ring basis for even m with an (m/2)-level resource,
+storing each ring's subtree once as ``_place`` views.
 """
 
 from __future__ import annotations
@@ -50,13 +44,28 @@ MAX_CELLS = 620  # m * n; every walk it admits peaks under 2 GiB of RSS (README)
 
 @dataclass(frozen=True, eq=False)
 class LocalProjector:
-    """A projector on the joint register (A (x) a or B (x) b) of the
-    party its ``Branch`` names."""
+    """A projector on the joint register (A (x) a or B (x) b) of the party
+    its ``Branch`` names: diag(diagonal) with ``block`` written over
+    index x index, ``index`` holding distinct cells, one per block row."""
 
-    operator: np.ndarray
+    diagonal: np.ndarray
+    index: np.ndarray = ()
+    block: np.ndarray = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "operator", np.asarray(self.operator, dtype=complex))
+    def __post_init__(self):  # frozen: the fields are set through __dict__
+        index = np.asarray(self.index, dtype=np.intp)
+        counts = np.bincount(index, minlength=len(self.diagonal))  # raises for a negative cell
+        if len(counts) > len(self.diagonal) or counts.max(initial=0) > 1:
+            raise ValueError("a projector's index must hold distinct cells of its register")
+        self.__dict__.update(index=index, diagonal=np.asarray(self.diagonal, complex),
+                             block=np.asarray(self.block, complex).reshape(index.size, index.size))
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The dense matrix, rendered anew on each access."""
+        op = np.diag(self.diagonal)
+        op[np.ix_(self.index, self.index)] = self.block
+        return op
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +106,12 @@ def attach_resource(a: np.ndarray, b: np.ndarray, d: int) -> tuple[np.ndarray, n
 # Tree construction helpers
 
 
-def _levels_proj(dim: int, levels) -> np.ndarray:
+def _levels_proj(dim: int, levels) -> LocalProjector:
     """Diagonal projector onto the given levels of a dim-level register."""
-    return np.diag(np.isin(np.arange(dim), levels)).astype(complex)
+    return LocalProjector(np.isin(np.arange(dim), levels))
 
 
-def _root_projector(m: int, i: int) -> np.ndarray:
+def _root_projector(m: int, i: int) -> LocalProjector:
     """Alice's root outcome i: the first pairing (rows 0..iota with
     ancilla level 0, row iota+j with level j), its levels shifted by
     ``_shift_index``.  Rank m."""
@@ -123,13 +132,10 @@ def _ring_index(levels: int, iota: int) -> np.ndarray:
     return (np.arange(1, levels - 1)[:, None] * iota + np.arange(iota - 1)).ravel()
 
 
-def _branch(party: str, outcomes) -> Branch:
-    return Branch(party, tuple((LocalProjector(op), child) for op, child in outcomes))
-
-
-def _either(party: str, op: np.ndarray, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
+def _either(party: str, op: LocalProjector, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
     """The two-outcome layer (op, I - op)."""
-    return _branch(party, [(op, inside), (np.eye(len(op)) - op, rest)])
+    other = LocalProjector(1 - op.diagonal, op.index, np.eye(op.index.size) - op.block)
+    return Branch(party, ((op, inside), (other, rest)))
 
 
 def _level_dft(col: int, iota: int, levels: int, dims: tuple[int, int],
@@ -138,7 +144,9 @@ def _level_dft(col: int, iota: int, levels: int, dims: tuple[int, int],
     ``col`` of an iota-level register, placed (``_place``) into registers
     of sizes dims: outcome t projects onto sum_j w^{tj} |col, j>, and
     outcome 0 also takes the identity off those cells."""
-    layer = _branch(BOB, [(np.outer(v, v.conj()) / levels, leaf) for v in dft(levels)])
+    layer = Branch(BOB, tuple((LocalProjector(np.zeros(levels), np.arange(levels),
+                                              np.outer(v, v.conj()) / levels), leaf)
+                              for v in dft(levels)))
     return _place(layer, np.arange(dims[0]), col * iota + np.arange(levels), dims)
 
 
@@ -177,14 +185,12 @@ class _Placed(Sequence):
             return tuple(self[i] for i in range(len(self))[k])
         k = range(len(self))[k]  # a negative k names the same outcome, first included
         proj, child = self.source.outcomes[k]
-        alice = self.source.party == ALICE
-        index, dim = (self.alice_index, self.dims[0]) if alice else (self.bob_index, self.dims[1])
-        op = np.zeros((dim, dim), dtype=complex)
-        op[np.ix_(index, index)] = proj.operator
-        if k == 0:
-            off = np.delete(np.arange(dim), index)
-            op[off, off] = 1.0
-        return LocalProjector(op), _place(child, self.alice_index, self.bob_index, self.dims)
+        bob = self.source.party != ALICE
+        index, dim = (self.alice_index, self.bob_index)[bob], self.dims[bob]
+        diagonal = np.full(dim, float(k == 0), dtype=complex)  # outcome 0 is 1 off the image
+        diagonal[index] = proj.diagonal
+        return (LocalProjector(diagonal, index[proj.index], proj.block),
+                _place(child, self.alice_index, self.bob_index, self.dims))
 
 
 def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
@@ -206,11 +212,12 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
     def state(tid: int, k: int, l: int) -> int:
         return idx[(tid + 4 * ring, k, l)]
 
-    # outcome i: row i mod (n-1) of the (n-1)-point DFT table, on columns 1..n-1
-    rows = np.pad(np.roll(dft(n - 1), -1, axis=0), ((0, 0), (1, 0)))
-    outcomes: list[tuple[np.ndarray, ProtocolNode]] = [
-        (np.kron(np.outer(u, u.conj()) / (n - 1), _levels_proj(iota, [iota - 1])),
-         Identify(state(3, 0, i) if i < n - 1 else stop)) for i, u in enumerate(rows, 1)]
+    # outcome i: DFT row i mod (n-1), on level iota-1 of columns 1..n-1
+    cells = np.arange(1, n) * iota + iota - 1
+    outcomes: list[tuple[LocalProjector, ProtocolNode]] = [
+        (LocalProjector(np.zeros(dims[1]), cells, np.outer(u, u.conj()) / (n - 1)),
+         Identify(state(3, 0, i) if i < n - 1 else stop))
+        for i, u in enumerate(np.roll(dft(n - 1), -1, axis=0), 1)]
 
     tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
     b_n = _levels_proj(dims[1], (n - 1) * iota + np.arange(iota - 1))
@@ -218,13 +225,11 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
     tile4 = OnePartyFinish(ALICE, tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,))
-    if m == 4:
-        half = np.zeros(m, dtype=complex)
-        half[1] = half[2] = 1.0 / np.sqrt(2.0)
+    if m == 4:  # |+><+| on rows 1 and 2, at both levels, with exact 1/2 entries
+        core = LocalProjector(np.zeros(8), np.arange(2, 6), np.kron(np.full((2, 2), .5), np.eye(2)))
         center_sym = tuple(state(5, 0, l) for l in range(1, n - 3 + 1)) + (stop,)
         center_anti = tuple(state(5, 1, l) for l in range(0, n - 3 + 1))
-        interior: ProtocolNode = _either(ALICE, np.kron(np.outer(half, half.conj()), np.eye(iota)),
-                                         OnePartyFinish(BOB, center_sym),
+        interior: ProtocolNode = _either(ALICE, core, OnePartyFinish(BOB, center_sym),
                                          OnePartyFinish(BOB, center_anti))
     else:
         interior = _place(_a1_subtree(m - 2, n - 2, idx, ring + 1), _ring_index(m, iota),
@@ -236,7 +241,7 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
                          after_corner)
     # the rest: column 0 at every level, and levels 0..iota-2 of columns 1..n-2
     outcomes.append((_levels_proj(dims[1], np.r_[:iota, _ring_index(n, iota)]), child_rest))
-    return _branch(BOB, outcomes)
+    return Branch(BOB, tuple(outcomes))
 
 
 def build_theorem3_protocol(m: int, n: int) -> Branch:
@@ -247,14 +252,13 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     each.  The ring-0 subtree is stored once: outcome 1 keeps it, and
     outcome i is a view of it (``_place``) by the matching cyclic shift
     of both ancillas (``_shift_index``), which fixes every resource
-    state.
-    Below the outer ring the subtree goes straight on to the next ring's
-    subtree, without that ring's own root layer: Alice's first root
-    outcome already pairs each inner row with the level the inner first
-    root outcome would pick, and her operators in between are diagonal,
-    so the inner root would give its first outcome with certainty and
-    its other outcomes would be reached by no state.  The tree has
-    5k(k-1) + 1 branches for m = 2k.
+    state.  Below the outer ring the subtree goes straight on to the next
+    ring's subtree, without that ring's own root layer: Alice's first
+    root outcome already pairs each inner row with the level the inner
+    first root outcome would pick, and her operators in between are
+    diagonal, so the inner root would give its first outcome with
+    certainty and its other outcomes would be reached by no state.  The
+    tree has 5k(k-1) + 1 branches for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
     and no odd base case is built here.  prop2 refuses the sizes it does
@@ -269,9 +273,9 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
                          f"over the {MAX_CELLS}-cell bound")
     iota = m // 2
     sub = _a1_subtree(m, n, idx, 0)
-    return _branch(ALICE, [(_root_projector(m, 1), sub)] + [
+    return Branch(ALICE, ((_root_projector(m, 1), sub),) + tuple(
         (_root_projector(m, i), _place(sub, _shift_index(m, iota, i), _shift_index(n, iota, i),
-                                       (m * iota, n * iota))) for i in range(2, iota + 1)])
+                                       (m * iota, n * iota))) for i in range(2, iota + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +315,42 @@ def _sq_norms(moved: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def _check_branch(node: Branch, dims: tuple[int, int], path: str, problems: list[str]) -> bool:
-    """Audit one measurement layer, failing a NaN entry on every count;
-    False means the operators cannot be applied (wrong register shape)."""
+    """Audit one measurement layer: each outcome Hermitian and idempotent,
+    their sum the identity, each pair orthogonal, in that message order,
+    failing a NaN entry on every count; False means the operators do not
+    fit the register.  Off the union U of the block cells every operator
+    is diagonal, so each check runs exactly on the stacked U x U
+    restrictions and on each cell off U as a 1 x 1 matrix."""
     dim = dims[0] if node.party == ALICE else dims[1]
-    ops = []
-    for proj, _ in node.outcomes:
-        op = proj.operator
-        if op.shape != (dim, dim):
-            problems.append(f"{path}: operator shape {op.shape} does not match register {dim}")
-            return False
-        if not np.max(np.abs(op - op.conj().T)) <= BRANCH_TOL:
+    projs = [proj for proj, _ in node.outcomes]
+    fit = next((k for k, p in enumerate(projs) if p.diagonal.shape != (dim,)), len(projs))
+    on = np.zeros(dim, dtype=bool)
+    on[[cell for proj in projs[:fit] for cell in proj.index]] = True
+    size, where = on.sum(), np.cumsum(on) - 1  # |U|, and each cell's place in U
+    diags = np.reshape([proj.diagonal for proj in projs[:fit]], (fit, dim))
+    blocks = np.zeros((fit, size, size), dtype=complex)
+    blocks[:, range(size), range(size)] = diags[:, on]
+    for block, proj in zip(blocks, projs):
+        block[where[proj.index][:, None], where[proj.index]] = proj.block
+    parts = blocks[:, None], diags[:, ~on, None, None]
+    def worst(f):  # the largest |entry| of f over both parts, per outcome
+        return np.maximum(*(np.abs(f(x)).max(axis=(-3, -2, -1), initial=0) for x in parts))
+    hermitian = worst(lambda x: x - x.conj().swapaxes(-2, -1))
+    idempotent = worst(lambda x: x @ x - x)
+    for k in range(fit):
+        if not hermitian[k] <= BRANCH_TOL:
             problems.append(f"{path}: operator is not Hermitian")
-        if not np.max(np.abs(op @ op - op)) <= BRANCH_TOL:
+        if not idempotent[k] <= BRANCH_TOL:
             problems.append(f"{path}: operator is not idempotent")
-        ops.append(op)
-    total = sum(ops)
-    if not np.max(np.abs(total - np.eye(dim))) <= BRANCH_TOL:
+    if fit < len(projs):
+        shape = projs[fit].diagonal.shape * 2
+        problems.append(f"{path}: operator shape {shape} does not match register {dim}")
+        return False
+    if not worst(lambda x: x.sum(axis=0) - np.eye(x.shape[-1])) <= BRANCH_TOL:
         problems.append(f"{path}: outcomes do not sum to the identity")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not np.max(np.abs(ops[i] @ ops[j])) <= BRANCH_TOL:
-                problems.append(f"{path}: outcomes {i} and {j} are not orthogonal")
+    for i in range(fit - 1):  # outcome i against outcomes i+1.. in one batched product
+        for j in np.flatnonzero(~(worst(lambda x: x[i] @ x[i + 1:]) <= BRANCH_TOL)) + i + 1:
+            problems.append(f"{path}: outcomes {i} and {j} are not orthogonal")
     return True
 
 
@@ -349,28 +368,20 @@ def _check_finish_leaf(node: OnePartyFinish, idx: np.ndarray, lefts: np.ndarray,
     first, second = sv[:, :1], sv[:, 1:2]  # no second column for rank-1 stacks: product
     product = ~(second > LEAF_TOL * first).any(axis=1)
     for k in np.flatnonzero(~product):
-        problems.append(
-            f"{path}: state {idx[k]} is not product across the cut "
-            f"(second singular value ratio {second[k, 0] / first[k, 0]:.2e})"
-        )
+        problems.append(f"{path}: state {idx[k]} is not product across the cut "
+                        f"(second singular value ratio {second[k, 0] / first[k, 0]:.2e})")
     # Unit cut factors a_k = Q_L u_k[:, 0] and b_k = conj(vh_k[0] Q_Rᵀ).
     alice_vecs = (q_l @ u[:, :, :1])[product, :, 0]
     bob_vecs = (vh[:, :1, :] @ np.swapaxes(q_r, 1, 2))[product, 0, :].conj()
     kept = idx[product]
-    overlap_a = np.abs(alice_vecs.conj() @ alice_vecs.T)
-    overlap_b = np.abs(bob_vecs.conj() @ bob_vecs.T)
-    measuring, idle = (overlap_a, overlap_b) if node.party == ALICE else (overlap_b, overlap_a)
-    for i in range(kept.size):
-        for j in range(i + 1, kept.size):
-            if measuring[i, j] > LEAF_TOL:
-                problems.append(
-                    f"{path}: states {kept[i]} and {kept[j]} are not orthogonal "
-                    "on the measuring party"
-                )
-            if idle[i, j] < 1.0 - LEAF_TOL:
-                problems.append(
-                    f"{path}: states {kept[i]} and {kept[j]} differ on the idle party"
-                )
+    overlaps = [np.abs(vecs.conj() @ vecs.T) for vecs in (alice_vecs, bob_vecs)]
+    measuring, idle = overlaps if node.party == ALICE else overlaps[::-1]
+    for i, j in zip(*np.nonzero(np.triu((measuring > LEAF_TOL) | (idle < 1.0 - LEAF_TOL), 1))):
+        if measuring[i, j] > LEAF_TOL:
+            problems.append(f"{path}: states {kept[i]} and {kept[j]} are not orthogonal "
+                            "on the measuring party")
+        if idle[i, j] < 1.0 - LEAF_TOL:
+            problems.append(f"{path}: states {kept[i]} and {kept[j]} differ on the idle party")
 
 
 def _columns(lefts: np.ndarray, rights: np.ndarray) -> list[list[bytes]]:
@@ -409,26 +420,22 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
 
     State i travels as its exact cut factors L = lefts[i] and
     R = rights[i], with cut matrix L Rᵀ: Alice's outcome P maps L to P L
-    and Bob's maps R to P R, one batched product per outcome over all
-    states alive at the branch.  Every outcome is entered with the
-    states that reach it at squared norm 1e-10 or more, possibly none,
-    so each branch is checked once for projector completeness,
-    orthogonality and idempotency whatever the inputs (a branch whose
-    operators do not fit the registers, or a node of an unknown party,
-    stops there unjudged).  Each outcome layer must conserve every
-    state's norm, and each leaf must be reached only by its candidates:
-    an Identify leaf counts as a finish leaf with one candidate, and a
+    and Bob's maps R to P R, by P's diagonal and then its block, for all
+    states alive at the branch at once.  Every outcome is entered with
+    the states that reach it at squared norm 1e-10 or more, possibly
+    none, so each branch is audited once (``_check_branch``) whatever the
+    inputs; a branch whose operators do not fit the registers, or a node
+    of an unknown party, stops there unjudged.  Each outcome layer must
+    conserve every state's norm, and each leaf must be reached only by
+    its candidates (an Identify leaf is a finish leaf of one); a
     one-party-finish leaf must also hold product survivors, parallel on
     the idle party and orthogonal on the measuring one.  The report
     carries each state's success probability and the largest probability
-    any state lent to a wrong identification.  Raises ValueError for
-    stacks that ``factor_stacks(..., axes=3)`` refuses, or when there are
-    no states or one is zero or not finite.
-
-    Each visit renders a branch's outcomes once, for the audit and the
-    walk alike.  An outcome ``_proved_placements`` proves a placement of
-    outcome 0 is not walked: it takes outcome 0's weights and violations,
-    renamed to its path.  Anything else is walked.
+    any state lent to a wrong identification; an outcome that
+    ``_proved_placements`` proves a placement of outcome 0 takes outcome
+    0's weights and violations, renamed to its path, unwalked.  Raises
+    ValueError for stacks that ``factor_stacks(..., axes=3)`` refuses, or
+    when there are no states or one is zero or not finite.
     """
     # pow2_scaled is exact and keeps norms2 finite
     lefts, rights = map(pow2_scaled, factor_stacks(lefts, rights, axes=3))
@@ -461,7 +468,8 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
             gram = _gram(idle)  # the idle factors are the same for every outcome
             total = np.zeros(idx.size)
             for k, (proj, child) in enumerate(node.outcomes):
-                out = proj.operator @ moved
+                out = moved * proj.diagonal[:, None]
+                out[:, proj.index] = proj.block @ moved[:, proj.index]
                 p = _sq_norms(out, gram)
                 total += p
                 keep = p >= PRUNE_TOL
@@ -480,7 +488,6 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 acc += first[0]
                 for mine, theirs in zip(found, first[1]):
                     mine.extend(f"{path}.{k}" + v[len(path) + 2:] for v in theirs)
-            # Conservation: the outcomes repartition each state's norm.
             for i in np.flatnonzero(~(np.abs(total - norms2) <= PROB_TOL)):
                 found[0].append(f"{path}: state {idx[i]} loses norm across outcomes")
         else:
@@ -490,20 +497,13 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
             acc[1, idx[~named]] += norms2[~named]
             loud = ~named & (norms2 > PROB_TOL)
             for i, p in zip(idx[loud], norms2[loud]):
-                found[1].append(
-                    f"{path}: labeled {node.candidate} but state {i} "
-                    f"arrives with probability {p:.3e}" if identify
-                    else f"{path}: state {i} is not among the leaf candidates"
-                )
+                found[1].append(f"{path}: labeled {node.candidate} but state {i} arrives with "
+                                f"probability {p:.3e}" if identify
+                                else f"{path}: state {i} is not among the leaf candidates")
             if not identify:
                 _check_finish_leaf(node, idx[named], lefts[named], rights[named], path,
                                    found[1])
 
     walk(protocol, np.arange(count), lefts, rights, np.ones(count), "root", weights, problems)
-
-    return DiscriminationReport(
-        probabilities=tuple(float(p) for p in weights[0]),
-        max_wrong_probability=float(np.max(weights[1])),
-        branch_violations=tuple(problems[0]),
-        leaf_violations=tuple(problems[1]),
-    )
+    return DiscriminationReport(tuple(float(p) for p in weights[0]), float(np.max(weights[1])),
+                                *map(tuple, problems))

@@ -20,15 +20,15 @@ from tileupb import (
 )
 from tileupb.locc import (
     ALICE,
+    BRANCH_TOL,
     LEAF_TOL,
     PROB_TOL,
     PRUNE_TOL,
     Branch,
     DiscriminationReport,
     Identify,
+    LocalProjector,
     _Placed,
-    _branch,
-    _check_branch,
 )
 from tileupb.verify import DEFAULT_CONV_TOL, DEFAULT_MAX_ITERS, MONOTONE_SLACK
 
@@ -426,6 +426,50 @@ def brute_composite_apply(op, party, amps):
     return out.reshape(m, da, n, db).transpose(0, 2, 1, 3)
 
 
+def projector(matrix):
+    """The ``LocalProjector`` of a dense square matrix, split exactly: its
+    diagonal, the cells of its nonzero (or NaN) off-diagonal entries, and
+    the block on those cells."""
+    matrix = np.asarray(matrix, dtype=complex)
+    off = matrix != 0
+    np.fill_diagonal(off, False)
+    index = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+    return LocalProjector(matrix.diagonal().copy(), index, matrix[np.ix_(index, index)])
+
+
+def _branch(party, outcomes):
+    """A branch of (dense matrix, child) outcomes, each matrix split by
+    ``projector``."""
+    return Branch(party, tuple((projector(op), child) for op, child in outcomes))
+
+
+def dense_check_branch(node, dims, path, problems):
+    """The branch audit on dense operators: Hermitian and idempotent
+    outcomes in order, then their sum, then every pair's product, each a
+    D x D matrix product, failing a NaN entry on every count; False means
+    an operator does not fit the register."""
+    dim = dims[0] if node.party == ALICE else dims[1]
+    ops = []
+    for proj, _ in node.outcomes:
+        op = proj.operator
+        if op.shape != (dim, dim):
+            problems.append(f"{path}: operator shape {op.shape} does not match register {dim}")
+            return False
+        if not np.max(np.abs(op - op.conj().T)) <= BRANCH_TOL:
+            problems.append(f"{path}: operator is not Hermitian")
+        if not np.max(np.abs(op @ op - op)) <= BRANCH_TOL:
+            problems.append(f"{path}: operator is not idempotent")
+        ops.append(op)
+    total = sum(ops)
+    if not np.max(np.abs(total - np.eye(dim))) <= BRANCH_TOL:
+        problems.append(f"{path}: outcomes do not sum to the identity")
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if not np.max(np.abs(ops[i] @ ops[j])) <= BRANCH_TOL:
+                problems.append(f"{path}: outcomes {i} and {j} are not orthogonal")
+    return True
+
+
 def eager_place(node, alice_index, bob_index, dims):
     """The reference placement: a tree carried into registers of sizes
     dims = (Alice, Bob) as dense copies.  Each operator entry (u, v) moves
@@ -517,8 +561,9 @@ def dense_verify_protocol(protocol, lefts, rights):
     (m*d_a) x (n*d_b) matrix M = lefts[i] rights[i]^T, Alice's outcome P
     maps M to P M, Bob's maps M to M P^T, each norm is a Frobenius norm,
     and every outcome is applied a second time for the conservation
-    check.  Every outcome is entered, reached or not.  Tolerances,
-    pruning, branch audit and violation messages are the library's."""
+    check.  Every outcome is entered, reached or not, and each branch is
+    audited by ``dense_check_branch``.  Tolerances, pruning and violation
+    messages are the library's."""
     if not len(lefts):
         raise ValueError("no states to discriminate")
     reg_dims = lefts.shape[1], rights.shape[1]
@@ -539,7 +584,7 @@ def dense_verify_protocol(protocol, lefts, rights):
 
     def walk(node, alive, path):
         if isinstance(node, Branch):
-            if not _check_branch(node, reg_dims, path, branch_problems):
+            if not dense_check_branch(node, reg_dims, path, branch_problems):
                 return
             for k, (proj, child) in enumerate(node.outcomes):
                 nxt = []

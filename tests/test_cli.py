@@ -322,7 +322,7 @@ class TestChecks:
         def zeroed_last_root_outcome(m, n):
             protocol = build(m, n)
             *kept, (last, child) = protocol.outcomes
-            zero = LocalProjector(np.zeros_like(last.operator))
+            zero = LocalProjector(np.zeros_like(last.diagonal))
             return Branch(protocol.party, (*kept, (zero, child)))
 
         monkeypatch.setattr(tileupb.cli, "build_theorem3_protocol", zeroed_last_root_outcome)

@@ -27,15 +27,15 @@ from tileupb import (
 )
 from tileupb.locc import (
     MAX_CELLS,
-    _branch,
+    _check_branch,
     _place,
     _ring_index,
     _root_projector,
     _shift_index,
 )
 
-from conftest import (brute_composite_apply, dense_verify_protocol, eager_place,
-                      placed_off_image_residues)
+from conftest import (_branch, brute_composite_apply, dense_check_branch, dense_verify_protocol,
+                      eager_place, placed_off_image_residues, projector)
 
 
 def _shift_unitary(iota, i):
@@ -141,8 +141,8 @@ class TestRootLayer:
         want = np.zeros((8, 8), dtype=complex)
         for row, level in [(0, 0), (1, 0), (2, 0), (3, 1)]:
             want[row * 2 + level, row * 2 + level] = 1.0
-        assert np.allclose(_root_projector(4, 1), want)
-        assert np.array_equal(_root_outcome(4, 1), _root_projector(4, 1))
+        assert np.allclose(_root_projector(4, 1).operator, want)
+        assert np.array_equal(_root_outcome(4, 1), _root_projector(4, 1).operator)
 
     def test_second_outcome_is_the_shifted_first(self):
         """Root outcome i, built by index, is U_i P_1 U_i^dagger for the
@@ -153,11 +153,12 @@ class TestRootLayer:
             for row in range(m):
                 level = max(row - iota, 0)  # rows 0..iota on level 0, row iota+j on level j
                 first[row * iota + level, row * iota + level] = 1.0
-            assert np.array_equal(_root_projector(m, 1), first)
+            assert np.array_equal(_root_projector(m, 1).operator, first)
             for i in range(1, iota + 1):
                 u = np.kron(np.eye(m), _shift_unitary(iota, i))
-                assert np.array_equal(u @ first @ u.conj().T, _root_projector(m, i)), (m, i)
-                assert np.array_equal(_root_outcome(m, i), _root_projector(m, i)), (m, i)
+                built = _root_projector(m, i).operator
+                assert np.array_equal(u @ first @ u.conj().T, built), (m, i)
+                assert np.array_equal(_root_outcome(m, i), built), (m, i)
 
     def test_index_conjugation_equals_the_dense_unitary(self):
         """Placing by the shift index gives exactly U op U^dagger, each
@@ -201,7 +202,7 @@ class TestRootLayer:
         iota = m // 2
         for ring in range(1, iota - 1):
             inner_m = m - 2 * ring
-            node = _branch(ALICE, [(_root_projector(inner_m, 1), Identify(0))])
+            node = Branch(ALICE, ((_root_projector(inner_m, 1), Identify(0)),))
             for outer in range(ring - 1, -1, -1):
                 size, levels = m - 2 * outer, iota - outer
                 index = _ring_index(size, levels)
@@ -338,8 +339,9 @@ class TestProtocols:
             assert all(count for count, _ in residues.values())
 
     def test_the_built_tree_stores_each_subtree_once(self):
-        """The root's shifted subtrees and the ring embeddings are views:
-        the 16x16 tree holds a few of its renderings' 357 MB."""
+        """The root's shifted subtrees and the ring embeddings are views,
+        and each operator is its diagonal and block: the 16x16 tree holds
+        about 0.4 MB, where its full rendering holds 357 MB."""
         tracemalloc.start()
         try:
             protocol = build_theorem3_protocol(16, 16)
@@ -347,7 +349,7 @@ class TestProtocols:
         finally:
             tracemalloc.stop()
         assert len(protocol.outcomes) == 8
-        assert held < 40e6
+        assert held < 2e6
 
     def test_the_walk_copies_no_state_it_does_not_prune(self):
         """An outcome that keeps every arriving state passes views of them
@@ -532,8 +534,8 @@ def _non_projector_outcomes():
     bad = Branch(
         ALICE,
         (
-            (LocalProjector(0.5 * np.eye(8)), Identify(0)),
-            (LocalProjector(0.5 * np.eye(8)), Identify(1)),
+            (LocalProjector(np.full(8, 0.5)), Identify(0)),
+            (LocalProjector(np.full(8, 0.5)), Identify(1)),
         ),
     )
     return bad, *_resource_stacks(4, 4)[1:]
@@ -600,7 +602,7 @@ def _unreachable_branch():
     and it leads to a Bob layer whose only outcome is 0.3 I."""
     protocol = build_theorem3_protocol(4, 4)
     bad = _branch(BOB, [(0.3 * np.eye(8), Identify(0))])
-    return (Branch(protocol.party, protocol.outcomes + ((LocalProjector(np.zeros((8, 8))), bad),)),
+    return (Branch(protocol.party, protocol.outcomes + ((LocalProjector(np.zeros(8)), bad),)),
             *_resource_stacks(4, 4)[1:])
 
 
@@ -647,7 +649,7 @@ def _largest_entry_of_first_operator(edit):
         op = proj.operator.copy()
         entry = np.unravel_index(np.argmax(np.abs(op)), op.shape)
         op[entry] = edit(op[entry])
-        return Branch(node.party, ((LocalProjector(op), child), *rest))
+        return Branch(node.party, ((projector(op), child), *rest))
     return apply
 
 
@@ -789,8 +791,7 @@ class TestVerifierCatchesSabotage:
         assert report.leaf_violations == ("root: states 0 and 1 differ on the idle party",)
 
     def test_a_branch_of_an_unknown_party_is_named_not_measured_as_bobs(self):
-        outcomes = ((LocalProjector(np.diag([1, 0])), Identify(0)),
-                    (LocalProjector(np.diag([0, 1])), Identify(1)))
+        outcomes = ((LocalProjector([1, 0]), Identify(0)), (LocalProjector([0, 1]), Identify(1)))
         assert verify_protocol(Branch(BOB, outcomes), *_parallel_on_alice()).ok
         report = verify_protocol(Branch("carol", outcomes), *_parallel_on_alice())
         assert not report.ok
@@ -874,7 +875,7 @@ class TestVerifierCatchesSabotage:
         op = first.operator.copy()
         op[0, 0] = np.nan
         report = verify_protocol(
-            Branch(protocol.party, ((LocalProjector(op), child), *rest)), *stacks)
+            Branch(protocol.party, ((projector(op), child), *rest)), *stacks)
         assert not report.ok
         assert "root: operator is not Hermitian" in report.branch_violations
         assert "root: outcomes do not sum to the identity" in report.branch_violations
@@ -933,3 +934,87 @@ class TestFactoredWalk:
         assert fast.leaf_violations == dense.leaf_violations
         assert np.allclose(fast.probabilities, dense.probabilities, rtol=0, atol=1e-12)
         assert fast.max_wrong_probability == pytest.approx(dense.max_wrong_probability, abs=1e-12)
+
+
+def _rendered_branches(node):
+    """Every branch of a tree, with its outcomes rendered."""
+    return [Branch(found.party, tuple(found.outcomes)) for found in _branch_paths(node).values()]
+
+
+def _both_audits(node, dims):
+    """The verdict and messages of the block audit and of the dense one."""
+    block, dense = [], []
+    return ((_check_branch(node, dims, "b", block), block),
+            (dense_check_branch(node, dims, "b", dense), dense))
+
+
+def _nan_on_the_diagonal(ops, rng):
+    cell = rng.integers(len(ops[0]))
+    ops[rng.integers(len(ops))][cell, cell] = np.nan
+
+
+def _off_diagonal_cell(ops, rng):
+    """A random outcome k and a random off-diagonal cell (u, v)."""
+    u, v = rng.choice(len(ops[0]), size=2, replace=False)
+    return rng.integers(len(ops)), u, v
+
+
+def _nan_off_the_diagonal(ops, rng):
+    k, u, v = _off_diagonal_cell(ops, rng)
+    ops[k][u, v] = np.nan
+
+
+def _one_sided_off_diagonal_entry(ops, rng):
+    k, u, v = _off_diagonal_cell(ops, rng)
+    ops[k][u, v] += 1e-3j
+
+
+def _two_outcomes_overlapped(ops, rng):
+    i, j = rng.choice(len(ops), size=2, replace=False)
+    ops[j] = ops[i].copy()
+
+
+def _wrong_size_operator(ops, rng):
+    k = rng.integers(len(ops))
+    ops[k] = np.pad(ops[k], (0, 1)) if rng.integers(2) else ops[k][:-1, :-1]
+
+
+AUDIT_EDITS = {
+    "nan_on_the_diagonal": _nan_on_the_diagonal,
+    "nan_off_the_diagonal": _nan_off_the_diagonal,
+    "one_sided_off_diagonal_entry": _one_sided_off_diagonal_entry,
+    "two_outcomes_overlapped": _two_outcomes_overlapped,
+    "wrong_size_operator": _wrong_size_operator,
+}
+
+
+class TestBlockAudit:
+    """``_check_branch`` audits diagonals and blocks; ``dense_check_branch``
+    audits the dense rendering.  Both must give the same verdict and the
+    same messages in the same order."""
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (6, 6), (8, 9), (10, 10), (12, 12)])
+    def test_agrees_with_the_dense_audit_on_every_built_branch(self, m, n):
+        for node in _rendered_branches(build_theorem3_protocol(m, n)):
+            assert _both_audits(node, (m * (m // 2), n * (m // 2))) == ((True, []), (True, []))
+
+    @pytest.mark.parametrize("case", sorted(SABOTAGE))
+    def test_agrees_with_the_dense_audit_on_every_sabotage_branch(self, case):
+        protocol, lefts, rights = SABOTAGE[case]()
+        for node in _rendered_branches(protocol):
+            block, dense = _both_audits(node, (lefts.shape[1], rights.shape[1]))
+            assert block == dense
+
+    @pytest.mark.parametrize("edit", sorted(AUDIT_EDITS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_dense_audit_on_an_edited_branch(self, edit, seed):
+        rng = np.random.default_rng(seed)
+        m, n = ((6, 6), (8, 9))[seed % 2]
+        branches = _rendered_branches(build_theorem3_protocol(m, n))
+        node = branches[rng.integers(len(branches))]
+        ops = [proj.operator for proj, _ in node.outcomes]
+        AUDIT_EDITS[edit](ops, rng)
+        edited = _branch(node.party, [(op, child) for op, (_, child) in zip(ops, node.outcomes)])
+        block, dense = _both_audits(edited, (m * (m // 2), n * (m // 2)))
+        assert block == dense
+        assert dense[1], "the edit must break the branch"
