@@ -287,7 +287,7 @@ COMMANDS = {
              help=f"seesaw restarts, at least 1 (default {DEFAULT_RESTARTS})"),
         _arg("--seed", type=int, default=0, help="seesaw random seed, non-negative (default 0)"),
     )),
-    "ppt": (_cmd_ppt, "build and check the complement-projector state", REPORT_ARGS),
+    "ppt": (_cmd_ppt, "print the certificate's closed-form values; no state is built", REPORT_ARGS),
     "distinguish": (_cmd_distinguish,
                     "build and verify a discrimination protocol for the ring family", (
         _arg("--m", type=int, required=True, help="row count (even)"),

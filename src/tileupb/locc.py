@@ -390,28 +390,21 @@ def _columns(lefts: np.ndarray, rights: np.ndarray) -> list[list[bytes]]:
             for state in np.concatenate((lefts, rights), axis=1)]
 
 
-def _proved_placements(node: Branch, lefts: np.ndarray, rights: np.ndarray,
-                       dims: tuple[int, int]) -> set[int]:
-    """The outcomes k >= 1 of a rendered branch proved outcome 0 placed,
-    from provenance: subtree k is a ``_Placed`` view of subtree 0 itself,
-    on the same dims and party, whose indices permute their registers
-    with op_k[ix_(σ, σ)] == op_0 for the branch party's σ, and only
-    reorder each arriving state's factor columns (``_columns``, computed
-    once), which leaves its cut matrix unchanged."""
-    proved, columns = set(), None
-    for k, (proj, child) in enumerate(node.outcomes[1:], 1):
-        (first, sub), view = node.outcomes[0], getattr(child, "outcomes", None)
+def _placements(node: Branch, dims: tuple[int, int]) -> dict[int, tuple[np.ndarray, ...]]:
+    """The outcomes k >= 1 of a rendered branch whose subtree is a
+    ``_Placed`` view of subtree 0 itself, on the same dims and party, by
+    indices that permute their registers, each with that index pair.
+    Walking such a view on stacks (L, R) is walking subtree 0 on
+    (L[σ_A], R[σ_B]), whatever outcome k's own operator is."""
+    sub, found = node.outcomes[0][1], {}
+    for k, (_, child) in enumerate(node.outcomes[1:], 1):
+        view = getattr(child, "outcomes", None)
         pair = (view.alice_index, view.bob_index) if isinstance(view, _Placed) else ()
-        if not (pair and view.source is sub and view.dims == dims and child.party == sub.party
+        if (pair and view.source is sub and view.dims == dims and child.party == sub.party
                 and all(i.shape == (d,) and i.dtype.kind in "iu"
-                        and set(i.tolist()) == set(range(d)) for i, d in zip(pair, dims))
-                and np.array_equal(proj.operator[np.ix_(*[pair[node.party == BOB]] * 2)],
-                                   first.operator)):
-            continue
-        columns = _columns(lefts, rights) if columns is None else columns
-        if _columns(lefts[:, pair[0]], rights[:, pair[1]]) == columns:
-            proved.add(k)
-    return proved
+                        and set(i.tolist()) == set(range(d)) for i, d in zip(pair, dims))):
+            found[k] = pair
+    return found
 
 
 def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
@@ -431,9 +424,12 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
     one-party-finish leaf must also hold product survivors, parallel on
     the idle party and orthogonal on the measuring one.  The report
     carries each state's success probability and the largest probability
-    any state lent to a wrong identification; an outcome that
-    ``_proved_placements`` proves a placement of outcome 0 takes outcome
-    0's weights and violations, renamed to its path, unwalked.  Raises
+    any state lent to a wrong identification.  An outcome whose subtree
+    is a permutation view of outcome 0's (``_placements``) takes outcome
+    0's weights and violations, renamed to its path, unwalked, when the
+    states it hands on, gathered by the view's indices, are the states
+    outcome 0 handed on, each up to the order of its factor columns
+    (``_columns``): the walk below would then be outcome 0's.  Raises
     ValueError for stacks that ``factor_stacks(..., axes=3)`` refuses, or
     when there are no states or one is zero or not finite.
     """
@@ -462,7 +458,7 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
             node = Branch(node.party, tuple(node.outcomes))  # rendered once per visit
             if not _check_branch(node, reg_dims, path, found[0]):
                 return
-            proved = _proved_placements(node, lefts, rights, reg_dims)
+            placed = _placements(node, reg_dims)
             alice = node.party == ALICE
             moved, idle = (lefts, rights) if alice else (rights, lefts)
             gram = _gram(idle)  # the idle factors are the same for every outcome
@@ -478,13 +474,15 @@ def verify_protocol(protocol: ProtocolNode, lefts: np.ndarray,
                 out = out[keep]  # the unpruned rows are freed before the descent
                 pair = (out, idle[keep]) if alice else (idle[keep], out)
                 args = child, idx[keep], *pair, p[keep], f"{path}.{k}"
-                if k == 0 and proved:  # walked apart, for the outcomes proved placements of it
+                if k == 0 and placed:  # walked apart, for its placements to inherit
                     first = np.zeros_like(acc), ([], [])
                     walk(*args, *first)
-                elif k not in proved:
+                    reached = idx[keep].tolist(), _columns(*pair)  # read once the walk is done
+                elif k not in placed or reached != (idx[keep].tolist(), _columns(
+                        pair[0][:, placed[k][0]], pair[1][:, placed[k][1]])):
                     walk(*args, acc, found)
                     continue
-                # outcome 0 or its proved placement: its weights and renamed violations
+                # outcome 0, or a placement reached as it: its weights and renamed violations
                 acc += first[0]
                 for mine, theirs in zip(found, first[1]):
                     mine.extend(f"{path}.{k}" + v[len(path) + 2:] for v in theirs)

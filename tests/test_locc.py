@@ -262,31 +262,26 @@ class TestProtocols:
     @pytest.mark.parametrize("m,n", [(8, 8), (10, 10)])
     def test_every_branch_is_audited_or_proved_a_placement(self, m, n, monkeypatch):
         """Each branch is audited exactly once, or lies in a root outcome
-        proved an exact permutation placement of the audited outcome 0:
-        conjugating by a permutation keeps Hermiticity, idempotency,
-        completeness and pairwise orthogonality exactly."""
+        that inherits the audited outcome 0: a permutation view of its
+        subtree reached by the permuted states, and conjugating by a
+        permutation keeps Hermiticity, idempotency, completeness and
+        pairwise orthogonality exactly."""
         protocol = build_theorem3_protocol(m, n)
-        report, audited, proved = _audited(monkeypatch, protocol, *_resource_stacks(m, n)[1:])
+        report, audited, inherited = _audited(monkeypatch, protocol,
+                                              *_resource_stacks(m, n)[1:])
         assert report.ok
-        assert proved == [f"root.{k}" for k in range(1, m // 2)]
-        _assert_audited_once_or_proved(protocol, audited, proved)
+        assert inherited == [f"root.{k}" for k in range(1, m // 2)]
+        _assert_audited_once_or_proved(protocol, audited, inherited)
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_the_proved_root_views_change_no_report(self, m):
-        """Proving the root's placed views instead of walking them gives
+        """Inheriting the root's placed views instead of walking them gives
         the report of the same tree with its root views rendered eagerly."""
         for n in (m, m + 3):
             protocol = build_theorem3_protocol(m, n)
             stacks = _resource_stacks(m, n)[1:]
-            proved = verify_protocol(protocol, *stacks)
-            rendered = [(proj, Branch(child.party, tuple(child.outcomes)))
-                        for proj, child in protocol.outcomes]
-            walked = verify_protocol(Branch(protocol.party, tuple(rendered)), *stacks)
-            assert proved.branch_violations == walked.branch_violations
-            assert proved.leaf_violations == walked.leaf_violations
-            assert np.allclose(proved.probabilities, walked.probabilities, rtol=0, atol=1e-14)
-            assert proved.max_wrong_probability == pytest.approx(walked.max_wrong_probability,
-                                                                 abs=1e-14)
+            _assert_same_report(verify_protocol(protocol, *stacks),
+                                verify_protocol(_root_views_rendered(protocol), *stacks))
 
     @pytest.mark.parametrize("m", [4, 6, 8, 10, 12])
     def test_views_render_the_eager_placements_bitwise(self, m):
@@ -406,35 +401,54 @@ class TestProtocols:
 
 def _audited(monkeypatch, protocol, lefts, rights):
     """The report of ``verify_protocol``, the path of each branch it
-    passed to ``_check_branch`` and the path of each outcome it proved a
-    placement of its branch's outcome 0, in call order.  The walk seeks
-    proofs at a branch right after auditing it."""
-    audited, proved = [], []
-    check, prove = tileupb.locc._check_branch, tileupb.locc._proved_placements
+    passed to ``_check_branch`` in call order, and the path of each
+    outcome that inherited its branch's outcome 0: a candidate placement
+    (``_placements``, sought right after the branch's audit) under which
+    nothing was audited."""
+    audited, candidates = [], []
+    check, seek = tileupb.locc._check_branch, tileupb.locc._placements
 
     def record(node, dims, path, problems):
         audited.append(path)
         return check(node, dims, path, problems)
 
-    def record_proof(*args):
-        found = prove(*args)
-        proved.extend(f"{audited[-1]}.{k}" for k in sorted(found))
+    def record_candidates(*args):
+        found = seek(*args)
+        candidates.extend(f"{audited[-1]}.{k}" for k in sorted(found))
         return found
 
     monkeypatch.setattr(tileupb.locc, "_check_branch", record)
-    monkeypatch.setattr(tileupb.locc, "_proved_placements", record_proof)
-    return verify_protocol(protocol, lefts, rights), audited, proved
+    monkeypatch.setattr(tileupb.locc, "_placements", record_candidates)
+    report = verify_protocol(protocol, lefts, rights)
+    return report, audited, [c for c in candidates
+                             if not any(p == c or p.startswith(c + ".") for p in audited)]
 
 
-def _assert_audited_once_or_proved(protocol, audited, proved):
+def _assert_audited_once_or_proved(protocol, audited, inherited):
     """Each branch of the tree is audited exactly once or lies in an
-    outcome proved a placement, never both."""
+    outcome that inherited its branch's outcome 0, never both."""
     paths = _branch_paths(protocol)
-    placed = [p for p in paths if any(p == q or p.startswith(q + ".") for q in proved)]
+    placed = [p for p in paths if any(p == q or p.startswith(q + ".") for q in inherited)]
     assert len(set(audited)) == len(audited)
     assert not set(audited) & set(placed)
     assert sorted(audited + placed) == sorted(paths)
     assert len(paths) == _count_branches(protocol)
+
+
+def _root_views_rendered(protocol):
+    """The tree with each root outcome's subtree rendered to a tuple, so
+    no root outcome is a placement candidate."""
+    return Branch(protocol.party, tuple((proj, Branch(child.party, tuple(child.outcomes)))
+                                        for proj, child in protocol.outcomes))
+
+
+def _assert_same_report(got, want):
+    """Equal violations, and probabilities equal but for the last digits
+    that an inherited outcome's weights may differ from its walk by."""
+    assert got.branch_violations == want.branch_violations
+    assert got.leaf_violations == want.leaf_violations
+    assert np.allclose(got.probabilities, want.probabilities, rtol=0, atol=1e-14)
+    assert got.max_wrong_probability == pytest.approx(want.max_wrong_probability, abs=1e-14)
 
 
 def _branch_paths(node, path="root"):
@@ -713,8 +727,8 @@ def _placed_index_repeats_an_entry():
 
 
 def _view_of_a_distinct_copy():
-    """A view of an equal but distinct copy of outcome 0's subtree: the
-    proof reads provenance, not equality."""
+    """A view of an equal but distinct copy of outcome 0's subtree: a
+    candidate is found by provenance, not equality."""
     return _root_view_of(source=lambda sub: Branch(sub.party, tuple(sub.outcomes)))
 
 
@@ -726,8 +740,20 @@ def _view_of_another_party():
     return _root_view_of(party=ALICE)
 
 
-# trees whose root outcome 1 is not proved a view of outcome 0's subtree
-# (or sees states no shift fixes), so it must be walked
+def _root_operator_cell_dropped():
+    """The 6x6 tree with the first cell of root outcome 1's diagonal, a
+    cell states reach, set to 0: its subtree is still the built view of
+    outcome 0's, but its states no longer arrive as outcome 0's do."""
+    protocol, *stacks = _prop2_case(6, 6)()
+    (first, sub), (proj, child), *rest = protocol.outcomes
+    diagonal = proj.diagonal.copy()
+    diagonal[np.flatnonzero(diagonal)[0]] = 0
+    return Branch(protocol.party, ((first, sub), (LocalProjector(diagonal), child), *rest)), *stacks
+
+
+# trees whose root outcome 1 is not a placement candidate (not a view of
+# outcome 0's subtree), or one whose states do not arrive as outcome 0's
+# (no shift fixes them, or its own operator moves them): it must be walked
 UNPROVABLE = {
     "placed_copy_entry_moved_one_ulp": _placed_copy_entry_moved_one_ulp,
     "placed_copy_entry_set_to_nan": _placed_copy_entry_set_to_nan,
@@ -737,6 +763,7 @@ UNPROVABLE = {
     "view_of_a_distinct_copy": _view_of_a_distinct_copy,
     "view_on_other_dims": _view_on_other_dims,
     "view_of_another_party": _view_of_another_party,
+    "root_operator_cell_dropped": _root_operator_cell_dropped,
 }
 
 DIFFERENTIAL = {
@@ -746,6 +773,15 @@ DIFFERENTIAL = {
     **UNPROVABLE,
     **SABOTAGE,
 }
+
+
+# the built trees and every differential case, walked with no dense operator
+UNRENDERED = {**{f"prop2-{m}x{m}": _prop2_case(m, m) for m in (4, 6, 8, 10, 12)},
+              **DIFFERENTIAL}
+
+
+def _refuse_to_render(proj):
+    raise RuntimeError("a dense operator was rendered")
 
 
 class TestVerifierCatchesSabotage:
@@ -835,32 +871,43 @@ class TestVerifierCatchesSabotage:
 
     def test_every_branch_is_audited_once_whatever_reaches_it(self, monkeypatch):
         """The added root outcome no state reaches is audited; root
-        outcome 1 is still a view of outcome 0's subtree, and proved."""
+        outcome 1 is still a view of outcome 0's subtree, and inherits."""
         protocol, *stacks = _unreachable_branch()
-        _, audited, proved = _audited(monkeypatch, protocol, *stacks)
-        assert "root.2" in audited and proved == ["root.1"]
+        _, audited, inherited = _audited(monkeypatch, protocol, *stacks)
+        assert "root.2" in audited and inherited == ["root.1"]
         assert _count_branches(protocol) == 12
-        _assert_audited_once_or_proved(protocol, audited, proved)
+        _assert_audited_once_or_proved(protocol, audited, inherited)
 
     @pytest.mark.parametrize("case", sorted(UNPROVABLE))
     def test_an_unprovable_placement_is_walked(self, case, monkeypatch):
         protocol, *stacks = UNPROVABLE[case]()
-        _, audited, proved = _audited(monkeypatch, protocol, *stacks)
+        _, audited, inherited = _audited(monkeypatch, protocol, *stacks)
         assert "root.1" in audited
-        assert "root.1" not in proved
+        assert "root.1" not in inherited
+
+    def test_an_edited_root_operator_is_walked_as_in_the_eager_tree(self, monkeypatch):
+        """Root outcome 1's edited operator drops a cell its states reach,
+        so its subtree is walked on what arrives, while outcome 2 still
+        inherits; the report is that of the tree with every root view
+        rendered and walked."""
+        protocol, *stacks = _root_operator_cell_dropped()
+        report, audited, inherited = _audited(monkeypatch, protocol, *stacks)
+        assert "root.1" in audited and inherited == ["root.2"]
+        assert "root: outcomes do not sum to the identity" in report.branch_violations
+        _assert_same_report(report, verify_protocol(_root_views_rendered(protocol), *stacks))
 
     def test_a_rebuilt_root_view_is_proved(self, monkeypatch):
         """The control for the UNPROVABLE views: with no edit, the rebuilt
-        view is proved and the report is the built tree's."""
+        view inherits and the report is the built tree's."""
         protocol, *stacks = _root_view_of()
-        report, _, proved = _audited(monkeypatch, protocol, *stacks)
-        assert proved == ["root.1", "root.2"]
+        report, _, inherited = _audited(monkeypatch, protocol, *stacks)
+        assert inherited == ["root.1", "root.2"]
         built = verify_protocol(build_theorem3_protocol(6, 6), *stacks)
         assert dataclasses.astuple(report) == dataclasses.astuple(built)
 
     def test_a_placed_sabotage_is_named_under_every_root_outcome(self, monkeypatch):
-        report, audited, proved = _audited(monkeypatch, *_sabotaged_source_placed())
-        assert proved == ["root.1", "root.2"]
+        report, _, inherited = _audited(monkeypatch, *_sabotaged_source_placed())
+        assert inherited == ["root.1", "root.2"]
         assert report.max_wrong_probability > 1e-3
         assert not report.branch_violations
         for k in range(3):
@@ -934,6 +981,17 @@ class TestFactoredWalk:
         assert fast.leaf_violations == dense.leaf_violations
         assert np.allclose(fast.probabilities, dense.probabilities, rtol=0, atol=1e-12)
         assert fast.max_wrong_probability == pytest.approx(dense.max_wrong_probability, abs=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(UNRENDERED))
+    def test_renders_no_dense_operator(self, case):
+        """With ``LocalProjector.operator`` raising around the walk alone
+        (case builders may read it), every report is the unpatched one."""
+        protocol, *stacks = UNRENDERED[case]()
+        want = verify_protocol(protocol, *stacks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LocalProjector, "operator", property(_refuse_to_render))
+            got = verify_protocol(protocol, *stacks)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 def _rendered_branches(node):
