@@ -111,25 +111,16 @@ def _levels_proj(dim: int, levels) -> LocalProjector:
     return LocalProjector(np.isin(np.arange(dim), levels))
 
 
-def _root_projector(m: int, i: int) -> LocalProjector:
-    """Alice's root outcome i: the first pairing (rows 0..iota with
-    ancilla level 0, row iota+j with level j), its levels shifted by
-    ``_shift_index``.  Rank m."""
-    iota, rows = m // 2, np.arange(m)
-    return _levels_proj(m * iota, _shift_index(m, iota, i)[rows * iota + (rows - iota).clip(0)])
+def _cells(rows, levels, iota: int) -> np.ndarray:
+    """The cells row*iota + level of a register of iota levels per row,
+    row by row: each of ``rows`` at every one of ``levels``, or at its
+    own level when ``levels`` is a column holding one per row."""
+    return (np.c_[rows] * iota + levels).ravel()
 
 
 def _shift_index(levels: int, iota: int, i: int) -> np.ndarray:
-    """The cyclic ancilla relabeling |r, a> -> |r, (a+i-1) mod iota> on a
-    levels x iota register as an index map: entry r*iota + a is
-    r*iota + (a+i-1) mod iota."""
-    return (np.arange(levels)[:, None] * iota + (np.arange(iota) + i - 1) % iota).ravel()
-
-
-def _ring_index(levels: int, iota: int) -> np.ndarray:
-    """Where the next ring's (levels-2) x (iota-1) register sits in a
-    levels x iota one: row r and level a go to row r+1, level a."""
-    return (np.arange(1, levels - 1)[:, None] * iota + np.arange(iota - 1)).ravel()
+    """The cyclic ancilla shift |r, a> -> |r, (a+i-1) mod iota>, as an index map."""
+    return _cells(range(levels), (np.arange(iota) + i - 1) % iota, iota)
 
 
 def _either(party: str, op: LocalProjector, inside: ProtocolNode, rest: ProtocolNode) -> Branch:
@@ -138,16 +129,14 @@ def _either(party: str, op: LocalProjector, inside: ProtocolNode, rest: Protocol
     return Branch(party, ((op, inside), (other, rest)))
 
 
-def _level_dft(col: int, iota: int, levels: int, dims: tuple[int, int],
-               leaf: ProtocolNode) -> Branch:
-    """Bob's DFT layer over the first ``levels`` ancilla levels of column
-    ``col`` of an iota-level register, placed (``_place``) into registers
-    of sizes dims: outcome t projects onto sum_j w^{tj} |col, j>, and
-    outcome 0 also takes the identity off those cells."""
-    layer = Branch(BOB, tuple((LocalProjector(np.zeros(levels), np.arange(levels),
-                                              np.outer(v, v.conj()) / levels), leaf)
-                              for v in dft(levels)))
-    return _place(layer, np.arange(dims[0]), col * iota + np.arange(levels), dims)
+def _level_dft(cells: np.ndarray, dims: tuple[int, int], leaf: ProtocolNode) -> Branch:
+    """Bob's DFT layer over his register cells c_0..c_{l-1}, placed
+    (``_place``) into registers of sizes dims: outcome t projects onto
+    sum_j w^{tj} |c_j>, and outcome 0 also takes the identity off them."""
+    layer = Branch(BOB, tuple((LocalProjector(np.zeros(len(cells)), range(len(cells)),
+                                              np.outer(v, v.conj()) / len(cells)), leaf)
+                              for v in dft(len(cells))))
+    return _place(layer, np.arange(dims[0]), cells, dims)
 
 
 def _place(node: ProtocolNode, alice_index: np.ndarray, bob_index: np.ndarray,
@@ -213,18 +202,20 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
         return idx[(tid + 4 * ring, k, l)]
 
     # outcome i: DFT row i mod (n-1), on level iota-1 of columns 1..n-1
-    cells = np.arange(1, n) * iota + iota - 1
+    cells = _cells(range(1, n), iota - 1, iota)
     outcomes: list[tuple[LocalProjector, ProtocolNode]] = [
         (LocalProjector(np.zeros(dims[1]), cells, np.outer(u, u.conj()) / (n - 1)),
          Identify(state(3, 0, i) if i < n - 1 else stop))
         for i, u in enumerate(np.roll(dft(n - 1), -1, axis=0), 1)]
 
     tile2 = OnePartyFinish(ALICE, tuple(state(2, k, 0) for k in range(1, m - 1)) + (stop,))
-    b_n = _levels_proj(dims[1], (n - 1) * iota + np.arange(iota - 1))
-    outcomes.append((b_n, tile2 if iota == 2 else _level_dft(n - 1, iota, iota - 1, dims, tile2)))
+    b_n = _cells([n - 1], range(iota - 1), iota)
+    outcomes.append((_levels_proj(dims[1], b_n), tile2 if iota == 2 else
+                     _level_dft(b_n, dims, tile2)))
 
     tile1 = tuple(state(1, 0, l) for l in range(1, n - 1)) + (stop,)
     tile4 = OnePartyFinish(ALICE, tuple(state(4, k, 0) for k in range(1, m - 1)) + (stop,))
+    ring_a, ring_b = (_cells(range(1, size - 1), range(iota - 1), iota) for size in (m, n))
     if m == 4:  # |+><+| on rows 1 and 2, at both levels, with exact 1/2 entries
         core = LocalProjector(np.zeros(8), np.arange(2, 6), np.kron(np.full((2, 2), .5), np.eye(2)))
         center_sym = tuple(state(5, 0, l) for l in range(1, n - 3 + 1)) + (stop,)
@@ -232,15 +223,15 @@ def _a1_subtree(m: int, n: int, idx: dict[tuple, int], ring: int) -> Branch:
         interior: ProtocolNode = _either(ALICE, core, OnePartyFinish(BOB, center_sym),
                                          OnePartyFinish(BOB, center_anti))
     else:
-        interior = _place(_a1_subtree(m - 2, n - 2, idx, ring + 1), _ring_index(m, iota),
-                          _ring_index(n, iota), dims)
+        interior = _place(_a1_subtree(m - 2, n - 2, idx, ring + 1), ring_a, ring_b, dims)
 
-    after_corner = _either(BOB, _levels_proj(dims[1], range(iota)),
-                           _level_dft(0, iota, iota, dims, tile4), interior)
+    col0 = _cells([0], range(iota), iota)
+    after_corner = _either(BOB, _levels_proj(dims[1], col0), _level_dft(col0, dims, tile4),
+                           interior)
     child_rest = _either(ALICE, _levels_proj(dims[0], [0]), OnePartyFinish(BOB, tile1),
                          after_corner)
-    # the rest: column 0 at every level, and levels 0..iota-2 of columns 1..n-2
-    outcomes.append((_levels_proj(dims[1], np.r_[:iota, _ring_index(n, iota)]), child_rest))
+    # the rest: column 0 at every level, and the next ring's columns 1..n-2
+    outcomes.append((_levels_proj(dims[1], np.r_[col0, ring_b]), child_rest))
     return Branch(BOB, tuple(outcomes))
 
 
@@ -248,17 +239,18 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     """Discrimination tree for the prop2(m, n) basis, even m, with an
     (m/2)-level resource.
 
-    Alice's root layer has iota = m/2 outcomes, ``_root_projector(m, i)``
-    each.  The ring-0 subtree is stored once: outcome 1 keeps it, and
-    outcome i is a view of it (``_place``) by the matching cyclic shift
-    of both ancillas (``_shift_index``), which fixes every resource
-    state.  Below the outer ring the subtree goes straight on to the next
-    ring's subtree, without that ring's own root layer: Alice's first
-    root outcome already pairs each inner row with the level the inner
-    first root outcome would pick, and her operators in between are
-    diagonal, so the inner root would give its first outcome with
-    certainty and its other outcomes would be reached by no state.  The
-    tree has 5k(k-1) + 1 branches for m = 2k.
+    Alice's root layer has iota = m/2 outcomes.  The first pairs row r
+    with ancilla level max(r - iota, 0) and keeps the ring-0 subtree,
+    stored once; outcome i is that one-outcome layer placed (``_place``)
+    by the matching cyclic shift of both ancillas (``_shift_index``), so
+    one placement shifts the projector and views the subtree, and the
+    shift fixes every resource state.  Below the outer ring the subtree
+    goes straight on to the next ring's subtree, without that ring's own
+    root layer: Alice's first root outcome already pairs each inner row
+    with the level the inner first root outcome would pick, and her
+    operators in between are diagonal, so the inner root would give its
+    first outcome with certainty and its other outcomes would be reached
+    by no state.  The tree has 5k(k-1) + 1 branches for m = 2k.
 
     Odd m is rejected: the even construction peels two rows per round
     and no odd base case is built here.  prop2 refuses the sizes it does
@@ -271,11 +263,12 @@ def build_theorem3_protocol(m: int, n: int) -> Branch:
     if m * n > MAX_CELLS:
         raise ValueError(f"the protocol for m={m}, n={n} covers {m * n} cells, "
                          f"over the {MAX_CELLS}-cell bound")
-    iota = m // 2
-    sub = _a1_subtree(m, n, idx, 0)
-    return Branch(ALICE, ((_root_projector(m, 1), sub),) + tuple(
-        (_root_projector(m, i), _place(sub, _shift_index(m, iota, i), _shift_index(n, iota, i),
-                                       (m * iota, n * iota))) for i in range(2, iota + 1)))
+    iota = m // 2  # the first outcome pairs row r with level max(r - iota, 0)
+    paired = _cells(range(m), np.c_[np.arange(-iota, iota).clip(0)], iota)
+    first = Branch(ALICE, ((_levels_proj(m * iota, paired), _a1_subtree(m, n, idx, 0)),))
+    return Branch(ALICE, first.outcomes + tuple(
+        _place(first, _shift_index(m, iota, i), _shift_index(n, iota, i),
+               (m * iota, n * iota)).outcomes[0] for i in range(2, iota + 1)))
 
 
 # ---------------------------------------------------------------------------

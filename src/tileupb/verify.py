@@ -49,7 +49,8 @@ DEFAULT_MAX_ITERS = 500
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
 GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
-SEESAW_BLOCK = 256  # restarts advanced together, so memory stays O(SEESAW_BLOCK * p^2)
+SEESAW_BLOCK = 256  # restarts advanced together: memory O(SEESAW_BLOCK * (m + n + p^2)); it, not
+# SEESAW_ELEMENTS, bounds test_memory_does_not_grow_with_restarts (104 MB at 20,000 unblocked)
 SEESAW_ELEMENTS = 2**22  # cap on a block's (restarts, p, s) gain temporary, 32 MiB
 MONOTONE_SLACK = 1e-9  # seesaw objective drops below this count as violations
 PRODUCT_THRESHOLD = 1e-9  # a best overlap above 1 - this certifies a product state

@@ -27,10 +27,10 @@ from tileupb import (
 )
 from tileupb.locc import (
     MAX_CELLS,
+    _Placed,
+    _cells,
     _check_branch,
     _place,
-    _ring_index,
-    _root_projector,
     _shift_index,
 )
 
@@ -104,6 +104,20 @@ class TestResourceStacks:
         with pytest.raises(ValueError, match=f"factor stacks of shapes {shapes}"):
             attach_resource(a, b, 2)
 
+    @pytest.mark.parametrize("m,n,d", [(4, 5, 2), (6, 6, 3), (3, 7, 4)])
+    def test_register_cells_are_the_rows_of_the_lifted_factors(self, m, n, d):
+        """``_cells`` is the layout ``attach_resource`` lifts into: the lift
+        of e_r (x) e_c holds, in ancilla column a, one 1 in row
+        _cells([r], [a], d) of Alice's factor and _cells([c], [a], d) of
+        Bob's, for every level a."""
+        for r, c in ((0, 0), (m - 1, n - 1), (1, n - 2)):
+            lefts, rights = attach_resource(np.eye(m)[[r]], np.eye(n)[[c]], d)
+            for factor, row, size in ((lefts[0], r, m), (rights[0], c, n)):
+                want = np.zeros((size * d, d))
+                for a in range(d):
+                    want[_cells([row], [a], d)[0], a] = 1
+                assert np.array_equal(factor, want), (row, size)
+
     def test_cut_matrix_agrees_with_kron_application(self):
         """The walk's rule, P M for Alice's outcome and M Pᵀ for Bob's,
         is the operator's full Kronecker lift on the joint vector."""
@@ -141,24 +155,32 @@ class TestRootLayer:
         want = np.zeros((8, 8), dtype=complex)
         for row, level in [(0, 0), (1, 0), (2, 0), (3, 1)]:
             want[row * 2 + level, row * 2 + level] = 1.0
-        assert np.allclose(_root_projector(4, 1).operator, want)
-        assert np.array_equal(_root_outcome(4, 1), _root_projector(4, 1).operator)
+        assert np.array_equal(_root_outcome(4, 1), want)
+        first = build_theorem3_protocol(4, 4).outcomes[0][0]
+        pairing = _cells(range(4), np.c_[[0, 0, 0, 1]], 2)  # one level per row
+        assert np.array_equal(np.flatnonzero(first.diagonal), pairing)
 
     def test_second_outcome_is_the_shifted_first(self):
-        """Root outcome i, built by index, is U_i P_1 U_i^dagger for the
-        cyclic ancilla shift U_i, and the tree holds exactly it."""
+        """Root outcome i of the built tree is U_i P_1 U_i^dagger for the
+        cyclic ancilla shift U_i, and its subtree is outcome 1's placed by
+        the same shift on both parties."""
         for m in (4, 6, 8):
             iota = m // 2
             first = np.zeros((m * iota, m * iota))
             for row in range(m):
                 level = max(row - iota, 0)  # rows 0..iota on level 0, row iota+j on level j
                 first[row * iota + level, row * iota + level] = 1.0
-            assert np.array_equal(_root_projector(m, 1).operator, first)
+            assert np.array_equal(_root_outcome(m, 1), first)
+            root = build_theorem3_protocol(m, m)
             for i in range(1, iota + 1):
                 u = np.kron(np.eye(m), _shift_unitary(iota, i))
-                built = _root_projector(m, i).operator
+                built = _root_outcome(m, i)
                 assert np.array_equal(u @ first @ u.conj().T, built), (m, i)
-                assert np.array_equal(_root_outcome(m, i), built), (m, i)
+                if i > 1:
+                    view = root.outcomes[i - 1][1].outcomes
+                    assert isinstance(view, _Placed) and view.source is root.outcomes[0][1]
+                    for index in (view.alice_index, view.bob_index):
+                        assert np.array_equal(index, _shift_index(m, iota, i)), (m, i)
 
     def test_index_conjugation_equals_the_dense_unitary(self):
         """Placing by the shift index gives exactly U op U^dagger, each
@@ -184,7 +206,7 @@ class TestRootLayer:
         """A partial index embeds: V op V^dagger on the ring's rows and
         levels, and the first outcome also takes I - V V^dagger."""
         m, iota = 6, 3
-        index = _ring_index(m, iota)
+        index = _cells(range(1, m - 1), range(iota - 1), iota)
         v = np.eye(m * iota)[:, index]
         inner = [_root_outcome(m - 2, i) for i in (1, 2)]
         placed = _place(_branch(ALICE, [(q, Identify(i)) for i, q in enumerate(inner)]),
@@ -202,10 +224,11 @@ class TestRootLayer:
         iota = m // 2
         for ring in range(1, iota - 1):
             inner_m = m - 2 * ring
-            node = Branch(ALICE, ((_root_projector(inner_m, 1), Identify(0)),))
+            inner_first = build_theorem3_protocol(inner_m, inner_m).outcomes[0][0]
+            node = Branch(ALICE, ((inner_first, Identify(0)),))
             for outer in range(ring - 1, -1, -1):
                 size, levels = m - 2 * outer, iota - outer
-                index = _ring_index(size, levels)
+                index = _cells(range(1, size - 1), range(levels - 1), levels)
                 node = _place(node, index, index, (size * levels, size * levels))
             for i in range(1, iota + 1):
                 shift = _shift_index(m, iota, i)
