@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Tile, TileStructure
+from .grid import TileStructure
 
 __all__ = [
     "STOPPER_LABEL",
@@ -33,23 +33,6 @@ STOPPER_LABEL = ("stopper",)
 def dft(size: int) -> np.ndarray:
     """Every Fourier row: the DFT table w^(k e), w = exp(2 pi i / size), k, e < size."""
     return np.exp(2j * np.pi * np.arange(size)[:, None] * np.arange(size) / size)
-
-
-def _tile_factors(tile: Tile, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factor stacks (pq x m, pq x n) of a tile's p*q orthogonal product
-    states, from one DFT table per tile axis.
-
-    With rows r_0 < ... < r_{p-1} and cols c_0 < ... < c_{q-1}, state
-    (k, l) has factors sum_e w_p^{ke} |r_e> and sum_e w_q^{le} |c_e>
-    where w_k = exp(2 pi i / k).  States come in row-major (k, l) order;
-    (0, 0) is the all-ones state on the tile.
-    """
-    p, q = len(tile.rows), len(tile.cols)
-    a = np.zeros((p * q, m), dtype=complex)
-    b = np.zeros((p * q, n), dtype=complex)
-    a[:, list(tile.rows)] = np.repeat(dft(p), q, axis=0)
-    b[:, list(tile.cols)] = np.tile(dft(q), (p, 1))
-    return a, b
 
 
 def factor_stacks(a, b, axes: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -113,20 +96,28 @@ class UPBSet:
 
 
 def upb_state_labels(ts: TileStructure) -> list[tuple]:
-    """Labels of build_upb(ts).states in order: (tile_id, k, l) for each
-    kept state, then the stopper sentinel."""
-    return [(tile.id, k, l) for tile in ts.tiles for k in range(len(tile.rows))
-            for l in range(len(tile.cols)) if k or l] + [STOPPER_LABEL]
+    """Labels of the build_upb(ts) states in order: (tile_id, *divmod(j, q))
+    for j = 1 .. pq - 1 of each p x q tile, then the stopper sentinel."""
+    return [(tile.id, *divmod(j, len(tile.cols))) for tile in ts.tiles
+            for j in range(1, len(tile.rows) * len(tile.cols))] + [STOPPER_LABEL]
 
 
 def build_upb(ts: TileStructure) -> UPBSet:
-    """Assemble the UPB candidate of a tile structure.
-
-    Stacks every tile-basis state except each tile's (0,0) state, tile
-    by tile, then the stopper, for mn - s + 1 states in total.  The set
-    is unextendible exactly when ts is U-tile (``verify.certify_upb``).
+    """Assemble the UPB candidate of a tile structure: stacks of
+    mn - s + 1 rows holding, tile by tile, the states j = 1 .. pq - 1 of
+    each p x q tile, then the all-ones stopper.  State j puts rows k and l
+    of ``dft(p)`` and ``dft(q)``, (k, l) = divmod(j, q), on the tile's rows
+    and columns; the omitted j = 0 is the tile's indicator.  The set is
+    unextendible exactly when ts is U-tile (``verify.certify_upb``).
     """
-    stacks = [_tile_factors(tile, ts.m, ts.n) for tile in ts.tiles]
-    a = np.concatenate([tile_a[1:] for tile_a, _ in stacks] + [np.ones((1, ts.m))])
-    b = np.concatenate([tile_b[1:] for _, tile_b in stacks] + [np.ones((1, ts.n))])
+    a = np.zeros((ts.m * ts.n - ts.tile_count + 1, ts.m), dtype=complex)
+    b = np.zeros((len(a), ts.n), dtype=complex)
+    a[-1], b[-1] = 1, 1
+    first = 0  # the stack row of the tile's state j = 1
+    for tile in ts.tiles:
+        p, q = len(tile.rows), len(tile.cols)
+        k, l = np.divmod(np.arange(1, p * q), q)
+        a[first : first + len(k), list(tile.rows)] = dft(p)[k]
+        b[first : first + len(k), list(tile.cols)] = dft(q)[l]
+        first += len(k)
     return UPBSet(a, b, ts)

@@ -6,10 +6,11 @@ The basis a tile structure induces is made of products |a>|b>, stored
 as the factor stacks A and B of a ``UPBSet``; the orthogonality count
 works from them, and the complement of the basis is span{tile
 indicators} minus the stopper direction, never materialized as a basis:
-its certificate reads each state's s tile coordinates.  Once it holds,
-the paper's main theorem makes the U-tile decision of the origin exact:
-the complement holds a product state iff the origin is not U-tile, and
-then the verdict's witness carries one, checked against every state.
+its certificate reads each state's s tile coordinates, GRAM_BLOCK states
+at a time.  Once it holds, the paper's main theorem makes the U-tile
+decision of the origin exact: the complement holds a product state iff
+the origin is not U-tile, and then the verdict's witness carries one,
+checked against every state.
 ``certify_upb`` makes all of these decisions on the set's stack, and
 its ``UPBCertificate`` is the library's one verdict on a basis.
 
@@ -48,7 +49,7 @@ DEFAULT_RESTARTS = 200
 DEFAULT_MAX_ITERS = 500
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
-GRAM_BLOCK = 128  # Gram rows formed at once, so memory stays O(GRAM_BLOCK * N)
+GRAM_BLOCK = 128  # Gram rows and tile coordinates formed at once: O(GRAM_BLOCK * (N + s))
 SEESAW_BLOCK = 256  # restarts advanced together: memory O(SEESAW_BLOCK * (m + n + p^2)); it, not
 # SEESAW_ELEMENTS, bounds test_memory_does_not_grow_with_restarts (104 MB at 20,000 unblocked)
 SEESAW_ELEMENTS = 2**22  # cap on a block's (restarts, p, s) gain temporary, 32 MiB
@@ -287,16 +288,17 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper is
     u_hat = (sqrt(|t| / mn))_t and state psi_i has coordinates
     v_i = ((A* R) o (B* C)) / sqrt|t|, R and C the tiles' row and column
-    indicators; its component in span{1_t} minus the stopper has norm
-    ||v_i - (v_i . u_hat) u_hat|| in any basis.  Pairwise orthogonal
-    states, tiles that partition the grid (as every TileStructure's do),
-    the size law and every component at most DEFAULT_ORTH_TOL relative
-    to |psi_i| prove that (s - 1)-dimensional space is the complement,
-    whatever the origin claims; for one tile it is empty and no U-tile
-    decision is made.  Otherwise the paper's theorem makes the origin's
-    U-tile decision exact: a U-tile origin gives a UPB, and else the
-    witness's extension state is a product state in the complement,
-    checked against every state.
+    indicators, formed GRAM_BLOCK states at a time; its component in
+    span{1_t} minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||
+    in any basis.  Pairwise orthogonal states, tiles that partition the
+    grid (as every TileStructure's do), the size law and every component
+    at most DEFAULT_ORTH_TOL relative to |psi_i| prove that
+    (s - 1)-dimensional space is the complement, whatever the origin
+    claims; for one tile it is empty and no U-tile decision is made.
+    Otherwise the paper's theorem makes the origin's U-tile decision
+    exact: a U-tile origin gives a UPB, and else the witness's extension
+    state is a product state in the complement, checked against every
+    state.
     """
     ts = upb.origin
     m, n, s, count = upb.m, upb.n, ts.tile_count, len(upb.a)
@@ -314,10 +316,12 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     if not np.all(norms > 0):
         return certificate("a state is zero")
     rows, cols, sizes = _tile_incidence(ts)
-    coords = (a.conj() @ rows) * (b.conj() @ cols) / np.sqrt(sizes)
-    u_hat = np.sqrt(sizes / (m * n))
-    inside = coords - np.outer(coords @ u_hat, u_hat)
-    worst = float(np.max(np.linalg.norm(inside, axis=1) / norms, initial=0.0))
+    root, u_hat, worst = np.sqrt(sizes), np.sqrt(sizes / (m * n)), 0.0
+    for start in range(0, count, GRAM_BLOCK):
+        block = slice(start, start + GRAM_BLOCK)
+        coords = (a[block].conj() @ rows) * (b[block].conj() @ cols) / root
+        inside = coords - np.outer(coords @ u_hat, u_hat)
+        worst = float(np.maximum(worst, np.max(np.linalg.norm(inside, axis=1) / norms[block])))
     if not worst <= DEFAULT_ORTH_TOL:
         return certificate(f"the tile complement overlaps the states: relative component "
                            f"{worst:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")

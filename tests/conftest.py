@@ -713,6 +713,19 @@ def random_structure(rng, m, n, grow=0.5):
     return tuple(tuple(row) for row in grid)
 
 
+def brick_wall(m, n):
+    """1 x 2 bricks, alternate rows offset by one cell, with single cells
+    at the ends of the offset rows: 2,080 tiles on 64 x 64."""
+    grid, tid = [], 0
+    for r in range(m):
+        row = []
+        for c in range(n):
+            tid += c == 0 or (c + r) % 2 == 0
+            row.append(tid)
+        grid.append(row)
+    return grid
+
+
 def tampered_upb(upb, states=None, origin=None):
     """A UPBSet stacking the given (a, b) product states (default: upb's
     own) under the given origin (default: upb's), for tests that hand the

@@ -19,7 +19,6 @@ from tileupb import (
     prop3,
     upb_state_labels,
 )
-from tileupb.states import _tile_factors
 
 from conftest import (
     brute_inner,
@@ -82,12 +81,9 @@ class TestTileBasis:
         the tile's indicator, as ``missing_states`` has it."""
         ts = example1()
         tile = ts.tiles[3]
-        a, b = _tile_factors(tile, ts.m, ts.n)
-        first = np.outer(a[0], b[0])
         indicator = np.zeros((ts.m, ts.n))
         for r, c in itertools.product(tile.rows, tile.cols):
             indicator[r, c] = 1
-        assert np.allclose(first, indicator)
         assert np.array_equal(product_matrix(missing_states(ts)[3]), indicator)
 
 

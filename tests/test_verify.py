@@ -31,12 +31,14 @@ from tileupb import (
     prop3,
     seesaw_search,
     serialize,
+    upb_state_labels,
 )
 from tileupb.cli import main
 from tileupb.verify import DEFAULT_ORTH_TOL, GRAM_BLOCK, PRODUCT_THRESHOLD, SEESAW_BLOCK
 
 from conftest import (
     assert_witness_split,
+    brick_wall,
     brute_orthogonality,
     brute_seesaw_objective,
     closed_form_projector,
@@ -239,6 +241,38 @@ class TestCertifyUpb:
             assert cert.verdict is None
         else:
             assert cert.refusal is None and not cert.u_tile
+
+    @pytest.mark.parametrize("row", [0, GRAM_BLOCK - 1, GRAM_BLOCK, -2],
+                             ids=["first", "block-end", "block-start", "before-stopper"])
+    def test_the_blocked_complement_component_is_exact_at_every_row(self, row, monkeypatch):
+        """five_tile(20, 20) with its interior tile's first column split
+        off has N = 395 > 2 GRAM_BLOCK states.  Its state (5, 0, 1), tilted
+        along the split's column vector w_b as fig2's is in the test above,
+        is moved to each block edge and to row N - 2, before the stopper,
+        in turn: the stopper stays last, the refusal names the state's
+        component, and that component, read by bracketing the tolerance,
+        equals the dense projector's, taken in extended precision, to
+        1e-15 relative."""
+        grid = [list(r) for r in five_tile(20, 20).cell_map]
+        for r in range(1, 19):
+            grid[r][1] = 6
+        upb = build_upb(structure_from_grid(grid))
+        states = list(upb.states)
+        first_a, first_b = states.pop(upb_state_labels(upb.origin).index((5, 0, 1)))
+        w_b = np.zeros(20)
+        w_b[1], w_b[2:19] = 1.0, -1 / 17  # column 1 against columns 2..18 of tile 5
+        states.insert(row % len(upb.states), (first_a, first_b + w_b))
+        tilted = tampered_upb(upb, states)
+        proj = closed_form_projector(upb.origin).astype(np.longdouble)
+        kron = np.kron(first_a, first_b + w_b).astype(np.clongdouble)
+        dense = float(np.sqrt(np.sum(np.abs(proj @ kron) ** 2) / np.sum(np.abs(kron) ** 2)))
+        cert = certify_upb(tilted)
+        assert cert.stopper_law_ok
+        assert cert.refusal == ("the tile complement overlaps the states: "
+                                "relative component 2.421e-01 exceeds 1.0e-12")
+        for factor, refused in [(1 - 1e-15, True), (1 + 1e-15, False)]:
+            monkeypatch.setattr(tileupb.verify, "DEFAULT_ORTH_TOL", dense * factor)
+            assert (certify_upb(tilted).refusal is not None) == refused
 
     def test_refuses_a_foreign_origin(self):
         cert = certify_upb(foreign_origin_upb())
@@ -492,6 +526,34 @@ class TestBatchedSeesaw:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+class TestFormatCorners:
+    """No temporary of the basis or of its certificate grows as N x s."""
+
+    def test_certifying_the_brick_wall_stays_under_40_mb(self):
+        """The 64 x 64 brick wall has s = 2,080 tiles and N = 2,017 states,
+        so an N x s complex matrix of tile coordinates alone takes 67 MB."""
+        upb = build_upb(structure_from_grid(brick_wall(64, 64)))
+        tracemalloc.start()
+        try:
+            cert = certify_upb(upb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.refusal is None and cert.complement_dim == 2079 and not cert.u_tile
+        assert peak < 40e6
+
+    def test_building_the_basis_allocates_little_beyond_its_stacks(self):
+        ts = prop2(64, 64)
+        assert len(ts.tiles) == 125  # the structure's own cache, built before tracing
+        tracemalloc.start()
+        try:
+            upb = build_upb(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * (upb.a.nbytes + upb.b.nbytes)
 
 
 def _forced_search(overlap):
