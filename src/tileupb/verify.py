@@ -1,18 +1,18 @@
-"""Numerical verification: a counted orthogonality check, the one
-verdict on a tile basis (``certify_upb``), and a seesaw search for
-product states inside the complement.
+"""Numerical verification: the one verdict on a tile basis
+(``certify_upb``), and a seesaw search for product states inside the
+complement.
 
 The basis a tile structure induces is made of products |a>|b>, stored
-as the factor stacks A and B of a ``UPBSet``; the orthogonality count
-works from them, and the complement of the basis is span{tile
-indicators} minus the stopper direction, never materialized as a basis:
-its certificate reads each state's s tile coordinates, GRAM_BLOCK states
-at a time.  Once it holds, the paper's main theorem makes the U-tile
-decision of the origin exact: the complement holds a product state iff
-the origin is not U-tile, and then the verdict's witness carries one,
-checked against every state.
-``certify_upb`` makes all of these decisions on the set's stack, and
-its ``UPBCertificate`` is the library's one verdict on a basis.
+as the factor stacks A and B of a ``UPBSet``, and the complement of the
+basis is span{tile indicators} minus the stopper direction, never
+materialized as a basis.  ``certify_upb`` reads the stack once,
+GRAM_BLOCK states at a time: each block's s tile coordinates and then
+its rows of the factor Gram (A* A^T) o (B* B^T).  Once the complement
+holds, the paper's main theorem makes the U-tile decision of the origin
+exact: the complement holds a product state iff the origin is not
+U-tile, and then the verdict's witness carries one, checked against
+every state.  Its ``UPBCertificate`` is the library's one verdict on a
+basis.
 
 The seesaw search is a numerical probe, never part of that verdict: it
 maximizes the squared norm of the projection of a (x) b onto the
@@ -35,12 +35,11 @@ import numpy as np
 
 from .grid import TileStructure
 from .rectangles import UTileVerdict, is_u_tile
-from .states import UPBSet, factor_stacks, pow2_scaled
+from .states import UPBSet, pow2_scaled
 
 __all__ = [
     "SearchResult",
     "UPBCertificate",
-    "check_orthogonal_set",
     "certify_upb",
     "seesaw_search",
 ]
@@ -49,7 +48,7 @@ DEFAULT_RESTARTS = 200
 DEFAULT_MAX_ITERS = 500
 DEFAULT_CONV_TOL = 1e-12
 DEFAULT_ORTH_TOL = 1e-12  # relative: |<a|b>| / (|a| |b|)
-GRAM_BLOCK = 128  # Gram rows and tile coordinates formed at once: O(GRAM_BLOCK * (N + s))
+GRAM_BLOCK = 128  # states certify_upb reads at once: memory O(GRAM_BLOCK * (N + s))
 SEESAW_BLOCK = 256  # restarts advanced together: memory O(SEESAW_BLOCK * (m + n + p^2)); it, not
 # SEESAW_ELEMENTS, bounds test_memory_does_not_grow_with_restarts (104 MB at 20,000 unblocked)
 SEESAW_ELEMENTS = 2**22  # cap on a block's (restarts, p, s) gain temporary, 32 MiB
@@ -64,32 +63,6 @@ class SearchResult:
     restarts_run: int
     converged_restarts: int
     monotonicity_violations: int
-
-
-def check_orthogonal_set(a: np.ndarray, b: np.ndarray) -> tuple[int, float]:
-    """(violating_pairs, max_offdiagonal): the count of pairs i < j with
-    |<psi_i|psi_j>| / (|psi_i| |psi_j|) not within DEFAULT_ORTH_TOL (a NaN
-    one too), and the largest, for the product states psi_i with factors
-    row i of the stacks A (N x m) and B (N x n), each row scaled first by
-    ``pow2_scaled``; a zero overlaps nothing.  Raises ValueError for
-    stacks that ``factor_stacks`` refuses.
-
-    The Gram (A* A^T) o (B* B^T), in complex, is formed GRAM_BLOCK rows
-    at a time over the columns j >= the block's first row, so memory
-    stays O(GRAM_BLOCK * N) however many pairs violate.
-    """
-    a, b = map(pow2_scaled, factor_stacks(a, b))
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    scale = np.where(norms > 0, norms, 1.0)
-    violating, worst = 0, 0.0
-    for start in range(0, len(a) - 1, GRAM_BLOCK):
-        stop = min(start + GRAM_BLOCK, len(a))
-        gram = a[start:stop].conj() @ a[start:].T
-        gram *= b[start:stop].conj() @ b[start:].T
-        rel = np.triu(np.abs(gram) / np.outer(scale[start:stop], scale[start:]), 1)
-        worst = float(np.maximum(worst, rel.max()))
-        violating += int(np.count_nonzero(~(rel <= DEFAULT_ORTH_TOL)))
-    return violating, worst
 
 
 def _tile_incidence(ts: TileStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +203,8 @@ class UPBCertificate:
     certified nonempty complement ``verdict`` is the origin's U-tile
     decision, and a non-U-tile origin adds ``max_overlap``, the largest
     relative overlap of its witness's extension state with the states.
-    ``check_orthogonal_set`` gives ``violating_pairs`` and ``max_offdiagonal``."""
+    ``violating_pairs`` counts the pairs not orthogonal, ``max_offdiagonal``
+    is the worst relative overlap."""
 
     size: int
     expected_size: int
@@ -279,32 +253,49 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     """The verdict on a UPBSet that needs no search, read off its factor
     stack ``upb.a``, ``upb.b`` with each row scaled by ``pow2_scaled``.
 
-    Reports pairwise orthogonality (``check_orthogonal_set``), the size
-    law N = mn - s + 1 and the stopper law (the last state is the
-    stopper up to scale, by ``_all_ones`` on both factors, so its
-    overlap with each tile's omitted state is proportional to |t| and
-    nonzero), and certifies the complement span{1_t} minus the stopper
-    or names in ``refusal`` the first condition that fails.  In the
-    orthonormal tile coordinates u_t = 1_t / sqrt|t| the stopper is
-    u_hat = (sqrt(|t| / mn))_t and state psi_i has coordinates
-    v_i = ((A* R) o (B* C)) / sqrt|t|, R and C the tiles' row and column
-    indicators, formed GRAM_BLOCK states at a time; its component in
-    span{1_t} minus the stopper has norm ||v_i - (v_i . u_hat) u_hat||
-    in any basis.  Pairwise orthogonal states, tiles that partition the
-    grid (as every TileStructure's do), the size law and every component
-    at most DEFAULT_ORTH_TOL relative to |psi_i| prove that
-    (s - 1)-dimensional space is the complement, whatever the origin
-    claims; for one tile it is empty and no U-tile decision is made.
-    Otherwise the paper's theorem makes the origin's U-tile decision
-    exact: a U-tile origin gives a UPB, and else the witness's extension
-    state is a product state in the complement, checked against every
-    state.
+    Reports pairwise orthogonality (the pairs i < j with
+    |<psi_i|psi_j>| / (|psi_i| |psi_j|) not within DEFAULT_ORTH_TOL; a
+    zero state overlaps nothing), the size law N = mn - s + 1 and the
+    stopper law (the last state is the stopper up to scale, by
+    ``_all_ones`` on both factors, so its overlap with each tile's
+    omitted state is proportional to |t| and nonzero), and certifies the
+    complement span{1_t} minus the stopper or names in ``refusal`` the
+    first condition that fails.  In the orthonormal tile coordinates
+    u_t = 1_t / sqrt|t| the stopper is u_hat = (sqrt(|t| / mn))_t and
+    state psi_i has coordinates v_i = ((A* R) o (B* C)) / sqrt|t|, R and
+    C the tiles' row and column indicators; its component in span{1_t}
+    minus the stopper has norm ||v_i - (v_i . u_hat) u_hat|| in any
+    basis.  One pass reads both checks, GRAM_BLOCK states at a time: a
+    block's coordinates, then its rows of the Gram (A* A^T) o (B* B^T)
+    against every later state, in O(GRAM_BLOCK * (N + s)) memory.
+    Pairwise orthogonal states, tiles that partition the grid (as every
+    TileStructure's do), the size law and every component at most
+    DEFAULT_ORTH_TOL relative to |psi_i| prove that (s - 1)-dimensional
+    space is the complement, whatever the origin claims; for one tile it
+    is empty and no U-tile decision is made.  Otherwise the paper's
+    theorem makes the origin's U-tile decision exact: a U-tile origin
+    gives a UPB, and else the witness's extension state is a product
+    state in the complement, checked against every state.
     """
     ts = upb.origin
     m, n, s, count = upb.m, upb.n, ts.tile_count, len(upb.a)
     a, b = pow2_scaled(upb.a), pow2_scaled(upb.b)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    violating, offdiag = check_orthogonal_set(a, b)
+    scale = np.where(norms > 0, norms, 1.0)
+    rows, cols, sizes = _tile_incidence(ts)
+    root, u_hat = np.sqrt(sizes), np.sqrt(sizes / (m * n))
+    violating, offdiag, worst = 0, 0.0, 0.0
+    for start in range(0, count, GRAM_BLOCK):
+        block = slice(start, start + GRAM_BLOCK)
+        # Coordinates first, reduced before the Gram rows take their name.
+        part = (a[block].conj() @ rows) * (b[block].conj() @ cols) / root
+        part -= np.outer(part @ u_hat, u_hat)
+        worst = float(np.maximum(worst, np.max(np.linalg.norm(part, axis=1) / scale[block])))
+        part = a[block].conj() @ a[start:].T
+        part *= b[block].conj() @ b[start:].T
+        part = np.triu(np.abs(part) / np.outer(scale[block], scale[start:]), 1)
+        offdiag = float(np.maximum(offdiag, part.max()))
+        violating += int(np.count_nonzero(~(part <= DEFAULT_ORTH_TOL)))
     stopper_ok = count > 0 and _all_ones(a[-1]) and _all_ones(b[-1])
     certificate = partial(UPBCertificate, count, m * n - s + 1, violating, offdiag,
                           stopper_ok, s - 1)
@@ -315,13 +306,6 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
         return certificate(f"{count} states where the size law gives {m * n - s + 1}")
     if not np.all(norms > 0):
         return certificate("a state is zero")
-    rows, cols, sizes = _tile_incidence(ts)
-    root, u_hat, worst = np.sqrt(sizes), np.sqrt(sizes / (m * n)), 0.0
-    for start in range(0, count, GRAM_BLOCK):
-        block = slice(start, start + GRAM_BLOCK)
-        coords = (a[block].conj() @ rows) * (b[block].conj() @ cols) / root
-        inside = coords - np.outer(coords @ u_hat, u_hat)
-        worst = float(np.maximum(worst, np.max(np.linalg.norm(inside, axis=1) / norms[block])))
     if not worst <= DEFAULT_ORTH_TOL:
         return certificate(f"the tile complement overlaps the states: relative component "
                            f"{worst:.3e} exceeds {DEFAULT_ORTH_TOL:.1e}")
@@ -331,6 +315,6 @@ def certify_upb(upb: UPBSet) -> UPBCertificate:
     if verdict.is_u_tile:
         return certificate(verdict=verdict)
     wa, wb = verdict.witness.state
-    scale = norms * np.linalg.norm(wa) * np.linalg.norm(wb)
-    overlaps = np.abs(a.conj() @ wa) * np.abs(b.conj() @ wb) / scale
+    overlaps = np.abs(a.conj() @ wa) * np.abs(b.conj() @ wb)
+    overlaps /= norms * np.linalg.norm(wa) * np.linalg.norm(wb)
     return certificate(verdict=verdict, max_overlap=float(np.max(overlaps)))

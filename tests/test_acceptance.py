@@ -15,7 +15,6 @@ from tileupb import (
     build_theorem3_protocol,
     build_upb,
     certify_upb,
-    check_orthogonal_set,
     example1,
     fig2,
     five_tile,
@@ -103,7 +102,7 @@ def test_criterion_3_ring_family_table(capsys):
                 problems.append(f"prop2({m},{n}) is not a U-tile")
             if len(upb.states) != expected:
                 problems.append(f"prop2({m},{n}) has {len(upb.states)} states, want {expected}")
-            if check_orthogonal_set(upb.a, upb.b)[0]:
+            if certify_upb(upb).violating_pairs:
                 problems.append(f"prop2({m},{n}) basis is not orthogonal")
     _report(capsys, "criterion 3: ring family sizes mn-4*floor((m-1)/2)", problems, t0, 30.0)
 
@@ -118,7 +117,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if ts.tile_count != t or len(upb.states) != m * m - t + 1:
                 problems.append(f"prop3({m},{t}) size law broken")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and not check_orthogonal_set(upb.a, upb.b)[0]):
+                    and not certify_upb(upb).violating_pairs):
                 problems.append(f"prop3({m},{t}) failed a structural check")
     for m in range(3, 9):
         for n in range(m, 9):
@@ -127,7 +126,7 @@ def test_criterion_4_tile_count_and_five_tile_families(capsys):
             if len(upb.states) != m * n - 4:
                 problems.append(f"five_tile({m},{n}) has {len(upb.states)} states")
             if not (validate(ts).ok and is_u_tile(ts).is_u_tile
-                    and not check_orthogonal_set(upb.a, upb.b)[0]):
+                    and not certify_upb(upb).violating_pairs):
                 problems.append(f"five_tile({m},{n}) failed a structural check")
     _report(capsys, "criterion 4: tile-count family m*m-t+1 and five-tile mn-4",
             problems, t0, 60.0)

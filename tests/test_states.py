@@ -11,7 +11,7 @@ from tileupb import (
     STOPPER_LABEL,
     UPBSet,
     build_upb,
-    check_orthogonal_set,
+    certify_upb,
     example1,
     fig2,
     five_tile,
@@ -54,7 +54,8 @@ class TestInnerProduct:
         explicit Kronecker product does."""
         s1, s2 = (a1, b1), (a2, b2)
         norms = np.linalg.norm(kron_vector(s1)) * np.linalg.norm(kron_vector(s2))
-        _, worst = check_orthogonal_set(np.array([a1, a2]), np.array([b1, b2]))
+        origin = structure_from_grid([[1, 1, 1], [1, 1, 1]])
+        worst = certify_upb(UPBSet([a1, a2], [b1, b2], origin)).max_offdiagonal
         want = abs(brute_inner(s1, s2)) / norms if norms else 0.0
         assert worst == pytest.approx(want, abs=1e-9)
 

@@ -22,7 +22,6 @@ from tileupb import (
     UTileVerdict,
     build_upb,
     certify_upb,
-    check_orthogonal_set,
     example1,
     fig2,
     five_tile,
@@ -74,25 +73,33 @@ def _random_states(count, seed, m=3, n=4):
     return [(sparse(m), sparse(n)) for _ in range(count)]
 
 
+def _pair_report(a, b):
+    """(violating_pairs, max_offdiagonal) of the certificate of the factor
+    stacks A and B under a one-tile origin of their widths."""
+    a, b = np.asarray(a), np.asarray(b)
+    cert = certify_upb(UPBSet(a, b, structure_from_grid([[1] * b.shape[1]] * a.shape[1])))
+    return cert.violating_pairs, cert.max_offdiagonal
+
+
 class TestOrthogonalityCheck:
+    """The pair count and the worst relative overlap ``certify_upb``
+    reads off the blocked factor Gram."""
+
     def test_clean_family_passes(self):
-        upb = build_upb(example1())
-        violating, worst = check_orthogonal_set(upb.a, upb.b)
-        assert worst < 1e-12
-        assert violating == 0
+        cert = certify_upb(build_upb(example1()))
+        assert cert.max_offdiagonal < 1e-12
+        assert cert.violating_pairs == 0
 
     def test_reports_the_offending_pair(self):
-        violating, worst = check_orthogonal_set(np.array([[1, 0], [1, 1]]),
-                                                np.array([[1, 0], [1, 0]]))
+        violating, worst = _pair_report([[1, 0], [1, 1]], [[1, 0], [1, 0]])
         assert violating == 1
         assert worst == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_returns_the_count_and_the_worst_as_builtins(self):
-        """The result is the pair (violating_pairs, max_offdiagonal) of a
-        Python int and float, not a report object."""
-        result = check_orthogonal_set(np.array([[1, 0], [1, 1]]), np.array([[1, 0], [1, 0]]))
-        assert type(result) is tuple and len(result) == 2
-        assert type(result[0]) is int and type(result[1]) is float
+        """The certificate holds a Python int and float, which the CLI's
+        JSON writes as they are."""
+        violating, worst = _pair_report([[1, 0], [1, 1]], [[1, 0], [1, 0]])
+        assert type(violating) is int and type(worst) is float
 
     @pytest.mark.parametrize("kind", ["product", "real-a"])
     @pytest.mark.parametrize("count", [1, 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
@@ -105,7 +112,7 @@ class TestOrthogonalityCheck:
         a = np.array([a for a, _ in states])
         b = np.array([b for _, b in states])
         assert (a.dtype == float) == (kind == "real-a")
-        violating, got = check_orthogonal_set(a, b)
+        violating, got = _pair_report(a, b)
         want, worst = brute_orthogonality(states, DEFAULT_ORTH_TOL)
         assert violating == len(want)
         assert got == pytest.approx(worst, abs=1e-12)
@@ -113,14 +120,14 @@ class TestOrthogonalityCheck:
             assert 0 < len(want) < count * (count - 1) // 2
 
     def test_a_nan_overlap_counts_as_violating(self):
-        """One NaN entry makes every overlap of its state NaN, and each
-        such pair violates."""
+        """One NaN entry, written into the stack after UPBSet has checked
+        it, makes every overlap of its state NaN, and each such pair
+        violates."""
         upb = build_upb(example1())
-        a = upb.a.copy()
-        a[0, 0] = np.nan
-        violating, worst = check_orthogonal_set(a, upb.b)
-        assert violating == len(a) - 1
-        assert np.isnan(worst)
+        upb.a[0, 0] = np.nan
+        cert = certify_upb(upb)
+        assert cert.violating_pairs == len(upb.a) - 1
+        assert np.isnan(cert.max_offdiagonal)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-170])
     def test_a_repeated_state_is_caught_at_any_scale(self, scale):
@@ -130,32 +137,32 @@ class TestOrthogonalityCheck:
         a, b = upb.a.copy(), upb.b.copy()
         a[1], b[1] = a[0], b[0]
         a[0] *= scale
-        violating, worst = check_orthogonal_set(a, b)
+        violating, worst = _pair_report(a, b)
         assert violating == 1
         assert worst == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["one-a-row", "one-b-row", "vectors"])
     def test_refuses_stacks_of_unequal_state_counts(self, case):
         """A 1-row A against 12 B rows is no silent pass, and one B row is
-        not broadcast over every state."""
+        not broadcast over every state: UPBSet refuses the stacks before
+        they reach the certificate."""
         upb = build_upb(prop2(4, 4))
         a, b, shapes = {"one-a-row": (upb.a[:1], upb.b, r"\(1, 4\) and \(12, 4\)"),
                         "one-b-row": (upb.a, upb.b[:1], r"\(12, 4\) and \(1, 4\)"),
                         "vectors": (upb.a[0], upb.b[0], r"\(4,\) and \(4,\)")}[case]
         with pytest.raises(ValueError, match=f"factor stacks of shapes {shapes}"):
-            check_orthogonal_set(a, b)
+            UPBSet(a, b, upb.origin)
 
     def test_large_tiles_pass_under_the_relative_rule(self):
-        upb = build_upb(five_tile(32, 32))
-        assert check_orthogonal_set(upb.a, upb.b)[0] == 0
+        assert certify_upb(build_upb(five_tile(32, 32))).violating_pairs == 0
 
     def test_many_violations_are_counted_in_bounded_memory(self):
         """1,000 equal states violate every one of their 499,500 pairs;
-        the report counts them, so the traced peak stays at the size of
-        a Gram block rather than growing with the pairs."""
+        the certificate counts them, so the traced peak stays at the size
+        of a Gram block rather than growing with the pairs."""
         tracemalloc.start()
         try:
-            violating, worst = check_orthogonal_set(np.ones((1000, 3)), np.ones((1000, 4)))
+            violating, worst = _pair_report(np.ones((1000, 3)), np.ones((1000, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,6 +280,34 @@ class TestCertifyUpb:
         for factor, refused in [(1 - 1e-15, True), (1 + 1e-15, False)]:
             monkeypatch.setattr(tileupb.verify, "DEFAULT_ORTH_TOL", dense * factor)
             assert (certify_upb(tilted).refusal is not None) == refused
+
+    def test_one_block_with_both_faults_is_refused_for_orthogonality_first(self):
+        """The first GRAM_BLOCK rows of the split five_tile(20, 20) basis
+        above hold its tilted state (5, 0, 1) at row 0 and, at row 2, the
+        sum of tile 1's states 1 and 2, which overlaps state 1 by
+        1 / sqrt(2): the one pass counts the pair as the pairwise oracle
+        does and refuses on orthogonality, and once row 2 is mended the
+        complement refusal of the tilted state is back."""
+        grid = [list(r) for r in five_tile(20, 20).cell_map]
+        for r in range(1, 19):
+            grid[r][1] = 6
+        upb = build_upb(structure_from_grid(grid))
+        states = list(upb.states)
+        first_a, first_b = states.pop(upb_state_labels(upb.origin).index((5, 0, 1)))
+        w_b = np.zeros(20)
+        w_b[1], w_b[2:19] = 1.0, -1 / 17
+        states.insert(0, (first_a, first_b + w_b))
+        mended = list(states)
+        states[2] = (states[1][0], states[1][1] + states[2][1])
+        cert = certify_upb(tampered_upb(upb, states))
+        want, worst = brute_orthogonality(states, DEFAULT_ORTH_TOL)
+        assert cert.violating_pairs == len(want) == 1
+        assert cert.max_offdiagonal == pytest.approx(worst, abs=1e-12)
+        assert cert.refusal == ("the states are not pairwise orthogonal: "
+                                "1 violating pairs, worst 7.071e-01")
+        assert certify_upb(tampered_upb(upb, mended)).refusal == (
+            "the tile complement overlaps the states: "
+            "relative component 2.421e-01 exceeds 1.0e-12")
 
     def test_refuses_a_foreign_origin(self):
         cert = certify_upb(foreign_origin_upb())
@@ -531,7 +566,7 @@ class TestBatchedSeesaw:
 class TestFormatCorners:
     """No temporary of the basis or of its certificate grows as N x s."""
 
-    def test_certifying_the_brick_wall_stays_under_40_mb(self):
+    def test_certifying_the_brick_wall_stays_under_18_mb(self):
         """The 64 x 64 brick wall has s = 2,080 tiles and N = 2,017 states,
         so an N x s complex matrix of tile coordinates alone takes 67 MB."""
         upb = build_upb(structure_from_grid(brick_wall(64, 64)))
@@ -542,7 +577,7 @@ class TestFormatCorners:
         finally:
             tracemalloc.stop()
         assert cert.refusal is None and cert.complement_dim == 2079 and not cert.u_tile
-        assert peak < 40e6
+        assert peak < 18e6
 
     def test_building_the_basis_allocates_little_beyond_its_stacks(self):
         ts = prop2(64, 64)
